@@ -268,10 +268,10 @@ class ClassificationReport:
 
 def _perron_state(p_map: SuperOp, tol: float = 1e-10):
     """Leading eigenvalue and normalized PSD eigenmatrix of a CP map."""
-    lam, v, ok, iters = linalg.power_iteration(p_map.matrix, tol=tol, max_iter=2000)
-    n = p_map.matrix.shape[0]
-    use_eig = not ok or n <= 4096
-    if use_eig:
+    ok = False
+    if p_map.matrix.shape[0] > 4096:
+        lam, v, ok, _ = linalg.power_iteration(p_map.matrix, tol=tol, max_iter=2000)
+    if not ok:
         vals, vecs = np.linalg.eig(p_map.matrix)
         k = int(np.argmax(np.abs(vals)))
         lam = float(np.abs(vals[k]))

@@ -13,6 +13,8 @@ non-convergence, 4 precondition violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 
@@ -175,6 +177,25 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
+def _dump_record(fh, k: int, rec: trajectory.TrajectoryRecord):
+    prev = rec.initial.vertex
+    for ev in rec.events:
+        fh.write(
+            json.dumps(
+                {
+                    "traj": k,
+                    "t": ev.time,
+                    "from": str(prev),
+                    "to": str(ev.vertex),
+                    "rho": model.matrix_to_json(ev.rho),
+                },
+                sort_keys=True,
+            )
+            + "\n"
+        )
+        prev = ev.vertex
+
+
 def _cmd_simulate(args) -> int:
     walk = _load_model(args.model)
     _require_valid(walk, args.tol)
@@ -184,9 +205,11 @@ def _cmd_simulate(args) -> int:
             queries = json.load(fh)
     else:
         queries = [{"kind": "position_law", "t": args.horizon / 2.0}]
-    reports = trajectory.estimate(
-        walk, init, args.horizon, args.n, seed=args.seed, queries=queries
-    )
+    with open(args.dump, "w") if args.dump else contextlib.nullcontext() as dump:
+        reports = trajectory.estimate(
+            walk, init, args.horizon, args.n, seed=args.seed, queries=queries,
+            on_record=None if dump is None else functools.partial(_dump_record, dump),
+        )
     rows = []
     for qi, rep in enumerate(reports):
         for p in rep.points:
@@ -207,28 +230,6 @@ def _cmd_simulate(args) -> int:
         ["query_id", "t", "estimate", "stderr", "ci_lo", "ci_hi", "n"],
         rows,
     )
-    if args.dump:
-        with open(args.dump, "w") as fh:
-            for k in range(args.n):
-                rec = trajectory.simulate(
-                    walk, init, args.horizon, seed=args.seed, stream=k
-                )
-                prev = rec.initial.vertex
-                for ev in rec.events:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "traj": k,
-                                "t": ev.time,
-                                "from": str(prev),
-                                "to": str(ev.vertex),
-                                "rho": model.matrix_to_json(ev.rho),
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-                    prev = ev.vertex
     return 0
 
 
@@ -348,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; estimation currently runs sequentially")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="structural validation tolerance")
     p.add_argument("--json-logs", action="store_true",
@@ -360,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         # global flags are also accepted after the subcommand
         sp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        sp.add_argument("--threads", type=int, default=argparse.SUPPRESS)
         sp.add_argument("--tol", type=float, default=argparse.SUPPRESS)
         sp.add_argument("--json-logs", action="store_true", default=argparse.SUPPRESS)
 

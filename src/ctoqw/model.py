@@ -249,6 +249,8 @@ def json_to_matrix(data) -> np.ndarray:
         raise ModelError(
             "a complex matrix must be encoded as rows of [re, im] pairs"
         )
+    if not np.isfinite(arr).all():
+        raise ModelError("a complex matrix has a NaN or infinite entry")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -16,7 +16,9 @@ leaves the retained vertex set and never returns.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -127,6 +129,114 @@ def _invert_survival(surv: _Survival, u: float, t_scale: float) -> float | None:
     raise ConvergenceError("survival inversion did not reach tolerance")
 
 
+_ESCAPE = object()  # the jump that leaves a windowed model
+
+
+class _EventKernel:
+    """Waiting time, dwell flow and jump law of the walk at one vertex.
+
+    ``edges`` are the stored jumps ``(dst, R)`` and ``escape`` the escape
+    intensity operator of a sub-stochastic vertex.  Given a generator
+    alone, all of its decay ``-(G + G^dag)`` counts as escape.
+    """
+
+    def __init__(self, g: np.ndarray, edges=(), escape: np.ndarray | None = None):
+        self.g = np.atleast_2d(np.asarray(g, dtype=complex))
+        d = self.g.shape[0]
+        gplus = self.g + self.g.conj().T
+        self.edges = list(edges)
+        self.escape = linalg.herm(-gplus if escape is None else escape)
+        self.fixed = None
+        self.speed = None
+        if d == 1:
+            # on a one-dimensional space the weights do not depend on the
+            # state, and their total is the exponential event rate
+            weights = [float((r.conj().T @ r)[0, 0].real) for _, r in self.edges]
+            posts = [_normalised(r @ r.conj().T) for _, r in self.edges]
+            for p in posts:
+                p.flags.writeable = False  # shared by every jump along the edge
+            esc = max(float(self.escape[0, 0].real), 0.0)
+            self.fixed = (weights, posts, esc)
+            self.rate = sum(weights) + esc
+            return
+        c = -float(np.trace(gplus).real) / d
+        if np.linalg.norm(gplus + c * np.eye(d)) <= 1e-13 * (1.0 + abs(c)):
+            self.rate = max(c, 0.0)  # uniform decay: s(t) = exp(-c t)
+        else:
+            self.rate = None
+            self.speed = linalg.opnorm(gplus)
+
+    @cached_property
+    def prop(self) -> linalg.Propagator:
+        return linalg.Propagator(self.g)
+
+    def wait(self, rho: np.ndarray, u: float) -> float | None:
+        """Dwell time until the survival from ``rho`` falls to ``u``; None
+        when no event ever comes."""
+        if self.rate is not None:
+            return -math.log(u) / self.rate if self.rate > _PLATEAU else None
+        if self.speed < _PLATEAU:
+            return None
+        return _invert_survival(_Survival(self.prop, rho), u, t_scale=1.0 / self.speed)
+
+    def flow(self, rho: np.ndarray, dt: float) -> np.ndarray:
+        """Normalized dwell state ``dt`` after entering in ``rho``."""
+        if self.fixed is not None:
+            return rho
+        e = self.prop.at(dt)
+        return _normalised(e @ rho @ e.conj().T)
+
+    def jump(self, eta: np.ndarray, u: float, escape: bool = True):
+        """Pick the jump out of dwell state ``eta`` with weights
+        ``Tr(R eta R^dag)`` and the escape weight, ``u`` uniform on [0, 1).
+
+        Returns ``(dst, post-jump state)``, ``_ESCAPE``, or None when
+        every weight vanishes.  ``escape=False`` draws among the stored
+        jumps only.
+        """
+        if self.fixed is not None:
+            weights, posts, esc = self.fixed
+        else:
+            posts = [r @ eta @ r.conj().T for _, r in self.edges]
+            weights = [max(float(np.trace(p).real), 0.0) for p in posts]
+            esc = max(float(np.trace(self.escape @ eta).real), 0.0)
+        if not escape:
+            esc = 0.0
+        total = sum(weights) + esc
+        if total <= _PLATEAU:
+            return None
+        target = u * total
+        acc = 0.0
+        for (dst, _), w, post in zip(self.edges, weights, posts):
+            acc += w
+            if target <= acc:
+                break
+        else:
+            if esc > _PLATEAU:
+                return _ESCAPE
+            # rounding guard without an escape channel: keep the last edge
+        if self.fixed is None:
+            post = _normalised(post)
+        return dst, post
+
+
+def _normalised(m: np.ndarray) -> np.ndarray:
+    return m / float(np.trace(m).real)
+
+
+def _kernels(model: WalkModel) -> dict[VertexId, _EventKernel]:
+    cache = getattr(model, "_kernel_cache", None)
+    if cache is None:
+        cache = {
+            v.id: _EventKernel(
+                model.effective(v.id), model.out_edges(v.id), model.escape_defect(v.id)
+            )
+            for v in model.vertices
+        }
+        model._kernel_cache = cache
+    return cache
+
+
 def sample_jump_time(g: np.ndarray, rho: np.ndarray, u: float) -> float | None:
     """Time at which the no-event probability first crosses ``u``.
 
@@ -135,21 +245,8 @@ def sample_jump_time(g: np.ndarray, rho: np.ndarray, u: float) -> float | None:
     """
     if not 0.0 < u < 1.0:
         raise PreconditionError("u must lie strictly between 0 and 1")
-    g = np.atleast_2d(np.asarray(g, dtype=complex))
     rho = np.atleast_2d(np.asarray(rho, dtype=complex))
-    tr = float(np.trace(rho).real)
-    rho = rho / tr
-    gplus = g + g.conj().T
-    d = g.shape[0]
-    speed = linalg.opnorm(gplus)
-    if speed < _PLATEAU:
-        return None
-    c = -float(np.trace(gplus).real) / d
-    if c > 0 and np.linalg.norm(gplus + c * np.eye(d)) <= 1e-13 * (1.0 + c):
-        # uniform decay: s(t) = exp(-c t) exactly
-        return -math.log(u) / c
-    surv = _Survival(linalg.Propagator(g), rho)
-    return _invert_survival(surv, u, t_scale=1.0 / max(speed, 1e-12))
+    return _EventKernel(g).wait(_normalised(rho), u)
 
 
 def sample_destination(model: WalkModel, vertex: VertexId, eta: np.ndarray, u: float):
@@ -159,32 +256,15 @@ def sample_destination(model: WalkModel, vertex: VertexId, eta: np.ndarray, u: f
     ``Tr(R[i->j] eta R[i->j]^dag)`` among the stored jumps; escape weight
     of windowed models is handled by the simulator, not here.
     """
+    model.position(vertex)
     eta = np.atleast_2d(np.asarray(eta, dtype=complex))
-    edges = model.out_edges(vertex)
-    weights = []
-    posts = []
-    for dst, r in edges:
-        post = r @ eta @ r.conj().T
-        w = float(np.trace(post).real)
-        weights.append(max(w, 0.0))
-        posts.append(post)
-    total = sum(weights)
-    if total <= 0.0:
+    hop = _kernels(model)[vertex].jump(eta, u, escape=False)
+    if hop is None:
         raise PreconditionError(
             f"zero total jump rate at vertex {vertex!r}; the dwell sampler "
             "should have reported no event"
         )
-    target = u * total
-    acc = 0.0
-    picked = len(edges) - 1
-    for idx, w in enumerate(weights):
-        acc += w
-        if target <= acc:
-            picked = idx
-            break
-    dst, _ = edges[picked]
-    post = posts[picked]
-    return dst, post / float(np.trace(post).real)
+    return hop
 
 
 # -- trajectory records --------------------------------------------------------
@@ -286,60 +366,6 @@ def check_record(model: WalkModel, rec: TrajectoryRecord, atol: float = 1e-9):
 # -- the simulator ---------------------------------------------------------
 
 
-class _VertexKernel:
-    """Per-vertex precomputation used by the event loop."""
-
-    __slots__ = (
-        "vid", "dim", "g", "prop", "uniform_rate", "edges",
-        "scalar", "scalar_weights", "scalar_cum", "scalar_posts",
-        "escape_rate_op", "scalar_escape",
-    )
-
-    def __init__(self, model: WalkModel, vid: VertexId):
-        self.vid = vid
-        self.dim = model.dim(vid)
-        self.g = model.effective(vid)
-        self.prop = linalg.Propagator(self.g)
-        gplus = self.g + self.g.conj().T
-        c = -float(np.trace(gplus).real) / self.dim
-        if np.linalg.norm(gplus + c * np.eye(self.dim)) <= 1e-13 * (1.0 + abs(c)):
-            self.uniform_rate = max(c, 0.0)
-        else:
-            self.uniform_rate = None
-        self.edges = model.out_edges(vid)
-        self.escape_rate_op = linalg.herm(model.escape_defect(vid))
-        self.scalar = self.dim == 1
-        if self.scalar:
-            ws = [float((r.conj().T @ r)[0, 0].real) for _, r in self.edges]
-            esc = float(self.escape_rate_op[0, 0].real)
-            self.scalar_weights = ws
-            self.scalar_escape = max(esc, 0.0)
-            tot = sum(ws) + self.scalar_escape
-            cum, acc = [], 0.0
-            for w in ws:
-                acc += w
-                cum.append(acc)
-            self.scalar_cum = (cum, tot)
-            posts = []
-            for dst, r in self.edges:
-                p = r @ r.conj().T
-                posts.append(p / float(np.trace(p).real))
-            self.scalar_posts = posts
-        else:
-            self.scalar_weights = None
-            self.scalar_cum = None
-            self.scalar_posts = None
-            self.scalar_escape = None
-
-
-def _kernels(model: WalkModel) -> dict[VertexId, _VertexKernel]:
-    cache = getattr(model, "_kernel_cache", None)
-    if cache is None:
-        cache = {v.id: _VertexKernel(model, v.id) for v in model.vertices}
-        model._kernel_cache = cache
-    return cache
-
-
 def trajectory_rng(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream): parallel streams
     are independent and every stream is reproducible in isolation."""
@@ -371,9 +397,7 @@ def simulate(
         rng = trajectory_rng(seed, stream)
     x = init.vertex
     model.position(x)
-    rho = np.atleast_2d(np.asarray(init.rho, dtype=complex))
-    tr0 = float(np.trace(rho).real)
-    rho = rho / tr0
+    rho = _normalised(np.atleast_2d(np.asarray(init.rho, dtype=complex)))
     t = 0.0
     events: list[JumpEvent] = []
     absorbed = False
@@ -384,83 +408,23 @@ def simulate(
         u = rng.random()
         while u <= 0.0:
             u = rng.random()
-        if k.scalar:
-            rate = k.scalar_cum[1]
-            if rate <= _PLATEAU:
-                absorbed = True
-                break
-            dt = -math.log(u) / rate
-            t_next = t + dt
-            if t_next >= horizon:
-                break
-            u2 = rng.random() * rate
-            cum, _ = k.scalar_cum
-            picked = None
-            for idx, edge_cum in enumerate(cum):
-                if u2 <= edge_cum:
-                    picked = idx
-                    break
-            if picked is None and k.scalar_escape <= _PLATEAU and k.edges:
-                picked = len(k.edges) - 1  # rounding guard, no escape channel
-            if picked is None:
-                escaped_at = t_next
-                break
-            dst, _ = k.edges[picked]
-            rho = k.scalar_posts[picked]
-            x = dst
-            t = t_next
-            events.append(JumpEvent(t, x, rho))
-        else:
-            if k.uniform_rate is not None:
-                if k.uniform_rate <= _PLATEAU:
-                    absorbed = True
-                    break
-                dt = -math.log(u) / k.uniform_rate
-            else:
-                surv = _Survival(k.prop, rho)
-                speed = linalg.opnorm(surv.gplus)
-                if speed < _PLATEAU:
-                    absorbed = True
-                    break
-                dt = _invert_survival(surv, u, t_scale=1.0 / speed)
-                if dt is None:
-                    absorbed = True
-                    break
-            t_next = t + dt
-            if t_next >= horizon:
-                break
-            e = k.prop.at(dt)
-            raw = e @ rho @ e.conj().T
-            eta = raw / float(np.trace(raw).real)
-            weights = []
-            posts = []
-            for dst, r in k.edges:
-                post = r @ eta @ r.conj().T
-                weights.append(max(float(np.trace(post).real), 0.0))
-                posts.append(post)
-            esc = max(float(np.trace(k.escape_rate_op @ eta).real), 0.0)
-            total = sum(weights) + esc
-            if total <= _PLATEAU:
-                absorbed = True
-                break
-            u2 = rng.random() * total
-            acc = 0.0
-            picked = None
-            for idx, w in enumerate(weights):
-                acc += w
-                if u2 <= acc:
-                    picked = idx
-                    break
-            if picked is None and esc <= _PLATEAU and k.edges:
-                picked = len(k.edges) - 1  # rounding guard, no escape channel
-            if picked is None:
-                escaped_at = t_next
-                break
-            dst, _ = k.edges[picked]
-            rho = posts[picked] / float(np.trace(posts[picked]).real)
-            x = dst
-            t = t_next
-            events.append(JumpEvent(t, x, rho))
+        dt = k.wait(rho, u)
+        if dt is None:
+            absorbed = True
+            break
+        t_next = t + dt
+        if t_next >= horizon:
+            break
+        hop = k.jump(k.flow(rho, dt), rng.random())
+        if hop is None:
+            absorbed = True
+            break
+        if hop is _ESCAPE:
+            escaped_at = t_next
+            break
+        x, rho = hop
+        t = t_next
+        events.append(JumpEvent(t, x, rho))
 
         if len(events) > max_jumps:
             raise ConvergenceError(
@@ -480,11 +444,8 @@ def survival_function(model: WalkModel, vertex: VertexId, rho):
 
 def survival_from_generator(g: np.ndarray, rho):
     """s(t) = Tr(e^{tG} rho e^{tG^dag}) as a callable of t."""
-    prop = linalg.Propagator(g)
-    rho = np.atleast_2d(np.asarray(rho, dtype=complex))
-    rho = rho / float(np.trace(rho).real)
-    surv = _Survival(prop, rho)
-    return surv.value
+    rho = _normalised(np.atleast_2d(np.asarray(rho, dtype=complex)))
+    return _Survival(linalg.Propagator(g), rho).value
 
 
 # -- estimation -----------------------------------------------------------
@@ -540,8 +501,12 @@ def estimate(
     queries: list[dict],
     stream_base: int = 0,
     max_jumps: int = 10_000_000,
+    on_record: Callable[[int, TrajectoryRecord], None] | None = None,
 ) -> list[EstimateReport]:
     """Monte Carlo estimates over ``n_traj`` independent trajectories.
+
+    ``on_record(k, record)``, when given, sees the ``k``-th sampled
+    trajectory (stream ``stream_base + k``) as it is tallied.
 
     Supported queries (dicts):
 
@@ -583,6 +548,8 @@ def estimate(
             model, init, horizon,
             seed=seed, stream=stream_base + k, max_jumps=max_jumps,
         )
+        if on_record is not None:
+            on_record(k, rec)
         for qi, q in enumerate(queries):
             kind = q["kind"]
             if kind == "passage_cdf":

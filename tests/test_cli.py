@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from ctoqw import trajectory
 from ctoqw.cli import main
+from ctoqw.model import SitedState, model_from_json
 
 
 def run(tmp_path, *argv):
@@ -76,17 +78,35 @@ def test_simulate_deterministic_csv(tmp_path, two_site_file):
     assert len(rows) == 3
 
 
-def test_simulate_dump(tmp_path, two_site_file):
+def test_simulate_dump(tmp_path, spin_file, monkeypatch):
+    simulate = trajectory.simulate
+    streams = []
+
+    def counting(*args, **kwargs):
+        streams.append(kwargs["stream"])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(trajectory, "simulate", counting)
     dump = tmp_path / "events.ndjson"
-    run(
-        tmp_path, "simulate", "--model", two_site_file, "--start", "0:e1",
+    code = run(
+        tmp_path, "simulate", "--model", spin_file, "--start", "1:e1",
         "--horizon", 3, "--n", 5, "--seed", 1, "--out", tmp_path / "est.csv",
         "--dump", dump,
     )
-    lines = dump.read_text().splitlines()
-    assert lines
-    ev = json.loads(lines[0])
-    assert set(ev) == {"traj", "t", "from", "to", "rho"}
+    assert code == 0
+    # estimation and dumping share one pass over the trajectories
+    assert streams == list(range(5))
+    events = [json.loads(line) for line in dump.read_text().splitlines()]
+    assert events
+    assert set(events[0]) == {"traj", "t", "from", "to", "rho"}
+    walk = model_from_json(json.loads(spin_file.read_text()))
+    init = SitedState(1, np.diag([1.0, 0.0]))
+    expected = [
+        (k, ev.time, str(ev.vertex))
+        for k in range(5)
+        for ev in simulate(walk, init, 3.0, seed=1, stream=k).events
+    ]
+    assert [(ev["traj"], ev["t"], ev["to"]) for ev in events] == expected
 
 
 def test_first_passage_and_occupation(tmp_path, spin_file):
@@ -172,3 +192,22 @@ def test_artifacts_embed_window_metadata(tmp_path, spin_file):
     doc = json.loads(out.read_text())
     assert doc["meta"]["window"] == [0, 10]
     assert doc["meta"]["escaping_boundary"] == ["10"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_entry_is_a_parse_error(tmp_path, two_site_file, capsys, value):
+    doc = json.loads(two_site_file.read_text())
+    doc["jumps"][0]["matrix"][0][0][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (
+        ["validate"],
+        ["simulate", "--start", "0:e1", "--horizon", 1, "--n", 2],
+        ["classify"],
+        ["evolve", "--state", "0:e1", "--t", 1.0],
+    ):
+        assert run(tmp_path, *argv, "--model", bad, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("ModelError")

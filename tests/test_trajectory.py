@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from ctoqw import semigroup, trajectory
 from ctoqw.errors import PreconditionError
-from ctoqw.model import SitedState, classical_embed, sited_block_state
+from ctoqw.model import SitedState, build_walk, classical_embed, sited_block_state
 from oracles import rk4_dwell
 from strategies import random_density, random_model
 
@@ -110,6 +110,23 @@ def test_simulate_first_event_from_spin_e2(spin_small):
         rec = trajectory.simulate(spin_small, init, 5.0, seed=21, stream=k)
         if rec.events:
             assert rec.events[0].vertex == 0
+
+
+def test_simulate_first_event_time_is_sample_jump_time():
+    # the decay sum R^dag R at vertex 0 is not a multiple of the identity,
+    # so both paths invert the survival
+    r01 = np.array([[1.0, 0.5], [0.0, 0.3]])
+    r10 = np.array([[0.6, 0.0], [0.2j, 0.9]])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    m = build_walk([(0, 2), (1, 2)], [(0, 1, r01), (1, 0, r10)], hamiltonians={0: sx})
+    g = m.effective(0)
+    gplus = g + g.conj().T
+    assert np.linalg.norm(gplus - 0.5 * np.trace(gplus) * np.eye(2)) > 0.1
+    rho = random_density(np.random.default_rng(14), 2)
+    for stream in range(5):
+        rec = trajectory.simulate(m, SitedState(0, rho), 50.0, seed=9, stream=stream)
+        u = trajectory.trajectory_rng(9, stream).random()
+        assert rec.events[0].time == trajectory.sample_jump_time(g, rho, u)
 
 
 def test_simulate_reproducible(two_site):
