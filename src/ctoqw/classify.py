@@ -302,7 +302,7 @@ def return_probability_extremes(
     eigenvectors.
     """
     p_ii, _ = first_passage_map(model, i, i, tol=tol)
-    m = linalg.herm(p_ii.adjoint_apply(np.eye(model.dim(i))))
+    m = p_ii.adjoint_at_identity()
     vals, vecs = np.linalg.eigh(m)
     return float(vals[0]), float(vals[-1]), vecs[:, 0], vecs[:, -1]
 
@@ -336,7 +336,7 @@ def classify_trichotomy(
 
     p_base, diag = first_passage_map(model, base_vertex, base_vertex, tol=tol)
     lam, perron, perron_min = _perron_state(p_base)
-    m_base = linalg.herm(p_base.adjoint_apply(np.eye(model.dim(base_vertex))))
+    m_base = p_base.adjoint_at_identity()
     spectrum = np.linalg.eigvalsh(m_base)
 
     vertex_max: dict[VertexId, float] = {base_vertex: float(spectrum[-1])}
@@ -349,18 +349,13 @@ def classify_trichotomy(
     else:
         scan = [base_vertex] + [v.id for v in model.vertices if v.id != base_vertex]
         for vid in scan:
+            # Irreducibility gives every vertex an outgoing jump, and the
+            # base return map has already checked that each one escapes.
             if vid == base_vertex:
                 m = m_base
             else:
-                if not model.out_edges(vid):
-                    vertex_max[vid] = 0.0
-                    continue
-                if not model.is_escaping(vid):
-                    raise PreconditionError(
-                        f"vertex {vid!r} is not escaping; cannot scan its returns"
-                    )
                 p_v, _ = first_passage_map(model, vid, vid, tol=tol)
-                m = linalg.herm(p_v.adjoint_apply(np.eye(model.dim(vid))))
+                m = p_v.adjoint_at_identity()
             vals, vecs = np.linalg.eigh(m)
             vertex_max[vid] = float(vals[-1])
             if vals[-1] >= 1.0 - eps_spec and case is None:

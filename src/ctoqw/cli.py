@@ -233,13 +233,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _window_study(walk, args, compute):
-    """Rerun ``compute`` on rebuilt windows and tabulate the results."""
+def _window_study(walk, args, compute, key):
+    """Rerun ``compute`` on rebuilt windows and tabulate the results.
+
+    Each study size N runs at N and 2N; the 2N row also records the
+    ``increment`` of ``key`` from N to 2N.
+    """
     table = []
     for w in args.window:
         for win in (w, 2 * w):
             rebuilt = _windowed_rebuild(walk, win)
             table.append({"window": win, **compute(rebuilt)})
+        table[-1]["increment"] = abs(table[-1][key] - table[-2][key])
     return table
 
 
@@ -263,12 +268,7 @@ def _cmd_first_passage(args) -> int:
             pm, _ = passage.first_passage_map(rebuilt, start.vertex, target, tol=args.tol)
             return {"reach_probability": passage.reach_probability(pm, start.rho)}
 
-        study = _window_study(walk, args, compute)
-        for k in range(0, len(study), 2):
-            study[k + 1]["increment"] = abs(
-                study[k + 1]["reach_probability"] - study[k]["reach_probability"]
-            )
-        doc["window_study"] = study
+        doc["window_study"] = _window_study(walk, args, compute, "reach_probability")
     _write_json(args.out, doc)
     return 0
 
@@ -305,12 +305,7 @@ def _cmd_classify(args) -> int:
             r = classify.classify_trichotomy(rebuilt, base, eps_spec=args.eps)
             return {"case": r.case, "spectral_radius": r.spectral_radius}
 
-        study = _window_study(walk, args, compute)
-        for k in range(0, len(study), 2):
-            study[k + 1]["increment"] = abs(
-                study[k + 1]["spectral_radius"] - study[k]["spectral_radius"]
-            )
-        doc["window_study"] = study
+        doc["window_study"] = _window_study(walk, args, compute, "spectral_radius")
     _write_json(args.out, doc)
     return 0
 

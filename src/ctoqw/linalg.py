@@ -16,6 +16,10 @@ from .errors import ConvergenceError, PreconditionError
 
 _EIG_COND_LIMIT = 1e8
 
+# A dwell generator counts as escaping when every eigenvalue has real part
+# below -STABILITY_MARGIN; only then does its dwell integral converge.
+STABILITY_MARGIN = 1e-9
+
 
 def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
@@ -202,12 +206,13 @@ class Propagator:
         return np.stack([expm(t * self.g) for t in ts])
 
 
-def require_stable(g: np.ndarray, eps_stab: float = 1e-9, what: str = "generator"):
-    """Raise unless every eigenvalue of g has real part below -eps_stab."""
+def require_stable(g: np.ndarray, what: str = "generator"):
+    """Raise unless every eigenvalue of g has real part below
+    ``-STABILITY_MARGIN``."""
     vals = np.linalg.eigvals(np.atleast_2d(np.asarray(g, dtype=complex)))
     worst = vals[np.argmax(vals.real)]
-    if worst.real >= -eps_stab:
+    if worst.real >= -STABILITY_MARGIN:
         raise PreconditionError(
             f"{what} is not escaping: eigenvalue {worst:.6g} has real part "
-            f">= -{eps_stab:.1e}, the dwell integral diverges"
+            f">= -{STABILITY_MARGIN:.1e}, the dwell integral diverges"
         )

@@ -143,6 +143,7 @@ class WalkModel:
         for (a, b), r in self._jumps.items():
             self._out[a].append((b, r))
             self._in[b].append((a, r))
+        self._derived: dict = {}
 
     # -- lookups ---------------------------------------------------------
 
@@ -197,8 +198,17 @@ class WalkModel:
             sum(linalg.opnorm(r @ r.conj().T) for r in self._jumps.values())
         )
 
-    def is_escaping(self, vertex: VertexId, eps_stab: float = 1e-9) -> bool:
-        return linalg.spectral_abscissa(self.effective(vertex)) < -eps_stab
+    def is_escaping(self, vertex: VertexId) -> bool:
+        return linalg.spectral_abscissa(self.effective(vertex)) < -linalg.STABILITY_MARGIN
+
+    def derived(self, key: str, build):
+        """Per-model data computed once: ``build(self)`` on the first call
+        with ``key``, the stored result afterwards."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(self)
+            return value
 
     def escaping_boundary(self) -> list[VertexId]:
         """Vertices with a nonzero escape defect (sub-stochastic boundary)."""
@@ -266,6 +276,13 @@ def _as_vertex(v) -> VertexSpace:
     return VertexSpace(vid, int(dim))
 
 
+def _finite_matrix(m, what: str) -> np.ndarray:
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    if not np.isfinite(m).all():
+        raise ModelError(f"{what} has a NaN or infinite entry")
+    return m
+
+
 def build_walk(
     vertices,
     jumps,
@@ -299,7 +316,7 @@ def build_walk(
         a, b = index[src], index[dst]
         if a == b:
             raise ModelError(f"self-loop jump at vertex {src!r} is not allowed")
-        r = np.atleast_2d(np.asarray(r, dtype=complex))
+        r = _finite_matrix(r, f"jump {src!r} -> {dst!r}")
         want = (dims[b], dims[a])
         if r.shape != want:
             raise ModelError(
@@ -322,7 +339,7 @@ def build_walk(
         h_in = hamiltonians.get(v.id)
         g_in = effective.get(v.id)
         if h_in is not None:
-            h = np.atleast_2d(np.asarray(h_in, dtype=complex))
+            h = _finite_matrix(h_in, f"H at {v.id!r}")
             if h.shape != (d, d):
                 raise ModelError(f"H at {v.id!r} must be {d}x{d}, got {h.shape}")
             if not linalg.is_hermitian(h, rtol=1e-12):
@@ -330,7 +347,7 @@ def build_walk(
         else:
             h = None
         if g_in is not None:
-            g = np.atleast_2d(np.asarray(g_in, dtype=complex))
+            g = _finite_matrix(g_in, f"G at {v.id!r}")
             if g.shape != (d, d):
                 raise ModelError(f"G at {v.id!r} must be {d}x{d}, got {g.shape}")
             a_mat = g + 0.5 * decay

@@ -16,6 +16,7 @@ is strictly contracting and by monotone partial sums otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,43 +72,48 @@ def propagated_path_operator(model: WalkModel, vertices, times, t: float) -> np.
 # -- dwell integral -----------------------------------------------------------
 
 
-def dwell_integral(g: np.ndarray, x: np.ndarray, eps_stab: float = 1e-9) -> np.ndarray:
+def dwell_integral(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Closed form of ``int_0^infty e^{s g} x e^{s g^dag} ds``.
 
-    Requires the spectral abscissa of ``g`` below ``-eps_stab``; otherwise
-    the integral diverges and the offending eigenvalue is reported.
+    Requires the spectral abscissa of ``g`` below
+    ``-linalg.STABILITY_MARGIN``; otherwise the integral diverges and the
+    offending eigenvalue is reported.
     """
     g = np.atleast_2d(np.asarray(g, dtype=complex))
-    linalg.require_stable(g, eps_stab, what="dwell generator")
+    linalg.require_stable(g, what="dwell generator")
     return linalg.lyapunov_dwell(g, np.atleast_2d(np.asarray(x, dtype=complex)))
 
 
-def dwell_superop(model: WalkModel, vertex: VertexId, eps_stab: float = 1e-9) -> SuperOp:
-    """The dwell integral at a vertex as a vectorized superoperator."""
+def dwell_superop(model: WalkModel, vertex: VertexId) -> SuperOp:
+    """The dwell integral at a vertex as a vectorized superoperator,
+    ``-(I (x) G + conj(G) (x) I)^-1``."""
     g = model.effective(vertex)
-    linalg.require_stable(g, eps_stab, what=f"dwell generator at vertex {vertex!r}")
+    linalg.require_stable(g, what=f"dwell generator at vertex {vertex!r}")
     d = g.shape[0]
     eye = np.eye(d, dtype=complex)
     lind = np.kron(eye, g) + np.kron(g.conj(), eye)
     return SuperOp(d, d, -np.linalg.inv(lind))
 
 
-def jump_kernel(model: WalkModel, eps_stab: float = 1e-9) -> dict[tuple[VertexId, VertexId], SuperOp]:
+def jump_kernel(model: WalkModel) -> dict[tuple[VertexId, VertexId], SuperOp]:
     """One dwell-then-jump step for every stored edge.
 
     ``J[k->l](rho) = R[k->l] D_k(rho) R[k->l]^dag``.  Every vertex with an
     outgoing jump must be escaping; vertices without outgoing jumps simply
-    contribute no kernels (the walker never leaves them).
+    contribute no kernels (the walker never leaves them).  The kernel
+    matrices are read-only: passage maps share one kernel per model.
     """
     kernels: dict[tuple[VertexId, VertexId], SuperOp] = {}
     for v in model.vertices:
         edges = model.out_edges(v.id)
         if not edges:
             continue
-        dwell = dwell_superop(model, v.id, eps_stab)
+        dwell = dwell_superop(model, v.id)
         for dst, r in edges:
             hop = SuperOp.from_kraus([r])
-            kernels[(v.id, dst)] = hop.compose(dwell)
+            step = hop.compose(dwell)
+            step.matrix.flags.writeable = False
+            kernels[(v.id, dst)] = step
     return kernels
 
 
@@ -123,7 +129,6 @@ class TabooKernel:
     """
 
     taboo: VertexId
-    active: tuple[VertexId, ...]
     offsets: dict[VertexId, slice]
     matrix: np.ndarray
     into_taboo: np.ndarray  # maps the stacked space onto the taboo block
@@ -154,7 +159,27 @@ def _taboo_kernel(model: WalkModel, j: VertexId, kernels) -> TabooKernel:
             f_mat[:, offsets[src]] += ker.matrix
         elif dst in offsets:
             t_mat[offsets[dst], offsets[src]] += ker.matrix
-    return TabooKernel(j, tuple(active), offsets, t_mat, f_mat)
+    return TabooKernel(j, offsets, t_mat, f_mat)
+
+
+def _entry_block(model: WalkModel, i: VertexId, taboo: TabooKernel, kernels) -> np.ndarray | None:
+    """Where a walker starting at ``i`` enters the taboo kernel's space.
+
+    A map from the matrix space at ``i`` to the stacked space: one step out
+    of ``i`` for a return map (``i`` is the taboo vertex), the injection at
+    ``i`` otherwise.  None when ``i`` cannot pass the walker on.
+    """
+    di = model.dim(i)
+    start = np.zeros((taboo.dim, di * di), dtype=complex)
+    if i == taboo.taboo:
+        for (src, dst), ker in kernels.items():
+            if src == i and dst in taboo.offsets:
+                start[taboo.offsets[dst], :] += ker.matrix
+    elif i in taboo.offsets:
+        start[taboo.offsets[i], :] = np.eye(di * di)
+    else:
+        return None
+    return start
 
 
 def first_passage_map(
@@ -163,7 +188,6 @@ def first_passage_map(
     j: VertexId,
     tol: float = 1e-8,
     max_iter: int = 100_000,
-    eps_stab: float = 1e-9,
     force_series: bool = False,
 ) -> tuple[SuperOp, dict]:
     """The reach map ``P[i->j]`` with convergence diagnostics.
@@ -173,37 +197,20 @@ def first_passage_map(
     the taboo kernel is solved directly when its spectral radius stays
     below ``1 - tol``, and accumulated as monotone partial sums otherwise
     (stopping once the trace increment on a spanning set of Hermitian
-    probes stays below ``tol`` ten times in a row).
+    probes stays below ``tol`` ten times in a row).  No self-jumps are
+    stored, so every path reaches ``j`` through the taboo kernel's exit.
     """
     di, dj = model.dim(i), model.dim(j)
-    kernels = jump_kernel(model, eps_stab)
+    kernels = model.derived("jump_kernel", jump_kernel)
     taboo = _taboo_kernel(model, j, kernels)
-
-    # Stacked start: one step out of i for a return map, injection otherwise.
-    if i == j:
-        start = np.zeros((taboo.dim, di * di), dtype=complex)
-        direct = np.zeros((dj * dj, di * di), dtype=complex)
-        for (src, dst), ker in kernels.items():
-            if src != i:
-                continue
-            if dst == j:
-                direct += ker.matrix  # unreachable: no self-jumps are stored
-            elif dst in taboo.offsets:
-                start[taboo.offsets[dst], :] += ker.matrix
-    else:
-        if i in taboo.offsets:
-            start = np.zeros((taboo.dim, di * di), dtype=complex)
-            start[taboo.offsets[i], :] = np.eye(di * di)
-            direct = np.zeros((dj * dj, di * di), dtype=complex)
-        else:
-            # i cannot pass the walker on at all
-            zero = SuperOp.zero(di, dj)
-            return zero, {
-                "method": "trivial",
-                "spectral_radius": 0.0,
-                "terms": 0,
-                "converged": True,
-            }
+    start = _entry_block(model, i, taboo, kernels)
+    if start is None:
+        return SuperOp.zero(di, dj), {
+            "method": "trivial",
+            "spectral_radius": 0.0,
+            "terms": 0,
+            "converged": True,
+        }
 
     radius, sr_info = linalg.spectral_radius(taboo.matrix, tol=1e-10)
     diagnostics: dict = {"spectral_radius": radius, "radius_info": sr_info}
@@ -212,30 +219,22 @@ def first_passage_map(
         resolvent = np.linalg.solve(
             np.eye(taboo.dim, dtype=complex) - taboo.matrix, start
         )
-        mat = direct + taboo.into_taboo @ resolvent
+        mat = taboo.into_taboo @ resolvent
         diagnostics.update({"method": "solve", "terms": None, "converged": True})
     else:
         probes = _hermitian_probes(di)
-        acc = direct.copy()
-        carry = start.copy()
-        prev = np.array([np.trace(_apply_mat(acc, p, dj)).real for p in probes])
-        quiet = 0
-        converged = False
-        m = 0
+        acc = np.zeros((dj * dj, di * di), dtype=complex)
+        carry, prev, quiet, inc = start, np.zeros(len(probes)), 0, math.inf
         for m in range(1, max_iter + 1):
             acc = acc + taboo.into_taboo @ carry
             carry = taboo.matrix @ carry
             cur = np.array([np.trace(_apply_mat(acc, p, dj)).real for p in probes])
-            inc = float(np.max(np.abs(cur - prev))) if probes else 0.0
+            inc = float(np.max(np.abs(cur - prev)))
             prev = cur
             quiet = quiet + 1 if inc < tol else 0
             if quiet >= 10:
-                converged = True
                 break
-        if not converged:
-            diagnostics.update(
-                {"method": "series", "terms": m, "converged": False, "last_increment": inc}
-            )
+        else:
             raise ConvergenceError(
                 f"passage series for {i!r} -> {j!r} did not settle in "
                 f"{max_iter} terms (last probe increment {inc:.3e})"
@@ -295,7 +294,6 @@ def expected_occupation(
     j: VertexId,
     rho: np.ndarray,
     tol: float = 1e-8,
-    eps_stab: float = 1e-9,
 ) -> float:
     """Expected total time spent at ``j`` when starting from ``(i, rho)``.
 
@@ -305,19 +303,19 @@ def expected_occupation(
     spectral radius reaches one, where the geometric sum of visits diverges.
     """
     rho = np.atleast_2d(np.asarray(rho, dtype=complex))
-    p_jj, _ = first_passage_map(model, j, j, tol=tol, eps_stab=eps_stab)
+    p_jj, _ = first_passage_map(model, j, j, tol=tol)
     radius, _ = linalg.spectral_radius(p_jj.matrix, tol=1e-10)
     if radius >= 1.0 - tol:
         return float("inf")
     if i == j:
         sigma0 = rho
     else:
-        p_ij, _ = first_passage_map(model, i, j, tol=tol, eps_stab=eps_stab)
+        p_ij, _ = first_passage_map(model, i, j, tol=tol)
         sigma0 = p_ij.apply(rho)
     dj = model.dim(j)
     resolvent = np.linalg.solve(
         np.eye(dj * dj, dtype=complex) - p_jj.matrix, linalg.vec(sigma0)
     )
     total_arrivals = linalg.unvec(resolvent, (dj, dj))
-    dwell = dwell_integral(model.effective(j), total_arrivals, eps_stab)
+    dwell = dwell_integral(model.effective(j), total_arrivals)
     return float(np.trace(dwell).real)

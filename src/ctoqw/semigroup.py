@@ -101,8 +101,8 @@ def evolve(
     one to ``max(tol, 1e-8) * (1 + t)``; a violation means the exponential
     lost accuracy (it should be machine precise at these sizes).
     """
-    if t < 0:
-        raise PreconditionError("evolution time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise PreconditionError("evolution time must be nonnegative and finite")
     gen = generator if generator is not None else build_block_generator(model)
     if t == 0:
         return mu.copy()

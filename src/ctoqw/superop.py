@@ -44,10 +44,6 @@ class SuperOp:
             np.zeros((target_dim**2, source_dim**2), dtype=complex),
         )
 
-    @staticmethod
-    def identity(dim: int) -> "SuperOp":
-        return SuperOp(dim, dim, np.eye(dim**2, dtype=complex))
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = np.atleast_2d(np.asarray(rho, dtype=complex))
         out = self.matrix @ linalg.vec(rho)
@@ -59,22 +55,11 @@ class SuperOp:
         out = self.matrix.conj().T @ linalg.vec(x)
         return linalg.unvec(out, (self.source_dim, self.source_dim))
 
-    def adjoint(self) -> "SuperOp":
-        return SuperOp(self.target_dim, self.source_dim, self.matrix.conj().T)
-
     def compose(self, other: "SuperOp") -> "SuperOp":
         """self after other."""
         if other.target_dim != self.source_dim:
             raise ValueError("dimension mismatch in composition")
         return SuperOp(other.source_dim, self.target_dim, self.matrix @ other.matrix)
-
-    def __add__(self, other: "SuperOp") -> "SuperOp":
-        if (other.source_dim, other.target_dim) != (self.source_dim, self.target_dim):
-            raise ValueError("dimension mismatch in sum")
-        return SuperOp(self.source_dim, self.target_dim, self.matrix + other.matrix)
-
-    def scale(self, c: float) -> "SuperOp":
-        return SuperOp(self.source_dim, self.target_dim, c * self.matrix)
 
     def choi(self) -> np.ndarray:
         """Choi matrix on source (x) target index order.
@@ -93,9 +78,6 @@ class SuperOp:
     def choi_min_eigenvalue(self) -> float:
         c = linalg.herm(self.choi())
         return float(np.min(np.linalg.eigvalsh(c)))
-
-    def is_completely_positive(self, tol: float = 1e-9) -> bool:
-        return self.choi_min_eigenvalue() >= -tol
 
     def kraus(self, tol: float = 1e-12) -> list[np.ndarray]:
         """Kraus factors recovered from the Choi eigendecomposition."""
@@ -122,6 +104,3 @@ class SuperOp:
         """
         vals = np.linalg.eigvalsh(self.adjoint_at_identity())
         return float(np.max(vals) - 1.0)
-
-    def spectral_radius(self, tol: float = 1e-10) -> tuple[float, dict]:
-        return linalg.spectral_radius(self.matrix, tol=tol)

@@ -225,16 +225,11 @@ def _normalised(m: np.ndarray) -> np.ndarray:
 
 
 def _kernels(model: WalkModel) -> dict[VertexId, _EventKernel]:
-    cache = getattr(model, "_kernel_cache", None)
-    if cache is None:
-        cache = {
-            v.id: _EventKernel(
-                model.effective(v.id), model.out_edges(v.id), model.escape_defect(v.id)
-            )
-            for v in model.vertices
-        }
-        model._kernel_cache = cache
-    return cache
+    """One event kernel per vertex, built once per model."""
+    return model.derived("event_kernels", lambda m: {
+        v.id: _EventKernel(m.effective(v.id), m.out_edges(v.id), m.escape_defect(v.id))
+        for v in m.vertices
+    })
 
 
 def sample_jump_time(g: np.ndarray, rho: np.ndarray, u: float) -> float | None:
@@ -390,8 +385,8 @@ def simulate(
     is convenient for passage-time sampling.  Raises when the jump count
     exceeds ``max_jumps`` (a runaway intensity guard).
     """
-    if horizon <= 0:
-        raise PreconditionError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise PreconditionError("horizon must be positive and finite")
     kernels = _kernels(model)
     if rng is None:
         rng = trajectory_rng(seed, stream)

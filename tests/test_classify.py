@@ -8,6 +8,7 @@ from ctoqw import classify, passage
 from ctoqw.errors import PreconditionError
 from ctoqw.model import build_walk, classical_embed
 from strategies import (
+    leaky_variant,
     random_classical_generator,
     random_classifiable_model,
     random_density,
@@ -212,3 +213,31 @@ def test_random_models_classify_exclusively():
                 assert max_m >= 1.0 - rep.eps_spec
             else:
                 assert max_m < 1.0 - rep.eps_spec
+
+
+
+def test_sure_return_state_is_not_faithful(spin_small):
+    # On a transient walk a vertex whose return is sure from some state also
+    # has a state whose return is not; spin-biased-line (TransientQuantum)
+    # keeps the check from being vacuous.
+    rng = np.random.default_rng(94)
+    models = [spin_small]
+    for k in range(16):
+        if k % 2:
+            m = leaky_variant(rng, classical_embed(random_classical_generator(rng)))
+            if all(m.is_escaping(v.id) for v in m.vertices) and classify.check_irreducible(m).irreducible:
+                models.append(m)
+        else:
+            models.append(random_classifiable_model(rng, leak_prob=1.0))
+    transient = sure = 0
+    for m in models:
+        rep = classify.classify_trichotomy(m)
+        if rep.case == classify.RECURRENT:
+            continue
+        transient += 1
+        for v in m.vertices:
+            lo, hi, _, _ = classify.return_probability_extremes(m, v.id)
+            if hi >= 1.0 - rep.eps_spec:
+                sure += 1
+                assert lo < 1.0 - rep.eps_spec, f"vertex {v.id!r} returns surely from every state"
+    assert transient >= 9 and sure > 0

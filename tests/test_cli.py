@@ -211,3 +211,21 @@ def test_non_finite_entry_is_a_parse_error(tmp_path, two_site_file, capsys, valu
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.count("\n") == 1 and err.startswith("ModelError")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--start", "0:e1", "--n", 1, "--horizon"],
+        ["evolve", "--state", "0:e1", "--t"],
+    ],
+    ids=["simulate-horizon", "evolve-t"],
+)
+def test_non_finite_time_is_a_precondition_error(tmp_path, two_site_file, capsys, argv, value):
+    capsys.readouterr()
+    code = run(tmp_path, *argv, value, "--model", two_site_file, "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("PreconditionError")

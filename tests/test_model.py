@@ -64,6 +64,19 @@ def test_self_loop_rejected():
         build_walk([(0, 1)], [(0, 0, [[1.0]])])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_build_walk_rejects_non_finite_matrices(value):
+    vertices = [(0, 1), (1, 1)]
+    one, bad = np.array([[1.0]]), np.array([[value]])
+    for jumps, extra in (
+        ([(0, 1, bad), (1, 0, one)], {}),
+        ([(0, 1, one), (1, 0, one)], {"hamiltonians": {0: bad}}),
+        ([(0, 1, one), (1, 0, one)], {"effective": {1: bad}}),
+    ):
+        with pytest.raises(ModelError, match="NaN or infinite"):
+            build_walk(vertices, jumps, **extra)
+
+
 def test_validate_passes_on_fixtures(two_site, coherent, biased_small, spin_small):
     for m in (two_site, coherent, biased_small, spin_small):
         rep = validate(m)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ctoqw import passage, trajectory
+from ctoqw import classify, fixtures, passage, trajectory
 from ctoqw.errors import ModelError, PreconditionError
 from ctoqw.model import SitedState
 from ctoqw.superop import SuperOp
@@ -93,6 +93,21 @@ def test_jump_kernel_cp_and_substochastic(spin_small):
     assert total <= 1.0 + 1e-9
 
 
+def test_jump_kernel_built_once_per_model(monkeypatch):
+    walk = fixtures.biased_line((-4, 4))
+    build = passage.jump_kernel
+    builds = []
+    monkeypatch.setattr(passage, "jump_kernel", lambda m: builds.append(m) or build(m))
+    classify.classify_trichotomy(walk, 0)
+    passage.first_passage_map(walk, 1, 0)
+    passage.expected_occupation(walk, 1, 0, [[1.0]])
+    assert builds == [walk]
+    cached = walk.derived("jump_kernel", passage.jump_kernel)
+    assert not any(ker.matrix.flags.writeable for ker in cached.values())
+    with pytest.raises(ValueError):
+        cached[(0, 1)].matrix[0, 0] = 0.0
+
+
 def test_first_passage_two_site_certain(two_site):
     p, diag = passage.first_passage_map(two_site, 0, 0)
     assert p.apply([[1.0]])[0, 0].real == pytest.approx(1.0, abs=1e-12)
@@ -145,10 +160,7 @@ def test_first_passage_cp_certificates(two_site, biased_small, spin_small, coher
 def test_partial_sums_monotone_bounded(spin_small):
     kernels = passage.jump_kernel(spin_small)
     taboo = passage._taboo_kernel(spin_small, 1, kernels)
-    start = np.zeros((taboo.dim, 4), dtype=complex)
-    for (src, dst), ker in kernels.items():
-        if src == 1 and dst in taboo.offsets:
-            start[taboo.offsets[dst], :] += ker.matrix
+    start = passage._entry_block(spin_small, 1, taboo, kernels)
     rho = random_density(np.random.default_rng(3), 2)
     acc = np.zeros((4, 4), dtype=complex)
     carry = start.copy()
@@ -174,22 +186,16 @@ def test_passage_oracle_equivalence_small_paths(two_site, spin_small, coherent):
     ):
         kernels = passage.jump_kernel(m)
         taboo = passage._taboo_kernel(m, j, kernels)
-        di, dj = m.dim(i), m.dim(j)
+        start = passage._entry_block(m, i, taboo, kernels)
         if i == j:
-            start = np.zeros((taboo.dim, di * di), dtype=complex)
-            for (src, dst), ker in kernels.items():
-                if src == i and dst in taboo.offsets:
-                    start[taboo.offsets[dst], :] += ker.matrix
             # jump counts: m taboo steps plus entry and exit -> m + 2
             acc = taboo.into_taboo @ start  # 2 jumps
             acc = acc + taboo.into_taboo @ taboo.matrix @ start  # 3 jumps
         else:
-            start = np.zeros((taboo.dim, di * di), dtype=complex)
-            start[taboo.offsets[i], :] = np.eye(di * di)
             acc = taboo.into_taboo @ start  # 1 jump
             acc = acc + taboo.into_taboo @ taboo.matrix @ start  # 2
             acc = acc + taboo.into_taboo @ taboo.matrix @ taboo.matrix @ start  # 3
-        restricted = passage._apply_mat(acc, rho, dj)
+        restricted = passage._apply_mat(acc, rho, m.dim(j))
         oracle = passage_partial_oracle(m, i, j, rho, max_jumps=3, q=48)
         assert np.max(np.abs(restricted - oracle)) < 1e-6
 
