@@ -51,12 +51,14 @@ from .passage import (
     path_operator,
     propagated_path_operator,
     reach_probability,
+    with_certificates,
 )
 from .semigroup import (
     BlockGenerator,
     build_block_generator,
     dyson_partial,
     evolve,
+    evolve_grid,
     jump_tail_bound,
     lindblad_apply,
     position_distribution,

@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg
 from .errors import PreconditionError
 from .model import VertexId, WalkModel
-from .passage import first_passage_map
+from .passage import first_passage_map, with_certificates
 from .superop import SuperOp
 
 RECURRENT = "Recurrent"
@@ -335,6 +335,7 @@ def classify_trichotomy(
         )
 
     p_base, diag = first_passage_map(model, base_vertex, base_vertex, tol=tol)
+    diag = with_certificates(p_base, diag)
     lam, perron, perron_min = _perron_state(p_base)
     m_base = p_base.adjoint_at_identity()
     spectrum = np.linalg.eigvalsh(m_base)

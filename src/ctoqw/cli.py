@@ -7,7 +7,8 @@ version, and contains no timestamps, so re-running a command reproduces
 its outputs byte for byte.
 
 Exit codes: 1 parse error, 2 validation failure, 3 numerical
-non-convergence, 4 precondition violation.
+non-convergence (including a failed dense factorization), 4 precondition
+violation.
 """
 
 from __future__ import annotations
@@ -156,18 +157,20 @@ def _cmd_evolve(args) -> int:
         mu = model.sited_block_state(walk, sited.vertex, sited.rho)
     gen = semigroup.build_block_generator(walk)
     out = semigroup.evolve(walk, mu, args.t, generator=gen)
+    if args.report:
+        # the grid is computed before any artifact is written, so that a bad
+        # --grid-points leaves neither file behind
+        rows = [
+            (f"{tg:.12g}", vid, f"{p:.12g}")
+            for tg, state in semigroup.evolve_grid(
+                walk, mu, args.t, args.grid_points, generator=gen
+            )
+            for vid, p in semigroup.position_distribution(state).items()
+        ]
     doc = model.state_to_json(out)
     doc["meta"] = _meta(args, walk, {"t": args.t})
     _write_json(args.out, doc)
     if args.report:
-        grid = np.linspace(0.0, args.t, args.grid_points)
-        rows = []
-        for tg in grid:
-            dist = semigroup.position_distribution(
-                semigroup.evolve(walk, mu, float(tg), generator=gen)
-            )
-            for vid, p in dist.items():
-                rows.append((f"{tg:.12g}", vid, f"{p:.12g}"))
         _write_csv(
             args.report,
             _meta(args, walk),
@@ -256,6 +259,7 @@ def _cmd_first_passage(args) -> int:
         int(args.to) if str(args.to).lstrip("+-").isdigit() else args.to
     )
     p_map, diag = passage.first_passage_map(walk, start.vertex, target, tol=args.tol)
+    diag = passage.with_certificates(p_map, diag)
     prob = passage.reach_probability(p_map, start.rho)
     doc = {
         "meta": _meta(args, walk, {"from": str(start.vertex), "to": str(target)}),
@@ -375,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--report", default=None,
                     help="also write a (t, vertex, probability) CSV here")
-    sp.add_argument("--grid-points", type=int, default=21)
+    sp.add_argument("--grid-points", type=int, default=21,
+                    help="points of the uniform report grid on [0, t], at least 1")
     out_opt(sp)
     sp.set_defaults(func=_cmd_evolve)
 
@@ -444,7 +449,7 @@ def main(argv=None) -> int:
         return _fail(args, EXIT_PARSE, exc)
     except _ValidationFailed as exc:
         return _fail(args, EXIT_VALIDATION, exc)
-    except ConvergenceError as exc:
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
         return _fail(args, EXIT_NONCONVERGENCE, exc)
     except PreconditionError as exc:
         return _fail(args, EXIT_PRECONDITION, exc)

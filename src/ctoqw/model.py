@@ -329,13 +329,13 @@ def build_walk(
     hamiltonians = dict(hamiltonians or {})
     effective = dict(effective or {})
 
+    decays = [np.zeros((d, d), dtype=complex) for d in dims]
+    for (a, _), r in jump_map.items():
+        decays[a] += r.conj().T @ r
+
     hams, effs, defects = [], [], []
-    for k, v in enumerate(vspaces):
+    for v, decay in zip(vspaces, decays):
         d = v.dim
-        decay = np.zeros((d, d), dtype=complex)
-        for (a, b), r in jump_map.items():
-            if a == k:
-                decay += r.conj().T @ r
         h_in = hamiltonians.get(v.id)
         g_in = effective.get(v.id)
         if h_in is not None:

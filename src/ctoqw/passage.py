@@ -16,6 +16,7 @@ is strictly contracting and by monotone partial sums otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,6 +138,12 @@ class TabooKernel:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
+    def radius(self) -> tuple[float, dict]:
+        """Spectral radius of ``matrix`` and its diagnostics, computed once
+        for all passage maps into the taboo vertex."""
+        return linalg.spectral_radius(self.matrix, tol=1e-10)
+
 
 def _taboo_kernel(model: WalkModel, j: VertexId, kernels) -> TabooKernel:
     active = [
@@ -199,10 +206,26 @@ def first_passage_map(
     (stopping once the trace increment on a spanning set of Hermitian
     probes stays below ``tol`` ten times in a row).  No self-jumps are
     stored, so every path reaches ``j`` through the taboo kernel's exit.
+    The complete-positivity certificates are left to
+    :func:`with_certificates`, for the maps whose diagnostics are reported.
     """
-    di, dj = model.dim(i), model.dim(j)
     kernels = model.derived("jump_kernel", jump_kernel)
     taboo = _taboo_kernel(model, j, kernels)
+    return _passage_map(model, i, taboo, kernels, tol, max_iter, force_series)
+
+
+def _passage_map(
+    model: WalkModel,
+    i: VertexId,
+    taboo: TabooKernel,
+    kernels,
+    tol: float = 1e-8,
+    max_iter: int = 100_000,
+    force_series: bool = False,
+) -> tuple[SuperOp, dict]:
+    """:func:`first_passage_map` into ``taboo.taboo`` on a given taboo kernel."""
+    j = taboo.taboo
+    di, dj = model.dim(i), model.dim(j)
     start = _entry_block(model, i, taboo, kernels)
     if start is None:
         return SuperOp.zero(di, dj), {
@@ -212,7 +235,7 @@ def first_passage_map(
             "converged": True,
         }
 
-    radius, sr_info = linalg.spectral_radius(taboo.matrix, tol=1e-10)
+    radius, sr_info = taboo.radius
     diagnostics: dict = {"spectral_radius": radius, "radius_info": sr_info}
 
     if radius < 1.0 - tol and not force_series:
@@ -242,10 +265,20 @@ def first_passage_map(
         mat = acc
         diagnostics.update({"method": "series", "terms": m, "converged": True})
 
-    op = SuperOp(di, dj, mat)
-    diagnostics["choi_min_eigenvalue"] = op.choi_min_eigenvalue()
-    diagnostics["trace_increase_defect"] = op.trace_increase_defect()
-    return op, diagnostics
+    return SuperOp(di, dj, mat), diagnostics
+
+
+def with_certificates(op: SuperOp, diagnostics: dict) -> dict:
+    """``diagnostics`` of a passage map plus its certificates: the least
+    Choi eigenvalue (complete positivity) and the trace increase defect.
+    A trivial zero map carries none."""
+    if diagnostics["method"] == "trivial":
+        return diagnostics
+    return {
+        **diagnostics,
+        "choi_min_eigenvalue": op.choi_min_eigenvalue(),
+        "trace_increase_defect": op.trace_increase_defect(),
+    }
 
 
 def _apply_mat(mat: np.ndarray, rho: np.ndarray, d_out: int) -> np.ndarray:
@@ -303,14 +336,16 @@ def expected_occupation(
     spectral radius reaches one, where the geometric sum of visits diverges.
     """
     rho = np.atleast_2d(np.asarray(rho, dtype=complex))
-    p_jj, _ = first_passage_map(model, j, j, tol=tol)
+    kernels = model.derived("jump_kernel", jump_kernel)
+    taboo = _taboo_kernel(model, j, kernels)
+    p_jj, _ = _passage_map(model, j, taboo, kernels, tol=tol)
     radius, _ = linalg.spectral_radius(p_jj.matrix, tol=1e-10)
     if radius >= 1.0 - tol:
         return float("inf")
     if i == j:
         sigma0 = rho
     else:
-        p_ij, _ = first_passage_map(model, i, j, tol=tol)
+        p_ij, _ = _passage_map(model, i, taboo, kernels, tol=tol)
         sigma0 = p_ij.apply(rho)
     dj = model.dim(j)
     resolvent = np.linalg.solve(

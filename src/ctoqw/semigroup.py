@@ -88,6 +88,49 @@ def lindblad_apply(model: WalkModel, mu: BlockState) -> dict[VertexId, np.ndarra
     return out
 
 
+def evolve_grid(
+    model: WalkModel,
+    mu: BlockState,
+    t: float,
+    points: int,
+    tol: float = 1e-10,
+    generator: BlockGenerator | None = None,
+) -> list[tuple[float, BlockState]]:
+    """The evolved states ``(t_k, mu_k)`` on ``linspace(0, t, points)``.
+
+    One propagator ``e^{dt L}`` with ``dt = t / (points - 1)`` is applied
+    ``k`` times to reach ``t_k``, by the semigroup property; the first point
+    is ``mu`` itself.  On models without escape defects each trace is
+    checked against one to ``max(tol, 1e-8) * (1 + t_k)``; a violation means
+    the exponential lost accuracy (it should be machine precise at these
+    sizes).
+    """
+    if not 0.0 <= t < math.inf:
+        raise PreconditionError("evolution time must be nonnegative and finite")
+    if points < 1:
+        raise PreconditionError(f"a time grid needs at least one point, got {points}")
+    gen = generator if generator is not None else build_block_generator(model)
+    times = np.linspace(0.0, t, points)
+    if t == 0 or points == 1:
+        return [(float(tk), mu.copy()) for tk in times]
+    step = linalg.expm(t / (points - 1) * gen.matrix)
+    closed = not model.escaping_boundary()
+    x = gen.stack(mu)
+    grid = [(0.0, mu.copy())]
+    for tk in times[1:]:
+        x = step @ x
+        out = gen.unstack(x)
+        out.blocks = {k: linalg.herm(b) for k, b in out.blocks.items()}
+        if closed:
+            defect = abs(out.total_trace() - mu.total_trace())
+            if defect > max(tol, 1e-8) * (1.0 + tk):
+                raise ConvergenceError(
+                    f"evolution lost trace mass {defect:.3e} on a closed model"
+                )
+        grid.append((float(tk), out))
+    return grid
+
+
 def evolve(
     model: WalkModel,
     mu: BlockState,
@@ -95,27 +138,9 @@ def evolve(
     tol: float = 1e-10,
     generator: BlockGenerator | None = None,
 ) -> BlockState:
-    """Propagate ``mu`` for time ``t`` through the exact matrix exponential.
-
-    On models without escape defects the output trace is checked against
-    one to ``max(tol, 1e-8) * (1 + t)``; a violation means the exponential
-    lost accuracy (it should be machine precise at these sizes).
-    """
-    if not 0.0 <= t < math.inf:
-        raise PreconditionError("evolution time must be nonnegative and finite")
-    gen = generator if generator is not None else build_block_generator(model)
-    if t == 0:
-        return mu.copy()
-    prop = linalg.expm(t * gen.matrix)
-    out = gen.unstack(prop @ gen.stack(mu))
-    out.blocks = {k: linalg.herm(b) for k, b in out.blocks.items()}
-    if not model.escaping_boundary():
-        defect = abs(out.total_trace() - mu.total_trace())
-        if defect > max(tol, 1e-8) * (1.0 + t):
-            raise ConvergenceError(
-                f"evolution lost trace mass {defect:.3e} on a closed model"
-            )
-    return out
+    """Propagate ``mu`` for time ``t`` through the exact matrix exponential:
+    the last point of the two-point :func:`evolve_grid`."""
+    return evolve_grid(model, mu, t, 2, tol, generator)[-1][1]
 
 
 def position_distribution(mu: BlockState) -> dict[VertexId, float]:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from ctoqw import classify, passage
 from ctoqw.errors import PreconditionError
 from ctoqw.model import build_walk, classical_embed
+from ctoqw.superop import SuperOp
 from strategies import (
     leaky_variant,
     random_classical_generator,
@@ -113,6 +114,19 @@ def test_classify_spin_quantum(spin_small):
     assert rep.return_spectrum[-1] == pytest.approx(1.0, abs=1e-9)
     assert_allclose(rep.exhibit_state, np.diag([0.0, 1.0]), atol=1e-8)
     assert rep.exhibit_vertex == 1
+
+
+def test_classify_certifies_only_the_base_map(spin_small, monkeypatch):
+    choi = SuperOp.choi_min_eigenvalue
+    calls = []
+    monkeypatch.setattr(
+        SuperOp, "choi_min_eigenvalue", lambda self: calls.append(self) or choi(self)
+    )
+    rep = classify.classify_trichotomy(spin_small, 1)
+    assert len(rep.vertex_max_return) == len(spin_small.vertices)  # the scan ran
+    assert len(calls) == 1
+    assert rep.diagnostics["choi_min_eigenvalue"] >= -1e-9
+    assert rep.diagnostics["trace_increase_defect"] <= 1e-9
 
 
 def test_classify_base_vertex_agreement(two_site, biased_small, spin_small):

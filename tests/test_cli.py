@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ctoqw import trajectory
+from ctoqw import linalg, trajectory
 from ctoqw.cli import main
 from ctoqw.model import SitedState, model_from_json
 
@@ -59,6 +59,23 @@ def test_evolve_writes_state_and_report(tmp_path, two_site_file):
     rows = [l for l in csv.read_text().splitlines() if not l.startswith("#")]
     assert rows[0] == "t,vertex,probability"
     assert len(rows) == 1 + 3 * 2
+
+
+def test_evolve_report_steps_one_propagator(tmp_path, two_site_file, monkeypatch):
+    expm = linalg.expm
+    sizes = []
+    monkeypatch.setattr(linalg, "expm", lambda a: sizes.append(len(a)) or expm(a))
+    csv = tmp_path / "law.csv"
+    code = run(
+        tmp_path, "evolve", "--model", two_site_file, "--state", "0:e1",
+        "--t", 1.5, "--out", tmp_path / "state.json", "--report", csv,
+    )
+    assert code == 0
+    assert sizes == [2, 2]
+    rows = [l.split(",") for l in csv.read_text().splitlines()[-2:]]
+    assert [r[:2] for r in rows] == [["1.5", "0"], ["1.5", "1"]]
+    assert float(rows[0][2]) == pytest.approx(0.5 * (1 + np.exp(-3.0)), abs=1e-12)
+    assert float(rows[1][2]) == pytest.approx(0.5 * (1 - np.exp(-3.0)), abs=1e-12)
 
 
 def test_simulate_deterministic_csv(tmp_path, two_site_file):
@@ -118,6 +135,8 @@ def test_first_passage_and_occupation(tmp_path, spin_file):
     assert code == 0
     doc = json.loads(fp.read_text())
     assert doc["reach_probability"] == pytest.approx(1.0, abs=1e-9)
+    assert doc["diagnostics"]["choi_min_eigenvalue"] >= -1e-9
+    assert doc["diagnostics"]["trace_increase_defect"] <= 1e-9
     occ = tmp_path / "occ.json"
     code = run(
         tmp_path, "occupation", "--model", spin_file, "--from", "1:e1",
@@ -229,3 +248,31 @@ def test_non_finite_time_is_a_precondition_error(tmp_path, two_site_file, capsys
     assert code == 4
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("PreconditionError")
+
+
+@pytest.mark.parametrize("points", [0, -2])
+def test_grid_points_below_one_is_a_precondition_error(tmp_path, two_site_file, capsys, points):
+    out, csv = tmp_path / "state.json", tmp_path / "law.csv"
+    capsys.readouterr()
+    code = run(
+        tmp_path, "evolve", "--model", two_site_file, "--state", "0:e1", "--t", 1.0,
+        "--out", out, "--report", csv, "--grid-points", points,
+    )
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("PreconditionError")
+    assert not out.exists() and not csv.exists()
+
+
+def test_linalg_error_is_a_convergence_exit(tmp_path, two_site_file, capsys, monkeypatch):
+    def broken(a):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(linalg, "expm", broken)
+    capsys.readouterr()
+    code = run(tmp_path, "evolve", "--model", two_site_file, "--state", "0:e1", "--t", 1.0)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert err == "LinAlgError: singular matrix\n"

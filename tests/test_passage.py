@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ctoqw import classify, fixtures, passage, trajectory
+from ctoqw import classify, fixtures, linalg, passage, trajectory
 from ctoqw.errors import ModelError, PreconditionError
 from ctoqw.model import SitedState
 from ctoqw.superop import SuperOp
@@ -227,6 +227,17 @@ def test_expected_occupation_spin_finite_and_mc(spin_small):
 def test_expected_occupation_off_diagonal(spin_small):
     # starting next door: occupation at 1 picks up the arrival distribution
     value = passage.expected_occupation(spin_small, 0, 1, [[1.0]])
+    assert np.isfinite(value) and value > 0
+
+
+def test_expected_occupation_shares_the_taboo_radius(monkeypatch):
+    radius = linalg.spectral_radius
+    sizes = []
+    monkeypatch.setattr(
+        linalg, "spectral_radius", lambda a, **kw: sizes.append(len(a)) or radius(a, **kw)
+    )
+    value = passage.expected_occupation(fixtures.biased_line((-20, 20)), 1, 0, [[1.0]])
+    assert sizes == [40, 1]
     assert np.isfinite(value) and value > 0
 
 

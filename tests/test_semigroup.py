@@ -117,6 +117,26 @@ def test_semigroup_law(seed, t, s):
     assert block_l1(once, twice) <= 1e-8
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.05, 3.0), st.integers(1, 25))
+def test_grid_steps_match_per_point_expm(seed, t, points):
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, max_dim=2)
+    v0 = m.vertices[0]
+    mu = sited_block_state(m, v0.id, random_density(rng, v0.dim))
+    gen = semigroup.build_block_generator(m)
+    grid = semigroup.evolve_grid(m, mu, t, points, generator=gen)
+    assert [tk for tk, _ in grid] == list(np.linspace(0.0, t, points))
+    for tk, state in grid:
+        exact = gen.unstack(sla.expm(tk * gen.matrix) @ gen.stack(mu))
+        for k, b in state.blocks.items():
+            assert_allclose(b, exact.blocks[k], rtol=0, atol=1e-12)
+    if points > 1:
+        last = semigroup.evolve(m, mu, t, generator=gen)
+        for k, b in grid[-1][1].blocks.items():
+            assert_allclose(b, last.blocks[k], rtol=0, atol=1e-12)
+
+
 def test_position_distribution_indicator_and_uniform(two_site):
     mu = sited_block_state(two_site, 1, [[1.0]])
     assert semigroup.position_distribution(mu) == {0: 0.0, 1: 1.0}
