@@ -6,9 +6,9 @@ artifact embeds the model hash, the seed, the tolerances and the tool
 version, and contains no timestamps, so re-running a command reproduces
 its outputs byte for byte.
 
-Exit codes: 1 parse error, 2 validation failure, 3 numerical
-non-convergence (including a failed dense factorization), 4 precondition
-violation.
+Exit codes: 1 parse error (including a file that cannot be read or
+written), 2 validation failure, 3 numerical non-convergence (including a
+failed dense factorization), 4 precondition violation.
 """
 
 from __future__ import annotations
@@ -445,7 +445,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (json.JSONDecodeError, FileNotFoundError, ModelError) as exc:
+    except (json.JSONDecodeError, OSError, ModelError) as exc:
         return _fail(args, EXIT_PARSE, exc)
     except _ValidationFailed as exc:
         return _fail(args, EXIT_VALIDATION, exc)

@@ -15,10 +15,11 @@ leaves the retained vertex set and never returns.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -54,182 +55,356 @@ def dwell_evolution(g: np.ndarray, rho: np.ndarray, t: float):
     return raw / s, s
 
 
-class _Survival:
-    """Evaluates s(t) = Tr(e^{tG} rho e^{tG^dag}) and its derivative."""
+class _Tables:
+    """The sampling rule of every vertex as tables indexed by vertex position.
 
-    def __init__(self, prop: linalg.Propagator, rho: np.ndarray):
-        self.prop = prop
-        rho = np.atleast_2d(np.asarray(rho, dtype=complex))
-        self.rho = rho
-        gplus = prop.g + prop.g.conj().T
-        self.gplus = gplus
-        if prop.diagonalizable:
-            a = prop.pinv @ rho @ prop.pinv.conj().T
-            overlap = prop.p.conj().T @ prop.p
-            self.coef = (a * overlap.T).reshape(-1)
-            self.mu = np.add.outer(prop.lam, prop.lam.conj()).reshape(-1)
-        else:
-            self.coef = None
-            self.mu = None
+    Vertex ``k`` has the dwell generator ``gens[k]``, the stored jumps
+    ``edges[k]`` as ``(destination position, R)`` in jump order and the
+    escape intensity operator ``escapes[k]``.  ``rate[k]`` is the event
+    rate of a vertex whose survival is ``exp(-rate t)``: every
+    one-dimensional vertex, uniform decay ``G + G^dag = -c I``, and decay
+    too weak to ever bring an event (rate 0).  It is NaN where the survival
+    is inverted numerically, by the tables of ``blocks[d]``, one per
+    dimension ``d > 1``.
 
-    def value(self, t):
-        if np.ndim(t) > 0:
-            return np.array([self.value(float(x)) for x in np.asarray(t).ravel()])
-        if self.coef is not None:
-            return float(np.sum(self.coef * np.exp(self.mu * t)).real)
-        e = self.prop.at(t)
-        return float(np.trace(e @ self.rho @ e.conj().T).real)
-
-    def derivative(self, t: float) -> float:
-        if self.coef is not None:
-            return float(np.sum(self.coef * self.mu * np.exp(self.mu * t)).real)
-        e = self.prop.at(t)
-        raw = e @ self.rho @ e.conj().T
-        return float(np.trace(self.gplus @ raw).real)
-
-    def decay_speed(self, t: float) -> float:
-        """Norm of (G + G^dag) applied to the normalized dwell state."""
-        e = self.prop.at(t)
-        raw = e @ self.rho @ e.conj().T
-        tr = float(np.trace(raw).real)
-        if tr <= 0.0:
-            return 0.0
-        return float(np.linalg.norm(self.gplus @ (raw / tr)))
-
-
-def _invert_survival(surv: _Survival, u: float, t_scale: float) -> float | None:
-    """Solve s(t) = u; None means the target level is never reached."""
-    lo, s_lo = 0.0, 1.0
-    hi = t_scale
-    for _ in range(200):
-        s_hi = surv.value(hi)
-        if s_hi < u:
-            break
-        if surv.decay_speed(hi) < _PLATEAU:
-            return None
-        lo, s_lo = hi, s_hi
-        hi *= 2.0
-    else:
-        return None
-    t = 0.5 * (lo + hi)
-    for _ in range(200):
-        s = surv.value(t)
-        if abs(s - u) <= _INV_TOL:
-            return t
-        if s > u:
-            lo = t
-        else:
-            hi = t
-        ds = surv.derivative(t)
-        t_newton = t - (s - u) / ds if ds < 0 else None
-        if t_newton is not None and lo < t_newton < hi:
-            t = t_newton
-        else:
-            t = 0.5 * (lo + hi)
-    raise ConvergenceError("survival inversion did not reach tolerance")
-
-
-_ESCAPE = object()  # the jump that leaves a windowed model
-
-
-class _EventKernel:
-    """Waiting time, dwell flow and jump law of the walk at one vertex.
-
-    ``edges`` are the stored jumps ``(dst, R)`` and ``escape`` the escape
-    intensity operator of a sub-stochastic vertex.  Given a generator
-    alone, all of its decay ``-(G + G^dag)`` counts as escape.
+    The methods take one entry per walker.  Scalar work (exponential waits,
+    the jumps of one-dimensional vertices, the choice of the jump) runs per
+    walker; matrix work runs batched over the walkers of each dimension.
     """
 
-    def __init__(self, g: np.ndarray, edges=(), escape: np.ndarray | None = None):
-        self.g = np.atleast_2d(np.asarray(g, dtype=complex))
-        d = self.g.shape[0]
-        gplus = self.g + self.g.conj().T
-        self.edges = list(edges)
-        self.escape = linalg.herm(-gplus if escape is None else escape)
-        self.fixed = None
-        self.speed = None
-        if d == 1:
-            # on a one-dimensional space the weights do not depend on the
-            # state, and their total is the exponential event rate
-            weights = [float((r.conj().T @ r)[0, 0].real) for _, r in self.edges]
-            posts = [_normalised(r @ r.conj().T) for _, r in self.edges]
-            for p in posts:
-                p.flags.writeable = False  # shared by every jump along the edge
-            esc = max(float(self.escape[0, 0].real), 0.0)
-            self.fixed = (weights, posts, esc)
-            self.rate = sum(weights) + esc
-            return
-        c = -float(np.trace(gplus).real) / d
-        if np.linalg.norm(gplus + c * np.eye(d)) <= 1e-13 * (1.0 + abs(c)):
-            self.rate = max(c, 0.0)  # uniform decay: s(t) = exp(-c t)
-        else:
-            self.rate = None
-            self.speed = linalg.opnorm(gplus)
+    def __init__(self, ids, gens, edges, escapes):
+        n = len(gens)
+        self.ids = list(ids)
+        self.dim = [g.shape[0] for g in gens]
+        self.deg = [len(out) for out in edges]
+        self.dst = [[b for b, _ in out] for out in edges]
+        self.rate = [math.nan] * n
+        # one-dimensional vertices: the weights do not depend on the state,
+        # and their total is the exponential event rate
+        self.running: list = [None] * n
+        self.esc: list = [None] * n
+        self.posts: list = [None] * n
+        for k in range(n):
+            if self.dim[k] == 1:
+                weights = [float((r.conj().T @ r)[0, 0].real) for _, r in edges[k]]
+                self.running[k] = list(itertools.accumulate(weights))
+                self.esc[k] = max(float(escapes[k][0, 0].real), 0.0)
+                self.rate[k] = sum(weights) + self.esc[k]
+                self.posts[k] = [_normalised(r @ r.conj().T) for _, r in edges[k]]
+                for post in self.posts[k]:
+                    post.flags.writeable = False  # shared by every jump along the edge
+        self.blocks = {
+            d: _Block(self, d, [k for k in range(n) if self.dim[k] == d], gens, edges, escapes)
+            for d in sorted(set(self.dim) - {1})
+        }
 
-    @cached_property
-    def prop(self) -> linalg.Propagator:
-        return linalg.Propagator(self.g)
+    def _by_dim(self, ks, js=None) -> dict[int, list]:
+        """The walkers ``js`` (default all) grouped by vertex dimension."""
+        groups: dict[int, list] = {}
+        for j in range(len(ks)) if js is None else js:
+            groups.setdefault(self.dim[ks[j]], []).append(j)
+        return groups
 
-    def wait(self, rho: np.ndarray, u: float) -> float | None:
-        """Dwell time until the survival from ``rho`` falls to ``u``; None
-        when no event ever comes."""
-        if self.rate is not None:
-            return -math.log(u) / self.rate if self.rate > _PLATEAU else None
-        if self.speed < _PLATEAU:
-            return None
-        return _invert_survival(_Survival(self.prop, rho), u, t_scale=1.0 / self.speed)
+    def wait(self, ks, rhos, us) -> list:
+        """Dwell times until the survival from ``rhos`` falls to ``us``;
+        None where no event ever comes."""
+        out = [_exponential_wait(self.rate[k], u) for k, u in zip(ks, us)]
+        invert = [j for j, k in enumerate(ks) if math.isnan(self.rate[k])]
+        for d, js in self._by_dim(ks, invert).items():
+            ts = self.blocks[d].invert(*_stack(js, ks, rhos, us))
+            for j, t in zip(js, ts.tolist()):
+                out[j] = None if math.isnan(t) else t
+        return out
 
-    def flow(self, rho: np.ndarray, dt: float) -> np.ndarray:
-        """Normalized dwell state ``dt`` after entering in ``rho``."""
-        if self.fixed is not None:
-            return rho
-        e = self.prop.at(dt)
-        return _normalised(e @ rho @ e.conj().T)
+    def flow(self, ks, rhos, dts) -> list:
+        """Normalized dwell states ``dts`` after entering in ``rhos`` at
+        vertices of dimension above one."""
+        out: list = [None] * len(ks)
+        for d, js in self._by_dim(ks).items():
+            for j, eta in zip(js, self.blocks[d].flow(*_stack(js, ks, rhos, dts))):
+                out[j] = eta
+        return out
 
-    def jump(self, eta: np.ndarray, u: float, escape: bool = True):
-        """Pick the jump out of dwell state ``eta`` with weights
-        ``Tr(R eta R^dag)`` and the escape weight, ``u`` uniform on [0, 1).
+    def scalar_jump(self, k: int, u: float, escape: bool = True):
+        """``(slot, post-jump state)`` at a one-dimensional vertex."""
+        slot = _pick(self.running[k], self.esc[k] if escape else 0.0, u)
+        return slot, self.posts[k][slot] if slot >= 0 else None
 
-        Returns ``(dst, post-jump state)``, ``_ESCAPE``, or None when
-        every weight vanishes.  ``escape=False`` draws among the stored
-        jumps only.
+    def jump(self, ks, etas, us, escape: bool = True) -> list:
+        """Pick the jump out of dwell states ``etas`` with weights
+        ``Tr(R eta R^dag)`` and the escape weight, ``us`` uniform on [0, 1).
+
+        Returns ``(slot, post-jump state)`` per walker; slot -1 is the
+        escape and -2 means every weight vanishes (no post state then).
+        ``escape=False`` draws among the stored jumps only.
         """
-        if self.fixed is not None:
-            weights, posts, esc = self.fixed
-        else:
-            posts = [r @ eta @ r.conj().T for _, r in self.edges]
-            weights = [max(float(np.trace(p).real), 0.0) for p in posts]
-            esc = max(float(np.trace(self.escape @ eta).real), 0.0)
-        if not escape:
-            esc = 0.0
-        total = sum(weights) + esc
-        if total <= _PLATEAU:
-            return None
-        target = u * total
-        acc = 0.0
-        for (dst, _), w, post in zip(self.edges, weights, posts):
-            acc += w
-            if target <= acc:
+        out: list = [None] * len(ks)
+        for d, js in self._by_dim(ks).items():
+            if d == 1:
+                for j in js:
+                    out[j] = self.scalar_jump(ks[j], us[j], escape)
+                continue
+            k, eta, u = _stack(js, ks, etas, us)
+            blk = self.blocks[d]
+            running, esc, products = blk.weights(k, eta, escape)
+            slots = [
+                _pick(run[: self.deg[kk]], e, uu)
+                for run, e, uu, kk in zip(running.tolist(), esc.tolist(), u.tolist(), k.tolist())
+            ]
+            for j, slot, post in zip(js, slots, blk.posts(k, np.array(slots), products)):
+                out[j] = (slot, post)
+        return out
+
+    def survival(self, k: int, rho: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """s(t) at vertex ``k`` from state ``rho`` at the times ``ts``."""
+        if not math.isnan(self.rate[k]):
+            return np.exp(-self.rate[k] * ts)
+        rhos = np.broadcast_to(rho, (ts.size,) + rho.shape)
+        return _Survival.of(self.blocks[self.dim[k]], np.full(ts.size, k), rhos).value(ts)[0]
+
+
+def _stack(js, ks, states, values):
+    """Vertex positions, stacked states and values of the walkers ``js``."""
+    return (
+        np.array([ks[j] for j in js]),
+        np.stack([states[j] for j in js]),
+        np.array([values[j] for j in js]),
+    )
+
+
+def _exponential_wait(rate: float, u: float) -> float | None:
+    # math.log, not np.log: numpy's vectorized float64 log can differ from
+    # libm in the last ulp
+    return -math.log(u) / rate if rate > _PLATEAU else None
+
+
+def _pick(running, esc: float, u: float) -> int:
+    """Slot of the first stored jump whose running weight reaches ``u`` times
+    the total weight; -1 for the escape, -2 when every weight vanishes."""
+    total = (running[-1] if running else 0.0) + esc
+    if total <= _PLATEAU:
+        return -2
+    slot = bisect.bisect_left(running, u * total)
+    if slot < len(running):
+        return slot
+    if esc > _PLATEAU:
+        return -1
+    return len(running) - 1  # rounding guard without an escape channel: the last edge
+
+
+class _Block:
+    """Tables of the vertices of one dimension ``d > 1``, indexed by vertex
+    position (the rows of the other vertices are unused), and the batched
+    matrix work over walkers at these vertices."""
+
+    def __init__(self, tab: _Tables, d: int, members, gens, edges, escapes):
+        n, self.width = len(gens), max([len(e) for e in edges] + [1])
+        shape = (n, d, d)
+        self.g, self.gplus, self.escape = (np.zeros(shape, dtype=complex) for _ in range(3))
+        self.p, self.pinv, self.pinvc, self.ovt = (np.zeros(shape, dtype=complex) for _ in range(4))
+        self.lam = np.zeros((n, d), dtype=complex)
+        self.mu = np.zeros((n, d * d), dtype=complex)
+        self.diag = np.zeros(n, dtype=bool)
+        self.tscale = np.zeros(n)
+        for k in members:
+            g = gens[k]
+            gplus = g + g.conj().T
+            self.g[k], self.gplus[k], self.escape[k] = g, gplus, escapes[k]
+            c = -float(np.trace(gplus).real) / d
+            if np.linalg.norm(gplus + c * np.eye(d)) <= 1e-13 * (1.0 + abs(c)):
+                tab.rate[k] = max(c, 0.0)  # uniform decay: s(t) = exp(-c t)
+            elif (speed := linalg.opnorm(gplus)) < _PLATEAU:
+                tab.rate[k] = 0.0  # no event ever comes
+            else:
+                self.tscale[k] = 1.0 / speed
+            prop = linalg.Propagator(g)
+            self.lam[k] = prop.lam
+            self.mu[k] = np.add.outer(prop.lam, prop.lam.conj()).reshape(-1)
+            self.diag[k] = prop.diagonalizable
+            if prop.diagonalizable:
+                self.p[k], self.pinv[k], self.pinvc[k] = prop.p, prop.pinv, prop.pinv.conj()
+                self.ovt[k] = (prop.p.conj().T @ prop.p).T
+        # The jumps grouped by destination dimension: kind ``dd`` stacks the
+        # jumps into dd-dimensional spaces, one column per jump slot that
+        # has one, zero where the vertex's jump in that slot goes elsewhere.
+        slots: dict[int, set] = {}
+        for k in members:
+            for j, (_, r) in enumerate(edges[k]):
+                slots.setdefault(r.shape[0], set()).add(j)
+        self.kinds = []
+        self.kind_of = np.zeros((n, self.width), dtype=np.intp)
+        self.col_of = np.zeros((n, self.width), dtype=np.intp)
+        for ki, (dd, cols) in enumerate(sorted(slots.items())):
+            cols = sorted(cols)
+            rs = np.zeros((n, len(cols), dd, d), dtype=complex)
+            for k in members:
+                for j, (_, r) in enumerate(edges[k]):
+                    if r.shape[0] == dd:
+                        rs[k, cols.index(j)] = r
+                        self.kind_of[k, j], self.col_of[k, j] = ki, cols.index(j)
+            self.kinds.append((rs, np.array(cols, dtype=np.intp)))
+
+    def at(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The propagators ``e^{t G}`` of vertices ``k`` at times ``t``."""
+        e = (self.p[k] * np.exp(t[:, None] * self.lam[k])[:, None, :]) @ self.pinv[k]
+        dense = ~self.diag[k]
+        if dense.any():
+            e[dense] = linalg.expm(t[dense, None, None] * self.g[k[dense]])
+        return e
+
+    def invert(self, k: np.ndarray, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Solve s(t) = u by doubling a bracket, then safeguarded Newton
+        steps to ``_INV_TOL``; NaN where the survival plateaus above u."""
+        out = np.full(k.size, math.nan)
+        every = _Survival.of(self, k, rho)
+        surv, walkers, lo, hi, level = every, np.arange(k.size), np.zeros(k.size), self.tscale[k], u
+        brackets = []
+        for _ in range(200):
+            below = surv.value(hi)[0] < level
+            brackets.append((walkers[below], lo[below], hi[below]))
+            if below.all():
                 break
+            rise = ~below
+            rise[rise] = ~(surv.take(rise).speed(hi[rise]) < _PLATEAU)
+            surv, walkers, level = surv.take(rise), walkers[rise], level[rise]
+            lo, hi = hi[rise], 2.0 * hi[rise]
+        walkers, lo, hi = (np.concatenate(part) for part in zip(*brackets))
+        if not walkers.size:
+            return out
+        surv, u = every.take(walkers), u[walkers]
+        t = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(200):
+                s, ds = surv.value(t, slope=True)
+                done = np.abs(s - u) <= _INV_TOL
+                if done.any():
+                    out[walkers[done]] = t[done]
+                    if done.all():
+                        return out
+                    go = ~done
+                    surv, walkers, t, s, ds = surv.take(go), walkers[go], t[go], s[go], ds[go]
+                    lo, hi, u = lo[go], hi[go], u[go]
+                above = s > u
+                lo = np.where(above, t, lo)
+                hi = np.where(above, hi, t)
+                newton = t - (s - u) / ds
+                t = np.where((ds < 0) & (lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+        raise ConvergenceError("survival inversion did not reach tolerance")
+
+    def flow(self, k: np.ndarray, rho: np.ndarray, dt: np.ndarray) -> np.ndarray:
+        """Normalized dwell states ``dt`` after entering in ``rho``."""
+        e = self.at(k, dt)
+        return _normalised(e @ rho @ e.conj().swapaxes(1, 2))
+
+    def weights(self, k: np.ndarray, eta: np.ndarray, escape: bool):
+        """Running sums of the jump weights ``Tr(R eta R^dag)`` in jump
+        order, the escape weights, and the products ``R eta R^dag`` of each
+        kind."""
+        weights = np.zeros((k.size, self.width))
+        products = []
+        for rs, cols in self.kinds:
+            r = rs[k]
+            p = r @ eta[:, None] @ r.conj().swapaxes(-1, -2)
+            weights[:, cols] += np.maximum(_trace(p), 0.0)
+            products.append(p)
+        if escape:
+            esc = np.maximum(_trace(self.escape[k] @ eta), 0.0)
         else:
-            if esc > _PLATEAU:
-                return _ESCAPE
-            # rounding guard without an escape channel: keep the last edge
-        if self.fixed is None:
-            post = _normalised(post)
-        return dst, post
+            esc = np.zeros(k.size)
+        return np.cumsum(weights, axis=1), esc, products
+
+    def posts(self, k: np.ndarray, slot: np.ndarray, products) -> list:
+        """Normalized post-jump states of the walkers with ``slot >= 0``,
+        None for the others."""
+        out: list = [None] * k.size
+        hop = np.flatnonzero(slot >= 0)
+        kind = self.kind_of[k[hop], slot[hop]]
+        col = self.col_of[k[hop], slot[hop]]
+        for ki, p in enumerate(products):
+            mine = kind == ki
+            if mine.any():
+                for j, post in zip(hop[mine].tolist(), _normalised(p[hop[mine], col[mine]])):
+                    out[j] = post
+        return out
+
+
+class _Survival:
+    """s(t) = Tr(e^{tG} rho e^{tG^dag}) for a batch of walkers at vertices
+    ``k`` of one block, in states ``rho``.
+
+    Where the vertex propagator is diagonalizable, s is a sum of
+    exponentials over eigenvalue pairs ``mu = lam (+) conj(lam)`` with
+    coefficients ``coef``; elsewhere the dense exponential is taken at each
+    time.
+    """
+
+    def __init__(self, blk: _Block, k: np.ndarray, rho: np.ndarray, coef: np.ndarray):
+        self.blk, self.k, self.rho, self.coef = blk, k, rho, coef
+        self.mu = blk.mu[k]
+        self.slope = coef * self.mu
+        self.dense = ~blk.diag[k]
+        self.any_dense = bool(self.dense.any())
+
+    @classmethod
+    def of(cls, blk: _Block, k: np.ndarray, rho: np.ndarray) -> _Survival:
+        a = blk.pinv[k] @ rho @ blk.pinvc[k].swapaxes(1, 2)
+        return cls(blk, k, rho, (a * blk.ovt[k]).reshape(k.size, -1))
+
+    def take(self, i) -> _Survival:
+        """The survival of the walkers ``i`` (indices or a mask)."""
+        return _Survival(self.blk, self.k[i], self.rho[i], self.coef[i])
+
+    def _raw(self, t: np.ndarray, i=slice(None)) -> np.ndarray:
+        e = self.blk.at(self.k[i], t)
+        return e @ self.rho[i] @ e.conj().swapaxes(1, 2)
+
+    def value(self, t: np.ndarray, slope: bool = False):
+        """``(s, ds/dt)`` of each walker at its time ``t``; the derivative
+        only when ``slope``."""
+        e = np.exp(self.mu * t[:, None])
+        s = (self.coef * e).sum(axis=1).real
+        ds = (self.slope * e).sum(axis=1).real if slope else None
+        if self.any_dense:
+            dense = self.dense
+            raw = self._raw(t[dense], dense)
+            s[dense] = _trace(raw)
+            if slope:
+                ds[dense] = _trace(self.blk.gplus[self.k[dense]] @ raw)
+        return s, ds
+
+    def speed(self, t: np.ndarray) -> np.ndarray:
+        """Norm of (G + G^dag) applied to the normalized dwell states."""
+        raw = self._raw(t)
+        tr = _trace(raw)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eta = raw / tr[:, None, None]
+        norm = np.linalg.norm(self.blk.gplus[self.k] @ eta, axis=(1, 2))
+        return np.where(tr <= 0.0, 0.0, norm)
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    """Real part of the trace of each matrix in a stack."""
+    return m.trace(axis1=-2, axis2=-1).real
 
 
 def _normalised(m: np.ndarray) -> np.ndarray:
-    return m / float(np.trace(m).real)
+    return m / _trace(m)[..., None, None]
 
 
-def _kernels(model: WalkModel) -> dict[VertexId, _EventKernel]:
-    """One event kernel per vertex, built once per model."""
-    return model.derived("event_kernels", lambda m: {
-        v.id: _EventKernel(m.effective(v.id), m.out_edges(v.id), m.escape_defect(v.id))
-        for v in m.vertices
-    })
+def _tables(model: WalkModel) -> _Tables:
+    """The sampling tables of a model, built once per model."""
+    return model.derived("sampling_tables", lambda m: _Tables(
+        m.ids,
+        [m.effective(v) for v in m.ids],
+        [[(m.position(b), r) for b, r in m.out_edges(v)] for v in m.ids],
+        [linalg.herm(m.escape_defect(v)) for v in m.ids],
+    ))
+
+
+def _bare_tables(g: np.ndarray) -> _Tables:
+    """Tables of a lone generator: all of its decay counts as escape."""
+    g = np.atleast_2d(np.asarray(g, dtype=complex))
+    return _Tables([None], [g], [[]], [linalg.herm(-(g + g.conj().T))])
 
 
 def sample_jump_time(g: np.ndarray, rho: np.ndarray, u: float) -> float | None:
@@ -240,8 +415,8 @@ def sample_jump_time(g: np.ndarray, rho: np.ndarray, u: float) -> float | None:
     """
     if not 0.0 < u < 1.0:
         raise PreconditionError("u must lie strictly between 0 and 1")
-    rho = np.atleast_2d(np.asarray(rho, dtype=complex))
-    return _EventKernel(g).wait(_normalised(rho), u)
+    rho = _normalised(np.atleast_2d(np.asarray(rho, dtype=complex)))
+    return _bare_tables(g).wait([0], [rho], [u])[0]
 
 
 def sample_destination(model: WalkModel, vertex: VertexId, eta: np.ndarray, u: float):
@@ -251,15 +426,16 @@ def sample_destination(model: WalkModel, vertex: VertexId, eta: np.ndarray, u: f
     ``Tr(R[i->j] eta R[i->j]^dag)`` among the stored jumps; escape weight
     of windowed models is handled by the simulator, not here.
     """
-    model.position(vertex)
+    k = model.position(vertex)
+    tab = _tables(model)
     eta = np.atleast_2d(np.asarray(eta, dtype=complex))
-    hop = _kernels(model)[vertex].jump(eta, u, escape=False)
-    if hop is None:
+    slot, post = tab.jump([k], [eta], [u], escape=False)[0]
+    if slot < 0:
         raise PreconditionError(
             f"zero total jump rate at vertex {vertex!r}; the dwell sampler "
             "should have reported no event"
         )
-    return hop
+    return tab.ids[tab.dst[k][slot]], post
 
 
 # -- trajectory records --------------------------------------------------------
@@ -269,12 +445,13 @@ def sample_destination(model: WalkModel, vertex: VertexId, eta: np.ndarray, u: f
 class JumpEvent:
     time: float
     vertex: VertexId
-    rho: np.ndarray
+    rho: np.ndarray | None  # the post-jump state, None where not kept
 
 
 @dataclass
 class TrajectoryRecord:
-    """One sampled path: jump times, visited vertices, post-jump states."""
+    """One sampled path: jump times, visited vertices, post-jump states
+    (None where they were not kept)."""
 
     initial: SitedState
     events: list[JumpEvent]
@@ -360,12 +537,130 @@ def check_record(model: WalkModel, rec: TrajectoryRecord, atol: float = 1e-9):
 
 # -- the simulator ---------------------------------------------------------
 
+# Walkers advance together in chunks of this many streams, so memory does
+# not grow with the number of trajectories.
+_CHUNK = 256
+# Uniforms drawn at once from one walker's stream.
+_DRAWS = 64
+
 
 def trajectory_rng(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream): parallel streams
     are independent and every stream is reproducible in isolation."""
+    if seed < 0 or stream < 0:
+        raise PreconditionError("seed and stream must be nonnegative integers")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _uniforms(rng: np.random.Generator):
+    """The doubles of successive ``rng.random()`` calls, drawn ``_DRAWS`` at
+    a time: ``Generator.random(n)`` yields the doubles of ``n`` scalar calls."""
+    while True:
+        yield from rng.random(_DRAWS).tolist()
+
+
+def _start(model: WalkModel, init: SitedState, horizon: float):
+    if not 0.0 < horizon < math.inf:
+        raise PreconditionError("horizon must be positive and finite")
+    k0 = model.position(init.vertex)
+    tab = _tables(model)
+    d = tab.dim[k0]
+    rho = np.atleast_2d(np.asarray(init.rho, dtype=complex))
+    trace = rho.trace().real if rho.shape == (d, d) else math.nan
+    if not trace > 0.0:
+        raise ModelError(
+            f"initial state at vertex {init.vertex!r} must be a {d}x{d} matrix with positive trace"
+        )
+    return tab, k0, rho / trace
+
+
+def _positive(draws) -> float:
+    u = next(draws)
+    while u <= 0.0:
+        u = next(draws)
+    return u
+
+
+def _sample(tab: _Tables, k0: int, rho0: np.ndarray, init: SitedState, horizon: float,
+            seed: int, streams, max_jumps: int, stop_at: int = -1,
+            keep_rho: bool = True) -> list[TrajectoryRecord]:
+    """Sample one trajectory per stream, all walkers advancing together.
+
+    Each walker reads its own ``trajectory_rng(seed, stream)`` in the order
+    a lone walker would.  At one-dimensional vertices the state is fixed
+    and every event is scalar work: a walker runs through them on its own.
+    Walkers at vertices with matrix states take their next events together,
+    one batched step at a time: the waiting time, and unless it lies beyond
+    the horizon, the dwell flow and the jump.  Walkers stop when absorbed,
+    at the horizon, on escape, or on arriving at position ``stop_at``.
+    ``keep_rho`` keeps the post-jump states in the records.
+    """
+    n = len(streams)
+    draws = [_uniforms(trajectory_rng(seed, s)) for s in streams]
+    pos, t, rho = [k0] * n, [0.0] * n, [rho0] * n
+    absorbed, escaped = [False] * n, [None] * n
+    events: list[list] = [[] for _ in range(n)]
+
+    def land(i: int, t_next: float, x: int, post: np.ndarray) -> bool:
+        """Walker ``i`` jumps to ``x``; False when it stops there."""
+        pos[i], t[i], rho[i] = x, t_next, post
+        events[i].append(JumpEvent(t_next, tab.ids[x], post if keep_rho else None))
+        if len(events[i]) > max_jumps:
+            raise ConvergenceError(
+                f"trajectory exceeded {max_jumps} jumps before the horizon; "
+                "the model's jump intensity looks unbounded for this run"
+            )
+        return x != stop_at
+
+    run = list(range(n))
+    while run:
+        batch = []
+        for i in run:
+            while tab.dim[k := pos[i]] == 1:
+                dt = _exponential_wait(tab.rate[k], _positive(draws[i]))
+                if dt is None:
+                    absorbed[i] = True
+                    break
+                t_next = t[i] + dt
+                if t_next >= horizon:
+                    break
+                slot, post = tab.scalar_jump(k, next(draws[i]))
+                if slot == -2:
+                    absorbed[i] = True
+                    break
+                if slot == -1:
+                    escaped[i] = t_next
+                    break
+                if not land(i, t_next, tab.dst[k][slot], post):
+                    break
+            else:
+                batch.append(i)
+        if not batch:
+            break
+        ks = [pos[i] for i in batch]
+        dts = tab.wait(ks, [rho[i] for i in batch], [_positive(draws[i]) for i in batch])
+        go = []
+        for i, k, dt in zip(batch, ks, dts):
+            if dt is None:
+                absorbed[i] = True
+            elif t[i] + dt < horizon:
+                go.append((i, k, dt))
+        ks = [k for _, k, _ in go]
+        etas = tab.flow(ks, [rho[i] for i, _, _ in go], [dt for _, _, dt in go])
+        hops = tab.jump(ks, etas, [next(draws[i]) for i, _, _ in go])
+        run = []
+        for (i, k, dt), (slot, post) in zip(go, hops):
+            t_next = t[i] + dt
+            if slot == -2:
+                absorbed[i] = True
+            elif slot == -1:
+                escaped[i] = t_next
+            elif land(i, t_next, tab.dst[k][slot], post):
+                run.append(i)
+    return [
+        TrajectoryRecord(init, events[i], horizon, absorbed[i], escaped[i]) for i in range(n)
+    ]
 
 
 def simulate(
@@ -376,60 +671,18 @@ def simulate(
     stream: int = 0,
     max_jumps: int = 10_000_000,
     stop_at: VertexId | None = None,
-    rng: np.random.Generator | None = None,
 ) -> TrajectoryRecord:
-    """Sample one trajectory up to ``horizon``.
+    """Sample one trajectory up to ``horizon``: the one-walker case of the
+    sampler behind :func:`estimate`.
 
     Deterministic given ``(seed, stream)`` and the inputs.  ``stop_at``
     truncates the walk right after the first arrival at that vertex, which
     is convenient for passage-time sampling.  Raises when the jump count
     exceeds ``max_jumps`` (a runaway intensity guard).
     """
-    if not 0.0 < horizon < math.inf:
-        raise PreconditionError("horizon must be positive and finite")
-    kernels = _kernels(model)
-    if rng is None:
-        rng = trajectory_rng(seed, stream)
-    x = init.vertex
-    model.position(x)
-    rho = _normalised(np.atleast_2d(np.asarray(init.rho, dtype=complex)))
-    t = 0.0
-    events: list[JumpEvent] = []
-    absorbed = False
-    escaped_at = None
-
-    while True:
-        k = kernels[x]
-        u = rng.random()
-        while u <= 0.0:
-            u = rng.random()
-        dt = k.wait(rho, u)
-        if dt is None:
-            absorbed = True
-            break
-        t_next = t + dt
-        if t_next >= horizon:
-            break
-        hop = k.jump(k.flow(rho, dt), rng.random())
-        if hop is None:
-            absorbed = True
-            break
-        if hop is _ESCAPE:
-            escaped_at = t_next
-            break
-        x, rho = hop
-        t = t_next
-        events.append(JumpEvent(t, x, rho))
-
-        if len(events) > max_jumps:
-            raise ConvergenceError(
-                f"trajectory exceeded {max_jumps} jumps before the horizon; "
-                "the model's jump intensity looks unbounded for this run"
-            )
-        if stop_at is not None and events and events[-1].vertex == stop_at:
-            break
-
-    return TrajectoryRecord(init, events, horizon, absorbed, escaped_at)
+    tab, k0, rho0 = _start(model, init, horizon)
+    stop = -1 if stop_at is None else model.position(stop_at)
+    return _sample(tab, k0, rho0, init, horizon, seed, [stream], max_jumps, stop)[0]
 
 
 def survival_function(model: WalkModel, vertex: VertexId, rho):
@@ -439,8 +692,14 @@ def survival_function(model: WalkModel, vertex: VertexId, rho):
 
 def survival_from_generator(g: np.ndarray, rho):
     """s(t) = Tr(e^{tG} rho e^{tG^dag}) as a callable of t."""
+    tab = _bare_tables(g)
     rho = _normalised(np.atleast_2d(np.asarray(rho, dtype=complex)))
-    return _Survival(linalg.Propagator(g), rho).value
+
+    def survival(t):
+        s = tab.survival(0, rho, np.atleast_1d(np.asarray(t, dtype=float)).ravel())
+        return s if np.ndim(t) > 0 else float(s[0])
+
+    return survival
 
 
 # -- estimation -----------------------------------------------------------
@@ -500,8 +759,11 @@ def estimate(
 ) -> list[EstimateReport]:
     """Monte Carlo estimates over ``n_traj`` independent trajectories.
 
+    The walkers advance together, ``_CHUNK`` streams at a time; each
+    trajectory equals ``simulate(..., stream=stream_base + k)``.
     ``on_record(k, record)``, when given, sees the ``k``-th sampled
-    trajectory (stream ``stream_base + k``) as it is tallied.
+    trajectory as it is tallied; only then do the records keep their
+    post-jump states.
 
     Supported queries (dicts):
 
@@ -538,29 +800,30 @@ def estimate(
         else:
             raise PreconditionError(f"unknown query kind {kind!r}")
 
-    for k in range(n_traj):
-        rec = simulate(
-            model, init, horizon,
-            seed=seed, stream=stream_base + k, max_jumps=max_jumps,
-        )
-        if on_record is not None:
-            on_record(k, rec)
-        for qi, q in enumerate(queries):
-            kind = q["kind"]
-            if kind == "passage_cdf":
-                tau = rec.first_passage(q["vertex"])
-                if tau is not None:
-                    grid = q["grid"]
-                    hits = passage_hits[qi]
-                    for gi, tg in enumerate(grid):
-                        if tau <= tg:
-                            hits[gi] += 1
-            elif kind == "occupation":
-                occupations[qi][k] = rec.occupation_time(q["vertex"])
-            elif kind == "visits":
-                visits[qi][k] = rec.visit_count(q["vertex"])
-            elif kind == "position_law":
-                position_counts[qi][rec.position_at(q["t"])] += 1
+    tab, k0, rho0 = _start(model, init, horizon)
+    for first in range(0, n_traj, _CHUNK):
+        streams = range(stream_base + first, stream_base + min(first + _CHUNK, n_traj))
+        records = _sample(tab, k0, rho0, init, horizon, seed, streams, max_jumps,
+                          keep_rho=on_record is not None)
+        for k, rec in enumerate(records, first):
+            if on_record is not None:
+                on_record(k, rec)
+            for qi, q in enumerate(queries):
+                kind = q["kind"]
+                if kind == "passage_cdf":
+                    tau = rec.first_passage(q["vertex"])
+                    if tau is not None:
+                        grid = q["grid"]
+                        hits = passage_hits[qi]
+                        for gi, tg in enumerate(grid):
+                            if tau <= tg:
+                                hits[gi] += 1
+                elif kind == "occupation":
+                    occupations[qi][k] = rec.occupation_time(q["vertex"])
+                elif kind == "visits":
+                    visits[qi][k] = rec.visit_count(q["vertex"])
+                elif kind == "position_law":
+                    position_counts[qi][rec.position_at(q["t"])] += 1
 
     reports = []
     for qi, q in enumerate(queries):

@@ -1,11 +1,16 @@
+import contextlib
+import functools
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ctoqw import linalg, trajectory
 from ctoqw.cli import main
-from ctoqw.model import SitedState, model_from_json
+from ctoqw.model import SitedState, matrix_to_json, model_from_json
 
 
 def run(tmp_path, *argv):
@@ -96,14 +101,14 @@ def test_simulate_deterministic_csv(tmp_path, two_site_file):
 
 
 def test_simulate_dump(tmp_path, spin_file, monkeypatch):
-    simulate = trajectory.simulate
+    sample = trajectory._sample
     streams = []
 
     def counting(*args, **kwargs):
-        streams.append(kwargs["stream"])
-        return simulate(*args, **kwargs)
+        streams.append(list(args[6]))
+        return sample(*args, **kwargs)
 
-    monkeypatch.setattr(trajectory, "simulate", counting)
+    monkeypatch.setattr(trajectory, "_sample", counting)
     dump = tmp_path / "events.ndjson"
     code = run(
         tmp_path, "simulate", "--model", spin_file, "--start", "1:e1",
@@ -111,19 +116,34 @@ def test_simulate_dump(tmp_path, spin_file, monkeypatch):
         "--dump", dump,
     )
     assert code == 0
-    # estimation and dumping share one pass over the trajectories
-    assert streams == list(range(5))
+    # estimation and dumping share one run of the sampler over all walkers
+    assert streams == [list(range(5))]
     events = [json.loads(line) for line in dump.read_text().splitlines()]
     assert events
     assert set(events[0]) == {"traj", "t", "from", "to", "rho"}
     walk = model_from_json(json.loads(spin_file.read_text()))
     init = SitedState(1, np.diag([1.0, 0.0]))
     expected = [
-        (k, ev.time, str(ev.vertex))
+        (k, ev.time, str(ev.vertex), matrix_to_json(ev.rho))
         for k in range(5)
-        for ev in simulate(walk, init, 3.0, seed=1, stream=k).events
+        for ev in trajectory.simulate(walk, init, 3.0, seed=1, stream=k).events
     ]
-    assert [(ev["traj"], ev["t"], ev["to"]) for ev in events] == expected
+    assert [(ev["traj"], ev["t"], ev["to"], ev["rho"]) for ev in events] == expected
+
+
+def test_runaway_trajectory_is_a_convergence_exit(tmp_path, two_site_file, capsys, monkeypatch):
+    monkeypatch.setattr(
+        trajectory, "estimate", functools.partial(trajectory.estimate, max_jumps=50)
+    )
+    capsys.readouterr()
+    code = run(
+        tmp_path, "simulate", "--model", two_site_file, "--start", "0:e1",
+        "--horizon", 1e6, "--n", 3, "--out", tmp_path / "est.csv",
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("ConvergenceError: trajectory exceeded 50 jumps")
 
 
 def test_first_passage_and_occupation(tmp_path, spin_file):
@@ -276,3 +296,95 @@ def test_linalg_error_is_a_convergence_exit(tmp_path, two_site_file, capsys, mon
     assert code == 3
     assert "Traceback" not in err
     assert err == "LinAlgError: singular matrix\n"
+
+
+_FUZZ_WINDOWS = {"two-site-exchange": [], "coherent-pair": [],
+                 "biased-line": ["--window", "3"], "spin-biased-line": ["--window", "3"]}
+_FUZZ_MODELS = [f"{name}.json" for name in _FUZZ_WINDOWS]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """The built-in fixtures as model files, small windows for the lattices,
+    next to a file that is not JSON."""
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, window in _FUZZ_WINDOWS.items():
+        assert main(["fixtures", "--name", name, *window, "--out", str(d / f"{name}.json")]) == 0
+    (d / "bad.json").write_text("{not json")
+    return d
+
+
+_BAD_VERTICES = ["-1", "99", "x", "", "1.5"]
+# malformed starts: bad basis indices, empty parts, a state file that does
+# not exist or is a directory ("{d}" is the fuzz directory)
+_BAD_STARTS = ["1:e0", "1:e9", "1:e", "1:", ":", "", "x:e1", "99", "1:{d}/missing.json", "1:{d}"]
+_BAD_MODELS = ["bad.json", "missing.json", ""]
+# valid numbers, small so that each run is short, and the bad ones
+_NUMBERS = {"tol": "1e-10", "seed": "7", "horizon": "2.5", "n": "3", "t": "1",
+            "grid": "3", "eps": "1e-8", "window": "2"}
+_BAD_NUMBERS = ["-1", "0", "nan", "inf", "-inf", "1e-9", "1.5", "abc"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hst.data())
+def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, data):
+    """A command on a built-in fixture with one input made bad (the model
+    file, a vertex, the start, or one number) ends in a documented exit
+    code, without a traceback."""
+    draw = data.draw
+    d = str(fuzz_dir)
+    bad = draw(hst.sampled_from(["nothing", "model", "vertex", "start", *_NUMBERS]))
+    model = draw(hst.sampled_from(_BAD_MODELS if bad == "model" else _FUZZ_MODELS))
+    vertex = draw(hst.sampled_from(_BAD_VERTICES)) if bad == "vertex" else "1"
+    start = draw(hst.sampled_from(_BAD_STARTS)).format(d=d) if bad == "start" else "1:e1"
+    num = dict(_NUMBERS)
+    if bad in num:
+        num[bad] = draw(hst.sampled_from(_BAD_NUMBERS))
+    # numbers go in as --name=value, so that negative ones reach the program
+    window = draw(hst.sampled_from([[], [f"--window={num['window']}"]]))
+    out = f"{d}/out"
+    options = {
+        "fixtures": ["--name", draw(hst.sampled_from(["biased-line", "spin-biased-line"]))] + window,
+        "validate": [],
+        "simulate": ["--start", start, f"--horizon={num['horizon']}", f"--n={num['n']}"],
+        "evolve": ["--state", start, f"--t={num['t']}", f"--grid-points={num['grid']}",
+                   "--report", out + ".csv"],
+        "first-passage": ["--from", start, "--to", vertex] + window,
+        "occupation": ["--from", start, "--at", vertex],
+        "classify": ["--vertex", vertex, f"--eps={num['eps']}"] + window,
+        "irreducible": draw(hst.sampled_from([[], ["--discrete"]])),
+    }
+    command = draw(hst.sampled_from(sorted(options)))
+    model_opt = [] if command == "fixtures" else ["--model", f"{d}/{model}"]
+    argv = [f"--tol={num['tol']}", f"--seed={num['seed']}", command, *model_opt,
+            *options[command], "--out", out]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in {0, 1, 2, 3, 4}
+    assert "Traceback" not in stderr.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--seed=-1", "simulate", "--start", "1:e1", "--horizon", 1, "--n", 2], 4,
+         "PreconditionError: seed and stream must be nonnegative"),
+        (["simulate", "--start", "1:{d}", "--horizon", 1, "--n", 2], 1, "IsADirectoryError"),
+        (["simulate", "--start", "1:{d}/state.json", "--horizon", 1, "--n", 2], 1,
+         "ModelError: initial state at vertex 1 must be a 1x1 matrix"),
+        (["validate", "--model", "{d}"], 1, "IsADirectoryError"),
+        (["validate", "--out", "{d}/no/such/dir.json"], 1, "FileNotFoundError"),
+    ],
+    ids=["negative-seed", "state-is-a-directory", "state-of-wrong-shape",
+         "model-is-a-directory", "unwritable-out"],
+)
+def test_bad_inputs_exit_cleanly(tmp_path, two_site_file, capsys, argv, code, message):
+    (tmp_path / "state.json").write_text(json.dumps(matrix_to_json(np.eye(2) / 2)))
+    argv = [str(a).format(d=tmp_path) for a in argv]
+    if "--model" not in argv:
+        argv += ["--model", str(two_site_file)]
+    capsys.readouterr()
+    assert run(tmp_path, *argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(message)

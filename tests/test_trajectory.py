@@ -5,11 +5,11 @@ import pytest
 import scipy.stats as st
 from numpy.testing import assert_allclose
 
-from ctoqw import semigroup, trajectory
-from ctoqw.errors import PreconditionError
-from ctoqw.model import SitedState, build_walk, classical_embed, sited_block_state
+from ctoqw import fixtures, semigroup, trajectory
+from ctoqw.errors import ConvergenceError, PreconditionError
+from ctoqw.model import SitedState, WalkModel, build_walk, classical_embed, sited_block_state
 from oracles import rk4_dwell
-from strategies import random_density, random_model
+from strategies import random_density, random_hermitian, random_model
 
 
 def test_dwell_evolution_scalar():
@@ -189,11 +189,114 @@ def test_escape_recorded_on_boundary(biased_small):
 
 
 def test_circuit_breaker_on_jump_count(two_site):
-    from ctoqw.errors import ConvergenceError
-
     init = SitedState(0, [[1.0]])
     with pytest.raises(ConvergenceError):
         trajectory.simulate(two_site, init, 1e6, seed=1, max_jumps=50)
+
+
+def test_circuit_breaker_on_the_batched_path(two_site):
+    init = SitedState(0, [[1.0]])
+    with pytest.raises(ConvergenceError, match="exceeded 50 jumps"):
+        trajectory.estimate(two_site, init, 1e6, 3, seed=1,
+                            queries=[{"kind": "visits", "vertex": 1}], max_jumps=50)
+
+
+def qutrit_ring(seed: int, sites: int) -> WalkModel:
+    """Closed ring of qutrits with jumps to i+1, i-1 and i+2, each site's
+    jumps rescaled so that sum R^dag R = diag(0.75, 1, 1.25): the decay is
+    state dependent, so the sampler inverts the survival."""
+    rng = np.random.default_rng(seed)
+    decay_sqrt = np.diag(np.sqrt([0.75, 1.0, 1.25]))
+
+    def gaussian():
+        return rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+
+    jumps, hams = [], {}
+    for i in range(sites):
+        mats = [gaussian() for _ in range(3)]
+        vals, vecs = np.linalg.eigh(sum(m.conj().T @ m for m in mats))
+        fix = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T @ decay_sqrt
+        for off, m in zip((1, -1, 2), mats):
+            jumps.append((i, (i + off) % sites, m @ fix))
+        hams[i] = random_hermitian(rng, 3)
+    return build_walk([(i, 3) for i in range(sites)], jumps, hamiltonians=hams)
+
+
+def jordan_vertex_model() -> WalkModel:
+    """Vertex 0 has the defective generator [[-1, 1], [0, -1]], so its
+    propagator takes the dense exponential; it jumps into a scalar and a
+    qubit vertex, and vertex 2 has non-uniform decay."""
+    return build_walk(
+        [(0, 2), (1, 1), (2, 2)],
+        [
+            (0, 1, np.array([[1.0, -1.0]])),
+            (0, 2, np.eye(2)),
+            (1, 0, np.array([[1.0], [0.0]])),
+            (2, 0, np.array([[0.0, 0.8], [0.6, 0.0]])),
+        ],
+        hamiltonians={0: np.array([[0.0, 0.5j], [-0.5j, 0.0]])},
+    )
+
+
+def _equivalence_cases():
+    yield "qutrit-ring", qutrit_ring(101, 6), SitedState(0, np.diag([1.0, 0.0, 0.0])), 3.0
+    spin = fixtures.spin_biased_line((0, 6))
+    yield "spin-biased-line", spin, SitedState(1, np.diag([1.0, 0.0])), 12.0
+    yield "biased-line", fixtures.biased_line((-3, 3)), SitedState(0, [[1.0]]), 8.0
+    yield "coherent-pair", fixtures.coherent_pair(), SitedState(1, np.diag([1.0, 0.0])), 3.0
+    yield "jordan-vertex", jordan_vertex_model(), SitedState(0, np.eye(2) / 2), 2.0
+
+
+@pytest.mark.parametrize("case", list(_equivalence_cases()), ids=lambda c: c[0])
+def test_estimate_records_are_simulate_records(case):
+    _, m, init, horizon = case
+    n = trajectory._CHUNK + 10  # more than one chunk of walkers
+    records = {}
+    trajectory.estimate(m, init, horizon, n, seed=17, queries=[{"kind": "visits", "vertex": 0}],
+                        on_record=records.__setitem__)
+    assert sorted(records) == list(range(n))
+    for k, rec in records.items():
+        alone = trajectory.simulate(m, init, horizon, seed=17, stream=k)
+        assert [(ev.time, ev.vertex) for ev in rec.events] == [
+            (ev.time, ev.vertex) for ev in alone.events
+        ]
+        assert [ev.rho.tobytes() for ev in rec.events] == [ev.rho.tobytes() for ev in alone.events]
+        assert (rec.absorbed, rec.escaped_at) == (alone.absorbed, alone.escaped_at)
+
+
+def test_equivalence_cases_cover_every_branch():
+    cases = {name: (m, init, horizon) for name, m, init, horizon in _equivalence_cases()}
+    tabs = {name: trajectory._tables(m) for name, (m, _, _) in cases.items()}
+    ring = tabs["qutrit-ring"]
+    assert all(math.isnan(r) for r in ring.rate)  # every ring vertex inverts its survival
+    assert not tabs["jordan-vertex"].blocks[2].diag[0]  # the dense exponential path
+    rec = {name: [trajectory.simulate(m, init, horizon, seed=17, stream=k) for k in range(60)]
+           for name, (m, init, horizon) in cases.items() if name in ("spin-biased-line", "biased-line")}
+    for name in rec:
+        assert any(r.escaped_at is not None for r in rec[name]), name
+
+
+def test_estimate_samples_in_chunks_and_keeps_no_states(two_site, monkeypatch):
+    sample = trajectory._sample
+    calls = []
+
+    def spy(*args, **kwargs):
+        out = sample(*args, **kwargs)
+        calls.append((len(args[6]), kwargs["keep_rho"]))
+        states = [ev.rho for rec in out for ev in rec.events]
+        assert states and all((rho is None) != kwargs["keep_rho"] for rho in states)
+        return out
+
+    monkeypatch.setattr(trajectory, "_sample", spy)
+    init = SitedState(0, [[1.0]])
+    n = 2 * trajectory._CHUNK + 1
+    queries = [{"kind": "visits", "vertex": 1}]
+    trajectory.estimate(two_site, init, 3.0, n, seed=2, queries=queries)
+    chunk = trajectory._CHUNK
+    assert calls == [(chunk, False), (chunk, False), (1, False)]
+    calls.clear()
+    trajectory.estimate(two_site, init, 3.0, 3, seed=2, queries=queries, on_record=lambda k, r: None)
+    assert calls == [(3, True)]
 
 
 def test_estimate_rejects_unknown_query(two_site):
