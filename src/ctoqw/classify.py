@@ -1,12 +1,24 @@
 """Irreducibility checks and the recurrence/transience trichotomy.
 
-Irreducibility is decided exactly through a reachability closure: for every
-ordered vertex pair ``(i, j)`` we grow the linear span of all operators
-``h_i -> h_j`` realizable as products of dwell-generator powers and jump
-operators along paths from ``i`` to ``j``.  The walk admits no nontrivial
-jointly invariant subspace precisely when every pair span is the full
-operator space, in which case the summed span dimension equals
-``(sum_i d_i)**2``.
+Irreducibility is decided exactly from one base vertex ``b`` (the first
+vertex).  Two closures grow linear spans of path operators, products of
+dwell generators and jump operators along paths of the walk: the forward
+closure spans, at each vertex ``j``, the operators ``h_b -> h_j`` along paths
+from ``b`` to ``j``; the adjoint closure spans the adjoints of the operators
+``h_j -> h_b`` along paths from ``j`` back to ``b``.  The walk admits no
+nontrivial jointly invariant subspace ``W = (+)_j W_j`` precisely when all
+``2V`` spans are full:
+
+- the loop span at ``b`` is all of ``M(h_b)``, so ``W_b`` is 0 or ``h_b``;
+- if ``W_b = h_b``, a full span ``(b, j)`` forces ``W_j = h_j``;
+- if ``W_b = 0``, every operator of the span ``(j, b)`` maps ``W_j`` into
+  ``W_b = 0``; a full span annihilates no nonzero vector, so ``W_j = 0``.
+
+Conversely the operators of an irreducible walk generate the full matrix
+algebra of the summed space (Burnside), whose ``(b, j)`` and ``(j, b)``
+blocks are these spans.  An irreducible walk then reports the algebra
+dimension ``(sum_i d_i)**2``.  A reducible one gets a witness, an invariant
+subspace verified edge by edge.
 
 An irreducible walk is then classified from spectral data of the return
 maps ``P[j->j]``:
@@ -35,51 +47,81 @@ RECURRENT = "Recurrent"
 TRANSIENT_UNIFORM = "TransientUniform"
 TRANSIENT_QUANTUM = "TransientQuantum"
 
+# Rank threshold of the closures and the witness blocks.  It is absolute:
+# each product is one jump or dwell operator applied to a unit-norm basis
+# element.  A threshold relative to the product's own norm would let
+# rounding-level products such as ``R P phi ~ 1e-17`` into a span.
+_RANK_TOL = 1e-10
 
-# -- pair-span reachability closure -------------------------------------------
+
+# -- base-vertex path-operator closure ----------------------------------------
 
 
-def _pair_spans(model: WalkModel, with_dwell: bool):
-    """Orthonormal bases of the path-operator spans, per ordered pair.
+def _closure(model: WalkModel, with_dwell: bool, base: VertexId, adjoint: bool):
+    """Orthonormal bases of the path-operator spans between ``base`` and
+    every vertex, keyed by vertex; unreached vertices are absent.
 
-    Seeds each diagonal pair with the identity and closes under
-    left-multiplication by dwell generators (when ``with_dwell``) and by
-    jump operators.  Every span is capped at full dimension d_i * d_j.
+    Each basis element is a flattened ``(d_j, d_base)`` matrix.  The forward
+    closure seeds ``I`` at ``base`` and multiplies on the left by ``G_j``
+    (when ``with_dwell``) and by ``R[j->k]``; the adjoint closure seeds ``I``
+    at ``base`` and multiplies on the left by ``G_j^dag`` and by
+    ``R[k->j]^dag`` along reversed edges.  Every span is capped at full
+    dimension ``d_j * d_base``.
     """
-    ids = model.ids
-    dims = {v.id: v.dim for v in model.vertices}
-    spans: dict[tuple[VertexId, VertexId], list[np.ndarray]] = {}
-    queue: list[tuple[VertexId, VertexId, np.ndarray]] = []
+    steps = {}
+    for v in model.ids:
+        g = model.effective(v)
+        dwell = [(v, g.conj().T if adjoint else g)] if with_dwell else []
+        if adjoint:
+            steps[v] = dwell + [(src, r.conj().T) for src, r in model.in_edges(v)]
+        else:
+            steps[v] = dwell + model.out_edges(v)
+    spans: dict[VertexId, np.ndarray] = {}
+    queue: list[tuple[VertexId, np.ndarray]] = []
 
-    def try_add(i, j, mat):
-        key = (i, j)
-        basis = spans.setdefault(key, [])
-        cap = dims[i] * dims[j]
-        if len(basis) >= cap:
-            return
+    def try_add(j, mat):
         v = mat.reshape(-1)
-        for b in basis:
-            v = v - np.vdot(b, v) * b
+        basis = spans.get(j)
+        if basis is not None:
+            if len(basis) == v.size:
+                return
+            for _ in range(2):  # Gram-Schmidt twice keeps the rows orthonormal
+                v = v - basis.T @ (basis.conj() @ v)
         norm = np.linalg.norm(v)
-        if norm > 1e-10:
+        if norm > _RANK_TOL:
             v = v / norm
-            basis.append(v)
-            queue.append((i, j, v.reshape(mat.shape)))
+            spans[j] = v[None] if basis is None else np.vstack([basis, v])
+            queue.append((j, v.reshape(mat.shape)))
 
-    for vid in ids:
-        try_add(vid, vid, np.eye(dims[vid], dtype=complex))
-
+    try_add(base, np.eye(model.dim(base), dtype=complex))
     while queue:
-        i, j, mat = queue.pop()
-        if with_dwell:
-            try_add(i, j, model.effective(j) @ mat)
-        for dst, r in model.out_edges(j):
-            try_add(i, dst, r @ mat)
-    return spans, dims
+        j, mat = queue.pop()
+        for k, op in steps[j]:
+            try_add(k, op @ mat)
+    return spans
+
+
+def _column_space(model: WalkModel, spans, base: VertexId, j: VertexId):
+    """Left singular vectors of the span at ``j`` (its operators side by
+    side) and the rank of their joint column space in ``h_j``."""
+    dj, db = model.dim(j), model.dim(base)
+    basis = spans.get(j)
+    if basis is None:
+        return np.eye(dj, dtype=complex), 0
+    u, s, _ = np.linalg.svd(np.hstack([b.reshape(dj, db) for b in basis]))
+    return u, int(np.sum(s > _RANK_TOL))
 
 
 @dataclass
 class IrreducibilityVerdict:
+    """Irreducible walks report ``algebra_dim = (sum_i d_i)**2``, the
+    dimension of the full operator algebra, and no pairs.  Reducible ones
+    report the ``2V`` base spans of the first vertex ``b``: ``algebra_dim``
+    is the sum of their dimensions (the loop span at ``b`` counted once per
+    closure), and ``deficient_pairs`` lists the pairs ``(b, j)`` whose
+    forward span is not full, then the pairs ``(j, b)`` whose adjoint span
+    is not full, with ``(b, b)`` listed once."""
+
     irreducible: bool
     algebra_dim: int
     witness: np.ndarray | None = None  # orthonormal columns spanning an
@@ -97,113 +139,134 @@ class IrreducibilityVerdict:
         }
 
 
-def _global_operators(model: WalkModel, with_dwell: bool):
-    """Generators embedded in the summed space, for witness verification."""
-    offs: dict[VertexId, slice] = {}
-    pos = 0
+def _embed(model: WalkModel, blocks: dict) -> np.ndarray:
+    """Columns in the summed space from per-vertex orthonormal blocks."""
+    w = np.zeros((model.total_dim, sum(q.shape[1] for q in blocks.values())), dtype=complex)
+    row = col = 0
     for v in model.vertices:
-        offs[v.id] = slice(pos, pos + v.dim)
-        pos += v.dim
-    mats = []
+        q = blocks.get(v.id)
+        if q is not None:
+            w[row:row + v.dim, col:col + q.shape[1]] = q
+            col += q.shape[1]
+        row += v.dim
+    return w
+
+
+def _is_invariant(model: WalkModel, w: np.ndarray, with_dwell: bool) -> bool:
+    """Whether the span of ``w`` is invariant under every jump (and every
+    dwell generator when ``with_dwell``), checked edge by edge.
+
+    ``w`` has orthonormal columns, each supported on one vertex, as every
+    witness built here has.
+    """
+    blocks = {}
+    owners = np.zeros(w.shape[1], dtype=int)
+    row = 0
+    for v in model.vertices:
+        rows = w[row:row + v.dim]
+        cols = np.flatnonzero(np.any(rows != 0, axis=0))
+        owners[cols] += 1
+        blocks[v.id] = rows[:, cols]
+        row += v.dim
+    if np.any(owners != 1):
+        return False
+    ops = list(model.jumps())
     if with_dwell:
-        g_all = np.zeros((pos, pos), dtype=complex)
-        for v in model.vertices:
-            g_all[offs[v.id], offs[v.id]] = model.effective(v.id)
-        mats.append(g_all)
-    for src, dst, r in model.jumps():
-        m = np.zeros((pos, pos), dtype=complex)
-        m[offs[dst], offs[src]] = r
-        mats.append(m)
-    return mats, offs, pos
-
-
-def _witness_from_seed(model, spans, dims, seed_vertex, phi, offs, total):
-    """Orthonormal basis of the smallest invariant subspace containing
-    ``phi`` sitting at ``seed_vertex``; None when it is everything."""
-    cols = []
-    vertices = []
-    dim_w = 0
-    for j in [v.id for v in model.vertices]:
-        basis = spans.get((seed_vertex, j), [])
-        if not basis:
-            continue
-        dj = dims[j]
-        vecs = [b.reshape(dj, dims[seed_vertex]) @ phi for b in basis]
-        block = np.array(vecs).T  # (dj, n)
-        q, r = np.linalg.qr(block)
-        keep = [k for k in range(r.shape[0]) if abs(r[k, k]) > 1e-10]
-        if keep:
-            vertices.append(j)
-        for k in keep:
-            col = np.zeros(total, dtype=complex)
-            col[offs[j]] = q[:, k]
-            cols.append(col)
-        dim_w += len(keep)
-    if dim_w == 0 or dim_w >= total:
-        return None
-    return np.array(cols).T, vertices
-
-
-def _find_witness(model, spans, dims, with_dwell):
-    mats, offs, total = _global_operators(model, with_dwell)
-    rng = np.random.default_rng(20240517)
-    best = None
-    for v in model.vertices:
-        i = v.id
-        d = dims[i]
-        candidates = [np.eye(d, dtype=complex)[:, k] for k in range(d)]
-        diag = spans.get((i, i), [])
-        sample = [b.reshape(d, d) for b in diag]
-        for _ in range(6):
-            if sample:
-                coeffs = rng.standard_normal(len(sample)) + 1j * rng.standard_normal(len(sample))
-                sample.append(sum(c * m for c, m in zip(coeffs, sample)))
-        for m in sample:
-            vals, vecs = np.linalg.eig(m)
-            candidates.extend(vecs.T)
-        for _ in range(8):
-            candidates.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-        for phi in candidates:
-            n = np.linalg.norm(phi)
-            if n < 1e-12:
-                continue
-            got = _witness_from_seed(model, spans, dims, i, phi / n, offs, total)
-            if got is None:
-                continue
-            w, verts = got
-            if best is not None and w.shape[1] >= best[0].shape[1]:
-                continue
-            if _is_invariant(w, mats, total):
-                best = (w, verts)
-    if best is None:
-        return None, []
-    return best
-
-
-def _is_invariant(w: np.ndarray, mats, total: int) -> bool:
-    p = w @ w.conj().T
-    comp = np.eye(total) - p
-    for m in mats:
-        if np.linalg.norm(comp @ m @ p) > 1e-10 * (1.0 + np.linalg.norm(m)):
+        ops += [(v, v, model.effective(v)) for v in model.ids]
+    for src, dst, op in ops:
+        x = op @ blocks[src]
+        q = blocks[dst]
+        if np.linalg.norm(x - q @ (q.conj().T @ x)) > 1e-10 * (1.0 + np.linalg.norm(op)):
             return False
     return True
 
 
+def _witness_from_seed(model, fwd, base, phi):
+    """Per-vertex blocks of the smallest invariant subspace containing
+    ``phi`` at ``base``; None when it is everything."""
+    blocks = {}
+    db = model.dim(base)
+    for v in model.vertices:
+        basis = fwd.get(v.id)
+        if basis is None:
+            continue
+        vecs = [b.reshape(v.dim, db) @ phi for b in basis]
+        q, r = np.linalg.qr(np.array(vecs).T)  # (d_j, n)
+        keep = [k for k in range(r.shape[0]) if abs(r[k, k]) > _RANK_TOL]
+        if keep:
+            blocks[v.id] = q[:, keep]
+    dim_w = sum(q.shape[1] for q in blocks.values())
+    if dim_w == 0 or dim_w >= model.total_dim:
+        return None
+    return blocks
+
+
+def _base_witness(model, with_dwell, base, fwd, adj, rng):
+    """An invariant subspace found from one base vertex, as dense columns
+    and their vertices, or None.
+
+    Tried in order: the forward span of ``h_base`` when it is proper, the
+    common kernel of the adjoint closure (the vectors every path operator
+    back to ``base`` annihilates) when it is nonzero, and the subspace
+    generated from the first seed in ``h_base`` that gives a proper one, the
+    seeds being basis vectors, eigenvectors of random loop-span elements and
+    random vectors.  Each candidate must pass :func:`_is_invariant`.
+    """
+    fwd_cs = [(j, *_column_space(model, fwd, base, j)) for j in model.ids]
+    adj_cs = [(j, *_column_space(model, adj, base, j)) for j in model.ids]
+    for blocks in (
+        {j: u[:, :r] for j, u, r in fwd_cs if r},
+        {j: u[:, r:] for j, u, r in adj_cs if r < len(u)},
+    ):
+        if 0 < sum(q.shape[1] for q in blocks.values()) < model.total_dim:
+            w = _embed(model, blocks)
+            if _is_invariant(model, w, with_dwell):
+                return w, list(blocks)
+
+    d = model.dim(base)
+    candidates = [np.eye(d, dtype=complex)[:, k] for k in range(d)]
+    sample = [b.reshape(d, d) for b in fwd[base]]
+    for _ in range(6):
+        coeffs = rng.standard_normal(len(sample)) + 1j * rng.standard_normal(len(sample))
+        sample.append(sum(c * m for c, m in zip(coeffs, sample)))
+    for m in sample:
+        candidates.extend(np.linalg.eig(m)[1].T)
+    for _ in range(8):
+        candidates.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    for phi in candidates:
+        n = np.linalg.norm(phi)
+        if n < 1e-12:
+            continue
+        blocks = _witness_from_seed(model, fwd, base, phi / n)
+        if blocks is not None:
+            w = _embed(model, blocks)
+            if _is_invariant(model, w, with_dwell):
+                return w, list(blocks)
+    return None
+
+
 def _check(model: WalkModel, with_dwell: bool) -> IrreducibilityVerdict:
-    spans, dims = _pair_spans(model, with_dwell)
     ids = model.ids
-    algebra_dim = 0
-    deficient = []
-    for i in ids:
-        for j in ids:
-            have = len(spans.get((i, j), []))
-            algebra_dim += have
-            if have < dims[i] * dims[j]:
-                deficient.append((i, j))
-    if not deficient:
-        return IrreducibilityVerdict(True, algebra_dim)
-    witness, verts = _find_witness(model, spans, dims, with_dwell)
-    return IrreducibilityVerdict(False, algebra_dim, witness, verts, deficient)
+    base = ids[0]
+    fwd = _closure(model, with_dwell, base, adjoint=False)
+    adj = _closure(model, with_dwell, base, adjoint=True)
+    full = {j: model.dim(j) * model.dim(base) for j in ids}
+    short = {j for j in ids if len(fwd.get(j, [])) < full[j]}
+    back = {j for j in ids if len(adj.get(j, [])) < full[j]}
+    if not short and not back:
+        return IrreducibilityVerdict(True, model.total_dim**2)
+    deficient = [(base, j) for j in ids if j in short] + [(j, base) for j in ids if j in back]
+    deficient = list(dict.fromkeys(deficient))  # the loop pair (b, b) once
+    algebra_dim = sum(len(s) for s in fwd.values()) + sum(len(s) for s in adj.values())
+    rng = np.random.default_rng(20240517)
+    for b in ids:
+        if b != base:
+            fwd = _closure(model, with_dwell, b, adjoint=False)
+            adj = _closure(model, with_dwell, b, adjoint=True)
+        got = _base_witness(model, with_dwell, b, fwd, adj, rng)
+        if got is not None:
+            return IrreducibilityVerdict(False, algebra_dim, got[0], got[1], deficient)
+    return IrreducibilityVerdict(False, algebra_dim, deficient_pairs=deficient)
 
 
 def check_irreducible(model: WalkModel) -> IrreducibilityVerdict:

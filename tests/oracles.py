@@ -179,3 +179,41 @@ def ctmc_law(model: WalkModel, start, t: float) -> dict:
     result = {v: float(law[pos[v]]) for v in ids}
     result[None] = float(law[n])
     return result
+
+
+def pair_spans_irreducible(model: WalkModel, with_dwell: bool) -> bool:
+    """Irreducibility from the path-operator spans of all V^2 ordered
+    vertex pairs, each grown by its own closure: seed the identity on every
+    diagonal pair, close under left multiplication by the dwell generators
+    (when ``with_dwell``) and the jumps, and require every span ``(i, j)``
+    to reach full dimension ``d_i * d_j``."""
+    dims = {v.id: v.dim for v in model.vertices}
+    spans: dict = {}
+    queue = []
+
+    def try_add(i, j, mat):
+        basis = spans.setdefault((i, j), [])
+        if len(basis) >= dims[i] * dims[j]:
+            return
+        v = mat.reshape(-1)
+        for b in basis:
+            v = v - np.vdot(b, v) * b
+        norm = np.linalg.norm(v)
+        if norm > 1e-10:
+            v = v / norm
+            basis.append(v)
+            queue.append((i, j, v.reshape(mat.shape)))
+
+    for vid in model.ids:
+        try_add(vid, vid, np.eye(dims[vid], dtype=complex))
+    while queue:
+        i, j, mat = queue.pop()
+        if with_dwell:
+            try_add(i, j, model.effective(j) @ mat)
+        for dst, r in model.out_edges(j):
+            try_add(i, dst, r @ mat)
+    return all(
+        len(spans.get((i, j), [])) == dims[i] * dims[j]
+        for i in model.ids
+        for j in model.ids
+    )

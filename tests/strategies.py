@@ -96,6 +96,66 @@ def random_classifiable_model(rng, max_dim=3, max_tries=60, leak_prob=0.5) -> Wa
     raise RuntimeError("could not draw a classifiable model")
 
 
+def planted_dark_state(rng) -> WalkModel:
+    """Random walk on 3-5 vertices with a dark state at vertex 0.
+
+    Vertex 0 is a qutrit, the others have dimension 1..3.  The edges are a
+    ring plus every other ordered pair with probability 1/2, each jump is
+    0.5 times a complex normal matrix, and every jump out of vertex 0 is
+    right-multiplied by ``I - phi phi^dag`` for a random unit ``phi``.
+    Without a Hamiltonian ``G_0 phi = 0`` too, so ``span{phi at vertex 0}``
+    is invariant and the walk is reducible, continuous and discrete alike.
+    """
+    n = int(rng.integers(3, 6))
+    phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    phi /= np.linalg.norm(phi)
+    dims = [3] + [int(rng.integers(1, 4)) for _ in range(n - 1)]
+    edges = {(k, (k + 1) % n) for k in range(n)}
+    for a in range(n):
+        for b in range(n):
+            if a != b and rng.random() < 0.5:
+                edges.add((a, b))
+    dark = np.eye(3) - np.outer(phi, phi.conj())
+    jumps = []
+    for a, b in sorted(edges):
+        shape = (dims[b], dims[a])
+        r = 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        jumps.append((a, b, r @ dark if a == 0 else r))
+    return build_walk(list(enumerate(dims)), jumps)
+
+
+def shared_block_model(rng, n: int) -> WalkModel:
+    """Random walk on random edges (no guaranteed ring) whose operators are
+    all block diagonal, ``C (+) C^(d-1)``, in a random frame per vertex.
+
+    The first frame vector of every vertex spans an invariant subspace, so
+    the walk is reducible even where its graph is strongly connected.
+    """
+    dims = [int(rng.integers(2, 4)) for _ in range(n)]
+    frames = [
+        np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        for d in dims
+    ]
+
+    def split(m):
+        m[1:, 0] = 0
+        m[0, 1:] = 0
+        return m
+
+    jumps = []
+    for a in range(n):
+        for b in range(n):
+            if a != b and rng.random() < 0.4:
+                shape = (dims[b], dims[a])
+                r = split(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                jumps.append((a, b, 0.5 * frames[b] @ r @ frames[a].conj().T))
+    hams = {
+        k: frames[k] @ split(random_hermitian(rng, d)) @ frames[k].conj().T
+        for k, d in enumerate(dims)
+    }
+    return build_walk(list(enumerate(dims)), jumps, hamiltonians=hams)
+
+
 def random_classical_generator(rng, n=None) -> np.ndarray:
     n = int(rng.integers(2, 6)) if n is None else n
     q = rng.uniform(0.0, 2.0, size=(n, n))

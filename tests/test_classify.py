@@ -1,18 +1,24 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ctoqw import classify, passage
+from ctoqw import classify, cli, passage
 from ctoqw.errors import PreconditionError
 from ctoqw.model import build_walk, classical_embed
 from ctoqw.superop import SuperOp
+from oracles import pair_spans_irreducible
 from strategies import (
     leaky_variant,
+    planted_dark_state,
     random_classical_generator,
     random_classifiable_model,
     random_density,
+    random_hermitian,
+    random_model,
+    shared_block_model,
 )
 
 
@@ -255,3 +261,110 @@ def test_sure_return_state_is_not_faithful(spin_small):
                 sure += 1
                 assert lo < 1.0 - rep.eps_spec, f"vertex {v.id!r} returns surely from every state"
     assert transient >= 9 and sure > 0
+
+
+def test_planted_dark_state_is_reducible(tmp_path):
+    # A numerically closed span must not hide the dark state: each of the
+    # 400 draws is reducible in both senses, with a verified witness.
+    rng = np.random.default_rng(0)
+    models = [planted_dark_state(rng) for _ in range(400)]
+    for k, m in enumerate(models):
+        for check, with_dwell in (
+            (classify.check_irreducible, True),
+            (classify.check_discrete_irreducible, False),
+        ):
+            v = check(m)
+            assert not v.irreducible, f"draw {k} ({check.__name__})"
+            assert v.witness is not None
+            assert classify._is_invariant(m, v.witness, with_dwell)
+    path = tmp_path / "dark.json"
+    path.write_text(json.dumps(models[0].to_json_dict()))
+    out = tmp_path / "verdict.json"
+    assert cli.main(["irreducible", "--model", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdict"]["irreducible"] is False
+    assert "witness_columns" in doc
+
+
+def _permuted(m, rng):
+    order = rng.permutation(len(m.vertices))
+    return build_walk(
+        [(m.vertices[k].id, m.vertices[k].dim) for k in order],
+        list(m.jumps()),
+        effective={v.id: m.effective(v.id) for v in m.vertices},
+    )
+
+
+def test_base_verdict_matches_pair_span_oracle():
+    rng = np.random.default_rng(95)
+    models = [
+        random_model(rng, extra_edge_prob=rng.uniform(0.0, 0.5), with_hamiltonian=bool(k % 2))
+        for k in range(60)
+    ]
+    models += [shared_block_model(rng, int(rng.integers(2, 5))) for _ in range(20)]
+    verdicts = set()
+    for m in models:
+        for with_dwell in (True, False):
+            v = classify._check(m, with_dwell)
+            verdicts.add(v.irreducible)
+            assert v.irreducible == pair_spans_irreducible(m, with_dwell)
+            if not v.irreducible:
+                assert classify._is_invariant(m, v.witness, with_dwell)
+            # another vertex order puts another vertex at the base
+            assert classify._check(_permuted(m, rng), with_dwell).irreducible == v.irreducible
+    assert verdicts == {True, False}
+
+
+def test_one_way_line_witness():
+    one = np.array([[1.0]])
+    n = 200
+    jumps = [(k, k + 1, one) for k in range(n - 1)] + [(n - 1, n - 3, one)]
+    m = build_walk([(k, 1) for k in range(n)], jumps)
+    for check, with_dwell in (
+        (classify.check_irreducible, True),
+        (classify.check_discrete_irreducible, False),
+    ):
+        v = check(m)
+        assert not v.irreducible
+        assert 0 < v.witness.shape[1] < n
+        assert classify._is_invariant(m, v.witness, with_dwell)
+        assert 0 not in v.witness_vertices  # nothing returns to the start
+
+
+def test_irreducible_check_builds_2v_spans(monkeypatch):
+    # The seeded 20-qutrit ring of the benchmark (perfbench/inputs.py,
+    # seed 601): jumps to i+1, i-1 and i+2, rescaled so that every site
+    # decays by diag(0.75, 1, 1.25), and a random Hamiltonian per site.  A
+    # closure that propagated raw path products instead of Gram-Schmidt
+    # residuals called its discrete map reducible.
+    rng = np.random.default_rng(601)
+    sites, dim = 20, 3
+    decay_sqrt = np.diag(np.sqrt(np.linspace(0.75, 1.25, dim)))
+
+    def gaussian():
+        return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+
+    jumps, hams = [], {}
+    for i in range(sites):
+        mats = [gaussian() for _ in range(3)]
+        vals, vecs = np.linalg.eigh(sum(r.conj().T @ r for r in mats))
+        fix = vecs @ np.diag(vals**-0.5) @ vecs.conj().T @ decay_sqrt
+        jumps += [(i, (i + off) % sites, r @ fix) for off, r in zip((1, -1, 2), mats)]
+        a = gaussian()
+        hams[i] = 0.5 * (a + a.conj().T)
+    m = build_walk([(i, dim) for i in range(sites)], jumps, hamiltonians=hams)
+    closure = classify._closure
+    keys = []
+
+    def counted(*args, **kwargs):
+        spans = closure(*args, **kwargs)
+        keys.append(len(spans))
+        return spans
+
+    monkeypatch.setattr(classify, "_closure", counted)
+    for check in (classify.check_irreducible, classify.check_discrete_irreducible):
+        keys.clear()
+        v = check(m)
+        assert v.irreducible
+        assert v.algebra_dim == (sites * dim) ** 2
+        assert sum(keys) <= 2 * sites
