@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import sys
 
@@ -180,23 +179,31 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _dump_record(fh, k: int, rec: trajectory.TrajectoryRecord):
-    prev = rec.initial.vertex
-    for ev in rec.events:
-        fh.write(
-            json.dumps(
-                {
-                    "traj": k,
-                    "t": ev.time,
-                    "from": str(prev),
-                    "to": str(ev.vertex),
-                    "rho": model.matrix_to_json(ev.rho),
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        prev = ev.vertex
+def _dump_writer(fh, walk: model.WalkModel):
+    """``on_record`` of ``simulate --dump``: one JSON line per event, written
+    one record at a time.  The text is that of ``json.dumps(..., sort_keys=True)``
+    on ``{"traj", "t", "from", "to", "rho": matrix_to_json(rho)}``; json
+    writes a finite float as its ``repr``, which the line templates use."""
+    labels = {v.id: json.dumps(str(v.id)) for v in walk.vertices}
+    templates = {
+        d: '{{"from": {}, "rho": [['
+        + "], [".join([", ".join(["[{!r}, {!r}]"] * d)] * d)
+        + ']], "t": {!r}, "to": {}, "traj": {}}}\n'
+        for d in {v.dim for v in walk.vertices}
+    }
+
+    def write(k: int, rec: trajectory.TrajectoryRecord):
+        prev, lines = labels[rec.initial.vertex], []
+        for ev in rec.events:
+            rho = np.ascontiguousarray(ev.rho, dtype=complex)
+            to = labels[ev.vertex]
+            lines.append(templates[rho.shape[0]].format(
+                prev, *rho.view(float).ravel().tolist(), float(ev.time), to, k
+            ))
+            prev = to
+        fh.write("".join(lines))
+
+    return write
 
 
 def _cmd_simulate(args) -> int:
@@ -211,7 +218,7 @@ def _cmd_simulate(args) -> int:
     with open(args.dump, "w") if args.dump else contextlib.nullcontext() as dump:
         reports = trajectory.estimate(
             walk, init, args.horizon, args.n, seed=args.seed, queries=queries,
-            on_record=None if dump is None else functools.partial(_dump_record, dump),
+            on_record=None if dump is None else _dump_writer(dump, walk),
         )
     rows = []
     for qi, rep in enumerate(reports):

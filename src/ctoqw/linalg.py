@@ -44,11 +44,6 @@ def herm(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def is_hermitian(m: np.ndarray, rtol: float = 1e-12) -> bool:
-    m = np.asarray(m)
-    return np.linalg.norm(m - m.conj().T, 2) <= rtol * (1.0 + np.linalg.norm(m, 2))
-
-
 def opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.atleast_2d(m), 2))
 
@@ -183,7 +178,8 @@ class Propagator:
         self.g = np.atleast_2d(np.asarray(g, dtype=complex))
         self.d = self.g.shape[0]
         lam, p = np.linalg.eig(self.g)
-        self.diagonalizable = bool(np.linalg.cond(p) < _EIG_COND_LIMIT)
+        self.cond = float(np.linalg.cond(p))
+        self.diagonalizable = self.cond < _EIG_COND_LIMIT
         if self.diagonalizable:
             self.lam = lam
             self.p = p

@@ -193,10 +193,9 @@ class WalkModel:
     def rate_constant(self) -> float:
         """C = sum over ordered pairs of ||R R^dag||; the total jump
         intensity is bounded by C, so the expected number of jumps in a
-        window of length m is at most m*C."""
-        return float(
-            sum(linalg.opnorm(r @ r.conj().T) for r in self._jumps.values())
-        )
+        window of length m is at most m*C.  Computed once per model, summed
+        in jump order."""
+        return self.derived("rate_constant", _rate_constant)
 
     def is_escaping(self, vertex: VertexId) -> bool:
         return linalg.spectral_abscissa(self.effective(vertex)) < -linalg.STABILITY_MARGIN
@@ -211,12 +210,9 @@ class WalkModel:
             return value
 
     def escaping_boundary(self) -> list[VertexId]:
-        """Vertices with a nonzero escape defect (sub-stochastic boundary)."""
-        out = []
-        for v, d in zip(self.vertices, self._defect):
-            if linalg.opnorm(d) > STRUCT_TOL:
-                out.append(v.id)
-        return out
+        """Vertices with a nonzero escape defect (sub-stochastic boundary),
+        found once per model."""
+        return list(self.derived("escaping_boundary", _escaping_boundary))
 
     # -- serialization -----------------------------------------------------
 
@@ -245,6 +241,67 @@ class WalkModel:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
+# -- stacked matrix work -------------------------------------------------------
+#
+# Per-vertex and per-edge checks run as one LAPACK call per stack of equally
+# shaped matrices.  LAPACK factors each matrix of a stack on its own, with
+# the routine it uses for a lone matrix, so every norm and eigenvalue below
+# is the same float as the one computed matrix by matrix.
+
+
+def _by_shape(mats) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(positions, stack)`` for each distinct shape among ``mats``; the
+    positions increase."""
+    groups: dict[tuple, list[int]] = {}
+    for k, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(k)
+    return [(np.array(ks), np.stack([mats[k] for k in ks])) for ks in groups.values()]
+
+
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _opnorms(stack: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix of a stack, as ``np.linalg.norm(m, 2)``."""
+    return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
+
+
+def _decays(dims, jumps: dict) -> list[np.ndarray]:
+    """The decay ``sum_j R[i->j]^dag R[i->j]`` of each vertex, added up in
+    jump order."""
+    decays = [np.zeros((d, d), dtype=complex) for d in dims]
+    for (a, _), r in jumps.items():
+        decays[a] += r.conj().T @ r
+    return decays
+
+
+def _rate_constant(model: WalkModel) -> float:
+    norms = np.empty(len(model._jumps))
+    for ks, r in _by_shape(list(model._jumps.values())):
+        norms[ks] = _opnorms(r @ _dagger(r))
+    return float(sum(norms.tolist()))
+
+
+def _escaping_boundary(model: WalkModel) -> tuple:
+    norms = np.empty(len(model.vertices))
+    for ks, d in _by_shape(model._defect):
+        norms[ks] = _opnorms(d)
+    return tuple(v.id for v, x in zip(model.vertices, norms.tolist()) if x > STRUCT_TOL)
+
+
+def _require_hermitian(vspaces, hams) -> None:
+    """Raise naming the first supplied ``H``, in vertex order, that is not
+    Hermitian to a relative 1e-12 in spectral norm."""
+    given = [k for k, h in enumerate(hams) if h is not None]
+    bad = []
+    for ks, h in _by_shape([hams[k] for k in given]):
+        res, norm = _opnorms(np.concatenate([h - _dagger(h), h])).reshape(2, -1)
+        bad.extend(ks[~(res <= 1e-12 * (1.0 + norm))].tolist())
+    if bad:
+        raise ModelError(f"H at {vspaces[given[min(bad)]].id!r} is not Hermitian")
+
+
 # -- complex matrix (de)serialization: rows of [re, im] pairs ---------------
 
 
@@ -254,14 +311,32 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def json_to_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ModelError(
-            "a complex matrix must be encoded as rows of [re, im] pairs"
-        )
-    if not np.isfinite(arr).all():
-        raise ModelError("a complex matrix has a NaN or infinite entry")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return _json_matrices([data])[0]
+
+
+def _json_matrices(items) -> list[np.ndarray]:
+    """Decode complex matrices stored as rows of [re, im] pairs, with one
+    array conversion per matrix shape."""
+    encoding = "a complex matrix must be encoded as rows of [re, im] pairs"
+    groups: dict[tuple[int, int], list[int]] = {}
+    try:
+        for k, m in enumerate(items):
+            groups.setdefault((len(m), len(m[0])), []).append(k)
+    except (TypeError, IndexError, KeyError):
+        raise ModelError(encoding) from None
+    out: list = [None] * len(items)
+    for (rows, cols), ks in groups.items():
+        try:
+            arr = np.asarray([items[k] for k in ks], dtype=float)
+        except (TypeError, ValueError):
+            raise ModelError(encoding) from None
+        if arr.shape[1:] != (rows, cols, 2):
+            raise ModelError(encoding)
+        if not np.isfinite(arr).all():
+            raise ModelError("a complex matrix has a NaN or infinite entry")
+        for k, m in zip(ks, arr[..., 0] + 1j * arr[..., 1]):
+            out[k] = m
+    return out
 
 
 # -- construction ------------------------------------------------------------
@@ -329,23 +404,22 @@ def build_walk(
     hamiltonians = dict(hamiltonians or {})
     effective = dict(effective or {})
 
-    decays = [np.zeros((d, d), dtype=complex) for d in dims]
-    for (a, _), r in jump_map.items():
-        decays[a] += r.conj().T @ r
+    decays = _decays(dims, jump_map)
 
-    hams, effs, defects = [], [], []
-    for v, decay in zip(vspaces, decays):
-        d = v.dim
+    hams: list = [None] * len(vspaces)
+    for k, v in enumerate(vspaces):
         h_in = hamiltonians.get(v.id)
-        g_in = effective.get(v.id)
         if h_in is not None:
-            h = _finite_matrix(h_in, f"H at {v.id!r}")
-            if h.shape != (d, d):
-                raise ModelError(f"H at {v.id!r} must be {d}x{d}, got {h.shape}")
-            if not linalg.is_hermitian(h, rtol=1e-12):
-                raise ModelError(f"H at {v.id!r} is not Hermitian")
-        else:
-            h = None
+            h = hams[k] = _finite_matrix(h_in, f"H at {v.id!r}")
+            if h.shape != (v.dim, v.dim):
+                raise ModelError(f"H at {v.id!r} must be {v.dim}x{v.dim}, got {h.shape}")
+    _require_hermitian(vspaces, hams)
+
+    effs, defects = [], []
+    for k, (v, decay) in enumerate(zip(vspaces, decays)):
+        d = v.dim
+        h = hams[k]
+        g_in = effective.get(v.id)
         if g_in is not None:
             g = _finite_matrix(g_in, f"G at {v.id!r}")
             if g.shape != (d, d):
@@ -364,7 +438,7 @@ def build_walk(
                 h = np.zeros((d, d), dtype=complex)
             g = -1j * h - 0.5 * decay
             defect = np.zeros((d, d), dtype=complex)
-        hams.append(h)
+        hams[k] = h
         effs.append(g)
         defects.append(linalg.herm(defect))
 
@@ -466,39 +540,33 @@ def validate(model: WalkModel, tol: float = STRUCT_TOL) -> ValidationReport:
     is replaced by positivity of the escape defect, and the vertex is
     reported in ``escaping_boundary``.
     """
-    checks: list[CheckResult] = []
     declared = set(model.meta.get("escaping", []))
-
-    for v in model.vertices:
-        h = model.hamiltonian(v.id)
-        res_h = float(np.linalg.norm(h - h.conj().T, 2))
-        checks.append(
-            CheckResult(
-                "hamiltonian_hermitian",
-                v.id,
-                res_h <= 1e-12 * (1.0 + linalg.opnorm(h)),
-                res_h,
-            )
+    # per vertex: |H - H^dag|, |H|, |G - rebuilt G|, |G|, |G + G^dag + decay|,
+    # and the least eigenvalue of the escape defect -(G + G^dag + decay)
+    cols = np.empty((6, len(model.vertices)))
+    decays = _decays([v.dim for v in model.vertices], model._jumps)
+    for ks, h in _by_shape(model._ham):
+        g, decay, defect = (
+            np.stack([mats[k] for k in ks.tolist()])
+            for mats in (model._eff, decays, model._defect)
         )
+        rebuilt = -1j * h - 0.5 * decay - 0.5 * defect
+        zero_sum = g + _dagger(g) + decay
+        stacked = np.concatenate([h - _dagger(h), h, g - rebuilt, g, zero_sum])
+        cols[:5, ks] = _opnorms(stacked).reshape(5, -1)
+        minus = -zero_sum
+        cols[5, ks] = np.linalg.eigvalsh(0.5 * (minus + _dagger(minus))).min(axis=-1)
 
-        g = model.effective(v.id)
-        decay = np.zeros((v.dim, v.dim), dtype=complex)
-        for _, r in model.out_edges(v.id):
-            decay += r.conj().T @ r
-        rebuilt = -1j * h - 0.5 * decay - 0.5 * model.escape_defect(v.id)
-        res_g = float(np.linalg.norm(g - rebuilt, 2))
+    checks: list[CheckResult] = []
+    for v, (res_h, norm_h, res_g, norm_g, res_zs, defect_min) in zip(
+        model.vertices, cols.T.tolist()
+    ):
         checks.append(
-            CheckResult(
-                "effective_consistent",
-                v.id,
-                res_g <= tol * (1.0 + linalg.opnorm(g)),
-                res_g,
-            )
+            CheckResult("hamiltonian_hermitian", v.id, res_h <= 1e-12 * (1.0 + norm_h), res_h)
         )
-
-        zero_sum = g + g.conj().T + decay
-        res_zs = float(np.linalg.norm(zero_sum, 2))
-        defect_min = float(np.min(np.linalg.eigvalsh(linalg.herm(-zero_sum))))
+        checks.append(
+            CheckResult("effective_consistent", v.id, res_g <= tol * (1.0 + norm_g), res_g)
+        )
         checks.append(
             CheckResult(
                 "dissipative",
@@ -660,26 +728,29 @@ def model_from_json(doc: dict | str) -> WalkModel:
     except (KeyError, TypeError) as exc:
         raise ModelError(f"bad vertices block: {exc}") from exc
     by_str = {str(vid): vid for vid, _ in vertices}
-
-    def _per_vertex(block_name):
-        block = doc.get(block_name) or {}
-        out = {}
-        for key, m in block.items():
+    blocks = {}
+    for name in ("hamiltonians", "effective"):
+        blocks[name] = doc.get(name) or {}
+        for key in blocks[name]:
             if key not in by_str:
-                raise ModelError(f"{block_name} references unknown vertex {key!r}")
-            out[by_str[key]] = json_to_matrix(m)
-        return out
-
-    jumps = []
-    for entry in doc.get("jumps", []):
-        src = _coerce_id(entry["from"])
-        dst = _coerce_id(entry["to"])
-        jumps.append((src, dst, json_to_matrix(entry["matrix"])))
+                raise ModelError(f"{name} references unknown vertex {key!r}")
+    try:
+        ends = [
+            (_coerce_id(e["from"]), _coerce_id(e["to"]), e["matrix"])
+            for e in doc.get("jumps", [])
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ModelError(f"bad jumps block: {exc}") from exc
+    mats = iter(_json_matrices(
+        [*blocks["hamiltonians"].values(), *blocks["effective"].values(), *(m for _, _, m in ends)]
+    ))
+    hams = {by_str[key]: next(mats) for key in blocks["hamiltonians"]}
+    effs = {by_str[key]: next(mats) for key in blocks["effective"]}
     return build_walk(
         vertices,
-        jumps,
-        hamiltonians=_per_vertex("hamiltonians") or None,
-        effective=_per_vertex("effective") or None,
+        [(src, dst, next(mats)) for src, dst, _ in ends],
+        hamiltonians=hams or None,
+        effective=effs or None,
         meta=doc.get("meta"),
     )
 

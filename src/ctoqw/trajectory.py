@@ -29,6 +29,11 @@ from .model import SitedState, VertexId, WalkModel
 
 _INV_TOL = 1e-12
 _PLATEAU = 1e-14
+# The eigen expansion of s(t) carries a rounding error of about
+# eps * cond(P)^2, P the eigenvector matrix of G, which near an exceptional
+# point exceeds _INV_TOL.  Above this condition number (about 21) the
+# survival is taken from the dense exponential, whose error is about eps.
+_SURVIVAL_COND_LIMIT = math.sqrt(0.1 * _INV_TOL / np.finfo(float).eps)
 
 
 # -- dwell flow ---------------------------------------------------------------
@@ -220,8 +225,8 @@ class _Block:
             prop = linalg.Propagator(g)
             self.lam[k] = prop.lam
             self.mu[k] = np.add.outer(prop.lam, prop.lam.conj()).reshape(-1)
-            self.diag[k] = prop.diagonalizable
-            if prop.diagonalizable:
+            self.diag[k] = prop.cond < _SURVIVAL_COND_LIMIT
+            if self.diag[k]:
                 self.p[k], self.pinv[k], self.pinvc[k] = prop.p, prop.pinv, prop.pinv.conj()
                 self.ovt[k] = (prop.p.conj().T @ prop.p).T
         # The jumps grouped by destination dimension: kind ``dd`` stacks the
@@ -332,10 +337,10 @@ class _Survival:
     """s(t) = Tr(e^{tG} rho e^{tG^dag}) for a batch of walkers at vertices
     ``k`` of one block, in states ``rho``.
 
-    Where the vertex propagator is diagonalizable, s is a sum of
-    exponentials over eigenvalue pairs ``mu = lam (+) conj(lam)`` with
-    coefficients ``coef``; elsewhere the dense exponential is taken at each
-    time.
+    Where the eigenvector matrix of the vertex generator has a condition
+    number below ``_SURVIVAL_COND_LIMIT``, s is a sum of exponentials over
+    eigenvalue pairs ``mu = lam (+) conj(lam)`` with coefficients ``coef``;
+    elsewhere the dense exponential is taken at each time.
     """
 
     def __init__(self, blk: _Block, k: np.ndarray, rho: np.ndarray, coef: np.ndarray):

@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 import scipy.linalg as sla
 
-from ctoqw.model import WalkModel
+from ctoqw.model import STRUCT_TOL, CheckResult, ValidationReport, WalkModel
 
 
 def _interior_paths(model: WalkModel, i, j, n):
@@ -217,3 +217,63 @@ def pair_spans_irreducible(model: WalkModel, with_dwell: bool) -> bool:
         for i in model.ids
         for j in model.ids
     )
+
+
+def validate_per_vertex(model: WalkModel, tol: float = STRUCT_TOL) -> dict:
+    """``validate(model).to_json_dict()`` computed one vertex and one edge
+    at a time, each spectral norm by its own ``np.linalg.norm(., 2)``."""
+    checks = []
+    declared = set(model.meta.get("escaping", []))
+
+    def opnorm(m):
+        return float(np.linalg.norm(m, 2))
+
+    for v in model.vertices:
+        h = model.hamiltonian(v.id)
+        res_h = opnorm(h - h.conj().T)
+        checks.append(
+            CheckResult("hamiltonian_hermitian", v.id, res_h <= 1e-12 * (1.0 + opnorm(h)), res_h)
+        )
+        g = model.effective(v.id)
+        decay = np.zeros((v.dim, v.dim), dtype=complex)
+        for _, r in model.out_edges(v.id):
+            decay += r.conj().T @ r
+        rebuilt = -1j * h - 0.5 * decay - 0.5 * model.escape_defect(v.id)
+        res_g = opnorm(g - rebuilt)
+        checks.append(
+            CheckResult("effective_consistent", v.id, res_g <= tol * (1.0 + opnorm(g)), res_g)
+        )
+        zero_sum = g + g.conj().T + decay
+        res_zs = opnorm(zero_sum)
+        minus = -zero_sum
+        defect_min = float(np.min(np.linalg.eigvalsh(0.5 * (minus + minus.conj().T))))
+        checks.append(
+            CheckResult(
+                "dissipative",
+                v.id,
+                defect_min >= -tol,
+                max(0.0, -defect_min),
+                "escape defect must be positive semidefinite",
+            )
+        )
+        if v.id in declared:
+            checks.append(
+                CheckResult(
+                    "zero_sum",
+                    v.id,
+                    defect_min >= -tol,
+                    res_zs,
+                    "window boundary vertex, walker escapes at this rate",
+                )
+            )
+        else:
+            checks.append(CheckResult("zero_sum", v.id, res_zs <= tol, res_zs))
+
+    c = float(sum(opnorm(r @ r.conj().T) for _, _, r in model.jumps()))
+    checks.append(
+        CheckResult("rate_constant_finite", None, bool(np.isfinite(c)), 0.0, f"C = {c:.6g}")
+    )
+    escaping = [
+        v.id for v in model.vertices if opnorm(model.escape_defect(v.id)) > STRUCT_TOL
+    ]
+    return ValidationReport(checks, escaping, tol).to_json_dict()

@@ -118,8 +118,11 @@ def test_simulate_dump(tmp_path, spin_file, monkeypatch):
     assert code == 0
     # estimation and dumping share one run of the sampler over all walkers
     assert streams == [list(range(5))]
-    events = [json.loads(line) for line in dump.read_text().splitlines()]
+    lines = dump.read_text().splitlines()
+    events = [json.loads(line) for line in lines]
     assert events
+    # each line is json's own text of its event, keys sorted
+    assert [json.dumps(ev, sort_keys=True) for ev in events] == lines
     assert set(events[0]) == {"traj", "t", "from", "to", "rho"}
     walk = model_from_json(json.loads(spin_file.read_text()))
     init = SitedState(1, np.diag([1.0, 0.0]))

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from ctoqw import fixtures
 from ctoqw.errors import ModelError
 from ctoqw.model import (
+    WalkModel,
     build_lattice,
     build_walk,
     classical_embed,
@@ -18,7 +19,13 @@ from ctoqw.model import (
     model_from_json,
     validate,
 )
-from strategies import random_classical_generator, random_model
+from oracles import validate_per_vertex
+from strategies import (
+    leaky_variant,
+    random_classical_generator,
+    random_hermitian,
+    random_model,
+)
 
 
 def test_two_site_effective_generators(two_site):
@@ -164,8 +171,11 @@ def test_rate_constant_exposed(two_site, coherent):
 def test_matrix_json_roundtrip():
     m = np.array([[1 + 2j, 0.5], [-1j, 3.25]])
     assert_allclose(json_to_matrix(matrix_to_json(m)), m, atol=0)
-    with pytest.raises(ModelError):
-        json_to_matrix([[1.0, 2.0]])
+    for bad in ([[1.0, 2.0]], [[[0, 0], [1, 0]], [[1, 0]]], "x", 3, [], [[]]):
+        with pytest.raises(ModelError, match="rows of \\[re, im\\] pairs"):
+            json_to_matrix(bad)
+    with pytest.raises(ModelError, match="bad jumps block"):
+        model_from_json({"vertices": [{"id": 0, "dim": 1}], "jumps": [{"to": 0}]})
 
 
 def test_model_json_roundtrip(spin_small):
@@ -204,3 +214,112 @@ def test_lattice_shape_mismatch_templates_skipped(spin_small):
 def test_lattice_rejects_conflicting_blocks():
     with pytest.raises(ModelError):
         model_from_json({"lattice": {"window": [0, 1]}, "vertices": []})
+
+
+# -- batched checks against the per-vertex oracle ------------------------------
+
+
+def _rebuilt(m: WalkModel, effective=None, jumps=None) -> WalkModel:
+    """``m`` with some dwell generators or jumps replaced and nothing
+    recomputed, so that ``validate`` sees an inconsistent model."""
+    effs = [m.effective(v.id) for v in m.vertices]
+    for vid, g in (effective or {}).items():
+        effs[m.position(vid)] = g
+    jump_map = {(m.position(a), m.position(b)): r for a, b, r in m.jumps()}
+    for (a, b), r in (jumps or {}).items():
+        jump_map[(m.position(a), m.position(b))] = r
+    return WalkModel(
+        m.vertices,
+        [m.hamiltonian(v.id) for v in m.vertices],
+        effs,
+        [m.escape_defect(v.id) for v in m.vertices],
+        jump_map,
+        meta=m.meta,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_validate_equals_per_vertex_oracle_on_random_models(seed):
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n_vertices=int(rng.integers(2, 9)), max_dim=4)
+    if rng.random() < 0.5:
+        m = leaky_variant(rng, m)  # an escape defect at one vertex
+    assert validate(m).to_json_dict() == validate_per_vertex(m)
+    tight = float(rng.choice([1e-14, 1e-10, 1e-6]))
+    assert validate(m, tol=tight).to_json_dict() == validate_per_vertex(m, tol=tight)
+
+
+@pytest.mark.parametrize(
+    "name, window", [("biased-line", 8), ("biased-line", 40), ("spin-biased-line", 9),
+                     ("spin-biased-line", 40), ("coherent-pair", None)]
+)
+def test_validate_equals_per_vertex_oracle_on_windows(name, window):
+    m = fixtures.get_fixture(name, window)
+    doc = validate(m).to_json_dict()
+    assert doc == validate_per_vertex(m)
+    assert doc["ok"]
+    if window is not None:
+        assert doc["escaping_boundary"]
+
+
+def test_validate_equals_per_vertex_oracle_on_invalid_models(coherent, spin_small):
+    g1 = coherent.effective(1)
+    lift = np.diag([0.3, -0.1]).astype(complex)
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    broken = [
+        # G + G^dag + decay has a positive eigenvalue: the defect is not PSD
+        build_walk([(1, 2), (2, 2)], [(1, 2, sx), (2, 1, sx)],
+                   effective={1: g1 + lift, 2: coherent.effective(2)}),
+        # G no longer matches -iH - decay/2 - D/2
+        _rebuilt(spin_small, effective={3: spin_small.effective(3) + 0.05j}),
+        # a jump scaled after G was fixed
+        _rebuilt(coherent, jumps={(1, 2): 1.1 * coherent.jump(1, 2)}),
+    ]
+    for m, failing in zip(broken, ("dissipative", "effective_consistent", "zero_sum")):
+        doc = validate(m).to_json_dict()
+        assert doc == validate_per_vertex(m)
+        assert not doc["ok"]
+        assert failing in {c["name"] for c in doc["checks"] if not c["passed"]}
+
+
+def test_build_walk_names_the_first_non_hermitian_h():
+    rng = np.random.default_rng(5)
+    dims = [2, 1, 3, 2, 3]
+    hams = {k: random_hermitian(rng, d) for k, d in enumerate(dims)}
+    hams[4] = hams[4] + np.triu(np.ones((3, 3)), 1)
+    hams[2] = hams[2] + np.triu(np.ones((3, 3)), 1)
+    with pytest.raises(ModelError, match=r"^H at 2 is not Hermitian$"):
+        build_walk(list(enumerate(dims)), [], hamiltonians=hams)
+
+
+def test_build_walk_h_and_g_disagreement_message():
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    with pytest.raises(ModelError, match=r"^H and G disagree at vertex 'b' beyond tolerance$"):
+        build_walk(
+            [("a", 2), ("b", 2)],
+            [("a", "b", sx), ("b", "a", sx)],
+            hamiltonians={"a": np.zeros((2, 2)), "b": np.eye(2)},
+            effective={"a": -0.5 * np.eye(2), "b": -0.5 * np.eye(2)},
+        )
+
+
+def test_validate_svd_calls_do_not_grow_with_the_model(monkeypatch):
+    """One stacked SVD per dimension group and jump shape: a per-vertex or
+    per-edge loop (``np.linalg.norm(m, 2)`` runs an SVD too) fails here."""
+    m = fixtures.get_fixture("biased-line", 500)
+    calls = []
+    original = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return original(*args, **kwargs)
+
+    # norm looks svd up in the globals of its own (private) module
+    monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert validate(m).ok
+    assert len(m.vertices) == 1001
+    # one dimension (1) and one jump shape (1, 1): validate, the rate
+    # constant and the escape set take one stacked call each
+    assert len(calls) <= 3, calls

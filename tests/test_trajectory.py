@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from ctoqw import fixtures, semigroup, trajectory
@@ -69,6 +72,29 @@ def test_sample_jump_time_inverts_survival_generic():
     for u in (0.9, 0.5, 0.123, 0.02):
         t = trajectory.sample_jump_time(g, rho, u)
         assert abs(surv(t) - u) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hst.integers(4, 12),
+    hst.floats(1e-6, 1 - 1e-6),
+    hst.sampled_from(["e1", "e2", "mixed", "coherent"]),
+)
+def test_sample_jump_time_near_exceptional_point(k, u, state):
+    """H = [[0, h], [h, 0]] with decay diag(2, 1) is defective at h = 1/4;
+    near it the eigen expansion of s(t) loses the digits that the
+    inversion needs, and the time must still invert the dense survival."""
+    h = 0.25 + 10.0 ** -k
+    g = -1j * np.array([[0, h], [h, 0]]) - 0.5 * np.diag([2.0, 1.0])
+    rho = {
+        "e1": np.diag([1.0, 0.0]),
+        "e2": np.diag([0.0, 1.0]),
+        "mixed": np.diag([0.3, 0.7]),
+        "coherent": np.full((2, 2), 0.5),
+    }[state].astype(complex)
+    t = trajectory.sample_jump_time(g, rho, u)
+    e = sla.expm(t * g)
+    assert abs(np.trace(e @ rho @ e.conj().T).real - u) <= 1e-10
 
 
 def test_sample_destination_spin_vertex_one(spin_small):
