@@ -29,6 +29,10 @@ maps ``P[j->j]``:
   return probability is one (a unit eigenvalue of ``M = P^*[j->j](Id)``,
   necessarily with a non-faithful eigenstate), returns are sure from that
   state only; otherwise return probabilities are uniformly below one.
+
+The base return map is one taboo passage map.  The transient scan reads the
+return maps of all vertices off one certified Green factorization of the
+one-step kernel, ``P[j->j] = I - G_jj^-1``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 from . import linalg
 from .errors import PreconditionError
 from .model import VertexId, WalkModel
-from .passage import first_passage_map, with_certificates
+from .passage import first_passage_map, return_operators, with_certificates
 from .superop import SuperOp
 
 RECURRENT = "Recurrent"
@@ -382,7 +386,10 @@ def classify_trichotomy(
     an escaping base vertex.  Recurrence is read off the spectral radius of
     the base return map (the verdict is base-independent); for transient
     walks the sure-return class is detected by scanning every vertex for a
-    unit eigenvalue of the adjoint return operator at the identity.
+    unit eigenvalue of the adjoint return operator at the identity.  The
+    scan reads every return map off one certified Green factorization of
+    the one-step kernel (:func:`passage.return_operators`); a transient base
+    whose kernel cannot be certified raises ``ConvergenceError``.
     """
     verdict = check_irreducible(model)
     if not verdict.irreducible:
@@ -411,16 +418,13 @@ def classify_trichotomy(
     if lam >= 1.0 - eps_spec:
         case = RECURRENT
     else:
+        # Irreducibility gives every vertex an outgoing jump, and the base
+        # return map has already checked that each one escapes.
+        ms, diag["return_scan"] = return_operators(model, tol=tol)
+        ms[base_vertex] = m_base  # the reported return operator
         scan = [base_vertex] + [v.id for v in model.vertices if v.id != base_vertex]
         for vid in scan:
-            # Irreducibility gives every vertex an outgoing jump, and the
-            # base return map has already checked that each one escapes.
-            if vid == base_vertex:
-                m = m_base
-            else:
-                p_v, _ = first_passage_map(model, vid, vid, tol=tol)
-                m = p_v.adjoint_at_identity()
-            vals, vecs = np.linalg.eigh(m)
+            vals, vecs = np.linalg.eigh(ms[vid])
             vertex_max[vid] = float(vals[-1])
             if vals[-1] >= 1.0 - eps_spec and case is None:
                 case = TRANSIENT_QUANTUM

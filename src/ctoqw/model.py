@@ -724,7 +724,7 @@ def model_from_json(doc: dict | str) -> WalkModel:
             raise ModelError(f"'lattice' cannot be combined with {sorted(extra)}")
         return build_lattice(doc["lattice"])
     try:
-        vertices = [(_coerce_id(v["id"]), int(v["dim"])) for v in doc["vertices"]]
+        vertices = [(_coerce_id(v["id"]), _coerce_dim(v["dim"])) for v in doc["vertices"]]
     except (KeyError, TypeError) as exc:
         raise ModelError(f"bad vertices block: {exc}") from exc
     by_str = {str(vid): vid for vid, _ in vertices}
@@ -763,6 +763,14 @@ def _coerce_id(v) -> VertexId:
     if isinstance(v, float) and v.is_integer():
         return int(v)
     raise ModelError(f"vertex id {v!r} must be an integer or string")
+
+
+def _coerce_dim(d) -> int:
+    if isinstance(d, int) and not isinstance(d, bool):
+        return d
+    if isinstance(d, float) and d.is_integer():
+        return int(d)
+    raise ModelError(f"vertex dim {d!r} must be an integer")
 
 
 def state_to_json(mu: BlockState) -> dict:

@@ -10,8 +10,11 @@ map assembled from two ingredients:
 
 Summing dwell-then-jump steps over all interior paths that avoid ``j``
 (the taboo kernel) and closing with a final jump onto ``j`` gives the
-passage map as a geometric series, solved directly when the taboo kernel
-is strictly contracting and by monotone partial sums otherwise.
+passage map as a geometric series.  It is solved with one sparse LU of the
+taboo kernel when a positive solution of the Green equation certifies that
+the kernel contracts, and by monotone partial sums otherwise.  The same
+factorization of the one-step kernel over all vertices gives every return
+map of a transient walk at once (:func:`return_operators`).
 """
 
 from __future__ import annotations
@@ -118,6 +121,221 @@ def jump_kernel(model: WalkModel) -> dict[tuple[VertexId, VertexId], SuperOp]:
     return kernels
 
 
+# -- kernel matrices and their Green factorization ----------------------------
+
+# Entries of the dense right-hand side of one block of Green solves.
+_RHS_BUDGET = 1 << 20
+
+
+def _offsets(model: WalkModel, vertices) -> tuple[dict[VertexId, slice], int]:
+    """Where each vertex's vectorized matrix space sits in the direct sum."""
+    offsets: dict[VertexId, slice] = {}
+    pos = 0
+    for vid in vertices:
+        d = model.dim(vid)
+        offsets[vid] = slice(pos, pos + d * d)
+        pos += d * d
+    return offsets, pos
+
+
+def _csc(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+    """An ``n x n`` CSC matrix from distinct coordinates."""
+    import scipy.sparse as sp
+
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    return sp.csc_array((vals[order], rows[order], indptr), shape=(n, n))
+
+
+def _kernel_matrix(kernels, offsets: dict[VertexId, slice], n: int):
+    """The one-step kernels between the vertices of ``offsets`` as one
+    sparse CSC matrix on their direct sum, assembled per block shape."""
+    by_shape: dict[tuple[int, int], list] = {}
+    for (src, dst), ker in kernels.items():
+        if src in offsets and dst in offsets:
+            by_shape.setdefault(ker.matrix.shape, []).append(
+                (offsets[dst].start, offsets[src].start, ker.matrix)
+            )
+    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
+    for (a, b), blocks in by_shape.items():
+        r0, c0, mats = zip(*blocks)
+        mats = np.stack(mats)
+        r = np.add.outer(r0, np.arange(a))[:, :, None]
+        c = np.add.outer(c0, np.arange(b))[:, None, :]
+        keep = mats != 0
+        rows.append(np.broadcast_to(r, mats.shape)[keep])
+        cols.append(np.broadcast_to(c, mats.shape)[keep])
+        vals.append(mats[keep])
+    return _csc(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), n)
+
+
+def _dim_groups(offsets: dict[VertexId, slice]) -> list[tuple[int, np.ndarray]]:
+    """The vertex blocks of a direct sum grouped by dimension ``d``: the
+    start of each ``d * d`` block."""
+    by_size: dict[int, list[int]] = {}
+    for s in offsets.values():
+        by_size.setdefault(s.stop - s.start, []).append(s.start)
+    return [(math.isqrt(size), np.array(starts)) for size, starts in by_size.items()]
+
+
+def _block_eigenvalue_range(v: np.ndarray, groups) -> tuple[float, float]:
+    """Least and largest eigenvalue over the Hermitian parts of the vertex
+    blocks of a stacked vector, one batched ``eigvalsh`` per dimension."""
+    lo, hi = math.inf, -math.inf
+    for d, starts in groups:
+        blocks = v[np.add.outer(starts, np.arange(d * d))].reshape(-1, d, d).transpose(0, 2, 1)
+        vals = np.linalg.eigvalsh(0.5 * (blocks + blocks.conj().transpose(0, 2, 1)))
+        lo, hi = min(lo, float(vals[:, 0].min())), max(hi, float(vals[:, -1].max()))
+    return lo, hi
+
+
+@dataclass(frozen=True)
+class Green:
+    """``I - K`` for a one-step kernel ``K``, factored once, and the margins
+    of its certificate of ``rho(K) < 1``.
+
+    ``X`` solves ``(I - K^*)(X) = 1`` on the direct sum, and
+    ``Y = X - K^*(X)`` is recomputed as an explicit product with
+    ``(I - K)^dag``.  ``K`` is a
+    positive map, so ``X > 0`` and ``Y >= c X`` give
+    ``K^{*n}(1) <= (1 - c)^n X / x_min`` and hence ``rho(K) <= 1 - c`` with
+    ``c = y_min / x_max`` (Evans and Hoegh-Krohn 1978).  ``Y`` is ``1`` in
+    exact arithmetic; ``y_min >= 1/2`` shows that rounding did not ruin the
+    solve.  The margins are None when ``I - K`` is exactly singular or the
+    solve is not finite: no certificate.
+    """
+
+    dim: int
+    nnz: int
+    lu: object | None  # scipy SuperLU of I - K; None when singular or empty
+    x_min: float | None = None
+    x_max: float | None = None
+    y_min: float | None = None
+
+    def holds(self, tol: float) -> bool:
+        """Whether the margins prove ``rho(K) <= 1 - tol``."""
+        if self.dim == 0:
+            return True
+        return (
+            self.x_min is not None
+            and self.x_min > 0.0
+            and self.y_min >= 0.5
+            and self.y_min >= tol * self.x_max
+        )
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """``(I - K)^-1 rhs``, or ``(I - K)^-dag rhs`` for ``trans="H"``."""
+        if self.dim == 0:
+            return np.zeros(rhs.shape, dtype=complex)
+        return self.lu.solve(rhs, trans=trans)
+
+    def diagnostics(self, tol: float) -> dict:
+        return {
+            "kernel_dim": self.dim,
+            "kernel_nnz": self.nnz,
+            "certified": self.holds(tol),
+            "x_min": self.x_min,
+            "x_max": self.x_max,
+            "y_min": self.y_min,
+        }
+
+
+def factor_kernel(matrix, offsets: dict[VertexId, slice]) -> Green:
+    """Factor ``I - matrix`` with a sparse LU and certify ``rho(matrix) < 1``
+    on the direct sum described by ``offsets``; never raises on a singular
+    kernel."""
+    n = matrix.shape[0]
+    if n == 0:
+        return Green(0, 0, None)
+    import scipy.sparse.linalg as spla
+
+    nnz = int(matrix.nnz)
+    eye = np.arange(n)
+    cols = np.repeat(eye, np.diff(matrix.indptr))
+    i_minus_k = _csc(
+        np.concatenate((matrix.indices, eye)),
+        np.concatenate((cols, eye)),
+        np.concatenate((-matrix.data, np.ones(n, dtype=complex))),
+        n,
+    )
+    try:
+        lu = spla.splu(i_minus_k)
+    except RuntimeError:  # "Factor is exactly singular"
+        return Green(n, nnz, None)
+    groups = _dim_groups(offsets)
+    ones = np.zeros(n, dtype=complex)
+    for d, starts in groups:
+        ones[np.add.outer(starts, (d + 1) * np.arange(d))] = 1.0  # vec(I_d)
+    x = lu.solve(ones, trans="H")
+    if not np.all(np.isfinite(x)):
+        return Green(n, nnz, lu)
+    y = (i_minus_k.T @ x.conj()).conj()
+    x_min, x_max = _block_eigenvalue_range(x, groups)
+    y_min, _ = _block_eigenvalue_range(y, groups)
+    return Green(n, nnz, lu, x_min, x_max, y_min)
+
+
+def one_step_green(model: WalkModel) -> tuple[dict[VertexId, slice], Green]:
+    """The factored one-step kernel ``Q`` over all vertices, in model order."""
+    kernels = model.derived("jump_kernel", jump_kernel)
+    offsets, n = _offsets(model, model.ids)
+    return offsets, factor_kernel(_kernel_matrix(kernels, offsets, n), offsets)
+
+
+def return_operators(model: WalkModel, tol: float = 1e-8) -> tuple[dict[VertexId, np.ndarray], dict]:
+    """The adjoint return operator ``M_v = P[v->v]^*(I)`` of every vertex,
+    from one factorization of the one-step kernel ``Q`` over all vertices,
+    with its diagnostics.
+
+    When the walk is transient the Green operator ``(I - Q)^-1 = sum_k Q^k``
+    exists, and its diagonal block at ``v`` sums every return to ``v``:
+    ``G_vv = sum_n P_vv^n = (I - P_vv)^-1``, so ``P_vv = I - G_vv^-1``.  The
+    blocks ``G_vv^dag`` come from solves against the identity columns of a
+    few consecutive vertices at a time.  Raises :class:`ConvergenceError`,
+    naming the margins, unless the factorization certifies
+    ``rho(Q) <= 1 - tol``.
+    """
+    ids = model.ids
+    offsets, green = one_step_green(model)
+    n = green.dim
+    info = green.diagnostics(tol)
+    if not info["certified"]:
+        raise ConvergenceError(
+            f"no Green certificate of rho(Q) <= 1 - {tol:.1e} for the one-step "
+            f"kernel (lambda_min(X) = {green.x_min}, lambda_max(X) = {green.x_max}, "
+            f"lambda_min(Y) = {green.y_min}); the return maps cannot be read off it"
+        )
+    g_adj: dict[VertexId, np.ndarray] = {}
+    width = max(1, _RHS_BUDGET // n)
+    k = 0
+    while k < len(ids):
+        first = offsets[ids[k]].start
+        end = k + 1
+        while end < len(ids) and offsets[ids[end]].stop - first <= width:
+            end += 1
+        stop = offsets[ids[end - 1]].stop
+        rhs = np.zeros((n, stop - first), dtype=complex)
+        rhs[first:stop] = np.eye(stop - first)
+        cols = green.solve(rhs, trans="H")
+        for vid in ids[k:end]:
+            s = offsets[vid]
+            g_adj[vid] = cols[s, s.start - first:s.stop - first]
+        k = end
+    by_dim: dict[int, list[VertexId]] = {}
+    for vid in ids:
+        by_dim.setdefault(model.dim(vid), []).append(vid)
+    out: dict[VertexId, np.ndarray] = {}
+    for d, vids in by_dim.items():
+        # P_vv^dag = I - (G_vv^dag)^-1, applied to vec(I)
+        stack = np.stack([g_adj[v] for v in vids])
+        eye = np.eye(d, dtype=complex)
+        z = np.linalg.solve(stack, np.broadcast_to(eye.reshape(-1, 1), (len(vids), d * d, 1)))
+        m = eye - z.reshape(-1, d, d).transpose(0, 2, 1)
+        m = 0.5 * (m + m.conj().transpose(0, 2, 1))
+        out.update(zip(vids, m))
+    return {vid: out[vid] for vid in ids}, info
+
+
 # -- taboo kernel and passage maps ---------------------------------------------
 
 
@@ -126,12 +344,13 @@ class TabooKernel:
     """One interior dwell-then-jump step avoiding the taboo vertex.
 
     Acts on the direct sum of the matrix spaces of the active vertices
-    (those distinct from the taboo vertex that can pass the walker on).
+    (those distinct from the taboo vertex that can pass the walker on), as
+    a sparse CSC matrix.
     """
 
     taboo: VertexId
     offsets: dict[VertexId, slice]
-    matrix: np.ndarray
+    matrix: object  # scipy.sparse.csc_array
     into_taboo: np.ndarray  # maps the stacked space onto the taboo block
 
     @property
@@ -139,10 +358,10 @@ class TabooKernel:
         return self.matrix.shape[0]
 
     @functools.cached_property
-    def radius(self) -> tuple[float, dict]:
-        """Spectral radius of ``matrix`` and its diagnostics, computed once
-        for all passage maps into the taboo vertex."""
-        return linalg.spectral_radius(self.matrix, tol=1e-10)
+    def green(self) -> Green:
+        """``I - matrix`` factored with its certificate, computed once for
+        all passage maps into the taboo vertex."""
+        return factor_kernel(self.matrix, self.offsets)
 
 
 def _taboo_kernel(model: WalkModel, j: VertexId, kernels) -> TabooKernel:
@@ -150,23 +369,13 @@ def _taboo_kernel(model: WalkModel, j: VertexId, kernels) -> TabooKernel:
         v.id for v in model.vertices
         if v.id != j and model.out_edges(v.id)
     ]
-    offsets: dict[VertexId, slice] = {}
-    pos = 0
-    for vid in active:
-        d = model.dim(vid)
-        offsets[vid] = slice(pos, pos + d * d)
-        pos += d * d
-    t_mat = np.zeros((pos, pos), dtype=complex)
+    offsets, pos = _offsets(model, active)
     dj = model.dim(j)
     f_mat = np.zeros((dj * dj, pos), dtype=complex)
     for (src, dst), ker in kernels.items():
-        if src == j or src not in offsets:
-            continue
-        if dst == j:
+        if dst == j and src in offsets:
             f_mat[:, offsets[src]] += ker.matrix
-        elif dst in offsets:
-            t_mat[offsets[dst], offsets[src]] += ker.matrix
-    return TabooKernel(j, offsets, t_mat, f_mat)
+    return TabooKernel(j, offsets, _kernel_matrix(kernels, offsets, pos), f_mat)
 
 
 def _entry_block(model: WalkModel, i: VertexId, taboo: TabooKernel, kernels) -> np.ndarray | None:
@@ -201,11 +410,12 @@ def first_passage_map(
 
     Sums, over every path from ``i`` whose interior avoids ``j``, the
     time-integrated sandwich of the path operator.  The geometric sum over
-    the taboo kernel is solved directly when its spectral radius stays
-    below ``1 - tol``, and accumulated as monotone partial sums otherwise
-    (stopping once the trace increment on a spanning set of Hermitian
-    probes stays below ``tol`` ten times in a row).  No self-jumps are
-    stored, so every path reaches ``j`` through the taboo kernel's exit.
+    the taboo kernel is solved with the kernel's sparse LU when its Green
+    certificate proves a spectral radius of at most ``1 - tol``, and
+    accumulated as monotone partial sums otherwise (stopping once the trace
+    increment on a spanning set of Hermitian probes stays below ``tol`` ten
+    times in a row).  No self-jumps are stored, so every path reaches ``j``
+    through the taboo kernel's exit.
     The complete-positivity certificates are left to
     :func:`with_certificates`, for the maps whose diagnostics are reported.
     """
@@ -230,20 +440,14 @@ def _passage_map(
     if start is None:
         return SuperOp.zero(di, dj), {
             "method": "trivial",
-            "spectral_radius": 0.0,
             "terms": 0,
             "converged": True,
         }
 
-    radius, sr_info = taboo.radius
-    diagnostics: dict = {"spectral_radius": radius, "radius_info": sr_info}
-
-    if radius < 1.0 - tol and not force_series:
-        resolvent = np.linalg.solve(
-            np.eye(taboo.dim, dtype=complex) - taboo.matrix, start
-        )
-        mat = taboo.into_taboo @ resolvent
-        diagnostics.update({"method": "solve", "terms": None, "converged": True})
+    kernel_info = taboo.green.diagnostics(tol)
+    if kernel_info["certified"] and not force_series:
+        mat = taboo.into_taboo @ taboo.green.solve(start)
+        diagnostics = {"method": "solve", "terms": None, "converged": True}
     else:
         probes = _hermitian_probes(di)
         acc = np.zeros((dj * dj, di * di), dtype=complex)
@@ -263,9 +467,9 @@ def _passage_map(
                 f"{max_iter} terms (last probe increment {inc:.3e})"
             )
         mat = acc
-        diagnostics.update({"method": "series", "terms": m, "converged": True})
+        diagnostics = {"method": "series", "terms": m, "converged": True}
 
-    return SuperOp(di, dj, mat), diagnostics
+    return SuperOp(di, dj, mat), {**diagnostics, **kernel_info}
 
 
 def with_certificates(op: SuperOp, diagnostics: dict) -> dict:

@@ -277,3 +277,23 @@ def validate_per_vertex(model: WalkModel, tol: float = STRUCT_TOL) -> dict:
         v.id for v in model.vertices if opnorm(model.escape_defect(v.id)) > STRUCT_TOL
     ]
     return ValidationReport(checks, escaping, tol).to_json_dict()
+
+
+def vertex_scan_per_vertex(model: WalkModel, base, eps_spec: float = 1e-8, tol: float = 1e-8):
+    """The transient scan of ``classify_trichotomy`` one vertex at a time:
+    each vertex's own taboo passage map ``P[v->v]``, its adjoint at the
+    identity and the largest eigenvalue.  Returns ``(vertex_max_return,
+    exhibit_vertex)``; the exhibit vertex is the first in scan order (base
+    first, then model order) whose maximum reaches ``1 - eps_spec``."""
+    from ctoqw.passage import first_passage_map
+
+    scan = [base] + [v for v in model.ids if v != base]
+    vertex_max = {}
+    exhibit = None
+    for vid in scan:
+        p_v, _ = first_passage_map(model, vid, vid, tol=tol)
+        top = float(np.linalg.eigvalsh(p_v.adjoint_at_identity())[-1])
+        vertex_max[vid] = top
+        if top >= 1.0 - eps_spec and exhibit is None:
+            exhibit = vid
+    return vertex_max, exhibit

@@ -156,6 +156,28 @@ def shared_block_model(rng, n: int) -> WalkModel:
     return build_walk(list(enumerate(dims)), jumps, hamiltonians=hams)
 
 
+def qudit_ring(seed: int, sites: int = 20, dim: int = 3) -> WalkModel:
+    """The seeded closed qudit ring of the benchmark (``perfbench/inputs.py``):
+    jumps to ``i+1``, ``i-1`` and ``i+2``, rescaled so that every site decays
+    by ``diag(linspace(0.75, 1.25, dim))``, and a random Hamiltonian per
+    site."""
+    rng = np.random.default_rng(seed)
+    decay_sqrt = np.diag(np.sqrt(np.linspace(0.75, 1.25, dim)))
+
+    def gaussian():
+        return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+
+    jumps, hams = [], {}
+    for i in range(sites):
+        mats = [gaussian() for _ in range(3)]
+        vals, vecs = np.linalg.eigh(sum(r.conj().T @ r for r in mats))
+        fix = vecs @ np.diag(vals**-0.5) @ vecs.conj().T @ decay_sqrt
+        jumps += [(i, (i + off) % sites, r @ fix) for off, r in zip((1, -1, 2), mats)]
+        a = gaussian()
+        hams[i] = 0.5 * (a + a.conj().T)
+    return build_walk([(i, dim) for i in range(sites)], jumps, hamiltonians=hams)
+
+
 def random_classical_generator(rng, n=None) -> np.ndarray:
     n = int(rng.integers(2, 6)) if n is None else n
     q = rng.uniform(0.0, 2.0, size=(n, n))

@@ -3,16 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ctoqw import classify, cli, passage
-from ctoqw.errors import PreconditionError
+from ctoqw import classify, cli, fixtures, linalg, passage
+from ctoqw.errors import ConvergenceError, PreconditionError
 from ctoqw.model import build_walk, classical_embed
 from ctoqw.superop import SuperOp
-from oracles import pair_spans_irreducible
+from oracles import pair_spans_irreducible, vertex_scan_per_vertex
 from strategies import (
     leaky_variant,
     planted_dark_state,
+    qudit_ring,
     random_classical_generator,
     random_classifiable_model,
     random_density,
@@ -332,27 +335,11 @@ def test_one_way_line_witness():
 
 
 def test_irreducible_check_builds_2v_spans(monkeypatch):
-    # The seeded 20-qutrit ring of the benchmark (perfbench/inputs.py,
-    # seed 601): jumps to i+1, i-1 and i+2, rescaled so that every site
-    # decays by diag(0.75, 1, 1.25), and a random Hamiltonian per site.  A
-    # closure that propagated raw path products instead of Gram-Schmidt
-    # residuals called its discrete map reducible.
-    rng = np.random.default_rng(601)
+    # The seeded 20-qutrit ring of the benchmark (seed 601).  A closure that
+    # propagated raw path products instead of Gram-Schmidt residuals called
+    # its discrete map reducible.
     sites, dim = 20, 3
-    decay_sqrt = np.diag(np.sqrt(np.linspace(0.75, 1.25, dim)))
-
-    def gaussian():
-        return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-
-    jumps, hams = [], {}
-    for i in range(sites):
-        mats = [gaussian() for _ in range(3)]
-        vals, vecs = np.linalg.eigh(sum(r.conj().T @ r for r in mats))
-        fix = vecs @ np.diag(vals**-0.5) @ vecs.conj().T @ decay_sqrt
-        jumps += [(i, (i + off) % sites, r @ fix) for off, r in zip((1, -1, 2), mats)]
-        a = gaussian()
-        hams[i] = 0.5 * (a + a.conj().T)
-    m = build_walk([(i, dim) for i in range(sites)], jumps, hamiltonians=hams)
+    m = qudit_ring(601, sites, dim)
     closure = classify._closure
     keys = []
 
@@ -368,3 +355,85 @@ def test_irreducible_check_builds_2v_spans(monkeypatch):
         assert v.irreducible
         assert v.algebra_dim == (sites * dim) ** 2
         assert sum(keys) <= 2 * sites
+
+
+# -- Green scan and certificates ------------------------------------------------
+
+
+def _assert_scan_matches_oracle(m, base):
+    rep = classify.classify_trichotomy(m, base)
+    assert rep.case != classify.RECURRENT
+    vertex_max, exhibit = vertex_scan_per_vertex(m, base, rep.eps_spec)
+    assert list(rep.vertex_max_return) == list(vertex_max)
+    for vid, value in vertex_max.items():
+        assert abs(rep.vertex_max_return[vid] - value) <= 1e-12, vid
+    oracle_case = classify.TRANSIENT_UNIFORM if exhibit is None else classify.TRANSIENT_QUANTUM
+    assert rep.case == oracle_case
+    assert rep.exhibit_vertex == exhibit
+    assert rep.diagnostics["return_scan"]["certified"]
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_green_scan_matches_per_vertex_oracle_on_random_models(seed):
+    m = random_classifiable_model(np.random.default_rng(seed), leak_prob=1.0)
+    p, _ = passage.first_passage_map(m, m.ids[0], m.ids[0])
+    assume(classify._perron_state(p)[0] < 1.0 - 1e-8)
+    _assert_scan_matches_oracle(m, m.ids[0])
+
+
+@pytest.mark.parametrize("window", [8, 20, 40])
+def test_green_scan_matches_per_vertex_oracle_on_lattices(window):
+    _assert_scan_matches_oracle(fixtures.biased_line((-window, window)), 0)
+    _assert_scan_matches_oracle(fixtures.spin_biased_line((0, window)), 1)
+
+
+def test_green_certificate_holds_exactly_on_transient_models():
+    # Closed walks make I - Q singular: that must read as "no certificate",
+    # whether or not the LU notices, and never raise.
+    rng = np.random.default_rng(96)
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        m = random_classifiable_model(rng)
+        base = m.ids[0]
+        p, _ = passage.first_passage_map(m, base, base)
+        transient = classify._perron_state(p)[0] < 1.0 - 1e-8
+        _, green = passage.one_step_green(m)
+        assert green.holds(1e-8) == transient
+        seen[transient] += 1
+    assert seen[True] >= 5 and seen[False] >= 5
+
+
+def test_uncertified_transient_kernel_exits_3(tmp_path, monkeypatch):
+    m = fixtures.biased_line((-8, 8))
+    # every taboo kernel still certifies; the one-step kernel (all 17 sites) does not
+    monkeypatch.setattr(passage.Green, "holds", lambda self, tol: self.dim < len(m.vertices))
+    with pytest.raises(ConvergenceError, match="lambda_min"):
+        classify.classify_trichotomy(m, 0)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(m.to_json_dict()))
+    assert cli.main(["classify", "--model", str(path), "--vertex", "0"]) == 3
+
+
+@pytest.mark.parametrize("name, window, base", [("biased-line", 120, 0), ("spin-biased-line", 240, 1)])
+def test_classify_makes_one_passage_map(monkeypatch, name, window, base):
+    # The scan reads every return map off one factorization: the base map
+    # is the only passage map, and no spectral radius is taken of anything
+    # larger than it.
+    m = fixtures.get_fixture(name, window)
+    assert len(m.vertices) == 241
+    calls, sizes = [], []
+    fpm, radius = passage.first_passage_map, linalg.spectral_radius
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return fpm(*args, **kwargs)
+
+    monkeypatch.setattr(passage, "first_passage_map", counted)
+    monkeypatch.setattr(classify, "first_passage_map", counted)
+    monkeypatch.setattr(linalg, "spectral_radius", lambda a, **kw: sizes.append(len(a)) or radius(a, **kw))
+    rep = classify.classify_trichotomy(m, base)
+    assert rep.case != classify.RECURRENT
+    assert calls == [(base, base)]
+    assert all(n <= m.dim(base) ** 2 for n in sizes)
+    assert len(rep.vertex_max_return) == 241

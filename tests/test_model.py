@@ -323,3 +323,24 @@ def test_validate_svd_calls_do_not_grow_with_the_model(monkeypatch):
     # one dimension (1) and one jump shape (1, 1): validate, the rate
     # constant and the escape set take one stacked call each
     assert len(calls) <= 3, calls
+
+
+@pytest.mark.parametrize("dim", ["x", 2.5, True, None, "2"])
+def test_bad_vertex_dim_is_a_parse_error(tmp_path, capsys, dim):
+    from ctoqw.cli import main
+
+    doc = fixtures.two_site_exchange().to_json_dict()
+    doc["vertices"][0]["dim"] = dim
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--model", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "dim" in err and "Traceback" not in err
+
+
+def test_integral_float_vertex_dim_is_read_as_an_integer():
+    doc = fixtures.two_site_exchange().to_json_dict()
+    doc["vertices"][0]["dim"] = 1.0
+    m = model_from_json(doc)
+    assert m.dim(m.ids[0]) == 1 and isinstance(m.dim(m.ids[0]), int)

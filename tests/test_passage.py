@@ -1,12 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ctoqw import classify, fixtures, linalg, passage, trajectory
+from ctoqw import classify, cli, fixtures, linalg, passage, trajectory
 from ctoqw.errors import ModelError, PreconditionError
-from ctoqw.model import SitedState
+from ctoqw.model import SitedState, build_walk
 from ctoqw.superop import SuperOp
 from oracles import (
     dwell_integral_oracle,
@@ -15,7 +16,7 @@ from oracles import (
     jump_chain_hit_probability,
     passage_partial_oracle,
 )
-from strategies import random_density
+from strategies import qudit_ring, random_density
 
 
 def test_path_operator_scalar_two_site(two_site):
@@ -111,7 +112,10 @@ def test_jump_kernel_built_once_per_model(monkeypatch):
 def test_first_passage_two_site_certain(two_site):
     p, diag = passage.first_passage_map(two_site, 0, 0)
     assert p.apply([[1.0]])[0, 0].real == pytest.approx(1.0, abs=1e-12)
-    assert diag["spectral_radius"] == pytest.approx(0.0, abs=1e-12)
+    # the taboo kernel is zero: X = Y = 1 certifies rho <= 1 - y_min / x_max = 0
+    assert diag["method"] == "solve" and diag["certified"]
+    assert (diag["kernel_dim"], diag["kernel_nnz"]) == (1, 0)
+    assert diag["x_min"] == diag["x_max"] == diag["y_min"] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_first_passage_drift_return(biased_small):
@@ -230,15 +234,61 @@ def test_expected_occupation_off_diagonal(spin_small):
     assert np.isfinite(value) and value > 0
 
 
-def test_expected_occupation_shares_the_taboo_radius(monkeypatch):
+def test_expected_occupation_shares_one_taboo_factorization(monkeypatch):
+    factor = passage.factor_kernel
+    dims = []
+    monkeypatch.setattr(
+        passage, "factor_kernel", lambda k, o: dims.append(k.shape[0]) or factor(k, o)
+    )
     radius = linalg.spectral_radius
     sizes = []
     monkeypatch.setattr(
         linalg, "spectral_radius", lambda a, **kw: sizes.append(len(a)) or radius(a, **kw)
     )
-    value = passage.expected_occupation(fixtures.biased_line((-20, 20)), 1, 0, [[1.0]])
-    assert sizes == [40, 1]
+    walk = fixtures.biased_line((-20, 20))
+    value = passage.expected_occupation(walk, 1, 0, [[1.0]])
+    assert dims == [40]  # P[1->0] and P[0->0] share one taboo LU
+    assert sizes == [1]  # only the d_j^2 return map
+    passage.expected_occupation(walk, 0, 0, [[1.0]])
+    assert dims == [40, 40]
     assert np.isfinite(value) and value > 0
+
+
+def test_taboo_gate_solves_on_fixtures_and_ring():
+    # the benchmark's first-passage and return maps on the four fixtures and
+    # the seed-101 qutrit ring
+    for m, i, j in (
+        (fixtures.two_site_exchange(), 0, 1),
+        (fixtures.coherent_pair(), 1, 2),
+        (fixtures.biased_line((-8, 8)), 0, 0),
+        (fixtures.spin_biased_line((0, 8)), 1, 1),
+        (qudit_ring(101), 0, 0),
+    ):
+        for src in dict.fromkeys((i, j)):
+            _, diag = passage.first_passage_map(m, src, j)
+            assert diag["method"] == "solve" and diag["certified"], (m.meta, src, j)
+            assert diag["x_min"] > 0 and diag["y_min"] >= 0.5
+
+
+def test_closed_class_in_the_taboo_region_takes_the_series(tmp_path):
+    # 1 -> 0 and 1 -> 2 with probability 1/2 each; 2 <-> 3 is a closed class
+    # that never reaches 0, so I - T is singular: no certificate, and the
+    # monotone series still gives the reach probability 1/2.
+    one, half = np.array([[1.0]]), np.array([[np.sqrt(0.5)]])
+    m = build_walk(
+        [(k, 1) for k in range(4)],
+        [(0, 1, one), (1, 0, half), (1, 2, half), (2, 3, one), (3, 2, one)],
+    )
+    p, diag = passage.first_passage_map(m, 1, 0)
+    assert diag["method"] == "series" and not diag["certified"]
+    assert passage.reach_probability(p, [[1.0]]) == pytest.approx(0.5, abs=1e-12)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(m.to_json_dict()))
+    out = tmp_path / "p.json"
+    assert cli.main(["first-passage", "--model", str(path), "--from", "1", "--to", "0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["diagnostics"]["method"] == "series"
+    assert doc["diagnostics"]["x_min"] is None
 
 
 def test_reach_probability_validates_state(two_site):
