@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -158,9 +159,11 @@ def _cmd_evolve(args) -> int:
     out = semigroup.evolve(walk, mu, args.t, generator=gen)
     if args.report:
         # the grid is computed before any artifact is written, so that a bad
-        # --grid-points leaves neither file behind
+        # --grid-points leaves neither file behind.  Probabilities are accurate
+        # to about 1e-16 absolute, so they print at a fixed absolute
+        # resolution, and a row that rounds to zero prints without a sign.
         rows = [
-            (f"{tg:.12g}", vid, f"{p:.12g}")
+            (f"{tg:.12g}", vid, f"{p:.15f}".replace("-0.000000000000000", "0.000000000000000"))
             for tg, state in semigroup.evolve_grid(
                 walk, mu, args.t, args.grid_points, generator=gen
             )
@@ -444,10 +447,15 @@ def _fail(args, code: int, exc: Exception) -> int:
     return code
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

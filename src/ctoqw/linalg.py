@@ -33,11 +33,31 @@ def unvec(v: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
     return v.reshape(shape, order="F")
 
 
-def sandwich_matrix(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of the map rho -> a @ rho @ b.conj().T (b defaults to a)."""
+def by_shape(mats) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(positions, stack)`` for each distinct shape among ``mats``; the
+    positions increase."""
+    groups: dict[tuple, list[int]] = {}
+    for k, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(k)
+    return [(np.array(ks), np.stack([mats[k] for k in ks])) for ks in groups.values()]
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the last two axes, broadcast over the leading ones."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def sandwich_matrix(a: np.ndarray) -> np.ndarray:
+    """Matrix ``conj(a) (x) a`` of rho -> a @ rho @ a.conj().T; stacks give stacks."""
     a = np.asarray(a, dtype=complex)
-    b = a if b is None else np.asarray(b, dtype=complex)
-    return np.kron(b.conj(), a)
+    return _kron(a.conj(), a)
+
+
+def drift_matrix(g: np.ndarray) -> np.ndarray:
+    """Matrix ``I (x) g + conj(g) (x) I`` of X -> g X + X g^dag; stacks give stacks."""
+    eye = np.eye(np.shape(g)[-1], dtype=complex)
+    return _kron(eye, g) + _kron(np.conj(g), eye)
 
 
 def herm(m: np.ndarray) -> np.ndarray:
@@ -58,22 +78,20 @@ def expm(a: np.ndarray) -> np.ndarray:
     return sla.expm(np.asarray(a, dtype=complex))
 
 
-def lyapunov_dwell(g: np.ndarray, x: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Solve g @ y + y @ g.conj().T = -x for y.
-
-    When every eigenvalue of ``g`` has a negative real part this is the
-    closed form of the absolutely convergent integral
-    ``int_0^inf e^{s g} x e^{s g^dag} ds``.
+def lyapunov_dwell(g: np.ndarray, rtol: float = 1e-10, where=None) -> np.ndarray:
+    """Dwell integrals ``X -> int_0^inf e^{s g} X e^{s g^dag} ds`` of a stack
+    of generators ``(n, d, d)``, as the superoperators ``-L^-1`` of
+    ``L = drift_matrix(g)`` from one batched inverse, after one
+    :func:`require_stable` of the stack.  Raises :class:`ConvergenceError`
+    unless each residual ``|L D + I|_F`` is below ``rtol * (1 + d)``.
     """
-    g = np.atleast_2d(np.asarray(g, dtype=complex))
-    x = np.atleast_2d(np.asarray(x, dtype=complex))
-    y = sla.solve_sylvester(g, g.conj().T, -x)
-    res = np.linalg.norm(g @ y + y @ g.conj().T + x)
-    if res > rtol * (1.0 + np.linalg.norm(x)):
-        raise ConvergenceError(
-            f"Lyapunov solve residual {res:.3e} exceeds {rtol:.1e} * (1 + |x|)"
-        )
-    return y
+    require_stable(g, where)
+    lind = drift_matrix(g)
+    dwell = -np.linalg.inv(lind)
+    res = np.linalg.norm(lind @ dwell + np.eye(lind.shape[-1]), axis=(-2, -1)).max()
+    if not res <= rtol * (1.0 + np.shape(g)[-1]):
+        raise ConvergenceError(f"dwell integral residual {res:.3e} exceeds {rtol:.1e} * (1 + d)")
+    return dwell
 
 
 def power_iteration(
@@ -202,13 +220,17 @@ class Propagator:
         return np.stack([expm(t * self.g) for t in ts])
 
 
-def require_stable(g: np.ndarray, what: str = "generator"):
-    """Raise unless every eigenvalue of g has real part below
-    ``-STABILITY_MARGIN``."""
-    vals = np.linalg.eigvals(np.atleast_2d(np.asarray(g, dtype=complex)))
-    worst = vals[np.argmax(vals.real)]
-    if worst.real >= -STABILITY_MARGIN:
+def require_stable(g: np.ndarray, where=None):
+    """Raise unless every eigenvalue of the dwell generator ``g``, a matrix or
+    a stack, has real part below ``-STABILITY_MARGIN``, naming the first
+    failing matrix of a stack by ``where[k]`` when given."""
+    vals = np.linalg.eigvals(np.asarray(g, dtype=complex).reshape((-1,) + np.shape(g)[-2:]))
+    worst = vals[np.arange(len(vals)), np.argmax(vals.real, axis=-1)]
+    bad = np.flatnonzero(worst.real >= -STABILITY_MARGIN)
+    if bad.size:
+        k = bad[0]
+        at = "" if where is None else f" at vertex {where[k]!r}"
         raise PreconditionError(
-            f"{what} is not escaping: eigenvalue {worst:.6g} has real part "
+            f"dwell generator{at} is not escaping: eigenvalue {worst[k]:.6g} has real part "
             f">= -{STABILITY_MARGIN:.1e}, the dwell integral diverges"
         )

@@ -60,7 +60,8 @@ class SitedState:
 
 @dataclass
 class BlockState:
-    """A vertex-indexed family of positive matrices with total trace one.
+    """A vertex-indexed family of positive matrices with total trace at most
+    one.
 
     Blocks are stored in model vertex order; missing vertices are implicitly
     zero.  Construction does not validate, use :func:`check_block_state`.
@@ -103,11 +104,17 @@ def classical_block_state(model: "WalkModel", weights: dict[VertexId, float]) ->
 
 
 def check_block_state(model: "WalkModel", mu: BlockState, atol: float = 1e-10) -> None:
-    tr = 0.0
+    """Raise :class:`ModelError` unless every block has its vertex's shape
+    (checked first, for all vertices) and is Hermitian and positive
+    semidefinite, and the traces add up to at most one (less once mass has
+    escaped through a window boundary), all to ``atol``."""
     for v in model.vertices:
         b = mu.block(v.id, v.dim)
         if b.shape != (v.dim, v.dim):
             raise ModelError(f"block at {v.id!r} has shape {b.shape}, expected {(v.dim, v.dim)}")
+    tr = 0.0
+    for v in model.vertices:
+        b = mu.block(v.id, v.dim)
         if np.linalg.norm(b - b.conj().T) > 1e-8 * (1 + np.linalg.norm(b)):
             raise ModelError(f"block at {v.id!r} is not Hermitian")
         if v.dim > 0 and np.any(b):
@@ -115,8 +122,8 @@ def check_block_state(model: "WalkModel", mu: BlockState, atol: float = 1e-10) -
             if mineig < -atol:
                 raise ModelError(f"block at {v.id!r} has eigenvalue {mineig:.3e} < -{atol:.1e}")
         tr += float(np.trace(b).real)
-    if abs(tr - 1.0) > atol:
-        raise ModelError(f"total trace {tr!r} differs from 1 beyond {atol:.1e}")
+    if tr > 1.0 + atol:
+        raise ModelError(f"total trace {tr!r} exceeds 1 beyond {atol:.1e}")
 
 
 class WalkModel:
@@ -235,10 +242,8 @@ class WalkModel:
         return doc
 
     def canonical_hash(self) -> str:
-        doc = self.to_json_dict()
-        doc.pop("meta", None)
-        payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        """sha256 of the model's JSON without ``meta``, computed once per model."""
+        return self.derived("canonical_hash", _canonical_hash)
 
 
 # -- stacked matrix work -------------------------------------------------------
@@ -247,15 +252,6 @@ class WalkModel:
 # shaped matrices.  LAPACK factors each matrix of a stack on its own, with
 # the routine it uses for a lone matrix, so every norm and eigenvalue below
 # is the same float as the one computed matrix by matrix.
-
-
-def _by_shape(mats) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(positions, stack)`` for each distinct shape among ``mats``; the
-    positions increase."""
-    groups: dict[tuple, list[int]] = {}
-    for k, m in enumerate(mats):
-        groups.setdefault(m.shape, []).append(k)
-    return [(np.array(ks), np.stack([mats[k] for k in ks])) for ks in groups.values()]
 
 
 def _dagger(stack: np.ndarray) -> np.ndarray:
@@ -276,16 +272,23 @@ def _decays(dims, jumps: dict) -> list[np.ndarray]:
     return decays
 
 
+def _canonical_hash(model: WalkModel) -> str:
+    doc = model.to_json_dict()
+    doc.pop("meta", None)
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def _rate_constant(model: WalkModel) -> float:
     norms = np.empty(len(model._jumps))
-    for ks, r in _by_shape(list(model._jumps.values())):
+    for ks, r in linalg.by_shape(list(model._jumps.values())):
         norms[ks] = _opnorms(r @ _dagger(r))
     return float(sum(norms.tolist()))
 
 
 def _escaping_boundary(model: WalkModel) -> tuple:
     norms = np.empty(len(model.vertices))
-    for ks, d in _by_shape(model._defect):
+    for ks, d in linalg.by_shape(model._defect):
         norms[ks] = _opnorms(d)
     return tuple(v.id for v, x in zip(model.vertices, norms.tolist()) if x > STRUCT_TOL)
 
@@ -295,7 +298,7 @@ def _require_hermitian(vspaces, hams) -> None:
     Hermitian to a relative 1e-12 in spectral norm."""
     given = [k for k, h in enumerate(hams) if h is not None]
     bad = []
-    for ks, h in _by_shape([hams[k] for k in given]):
+    for ks, h in linalg.by_shape([hams[k] for k in given]):
         res, norm = _opnorms(np.concatenate([h - _dagger(h), h])).reshape(2, -1)
         bad.extend(ks[~(res <= 1e-12 * (1.0 + norm))].tolist())
     if bad:
@@ -545,7 +548,7 @@ def validate(model: WalkModel, tol: float = STRUCT_TOL) -> ValidationReport:
     # and the least eigenvalue of the escape defect -(G + G^dag + decay)
     cols = np.empty((6, len(model.vertices)))
     decays = _decays([v.dim for v in model.vertices], model._jumps)
-    for ks, h in _by_shape(model._ham):
+    for ks, h in linalg.by_shape(model._ham):
         g, decay, defect = (
             np.stack([mats[k] for k in ks.tolist()])
             for mats in (model._eff, decays, model._defect)
@@ -778,12 +781,18 @@ def state_to_json(mu: BlockState) -> dict:
 
 
 def state_from_json(doc: dict | str, model: WalkModel) -> BlockState:
+    """The block state of a ``{"blocks": {vertex: matrix}}`` document,
+    checked by :func:`check_block_state`; missing vertices are zero."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict) or not isinstance(doc.get("blocks", {}), dict):
+        raise ModelError('a block state must be a JSON object {"blocks": {vertex: matrix}}')
     by_str = {str(v.id): v.id for v in model.vertices}
     blocks = {v.id: np.zeros((v.dim, v.dim), dtype=complex) for v in model.vertices}
     for key, m in doc.get("blocks", {}).items():
         if key not in by_str:
             raise ModelError(f"state references unknown vertex {key!r}")
         blocks[by_str[key]] = json_to_matrix(m)
-    return BlockState(blocks)
+    mu = BlockState(blocks)
+    check_block_state(model, mu)
+    return mu

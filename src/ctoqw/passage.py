@@ -5,7 +5,7 @@ trace of ``P[i->j](rho)`` for a completely positive, trace-nonincreasing
 map assembled from two ingredients:
 
 - the dwell integral ``D_i(X) = int_0^infty e^{s G_i} X e^{s G_i^dag} ds``,
-  the closed form of one sojourn, obtained from a Lyapunov equation;
+  the closed form of one sojourn, a batched inverse per vertex dimension;
 - one-step kernels ``J[k->l](X) = R[k->l] D_k(X) R[k->l]^dag``.
 
 Summing dwell-then-jump steps over all interior paths that avoid ``j``
@@ -73,7 +73,7 @@ def propagated_path_operator(model: WalkModel, vertices, times, t: float) -> np.
     return linalg.expm((t - t_last) * model.effective(vertices[-1])) @ op
 
 
-# -- dwell integral -----------------------------------------------------------
+# -- dwell integral and jump kernel --------------------------------------------
 
 
 def dwell_integral(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -84,19 +84,14 @@ def dwell_integral(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     offending eigenvalue is reported.
     """
     g = np.atleast_2d(np.asarray(g, dtype=complex))
-    linalg.require_stable(g, what="dwell generator")
-    return linalg.lyapunov_dwell(g, np.atleast_2d(np.asarray(x, dtype=complex)))
+    return linalg.unvec(linalg.lyapunov_dwell(g[None])[0] @ linalg.vec(x), g.shape)
 
 
 def dwell_superop(model: WalkModel, vertex: VertexId) -> SuperOp:
     """The dwell integral at a vertex as a vectorized superoperator,
     ``-(I (x) G + conj(G) (x) I)^-1``."""
-    g = model.effective(vertex)
-    linalg.require_stable(g, what=f"dwell generator at vertex {vertex!r}")
-    d = g.shape[0]
-    eye = np.eye(d, dtype=complex)
-    lind = np.kron(eye, g) + np.kron(g.conj(), eye)
-    return SuperOp(d, d, -np.linalg.inv(lind))
+    d = model.dim(vertex)
+    return SuperOp(d, d, linalg.lyapunov_dwell(model.effective(vertex)[None], where=[vertex])[0])
 
 
 def jump_kernel(model: WalkModel) -> dict[tuple[VertexId, VertexId], SuperOp]:
@@ -104,21 +99,23 @@ def jump_kernel(model: WalkModel) -> dict[tuple[VertexId, VertexId], SuperOp]:
 
     ``J[k->l](rho) = R[k->l] D_k(rho) R[k->l]^dag``.  Every vertex with an
     outgoing jump must be escaping; vertices without outgoing jumps simply
-    contribute no kernels (the walker never leaves them).  The kernel
+    contribute no kernels (the walker never leaves them).  One dwell call per
+    vertex dimension, one stacked product per jump shape.  The kernel
     matrices are read-only: passage maps share one kernel per model.
     """
-    kernels: dict[tuple[VertexId, VertexId], SuperOp] = {}
-    for v in model.vertices:
-        edges = model.out_edges(v.id)
-        if not edges:
-            continue
-        dwell = dwell_superop(model, v.id)
-        for dst, r in edges:
-            hop = SuperOp.from_kraus([r])
-            step = hop.compose(dwell)
-            step.matrix.flags.writeable = False
-            kernels[(v.id, dst)] = step
-    return kernels
+    sources = [v.id for v in model.vertices if model.out_edges(v.id)]
+    dwell = {}
+    for ks, gens in linalg.by_shape([model.effective(v) for v in sources]):
+        ids = [sources[k] for k in ks]
+        dwell.update(zip(ids, linalg.lyapunov_dwell(gens, where=ids)))
+    edges = [(src, dst, r) for src in sources for dst, r in model.out_edges(src)]
+    kernels = {}
+    for ks, rs in linalg.by_shape([r for _, _, r in edges]):
+        mats = linalg.sandwich_matrix(rs) @ np.stack([dwell[edges[k][0]] for k in ks])
+        mats.flags.writeable = False
+        for k, m in zip(ks, mats):
+            kernels[edges[k][:2]] = SuperOp(rs.shape[2], rs.shape[1], m)
+    return {e[:2]: kernels[e[:2]] for e in edges}
 
 
 # -- kernel matrices and their Green factorization ----------------------------
@@ -127,7 +124,7 @@ def jump_kernel(model: WalkModel) -> dict[tuple[VertexId, VertexId], SuperOp]:
 _RHS_BUDGET = 1 << 20
 
 
-def _offsets(model: WalkModel, vertices) -> tuple[dict[VertexId, slice], int]:
+def block_offsets(model: WalkModel, vertices) -> tuple[dict[VertexId, slice], int]:
     """Where each vertex's vectorized matrix space sits in the direct sum."""
     offsets: dict[VertexId, slice] = {}
     pos = 0
@@ -147,24 +144,24 @@ def _csc(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     return sp.csc_array((vals[order], rows[order], indptr), shape=(n, n))
 
 
+def block_index(offsets: dict[VertexId, slice], dst, src, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices, broadcast to ``shape``, of a stack of blocks
+    placed at ``(dst[k], src[k])`` of the direct sum laid out by ``offsets``."""
+    r = np.add.outer([offsets[v].start for v in dst], np.arange(shape[1]))[:, :, None]
+    c = np.add.outer([offsets[v].start for v in src], np.arange(shape[2]))[:, None, :]
+    return np.broadcast_to(r, shape), np.broadcast_to(c, shape)
+
+
 def _kernel_matrix(kernels, offsets: dict[VertexId, slice], n: int):
     """The one-step kernels between the vertices of ``offsets`` as one
     sparse CSC matrix on their direct sum, assembled per block shape."""
-    by_shape: dict[tuple[int, int], list] = {}
-    for (src, dst), ker in kernels.items():
-        if src in offsets and dst in offsets:
-            by_shape.setdefault(ker.matrix.shape, []).append(
-                (offsets[dst].start, offsets[src].start, ker.matrix)
-            )
+    edges = [e for e in kernels if e[0] in offsets and e[1] in offsets]
     rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
-    for (a, b), blocks in by_shape.items():
-        r0, c0, mats = zip(*blocks)
-        mats = np.stack(mats)
-        r = np.add.outer(r0, np.arange(a))[:, :, None]
-        c = np.add.outer(c0, np.arange(b))[:, None, :]
+    for ks, mats in linalg.by_shape([kernels[e].matrix for e in edges]):
+        r, c = block_index(offsets, [edges[k][1] for k in ks], [edges[k][0] for k in ks], mats.shape)
         keep = mats != 0
-        rows.append(np.broadcast_to(r, mats.shape)[keep])
-        cols.append(np.broadcast_to(c, mats.shape)[keep])
+        rows.append(r[keep])
+        cols.append(c[keep])
         vals.append(mats[keep])
     return _csc(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), n)
 
@@ -278,7 +275,7 @@ def factor_kernel(matrix, offsets: dict[VertexId, slice]) -> Green:
 def one_step_green(model: WalkModel) -> tuple[dict[VertexId, slice], Green]:
     """The factored one-step kernel ``Q`` over all vertices, in model order."""
     kernels = model.derived("jump_kernel", jump_kernel)
-    offsets, n = _offsets(model, model.ids)
+    offsets, n = block_offsets(model, model.ids)
     return offsets, factor_kernel(_kernel_matrix(kernels, offsets, n), offsets)
 
 
@@ -321,18 +318,15 @@ def return_operators(model: WalkModel, tol: float = 1e-8) -> tuple[dict[VertexId
             s = offsets[vid]
             g_adj[vid] = cols[s, s.start - first:s.stop - first]
         k = end
-    by_dim: dict[int, list[VertexId]] = {}
-    for vid in ids:
-        by_dim.setdefault(model.dim(vid), []).append(vid)
     out: dict[VertexId, np.ndarray] = {}
-    for d, vids in by_dim.items():
+    for ks, stack in linalg.by_shape([g_adj[v] for v in ids]):
         # P_vv^dag = I - (G_vv^dag)^-1, applied to vec(I)
-        stack = np.stack([g_adj[v] for v in vids])
+        d = math.isqrt(stack.shape[-1])
         eye = np.eye(d, dtype=complex)
-        z = np.linalg.solve(stack, np.broadcast_to(eye.reshape(-1, 1), (len(vids), d * d, 1)))
+        z = np.linalg.solve(stack, np.broadcast_to(eye.reshape(-1, 1), (len(ks), d * d, 1)))
         m = eye - z.reshape(-1, d, d).transpose(0, 2, 1)
         m = 0.5 * (m + m.conj().transpose(0, 2, 1))
-        out.update(zip(vids, m))
+        out.update(zip([ids[k] for k in ks], m))
     return {vid: out[vid] for vid in ids}, info
 
 
@@ -369,7 +363,7 @@ def _taboo_kernel(model: WalkModel, j: VertexId, kernels) -> TabooKernel:
         v.id for v in model.vertices
         if v.id != j and model.out_edges(v.id)
     ]
-    offsets, pos = _offsets(model, active)
+    offsets, pos = block_offsets(model, active)
     dj = model.dim(j)
     f_mat = np.zeros((dj * dj, pos), dtype=complex)
     for (src, dst), ker in kernels.items():

@@ -19,6 +19,7 @@ import numpy as np
 from . import linalg
 from .errors import BudgetError, ConvergenceError, PreconditionError
 from .model import BlockState, VertexId, WalkModel
+from .passage import block_index, block_offsets
 
 
 @dataclass(frozen=True)
@@ -58,19 +59,18 @@ class BlockGenerator:
 
 
 def build_block_generator(model: WalkModel) -> BlockGenerator:
-    offsets: dict[VertexId, slice] = {}
-    pos = 0
-    for v in model.vertices:
-        offsets[v.id] = slice(pos, pos + v.dim**2)
-        pos += v.dim**2
-    mat = np.zeros((pos, pos), dtype=complex)
-    eye = {v.id: np.eye(v.dim, dtype=complex) for v in model.vertices}
-    for v in model.vertices:
-        g = model.effective(v.id)
-        s = offsets[v.id]
-        mat[s, s] += np.kron(eye[v.id], g) + np.kron(g.conj(), eye[v.id])
-    for src, dst, r in model.jumps():
-        mat[offsets[dst], offsets[src]] += linalg.sandwich_matrix(r)
+    """``drift_matrix(G)`` in the diagonal block of each vertex and
+    ``sandwich_matrix(R)`` in the ``(dst, src)`` block of each jump, one
+    stacked assembly per shape, on the layout of :func:`block_offsets`."""
+    offsets, n = block_offsets(model, model.ids)
+    mat = np.zeros((n, n), dtype=complex)
+    ids, edges = model.ids, list(model.jumps())
+    for ks, g in linalg.by_shape([model.effective(v) for v in ids]):
+        blocks = linalg.drift_matrix(g)
+        mat[block_index(offsets, [ids[k] for k in ks], [ids[k] for k in ks], blocks.shape)] += blocks
+    for ks, r in linalg.by_shape([r for _, _, r in edges]):
+        blocks = linalg.sandwich_matrix(r)
+        mat[block_index(offsets, [edges[k][1] for k in ks], [edges[k][0] for k in ks], blocks.shape)] += blocks
     return BlockGenerator(model, mat, offsets)
 
 

@@ -7,7 +7,7 @@ offers Kraus and Choi views for positivity certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ class SuperOp:
     source_dim: int
     target_dim: int
     matrix: np.ndarray  # shape (target_dim**2, source_dim**2)
-    kraus_ops: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         expected = (self.target_dim**2, self.source_dim**2)
@@ -34,7 +33,7 @@ class SuperOp:
         m = np.zeros((target_dim**2, source_dim**2), dtype=complex)
         for k in ops:
             m += linalg.sandwich_matrix(k)
-        return SuperOp(source_dim, target_dim, m, tuple(ops))
+        return SuperOp(source_dim, target_dim, m)
 
     @staticmethod
     def zero(source_dim: int, target_dim: int) -> "SuperOp":
@@ -54,12 +53,6 @@ class SuperOp:
         x = np.atleast_2d(np.asarray(x, dtype=complex))
         out = self.matrix.conj().T @ linalg.vec(x)
         return linalg.unvec(out, (self.source_dim, self.source_dim))
-
-    def compose(self, other: "SuperOp") -> "SuperOp":
-        """self after other."""
-        if other.target_dim != self.source_dim:
-            raise ValueError("dimension mismatch in composition")
-        return SuperOp(other.source_dim, self.target_dim, self.matrix @ other.matrix)
 
     def choi(self) -> np.ndarray:
         """Choi matrix on source (x) target index order.
@@ -81,8 +74,6 @@ class SuperOp:
 
     def kraus(self, tol: float = 1e-12) -> list[np.ndarray]:
         """Kraus factors recovered from the Choi eigendecomposition."""
-        if self.kraus_ops is not None:
-            return [k.copy() for k in self.kraus_ops]
         ds, dt = self.source_dim, self.target_dim
         vals, vecs = np.linalg.eigh(linalg.herm(self.choi()))
         ops = []

@@ -297,3 +297,38 @@ def vertex_scan_per_vertex(model: WalkModel, base, eps_spec: float = 1e-8, tol: 
         if top >= 1.0 - eps_spec and exhibit is None:
             exhibit = vid
     return vertex_max, exhibit
+
+
+def jump_kernel_per_edge(model: WalkModel) -> dict:
+    """``passage.jump_kernel`` one vertex and one edge at a time: each
+    dwell superoperator by its own Kronecker inverse, each kernel matrix by
+    its own sandwich product.  Maps ``(src, dst)`` to the kernel matrix."""
+    kernels = {}
+    for v in model.vertices:
+        edges = model.out_edges(v.id)
+        if not edges:
+            continue
+        g = model.effective(v.id)
+        eye = np.eye(v.dim, dtype=complex)
+        dwell = -np.linalg.inv(np.kron(eye, g) + np.kron(g.conj(), eye))
+        for dst, r in edges:
+            kernels[(v.id, dst)] = np.kron(r.conj(), r) @ dwell
+    return kernels
+
+
+def block_generator_per_vertex(model: WalkModel) -> np.ndarray:
+    """``semigroup.build_block_generator(model).matrix`` one vertex block
+    and one jump block at a time, each by ``np.kron``."""
+    offsets = {}
+    pos = 0
+    for v in model.vertices:
+        offsets[v.id] = slice(pos, pos + v.dim**2)
+        pos += v.dim**2
+    mat = np.zeros((pos, pos), dtype=complex)
+    for v in model.vertices:
+        g = model.effective(v.id)
+        eye = np.eye(v.dim, dtype=complex)
+        mat[offsets[v.id], offsets[v.id]] += np.kron(eye, g) + np.kron(g.conj(), eye)
+    for src, dst, r in model.jumps():
+        mat[offsets[dst], offsets[src]] += np.kron(r.conj(), r)
+    return mat

@@ -83,6 +83,72 @@ def test_evolve_report_steps_one_propagator(tmp_path, two_site_file, monkeypatch
     assert float(rows[1][2]) == pytest.approx(0.5 * (1 - np.exp(-3.0)), abs=1e-12)
 
 
+def test_evolve_report_prints_fixed_absolute_resolution(tmp_path):
+    model = tmp_path / "line.json"
+    run(tmp_path, "fixtures", "--name", "biased-line", "--window", 8, "--out", model)
+    csv = tmp_path / "law.csv"
+    code = run(tmp_path, "evolve", "--model", model, "--state", "0:e1", "--t", 2.0,
+               "--report", csv, "--out", tmp_path / "state.json")
+    assert code == 0
+    rows = [l for l in csv.read_text().splitlines() if not l.startswith("#")]
+    probs = [l.split(",")[2] for l in rows[1:]]
+    assert all(len(p) == 17 and p.startswith("0.") or p == "1.000000000000000" for p in probs)
+    # far sites are below the resolution and print as an unsigned zero
+    assert "0.000000000000000" in probs and not any(p.startswith("-") for p in probs)
+
+
+def test_main_builds_parser_and_model_hash_once(tmp_path, two_site_file, monkeypatch):
+    from ctoqw import cli, model
+
+    calls = []
+    build, digest = cli.build_parser, model._canonical_hash
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append("parser") or build())
+    monkeypatch.setattr(model, "_canonical_hash", lambda m: calls.append("hash") or digest(m))
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            code = run(tmp_path, "evolve", "--model", two_site_file, "--state", "0:e1",
+                       "--t", 1.0, "--out", tmp_path / "s.json", "--report", tmp_path / "r.csv")
+            assert code == 0
+    finally:
+        cli._parser.cache_clear()
+    # one parser per process, one hash per loaded model (each run loads one)
+    assert calls == ["parser", "hash", "hash"]
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ({"1": [[[1.0, 0.0]]]}, "ModelError: block at 1 has shape (1, 1), expected (2, 2)"),
+        ({"1": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-3.0, 0.0]]]},
+         "ModelError: block at 1 has eigenvalue -3.000e+00"),
+        ([1, 2], "ModelError: a block state must be a JSON object"),
+    ],
+    ids=["wrong-shape", "not-psd", "not-an-object"],
+)
+def test_evolve_rejects_bad_state_file(tmp_path, capsys, blocks, message):
+    model = tmp_path / "pair.json"
+    run(tmp_path, "fixtures", "--name", "coherent-pair", "--out", model)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(blocks if isinstance(blocks, list) else {"blocks": blocks}))
+    capsys.readouterr()
+    code = run(tmp_path, "evolve", "--model", model, "--state", state, "--t", 1.0,
+               "--out", tmp_path / "out.json")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(message)
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_evolve_accepts_its_own_state_file(tmp_path):
+    # a window boundary lets mass escape: the written state has trace < 1
+    model = tmp_path / "line.json"
+    run(tmp_path, "fixtures", "--name", "biased-line", "--window", 2, "--out", model)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run(tmp_path, "evolve", "--model", model, "--state", "0:e1", "--t", 2.0, "--out", first) == 0
+    assert run(tmp_path, "evolve", "--model", model, "--state", first, "--t", 1.0, "--out", second) == 0
+
+
 def test_simulate_deterministic_csv(tmp_path, two_site_file):
     q = tmp_path / "q.json"
     q.write_text(json.dumps([{"kind": "passage_cdf", "vertex": 0, "grid": [1.0, 2.0]}]))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ctoqw import linalg
-from ctoqw.errors import PreconditionError
+from ctoqw.errors import ConvergenceError, PreconditionError
 from ctoqw.superop import SuperOp
 from oracles import dwell_integral_oracle
 from strategies import random_density, random_hermitian
@@ -76,10 +76,44 @@ def test_lyapunov_dwell_residual_and_oracle(seed, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     g = g - (linalg.spectral_abscissa(g) + 0.6) * np.eye(d)  # force stability
     x = random_hermitian(rng, d)
-    y = linalg.lyapunov_dwell(g, x)
+    dwell = linalg.lyapunov_dwell(np.stack([g, g.conj()]))
+    assert dwell.shape == (2, d * d, d * d)
+    y = linalg.unvec(dwell[0] @ linalg.vec(x), (d, d))
     res = np.linalg.norm(g @ y + y @ g.conj().T + x)
     assert res <= 1e-10 * (1 + np.linalg.norm(x))
     assert_allclose(y, dwell_integral_oracle(g, x), atol=5e-7)
+    y_conj = linalg.unvec(dwell[1] @ linalg.vec(x), (d, d))
+    assert_allclose(y_conj, dwell_integral_oracle(g.conj(), x), atol=5e-7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 4))
+def test_stacked_sandwich_and_drift_equal_kron(seed, p, q):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((5, p, q)) + 1j * rng.standard_normal((5, p, q))
+    g = rng.standard_normal((5, p, p)) + 1j * rng.standard_normal((5, p, p))
+    eye = np.eye(p, dtype=complex)
+    stacked, drift = linalg.sandwich_matrix(a), linalg.drift_matrix(g)
+    for k in range(5):
+        assert np.array_equal(stacked[k], np.kron(a[k].conj(), a[k]))
+        assert np.array_equal(linalg.sandwich_matrix(a[k]), stacked[k])
+        assert np.array_equal(drift[k], np.kron(eye, g[k]) + np.kron(g[k].conj(), eye))
+        assert np.array_equal(linalg.drift_matrix(g[k]), drift[k])
+
+
+def test_lyapunov_dwell_rejects_a_large_residual():
+    # a nearly defective, barely escaping generator: the inverse is useless
+    good = -np.eye(2, dtype=complex)
+    bad = np.array([[-1e-8, 100.0], [0.0, -2e-8]], dtype=complex)
+    with pytest.raises(ConvergenceError, match="^dwell integral residual .* exceeds 1.0e-10"):
+        linalg.lyapunov_dwell(np.stack([good, bad]))
+
+
+def test_require_stable_names_the_first_unstable_matrix_of_a_stack():
+    stack = np.array([[[-1.0]], [[0.5]], [[-2.0]], [[3.0]]])
+    with pytest.raises(PreconditionError, match=r"^dwell generator at vertex 1 is not escaping: eigenvalue 0\.5"):
+        linalg.require_stable(stack, where=[0, 1, 2, 3])
+    linalg.require_stable(stack[[0, 2]])
 
 
 def test_require_stable_reports_eigenvalue():

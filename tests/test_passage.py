@@ -3,20 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ctoqw import classify, cli, fixtures, linalg, passage, trajectory
+from ctoqw import classify, cli, fixtures, linalg, passage, semigroup, trajectory
 from ctoqw.errors import ModelError, PreconditionError
 from ctoqw.model import SitedState, build_walk
 from ctoqw.superop import SuperOp
 from oracles import (
+    block_generator_per_vertex,
     dwell_integral_oracle,
     gamblers_ruin_return,
     jump_chain_expected_visits,
     jump_chain_hit_probability,
+    jump_kernel_per_edge,
     passage_partial_oracle,
 )
-from strategies import qudit_ring, random_density
+from strategies import leaky_variant, qudit_ring, random_density, random_model
 
 
 def test_path_operator_scalar_two_site(two_site):
@@ -107,6 +111,59 @@ def test_jump_kernel_built_once_per_model(monkeypatch):
     assert not any(ker.matrix.flags.writeable for ker in cached.values())
     with pytest.raises(ValueError):
         cached[(0, 1)].matrix[0, 0] = 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_stacked_assembly_equals_per_vertex_oracles_on_random_models(seed):
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n_vertices=int(rng.integers(2, 9)), max_dim=4)
+    if rng.random() < 0.5:
+        m = leaky_variant(rng, m)  # an escape defect at one vertex
+    assert np.array_equal(
+        semigroup.build_block_generator(m).matrix, block_generator_per_vertex(m)
+    )
+    assume(all(m.is_escaping(v.id) for v in m.vertices))
+    kernels, oracle = passage.jump_kernel(m), jump_kernel_per_edge(m)
+    assert list(kernels) == list(oracle)
+    for edge, mat in oracle.items():
+        ker = kernels[edge]
+        assert (ker.source_dim, ker.target_dim) == (m.dim(edge[0]), m.dim(edge[1]))
+        assert np.max(np.abs(ker.matrix - mat)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "name, window", [("biased-line", 20), ("spin-biased-line", 40), ("two-site-exchange", None),
+                     ("coherent-pair", None)]
+)
+def test_stacked_assembly_is_exact_on_fixtures(name, window):
+    m = fixtures.get_fixture(name, window)
+    kernels, oracle = passage.jump_kernel(m), jump_kernel_per_edge(m)
+    assert list(kernels) == list(oracle)
+    assert all(np.array_equal(kernels[e].matrix, mat) for e, mat in oracle.items())
+    assert np.array_equal(semigroup.build_block_generator(m).matrix, block_generator_per_vertex(m))
+
+
+def test_jump_kernel_one_dwell_call_per_dimension(monkeypatch):
+    dwell = linalg.lyapunov_dwell
+    sizes = []
+    monkeypatch.setattr(linalg, "lyapunov_dwell", lambda g, **kw: sizes.append(g.shape) or dwell(g, **kw))
+    walk = fixtures.biased_line((-500, 500))
+    assert len(walk.vertices) == 1001
+    kernels = passage.jump_kernel(walk)
+    assert sizes == [(1001, 1, 1)] and len(kernels) == 2000
+    sizes.clear()
+    mixed = random_model(np.random.default_rng(3), n_vertices=8, max_dim=3)
+    dims = [v.dim for v in mixed.vertices]
+    passage.jump_kernel(mixed)
+    assert sorted(sizes) == sorted((dims.count(d), d, d) for d in set(dims))
+
+
+def test_jump_kernel_names_the_non_escaping_vertex():
+    walk = build_walk([(0, 1), (1, 1), (2, 1)], [(0, 1, [[1.0]]), (1, 0, [[1.0]]), (2, 0, [[1.0]])],
+                      effective={1: [[0.5j]]})
+    with pytest.raises(PreconditionError, match=r"^dwell generator at vertex 1 is not escaping"):
+        passage.jump_kernel(walk)
 
 
 def test_first_passage_two_site_certain(two_site):
