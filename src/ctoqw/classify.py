@@ -128,59 +128,46 @@ class IrreducibilityVerdict:
 
     irreducible: bool
     algebra_dim: int
-    witness: np.ndarray | None = None  # orthonormal columns spanning an
-    # invariant subspace of the summed space, None when irreducible
-    witness_vertices: list[VertexId] = field(default_factory=list)
+    # an invariant subspace ``(+)_j W_j`` of the summed space as orthonormal
+    # columns ``{j: (d_j, dim W_j)}`` over the vertices with ``W_j != 0``;
+    # None when irreducible
+    witness: dict[VertexId, np.ndarray] | None = None
     deficient_pairs: list[tuple[VertexId, VertexId]] = field(default_factory=list)
+
+    @property
+    def witness_vertices(self) -> list[VertexId]:
+        return [] if self.witness is None else list(self.witness)
 
     def to_json_dict(self) -> dict:
         return {
             "irreducible": self.irreducible,
             "algebra_dim": self.algebra_dim,
-            "witness_dim": 0 if self.witness is None else int(self.witness.shape[1]),
+            "witness_dim": 0 if self.witness is None else _witness_dim(self.witness),
             "witness_vertices": [str(v) for v in self.witness_vertices],
             "deficient_pairs": [[str(a), str(b)] for a, b in self.deficient_pairs],
         }
 
 
-def _embed(model: WalkModel, blocks: dict) -> np.ndarray:
-    """Columns in the summed space from per-vertex orthonormal blocks."""
-    w = np.zeros((model.total_dim, sum(q.shape[1] for q in blocks.values())), dtype=complex)
-    row = col = 0
-    for v in model.vertices:
-        q = blocks.get(v.id)
-        if q is not None:
-            w[row:row + v.dim, col:col + q.shape[1]] = q
-            col += q.shape[1]
-        row += v.dim
-    return w
+def _witness_dim(blocks: dict) -> int:
+    return sum(q.shape[1] for q in blocks.values())
 
 
-def _is_invariant(model: WalkModel, w: np.ndarray, with_dwell: bool) -> bool:
-    """Whether the span of ``w`` is invariant under every jump (and every
-    dwell generator when ``with_dwell``), checked edge by edge.
-
-    ``w`` has orthonormal columns, each supported on one vertex, as every
-    witness built here has.
-    """
-    blocks = {}
-    owners = np.zeros(w.shape[1], dtype=int)
-    row = 0
-    for v in model.vertices:
-        rows = w[row:row + v.dim]
-        cols = np.flatnonzero(np.any(rows != 0, axis=0))
-        owners[cols] += 1
-        blocks[v.id] = rows[:, cols]
-        row += v.dim
-    if np.any(owners != 1):
-        return False
+def _is_invariant(model: WalkModel, blocks: dict, with_dwell: bool) -> bool:
+    """Whether the subspace with orthonormal columns ``blocks[j]`` at each
+    vertex ``j`` (zero at the vertices absent from ``blocks``) is invariant
+    under every jump (and every dwell generator when ``with_dwell``),
+    checked edge by edge."""
     ops = list(model.jumps())
     if with_dwell:
         ops += [(v, v, model.effective(v)) for v in model.ids]
     for src, dst, op in ops:
+        if src not in blocks:
+            continue
         x = op @ blocks[src]
-        q = blocks[dst]
-        if np.linalg.norm(x - q @ (q.conj().T @ x)) > 1e-10 * (1.0 + np.linalg.norm(op)):
+        q = blocks.get(dst)
+        if q is not None:
+            x = x - q @ (q.conj().T @ x)
+        if np.linalg.norm(x) > 1e-10 * (1.0 + np.linalg.norm(op)):
             return False
     return True
 
@@ -199,15 +186,15 @@ def _witness_from_seed(model, fwd, base, phi):
         keep = [k for k in range(r.shape[0]) if abs(r[k, k]) > _RANK_TOL]
         if keep:
             blocks[v.id] = q[:, keep]
-    dim_w = sum(q.shape[1] for q in blocks.values())
+    dim_w = _witness_dim(blocks)
     if dim_w == 0 or dim_w >= model.total_dim:
         return None
     return blocks
 
 
 def _base_witness(model, with_dwell, base, fwd, adj, rng):
-    """An invariant subspace found from one base vertex, as dense columns
-    and their vertices, or None.
+    """An invariant subspace found from one base vertex, as per-vertex
+    blocks, or None.
 
     Tried in order: the forward span of ``h_base`` when it is proper, the
     common kernel of the adjoint closure (the vectors every path operator
@@ -222,10 +209,8 @@ def _base_witness(model, with_dwell, base, fwd, adj, rng):
         {j: u[:, :r] for j, u, r in fwd_cs if r},
         {j: u[:, r:] for j, u, r in adj_cs if r < len(u)},
     ):
-        if 0 < sum(q.shape[1] for q in blocks.values()) < model.total_dim:
-            w = _embed(model, blocks)
-            if _is_invariant(model, w, with_dwell):
-                return w, list(blocks)
+        if 0 < _witness_dim(blocks) < model.total_dim and _is_invariant(model, blocks, with_dwell):
+            return blocks
 
     d = model.dim(base)
     candidates = [np.eye(d, dtype=complex)[:, k] for k in range(d)]
@@ -242,10 +227,8 @@ def _base_witness(model, with_dwell, base, fwd, adj, rng):
         if n < 1e-12:
             continue
         blocks = _witness_from_seed(model, fwd, base, phi / n)
-        if blocks is not None:
-            w = _embed(model, blocks)
-            if _is_invariant(model, w, with_dwell):
-                return w, list(blocks)
+        if blocks is not None and _is_invariant(model, blocks, with_dwell):
+            return blocks
     return None
 
 
@@ -269,7 +252,7 @@ def _check(model: WalkModel, with_dwell: bool) -> IrreducibilityVerdict:
             adj = _closure(model, with_dwell, b, adjoint=True)
         got = _base_witness(model, with_dwell, b, fwd, adj, rng)
         if got is not None:
-            return IrreducibilityVerdict(False, algebra_dim, got[0], got[1], deficient)
+            return IrreducibilityVerdict(False, algebra_dim, got, deficient)
     return IrreducibilityVerdict(False, algebra_dim, deficient_pairs=deficient)
 
 
@@ -333,16 +316,12 @@ class ClassificationReport:
         }
 
 
-def _perron_state(p_map: SuperOp, tol: float = 1e-10):
+def _perron_state(p_map: SuperOp):
     """Leading eigenvalue and normalized PSD eigenmatrix of a CP map."""
-    ok = False
-    if p_map.matrix.shape[0] > 4096:
-        lam, v, ok, _ = linalg.power_iteration(p_map.matrix, tol=tol, max_iter=2000)
-    if not ok:
-        vals, vecs = np.linalg.eig(p_map.matrix)
-        k = int(np.argmax(np.abs(vals)))
-        lam = float(np.abs(vals[k]))
-        v = vecs[:, k]
+    vals, vecs = np.linalg.eig(p_map.matrix)
+    k = int(np.argmax(np.abs(vals)))
+    lam = float(np.abs(vals[k]))
+    v = vecs[:, k]
     rho = linalg.unvec(v, (p_map.source_dim, p_map.source_dim))
     rho = linalg.herm(rho)
     tr = np.trace(rho).real

@@ -78,14 +78,21 @@ def _load_model(path: str) -> model.WalkModel:
     return model.model_from_json(doc)
 
 
+def _vertex(text: str) -> model.VertexId:
+    """A vertex id from the command line: an integer where it reads as one."""
+    return int(text) if text.lstrip("+-").isdigit() else text
+
+
 def _parse_start(spec: str, walk: model.WalkModel) -> model.SitedState:
     """Parse ``vertex[:state]`` where state is ``eK`` (basis projector,
-    1-based), ``maxmixed`` (default), or a JSON file with a matrix."""
+    1-based), ``maxmixed`` (default), or a JSON file with a matrix, which
+    must be a state of the vertex: Hermitian and positive semidefinite to
+    ``1e-10`` (:func:`model.check_block_state`) with unit trace to ``1e-8``."""
     if ":" in spec:
         vpart, spart = spec.split(":", 1)
     else:
         vpart, spart = spec, "maxmixed"
-    vertex: model.VertexId = int(vpart) if vpart.lstrip("+-").isdigit() else vpart
+    vertex = _vertex(vpart)
     d = walk.dim(vertex)
     if spart == "maxmixed":
         rho = np.eye(d) / d
@@ -98,6 +105,16 @@ def _parse_start(spec: str, walk: model.WalkModel) -> model.SitedState:
     else:
         with open(spart) as fh:
             rho = model.json_to_matrix(json.load(fh))
+        try:
+            model.check_block_state(walk, model.BlockState({vertex: rho}))
+            trace = np.trace(rho).real
+            if abs(trace - 1.0) > 1e-8:
+                raise ModelError(f"trace {trace!r}")
+        except ModelError as exc:
+            raise ModelError(
+                f"initial state at vertex {vertex!r} must be a {d}x{d} matrix, Hermitian, "
+                f"positive semidefinite and of unit trace: {exc}"
+            ) from None
     return model.SitedState(vertex, rho)
 
 
@@ -265,10 +282,8 @@ def _cmd_first_passage(args) -> int:
     walk = _load_model(args.model)
     _require_valid(walk, args.tol)
     start = _parse_start(getattr(args, "from"), walk)
-    target: model.VertexId = (
-        int(args.to) if str(args.to).lstrip("+-").isdigit() else args.to
-    )
-    p_map, diag = passage.first_passage_map(walk, start.vertex, target, tol=args.tol)
+    target = _vertex(args.to)
+    p_map, diag = passage.first_passage_map(walk, start.vertex, target)
     diag = passage.with_certificates(p_map, diag)
     prob = passage.reach_probability(p_map, start.rho)
     doc = {
@@ -279,7 +294,7 @@ def _cmd_first_passage(args) -> int:
     }
     if args.window:
         def compute(rebuilt):
-            pm, _ = passage.first_passage_map(rebuilt, start.vertex, target, tol=args.tol)
+            pm, _ = passage.first_passage_map(rebuilt, start.vertex, target)
             return {"reach_probability": passage.reach_probability(pm, start.rho)}
 
         doc["window_study"] = _window_study(walk, args, compute, "reach_probability")
@@ -291,12 +306,8 @@ def _cmd_occupation(args) -> int:
     walk = _load_model(args.model)
     _require_valid(walk, args.tol)
     start = _parse_start(getattr(args, "from"), walk)
-    target: model.VertexId = (
-        int(args.at) if str(args.at).lstrip("+-").isdigit() else args.at
-    )
-    value = passage.expected_occupation(
-        walk, start.vertex, target, start.rho, tol=args.tol
-    )
+    target = _vertex(args.at)
+    value = passage.expected_occupation(walk, start.vertex, target, start.rho)
     doc = {
         "meta": _meta(args, walk, {"from": str(start.vertex), "at": str(target)}),
         "finite": bool(np.isfinite(value)),
@@ -309,9 +320,7 @@ def _cmd_occupation(args) -> int:
 def _cmd_classify(args) -> int:
     walk = _load_model(args.model)
     _require_valid(walk, args.tol)
-    base = None
-    if args.vertex is not None:
-        base = int(args.vertex) if str(args.vertex).lstrip("+-").isdigit() else args.vertex
+    base = None if args.vertex is None else _vertex(args.vertex)
     report = classify.classify_trichotomy(walk, base, eps_spec=args.eps)
     doc = {"meta": _meta(args, walk, {"eps_spec": args.eps}), "report": report.to_json_dict()}
     if args.window:
@@ -336,7 +345,9 @@ def _cmd_irreducible(args) -> int:
         "verdict": verdict.to_json_dict(),
     }
     if verdict.witness is not None:
-        doc["witness_columns"] = model.matrix_to_json(verdict.witness)
+        doc["witness_columns"] = {
+            str(v): model.matrix_to_json(q) for v, q in verdict.witness.items()
+        }
     _write_json(args.out, doc)
     return 0
 

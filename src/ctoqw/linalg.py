@@ -7,14 +7,19 @@ Vectorization convention, fixed package-wide: ``vec`` stacks columns, so
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConvergenceError, PreconditionError
 
-_EIG_COND_LIMIT = 1e8
+# The eigen expansion ``e^{tG} = P e^{t Lambda} P^-1`` carries a rounding
+# error of about ``eps * cond(P)``, and a survival ``Tr(e^{tG} rho e^{tG^dag})``
+# built from it about ``eps * cond(P)^2``.  Near an exceptional point that
+# exceeds the 1e-12 to which the sampler inverts the survival, so above this
+# limit (about 21) the dense exponential, whose error is about eps, is taken.
+COND_LIMIT = math.sqrt(0.1 * 1e-12 / np.finfo(float).eps)
 
 # A dwell generator counts as escaping when every eigenvalue has real part
 # below -STABILITY_MARGIN; only then does its dwell integral converge.
@@ -75,6 +80,9 @@ def spectral_abscissa(g: np.ndarray) -> float:
 def expm(a: np.ndarray) -> np.ndarray:
     # scipy implements scaling-and-squaring with a degree-adapted diagonal
     # Pade approximant, which is what these small dense generators need.
+    # Imported here: loading scipy.linalg doubles the start-up of the CLI.
+    import scipy.linalg as sla
+
     return sla.expm(np.asarray(a, dtype=complex))
 
 
@@ -186,38 +194,30 @@ def simplex_quadrature_blocks(n: int, t: float, q: int, max_block: int = 200_000
 
 
 class Propagator:
-    """Evaluates e^{t g} for a fixed dwell generator, vectorized over t.
+    """The flows ``e^{t G[k]}`` of a stack of generators ``(n, d, d)``.
 
-    Uses the eigendecomposition when it is well conditioned, otherwise a
-    per-time scaling-and-squaring exponential.
+    One batched ``eig`` and ``cond`` of the stack, and one batched ``inv`` of
+    the eigenvector matrices ``P`` with ``cond(P) < COND_LIMIT`` (``diag``):
+    there the flow is the eigen expansion, elsewhere the dense exponential.
     """
 
     def __init__(self, g: np.ndarray):
-        self.g = np.atleast_2d(np.asarray(g, dtype=complex))
-        self.d = self.g.shape[0]
-        lam, p = np.linalg.eig(self.g)
-        self.cond = float(np.linalg.cond(p))
-        self.diagonalizable = self.cond < _EIG_COND_LIMIT
-        if self.diagonalizable:
-            self.lam = lam
-            self.p = p
-            self.pinv = np.linalg.inv(p)
-        else:
-            self.lam = lam
-            self.p = None
-            self.pinv = None
+        self.g = np.asarray(g, dtype=complex)
+        self.lam, self.p = np.linalg.eig(self.g)
+        self.diag = np.linalg.cond(self.p) < COND_LIMIT
+        self.pinv = np.zeros_like(self.p)
+        if self.diag.any():
+            self.pinv[self.diag] = np.linalg.inv(self.p[self.diag])
 
-    def at(self, t: float) -> np.ndarray:
-        if self.diagonalizable:
-            return (self.p * np.exp(t * self.lam)) @ self.pinv
-        return expm(t * self.g)
-
-    def many(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if self.diagonalizable:
-            phases = np.exp(np.multiply.outer(ts, self.lam))
-            return np.einsum("ab,nb,bc->nac", self.p, phases, self.pinv)
-        return np.stack([expm(t * self.g) for t in ts])
+    def at(self, k, t) -> np.ndarray:
+        """``e^{t[i] G[k[i]]}`` for index and time arrays; a scalar index
+        applies to every time."""
+        k, t = np.broadcast_arrays(np.asarray(k, dtype=np.intp), np.asarray(t, dtype=float))
+        e = (self.p[k] * np.exp(t[:, None] * self.lam[k])[:, None, :]) @ self.pinv[k]
+        dense = ~self.diag[k]
+        if dense.any():
+            e[dense] = expm(t[dense, None, None] * self.g[k[dense]])
+        return e
 
 
 def require_stable(g: np.ndarray, where=None):

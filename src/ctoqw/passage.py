@@ -530,25 +530,27 @@ def expected_occupation(
 
     Every arrival at ``j`` contributes an expected sojourn ``Tr D_j(sigma)``
     for the (sub-normalized) arrival state ``sigma``; arrival states are the
-    iterates of the return map.  Returns ``inf`` when the return map's
-    spectral radius reaches one, where the geometric sum of visits diverges.
+    iterates of the return map ``P_jj``, so the visits sum to
+    ``(I - P_jj)^-1 sigma0``, solved with :func:`factor_kernel` on the
+    ``d_j^2``-dimensional space of ``j``.  Returns ``inf`` unless its Green
+    certificate proves ``rho(P_jj) <= 1 - tol``: the geometric sum of visits
+    then need not converge.
     """
+    import scipy.sparse as sp
+
     rho = np.atleast_2d(np.asarray(rho, dtype=complex))
     kernels = model.derived("jump_kernel", jump_kernel)
     taboo = _taboo_kernel(model, j, kernels)
     p_jj, _ = _passage_map(model, j, taboo, kernels, tol=tol)
-    radius, _ = linalg.spectral_radius(p_jj.matrix, tol=1e-10)
-    if radius >= 1.0 - tol:
+    dj = model.dim(j)
+    green = factor_kernel(sp.csc_array(p_jj.matrix), {j: slice(0, dj * dj)})
+    if not green.holds(tol):
         return float("inf")
     if i == j:
         sigma0 = rho
     else:
         p_ij, _ = _passage_map(model, i, taboo, kernels, tol=tol)
         sigma0 = p_ij.apply(rho)
-    dj = model.dim(j)
-    resolvent = np.linalg.solve(
-        np.eye(dj * dj, dtype=complex) - p_jj.matrix, linalg.vec(sigma0)
-    )
-    total_arrivals = linalg.unvec(resolvent, (dj, dj))
+    total_arrivals = linalg.unvec(green.solve(linalg.vec(sigma0)), (dj, dj))
     dwell = dwell_integral(model.effective(j), total_arrivals)
     return float(np.trace(dwell).real)

@@ -218,14 +218,22 @@ def dyson_partial(
             f"budget is {node_budget}; lower n_max or quad_points"
         )
 
-    props = {v.id: linalg.Propagator(model.effective(v.id)) for v in model.vertices}
+    flows = {}  # vertex -> (the Propagator of its dimension, its row there)
+    for ks, gens in linalg.by_shape([model.effective(v) for v in model.ids]):
+        prop = linalg.Propagator(gens)
+        flows.update((model.ids[k], (prop, row)) for row, k in enumerate(ks.tolist()))
+
+    def flow(v, ts):
+        prop, row = flows[v]
+        return prop.at(row, ts)
+
     blocks = {
         v.id: np.zeros((v.dim, v.dim), dtype=complex) for v in model.vertices
     }
 
     for s in support:
         rho0 = mu.block(s, model.dim(s))
-        e = props[s].at(t)
+        e = flow(s, [t])[0]
         blocks[s] += e @ rho0 @ e.conj().T
 
     for start in support:
@@ -250,10 +258,10 @@ def dyson_partial(
                         axis=1,
                     )
                     np.clip(durations, 0.0, None, out=durations)
-                    ops = props[path[0]].many(durations[:, 0])
+                    ops = flow(path[0], durations[:, 0])
                     for k in range(n):
                         ops = np.einsum("ab,nbc->nac", rmats[k], ops)
-                        leg = props[path[k + 1]].many(durations[:, k + 1])
+                        leg = flow(path[k + 1], durations[:, k + 1])
                         ops = np.einsum("nab,nbc->nac", leg, ops)
                     acc += np.einsum(
                         "n,nab,bc,ndc->ad", weights, ops, rho0, ops.conj()

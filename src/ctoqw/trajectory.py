@@ -27,13 +27,8 @@ from . import linalg
 from .errors import ConvergenceError, ModelError, PreconditionError
 from .model import SitedState, VertexId, WalkModel
 
-_INV_TOL = 1e-12
+_INV_TOL = 1e-12  # the tolerance linalg.COND_LIMIT is chosen for
 _PLATEAU = 1e-14
-# The eigen expansion of s(t) carries a rounding error of about
-# eps * cond(P)^2, P the eigenvector matrix of G, which near an exceptional
-# point exceeds _INV_TOL.  Above this condition number (about 21) the
-# survival is taken from the dense exponential, whose error is about eps.
-_SURVIVAL_COND_LIMIT = math.sqrt(0.1 * _INV_TOL / np.finfo(float).eps)
 
 
 # -- dwell flow ---------------------------------------------------------------
@@ -205,16 +200,12 @@ class _Block:
     def __init__(self, tab: _Tables, d: int, members, gens, edges, escapes):
         n, self.width = len(gens), max([len(e) for e in edges] + [1])
         shape = (n, d, d)
-        self.g, self.gplus, self.escape = (np.zeros(shape, dtype=complex) for _ in range(3))
-        self.p, self.pinv, self.pinvc, self.ovt = (np.zeros(shape, dtype=complex) for _ in range(4))
-        self.lam = np.zeros((n, d), dtype=complex)
-        self.mu = np.zeros((n, d * d), dtype=complex)
-        self.diag = np.zeros(n, dtype=bool)
+        stack, self.gplus, self.escape = (np.zeros(shape, dtype=complex) for _ in range(3))
         self.tscale = np.zeros(n)
         for k in members:
             g = gens[k]
             gplus = g + g.conj().T
-            self.g[k], self.gplus[k], self.escape[k] = g, gplus, escapes[k]
+            stack[k], self.gplus[k], self.escape[k] = g, gplus, escapes[k]
             c = -float(np.trace(gplus).real) / d
             if np.linalg.norm(gplus + c * np.eye(d)) <= 1e-13 * (1.0 + abs(c)):
                 tab.rate[k] = max(c, 0.0)  # uniform decay: s(t) = exp(-c t)
@@ -222,13 +213,12 @@ class _Block:
                 tab.rate[k] = 0.0  # no event ever comes
             else:
                 self.tscale[k] = 1.0 / speed
-            prop = linalg.Propagator(g)
-            self.lam[k] = prop.lam
-            self.mu[k] = np.add.outer(prop.lam, prop.lam.conj()).reshape(-1)
-            self.diag[k] = prop.cond < _SURVIVAL_COND_LIMIT
-            if self.diag[k]:
-                self.p[k], self.pinv[k], self.pinvc[k] = prop.p, prop.pinv, prop.pinv.conj()
-                self.ovt[k] = (prop.p.conj().T @ prop.p).T
+        self.prop = prop = linalg.Propagator(stack)
+        # the survival's eigen expansion (its coefficients vanish where
+        # prop.pinv is zero, off prop.diag)
+        self.mu = (prop.lam[:, :, None] + prop.lam.conj()[:, None, :]).reshape(n, d * d)
+        self.pinvc = prop.pinv.conj()
+        self.ovt = (prop.p.conj().swapaxes(1, 2) @ prop.p).swapaxes(1, 2)
         # The jumps grouped by destination dimension: kind ``dd`` stacks the
         # jumps into dd-dimensional spaces, one column per jump slot that
         # has one, zero where the vertex's jump in that slot goes elsewhere.
@@ -248,14 +238,6 @@ class _Block:
                         rs[k, cols.index(j)] = r
                         self.kind_of[k, j], self.col_of[k, j] = ki, cols.index(j)
             self.kinds.append((rs, np.array(cols, dtype=np.intp)))
-
-    def at(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The propagators ``e^{t G}`` of vertices ``k`` at times ``t``."""
-        e = (self.p[k] * np.exp(t[:, None] * self.lam[k])[:, None, :]) @ self.pinv[k]
-        dense = ~self.diag[k]
-        if dense.any():
-            e[dense] = linalg.expm(t[dense, None, None] * self.g[k[dense]])
-        return e
 
     def invert(self, k: np.ndarray, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Solve s(t) = u by doubling a bracket, then safeguarded Newton
@@ -298,7 +280,7 @@ class _Block:
 
     def flow(self, k: np.ndarray, rho: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Normalized dwell states ``dt`` after entering in ``rho``."""
-        e = self.at(k, dt)
+        e = self.prop.at(k, dt)
         return _normalised(e @ rho @ e.conj().swapaxes(1, 2))
 
     def weights(self, k: np.ndarray, eta: np.ndarray, escape: bool):
@@ -338,7 +320,7 @@ class _Survival:
     ``k`` of one block, in states ``rho``.
 
     Where the eigenvector matrix of the vertex generator has a condition
-    number below ``_SURVIVAL_COND_LIMIT``, s is a sum of exponentials over
+    number below ``linalg.COND_LIMIT``, s is a sum of exponentials over
     eigenvalue pairs ``mu = lam (+) conj(lam)`` with coefficients ``coef``;
     elsewhere the dense exponential is taken at each time.
     """
@@ -347,12 +329,12 @@ class _Survival:
         self.blk, self.k, self.rho, self.coef = blk, k, rho, coef
         self.mu = blk.mu[k]
         self.slope = coef * self.mu
-        self.dense = ~blk.diag[k]
+        self.dense = ~blk.prop.diag[k]
         self.any_dense = bool(self.dense.any())
 
     @classmethod
     def of(cls, blk: _Block, k: np.ndarray, rho: np.ndarray) -> _Survival:
-        a = blk.pinv[k] @ rho @ blk.pinvc[k].swapaxes(1, 2)
+        a = blk.prop.pinv[k] @ rho @ blk.pinvc[k].swapaxes(1, 2)
         return cls(blk, k, rho, (a * blk.ovt[k]).reshape(k.size, -1))
 
     def take(self, i) -> _Survival:
@@ -360,7 +342,7 @@ class _Survival:
         return _Survival(self.blk, self.k[i], self.rho[i], self.coef[i])
 
     def _raw(self, t: np.ndarray, i=slice(None)) -> np.ndarray:
-        e = self.blk.at(self.k[i], t)
+        e = self.blk.prop.at(self.k[i], t)
         return e @ self.rho[i] @ e.conj().swapaxes(1, 2)
 
     def value(self, t: np.ndarray, slope: bool = False):

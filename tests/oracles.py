@@ -332,3 +332,39 @@ def block_generator_per_vertex(model: WalkModel) -> np.ndarray:
     for src, dst, r in model.jumps():
         mat[offsets[dst], offsets[src]] += np.kron(r.conj(), r)
     return mat
+
+
+def propagator_per_vertex(g: np.ndarray, k: np.ndarray, t: np.ndarray, cond_limit: float):
+    """``linalg.Propagator(g).at(k, t)`` one generator at a time: one
+    ``eig``, ``cond`` and ``inv`` per matrix of the stack, then the eigen
+    expansion where ``cond(P) < cond_limit`` and ``scipy.linalg.expm`` per
+    time elsewhere.  Returns the flows and the mask of the expanded rows."""
+    n, d, _ = g.shape
+    lam = np.zeros((n, d), dtype=complex)
+    p, pinv = np.zeros_like(g), np.zeros_like(g)
+    diag = np.zeros(n, dtype=bool)
+    for j in range(n):
+        lam[j], pj = np.linalg.eig(g[j])
+        diag[j] = float(np.linalg.cond(pj)) < cond_limit
+        if diag[j]:
+            p[j], pinv[j] = pj, np.linalg.inv(pj)
+    e = (p[k] * np.exp(t[:, None] * lam[k])[:, None, :]) @ pinv[k]
+    for i in np.flatnonzero(~diag[k]):
+        e[i] = sla.expm(t[i] * g[k[i]])
+    return e, diag[k]
+
+
+def occupation_dense_radius(model: WalkModel, i, j, rho, tol: float = 1e-8) -> float:
+    """``passage.expected_occupation`` by the dense rule: infinite when the
+    return map's spectral radius (from ``eigvals``) reaches ``1 - tol``,
+    else the visits from ``np.linalg.solve(I - P_jj, vec(sigma0))``."""
+    from ctoqw.passage import dwell_integral, first_passage_map
+
+    rho = np.atleast_2d(np.asarray(rho, dtype=complex))
+    p_jj, _ = first_passage_map(model, j, j, tol=tol)
+    if np.max(np.abs(np.linalg.eigvals(p_jj.matrix))) >= 1.0 - tol:
+        return float("inf")
+    sigma0 = rho if i == j else first_passage_map(model, i, j, tol=tol)[0].apply(rho)
+    dj = model.dim(j)
+    visits = np.linalg.solve(np.eye(dj * dj) - p_jj.matrix, sigma0.reshape(-1, order="F"))
+    return float(np.trace(dwell_integral(model.effective(j), visits.reshape(dj, dj, order="F"))).real)

@@ -37,11 +37,19 @@ def test_coherent_pair_splits_the_two_notions(coherent):
 
 def test_discrete_witness_is_invariant(coherent):
     disc = classify.check_discrete_irreducible(coherent)
-    w = disc.witness
+    # the per-vertex blocks as columns of the summed space: vertex 1
+    # occupies the first two coordinates, vertex 2 the last two
+    rows = {1: slice(0, 2), 2: slice(2, 4)}
+    cols = []
+    for v, q in disc.witness.items():
+        col = np.zeros((4, q.shape[1]), dtype=complex)
+        col[rows[v]] = q
+        cols.append(col)
+    w = np.hstack(cols)
+    assert np.allclose(w.conj().T @ w, np.eye(w.shape[1]))
     p = w @ w.conj().T
     comp = np.eye(4) - p
-    # embed jump operators into the summed space: vertex 1 occupies the
-    # first two coordinates, vertex 2 the last two
+    # the jump operators in the summed space
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     s12 = np.zeros((4, 4), dtype=complex)
     s12[2:, :2] = sx
@@ -329,7 +337,7 @@ def test_one_way_line_witness():
     ):
         v = check(m)
         assert not v.irreducible
-        assert 0 < v.witness.shape[1] < n
+        assert 0 < v.to_json_dict()["witness_dim"] < n
         assert classify._is_invariant(m, v.witness, with_dwell)
         assert 0 not in v.witness_vertices  # nothing returns to the start
 

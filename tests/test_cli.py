@@ -2,15 +2,21 @@ import contextlib
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ctoqw import linalg, trajectory
+import ctoqw
+from ctoqw import classify, linalg, model, passage, trajectory
 from ctoqw.cli import main
-from ctoqw.model import SitedState, matrix_to_json, model_from_json
+from ctoqw.model import SitedState, build_walk, matrix_to_json, model_from_json
 
 
 def run(tmp_path, *argv):
@@ -149,6 +155,55 @@ def test_evolve_accepts_its_own_state_file(tmp_path):
     assert run(tmp_path, "evolve", "--model", model, "--state", first, "--t", 1.0, "--out", second) == 0
 
 
+_START_COMMANDS = {
+    "simulate": ["simulate", "--start", "1:{state}", "--horizon", 1, "--n", 2],
+    "evolve": ["evolve", "--state", "1:{state}", "--t", 1.0],
+    "first-passage": ["first-passage", "--from", "1:{state}", "--to", "{target}"],
+    "occupation": ["occupation", "--from", "1:{state}", "--at", "{target}"],
+}
+
+
+def _start_model(tmp_path, name):
+    """A fixture whose vertex 1 is a qubit, and a target vertex."""
+    path = tmp_path / f"{name}.json"
+    window = ["--window", 8] if name == "spin-biased-line" else []
+    assert run(tmp_path, "fixtures", "--name", name, *window, "--out", path) == 0
+    return path, 1 if name == "spin-biased-line" else 2
+
+
+@pytest.mark.parametrize("name", ["spin-biased-line", "coherent-pair"])
+@pytest.mark.parametrize("command", sorted(_START_COMMANDS))
+@pytest.mark.parametrize(
+    "rho",
+    [np.diag([2.0, -3.0]), np.array([[0.5, 0.5], [0.0, 0.5]]), np.eye(2), np.eye(2) / 4],
+    ids=["not-psd", "not-hermitian", "trace-2", "trace-half"],
+)
+def test_start_state_file_must_be_a_state(tmp_path, capsys, name, command, rho):
+    model, target = _start_model(tmp_path, name)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(matrix_to_json(rho)))
+    argv = [str(a).format(state=state, target=target) for a in _START_COMMANDS[command]]
+    capsys.readouterr()
+    assert run(tmp_path, *argv, "--model", model, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ModelError: initial state at vertex 1 must be a 2x2 matrix, Hermitian")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(_START_COMMANDS))
+def test_start_state_file_equals_basis_spec(tmp_path, command):
+    model, target = _start_model(tmp_path, "spin-biased-line")
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(matrix_to_json(np.diag([0.0, 1.0]))))
+    outs = []
+    for spec in (str(state), "e2"):
+        argv = [str(a).format(state=spec, target=target) for a in _START_COMMANDS[command]]
+        outs.append(tmp_path / f"out-{len(outs)}")
+        assert run(tmp_path, *argv, "--model", model, "--out", outs[-1]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_simulate_deterministic_csv(tmp_path, two_site_file):
     q = tmp_path / "q.json"
     q.write_text(json.dumps([{"kind": "passage_cdf", "vertex": 0, "grid": [1.0, 2.0]}]))
@@ -236,6 +291,19 @@ def test_first_passage_and_occupation(tmp_path, spin_file):
     assert doc["finite"] and doc["expected_occupation"] > 0
 
 
+def test_tol_is_the_validation_tolerance_only(tmp_path, spin_file, monkeypatch):
+    # --tol reaches model.validate; passage maps keep their own default
+    calls, tols = [], []
+    fpm, occ, validate = passage.first_passage_map, passage.expected_occupation, model.validate
+    monkeypatch.setattr(passage, "first_passage_map", lambda *a, **kw: calls.append(kw) or fpm(*a, **kw))
+    monkeypatch.setattr(passage, "expected_occupation", lambda *a, **kw: calls.append(kw) or occ(*a, **kw))
+    monkeypatch.setattr(model, "validate", lambda w, tol: tols.append(tol) or validate(w, tol=tol))
+    for argv in (["first-passage", "--from", "1:e2", "--to", 1], ["occupation", "--from", "1:e1", "--at", 1]):
+        assert run(tmp_path, *argv, "--model", spin_file, "--tol", 1e-6, "--out", tmp_path / "o.json") == 0
+    assert calls == [{}, {}]
+    assert tols == [1e-6, 1e-6]
+
+
 def test_classify_report(tmp_path, spin_file):
     out = tmp_path / "cls.json"
     code = run(tmp_path, "classify", "--model", spin_file, "--vertex", 1, "--out", out)
@@ -270,6 +338,35 @@ def test_irreducible_commands(tmp_path):
     assert run(tmp_path, "irreducible", "--model", model, "--discrete", "--out", out2) == 0
     assert json.loads(out1.read_text())["verdict"]["irreducible"] is True
     assert json.loads(out2.read_text())["verdict"]["irreducible"] is False
+
+
+def test_reducible_witness_is_written_per_vertex(tmp_path):
+    # A 1000-site one-way line: the witness is written as one block per
+    # vertex (keys sorted as strings), not as dense columns of all sites.
+    one = np.array([[1.0]])
+    n = 1000
+    m = build_walk([(k, 1) for k in range(n)], [(k, k + 1, one) for k in range(n - 1)] + [(n - 1, n - 3, one)])
+    path, out = tmp_path / "line.json", tmp_path / "w.json"
+    path.write_text(json.dumps(m.to_json_dict()))
+    start = time.perf_counter()
+    assert run(tmp_path, "irreducible", "--model", path, "--out", out) == 0
+    assert time.perf_counter() - start < 1.0
+    assert out.stat().st_size < 1 << 20
+    doc = json.loads(out.read_text())
+    columns = doc["witness_columns"]
+    assert set(columns) == {str(v) for v in doc["verdict"]["witness_vertices"]}
+    assert sum(len(c[0]) for c in columns.values()) == doc["verdict"]["witness_dim"]
+    blocks = {int(v): np.array(c)[..., 0] + 1j * np.array(c)[..., 1] for v, c in columns.items()}
+    assert classify._is_invariant(m, blocks, with_dwell=True)
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # tests/oracles.py imports scipy.linalg, so the check runs in a fresh
+    # interpreter: the start-up of every command skips it.
+    env = {**os.environ, "PYTHONPATH": str(Path(ctoqw.__file__).parents[1])}
+    code = "import sys, ctoqw.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_exit_codes(tmp_path, two_site_file):

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from ctoqw import linalg
 from ctoqw.errors import ConvergenceError, PreconditionError
 from ctoqw.superop import SuperOp
-from oracles import dwell_integral_oracle
+from oracles import dwell_integral_oracle, propagator_per_vertex
 from strategies import random_density, random_hermitian
 
 
@@ -157,11 +157,46 @@ def test_simplex_quadrature_volume_and_moment():
 
 def test_propagator_matches_expm():
     rng = np.random.default_rng(6)
-    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    g = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
     p = linalg.Propagator(g)
-    for t in (0.0, 0.3, 1.7):
-        assert_allclose(p.at(t), linalg.expm(t * g), atol=1e-10)
-    ts = np.array([0.1, 0.9])
-    many = p.many(ts)
-    for k, t in enumerate(ts):
-        assert_allclose(many[k], linalg.expm(t * g), atol=1e-10)
+    k, t = np.array([0, 1, 1, 0]), np.array([0.0, 0.3, 1.7, 0.9])
+    e = p.at(k, t)
+    for i in range(4):
+        assert_allclose(e[i], linalg.expm(t[i] * g[k[i]]), atol=1e-10)
+    assert_allclose(p.at(1, t[1:3]), e[1:3])  # one index for every time
+
+
+def _generator_stack(rng, n, d):
+    """``n`` random generators of dimension ``d``; for ``d > 1`` a Jordan
+    block and a matrix whose eigenvector condition number lies between
+    ``linalg.COND_LIMIT`` and 1e8 come first."""
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)) - 2.0 * np.eye(d)
+    if d == 1:
+        return g
+    jordan = -np.eye(d) + np.eye(d, k=1)
+    # eigenvalues -1 and -1 - eps coupled by 1: cond(P) is about 2 / eps
+    near = -np.eye(d, dtype=complex)
+    near[0, 1], near[1, 1] = 1.0, -1.0 - 10.0 ** rng.uniform(-6.0, -1.5)
+    assert linalg.COND_LIMIT < np.linalg.cond(np.linalg.eig(near)[1]) < 1e8
+    return np.concatenate([[jordan, near], g])
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), n=st.integers(1, 4))
+@settings(max_examples=60)
+def test_stacked_propagator_matches_per_vertex_oracle(seed, d, n):
+    import scipy.linalg as sla
+
+    rng = np.random.default_rng(seed)
+    g = _generator_stack(rng, n, d)
+    k, t = rng.integers(0, len(g), 16), rng.uniform(0.0, 3.0, 16)
+    t[0] = 0.0
+    prop = linalg.Propagator(g)
+    e = prop.at(k, t)
+    want, eigen = propagator_per_vertex(g, k, t, linalg.COND_LIMIT)
+    assert np.array_equal(prop.diag[k], eigen)
+    assert np.array_equal(e[eigen], want[eigen])  # bit for bit
+    for i in np.flatnonzero(~eigen):
+        exact = sla.expm(t[i] * g[k[i]])
+        assert_allclose(e[i], exact, rtol=0, atol=1e-12 * max(1.0, np.abs(exact).max()))
+    if d > 1:
+        assert not prop.diag[:2].any()  # the Jordan block and cond(P) above the limit

@@ -18,9 +18,16 @@ from oracles import (
     jump_chain_expected_visits,
     jump_chain_hit_probability,
     jump_kernel_per_edge,
+    occupation_dense_radius,
     passage_partial_oracle,
 )
-from strategies import leaky_variant, qudit_ring, random_density, random_model
+from strategies import (
+    leaky_variant,
+    qudit_ring,
+    random_classifiable_model,
+    random_density,
+    random_model,
+)
 
 
 def test_path_operator_scalar_two_site(two_site):
@@ -304,11 +311,34 @@ def test_expected_occupation_shares_one_taboo_factorization(monkeypatch):
     )
     walk = fixtures.biased_line((-20, 20))
     value = passage.expected_occupation(walk, 1, 0, [[1.0]])
-    assert dims == [40]  # P[1->0] and P[0->0] share one taboo LU
-    assert sizes == [1]  # only the d_j^2 return map
+    # P[1->0] and P[0->0] share one taboo LU; the d_j^2 return map gets its own
+    assert dims == [40, 1]
+    assert sizes == []
     passage.expected_occupation(walk, 0, 0, [[1.0]])
-    assert dims == [40, 40]
+    assert dims == [40, 1, 40, 1]
     assert np.isfinite(value) and value > 0
+
+
+def test_expected_occupation_matches_dense_radius_oracle():
+    # The Green certificate of the return map decides finiteness as the
+    # dense spectral radius did, and the LU solve gives the same visits, to
+    # 1e-13 relative times the condition number of I - P_jj (1.7e5 at most
+    # on these draws).
+    rng = np.random.default_rng(97)
+    seen = {True: 0, False: 0}
+    for _ in range(100):
+        m = random_classifiable_model(rng)
+        i, j = (m.ids[int(x)] for x in rng.integers(0, len(m.ids), 2))
+        rho = random_density(rng, m.dim(i))
+        got = passage.expected_occupation(m, i, j, rho)
+        want = occupation_dense_radius(m, i, j, rho)
+        assert math.isfinite(got) == math.isfinite(want)
+        if math.isfinite(want):
+            p_jj, _ = passage.first_passage_map(m, j, j)
+            cond = np.linalg.cond(np.eye(len(p_jj.matrix)) - p_jj.matrix)
+            assert got == pytest.approx(want, rel=1e-13 * cond, abs=0)
+        seen[math.isfinite(want)] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_taboo_gate_solves_on_fixtures_and_ring():

@@ -295,7 +295,7 @@ def test_equivalence_cases_cover_every_branch():
     tabs = {name: trajectory._tables(m) for name, (m, _, _) in cases.items()}
     ring = tabs["qutrit-ring"]
     assert all(math.isnan(r) for r in ring.rate)  # every ring vertex inverts its survival
-    assert not tabs["jordan-vertex"].blocks[2].diag[0]  # the dense exponential path
+    assert not tabs["jordan-vertex"].blocks[2].prop.diag[0]  # the dense exponential path
     rec = {name: [trajectory.simulate(m, init, horizon, seed=17, stream=k) for k in range(60)]
            for name, (m, init, horizon) in cases.items() if name in ("spin-biased-line", "biased-line")}
     for name in rec:
