@@ -338,7 +338,7 @@ def _perron_state(p_map: SuperOp):
 
 
 def return_probability_extremes(
-    model: WalkModel, i: VertexId, tol: float = 1e-8
+    model: WalkModel, i: VertexId
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Extremes over internal states of the probability of returning to i.
 
@@ -347,7 +347,7 @@ def return_probability_extremes(
     edge eigenvalues of ``M``; the extremizing pure states are returned as
     eigenvectors.
     """
-    p_ii, _ = first_passage_map(model, i, i, tol=tol)
+    p_ii, _ = first_passage_map(model, i, i)
     m = p_ii.adjoint_at_identity()
     vals, vecs = np.linalg.eigh(m)
     return float(vals[0]), float(vals[-1]), vecs[:, 0], vecs[:, -1]
@@ -357,7 +357,6 @@ def classify_trichotomy(
     model: WalkModel,
     base_vertex: VertexId | None = None,
     eps_spec: float = 1e-8,
-    tol: float = 1e-8,
 ) -> ClassificationReport:
     """Decide which of the three recurrence classes the walk belongs to.
 
@@ -383,7 +382,7 @@ def classify_trichotomy(
             "is not defined by a convergent dwell integral"
         )
 
-    p_base, diag = first_passage_map(model, base_vertex, base_vertex, tol=tol)
+    p_base, diag = first_passage_map(model, base_vertex, base_vertex)
     diag = with_certificates(p_base, diag)
     lam, perron, perron_min = _perron_state(p_base)
     m_base = p_base.adjoint_at_identity()
@@ -399,7 +398,7 @@ def classify_trichotomy(
     else:
         # Irreducibility gives every vertex an outgoing jump, and the base
         # return map has already checked that each one escapes.
-        ms, diag["return_scan"] = return_operators(model, tol=tol)
+        ms, diag["return_scan"] = return_operators(model)
         ms[base_vertex] = m_base  # the reported return operator
         scan = [base_vertex] + [v.id for v in model.vertices if v.id != base_vertex]
         for vid in scan:

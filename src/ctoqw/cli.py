@@ -50,13 +50,17 @@ def _meta(args, walk=None, extra=None) -> dict:
     return info
 
 
-def _write_json(path: str | None, doc: dict):
-    payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _write(path: str | None, payload: str):
+    """Write an artifact to ``path``, or to stdout when it is None or ``-``."""
     if path is None or path == "-":
         sys.stdout.write(payload)
     else:
         with open(path, "w") as fh:
             fh.write(payload)
+
+
+def _write_json(path: str | None, doc: dict):
+    _write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: str | None, header_meta: dict, columns: list[str], rows):
@@ -64,12 +68,7 @@ def _write_csv(path: str | None, header_meta: dict, columns: list[str], rows):
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(str(x) for x in row))
-    payload = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(payload)
-    else:
-        with open(path, "w") as fh:
-            fh.write(payload)
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _load_model(path: str) -> model.WalkModel:
@@ -78,9 +77,13 @@ def _load_model(path: str) -> model.WalkModel:
     return model.model_from_json(doc)
 
 
-def _vertex(text: str) -> model.VertexId:
-    """A vertex id from the command line: an integer where it reads as one."""
-    return int(text) if text.lstrip("+-").isdigit() else text
+def _vertex(text: str, walk: model.WalkModel) -> model.VertexId:
+    """The vertex of ``walk`` whose id reads ``text`` as a string, the rule
+    model files apply to their vertex keys."""
+    for v in walk.vertices:
+        if str(v.id) == text:
+            return v.id
+    raise ModelError(f"unknown vertex {text}")
 
 
 def _parse_start(spec: str, walk: model.WalkModel) -> model.SitedState:
@@ -92,7 +95,7 @@ def _parse_start(spec: str, walk: model.WalkModel) -> model.SitedState:
         vpart, spart = spec.split(":", 1)
     else:
         vpart, spart = spec, "maxmixed"
-    vertex = _vertex(vpart)
+    vertex = _vertex(vpart, walk)
     d = walk.dim(vertex)
     if spart == "maxmixed":
         rho = np.eye(d) / d
@@ -172,18 +175,19 @@ def _cmd_evolve(args) -> int:
     else:
         sited = _parse_start(args.state, walk)
         mu = model.sited_block_state(walk, sited.vertex, sited.rho)
+    # one grid before any artifact, so a bad --grid-points writes neither;
+    # --out is its last point, unless a one-point grid holds t = 0 only
+    points = args.grid_points if args.report else 2
     gen = semigroup.build_block_generator(walk)
-    out = semigroup.evolve(walk, mu, args.t, generator=gen)
+    grid = semigroup.evolve_grid(walk, mu, args.t, points, generator=gen)
+    out = grid[-1][1] if points > 1 else semigroup.evolve(walk, mu, args.t, generator=gen)
     if args.report:
-        # the grid is computed before any artifact is written, so that a bad
-        # --grid-points leaves neither file behind.  Probabilities are accurate
-        # to about 1e-16 absolute, so they print at a fixed absolute
-        # resolution, and a row that rounds to zero prints without a sign.
+        # Probabilities are accurate to about 1e-16 absolute, so they print at
+        # a fixed absolute resolution, and a row that rounds to zero prints
+        # without a sign.
         rows = [
             (f"{tg:.12g}", vid, f"{p:.15f}".replace("-0.000000000000000", "0.000000000000000"))
-            for tg, state in semigroup.evolve_grid(
-                walk, mu, args.t, args.grid_points, generator=gen
-            )
+            for tg, state in grid
             for vid, p in semigroup.position_distribution(state).items()
         ]
     doc = model.state_to_json(out)
@@ -282,7 +286,7 @@ def _cmd_first_passage(args) -> int:
     walk = _load_model(args.model)
     _require_valid(walk, args.tol)
     start = _parse_start(getattr(args, "from"), walk)
-    target = _vertex(args.to)
+    target = _vertex(args.to, walk)
     p_map, diag = passage.first_passage_map(walk, start.vertex, target)
     diag = passage.with_certificates(p_map, diag)
     prob = passage.reach_probability(p_map, start.rho)
@@ -306,7 +310,7 @@ def _cmd_occupation(args) -> int:
     walk = _load_model(args.model)
     _require_valid(walk, args.tol)
     start = _parse_start(getattr(args, "from"), walk)
-    target = _vertex(args.at)
+    target = _vertex(args.at, walk)
     value = passage.expected_occupation(walk, start.vertex, target, start.rho)
     doc = {
         "meta": _meta(args, walk, {"from": str(start.vertex), "at": str(target)}),
@@ -320,7 +324,7 @@ def _cmd_occupation(args) -> int:
 def _cmd_classify(args) -> int:
     walk = _load_model(args.model)
     _require_valid(walk, args.tol)
-    base = None if args.vertex is None else _vertex(args.vertex)
+    base = None if args.vertex is None else _vertex(args.vertex, walk)
     report = classify.classify_trichotomy(walk, base, eps_spec=args.eps)
     doc = {"meta": _meta(args, walk, {"eps_spec": args.eps}), "report": report.to_json_dict()}
     if args.window:

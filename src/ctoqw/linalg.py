@@ -86,19 +86,22 @@ def expm(a: np.ndarray) -> np.ndarray:
     return sla.expm(np.asarray(a, dtype=complex))
 
 
-def lyapunov_dwell(g: np.ndarray, rtol: float = 1e-10, where=None) -> np.ndarray:
+_DWELL_RTOL = 1e-10  # bound on each dwell residual |L D + I|_F, per unit of 1 + d
+
+
+def lyapunov_dwell(g: np.ndarray, where=None) -> np.ndarray:
     """Dwell integrals ``X -> int_0^inf e^{s g} X e^{s g^dag} ds`` of a stack
     of generators ``(n, d, d)``, as the superoperators ``-L^-1`` of
     ``L = drift_matrix(g)`` from one batched inverse, after one
     :func:`require_stable` of the stack.  Raises :class:`ConvergenceError`
-    unless each residual ``|L D + I|_F`` is below ``rtol * (1 + d)``.
+    unless each residual ``|L D + I|_F`` is below ``_DWELL_RTOL * (1 + d)``.
     """
     require_stable(g, where)
     lind = drift_matrix(g)
     dwell = -np.linalg.inv(lind)
     res = np.linalg.norm(lind @ dwell + np.eye(lind.shape[-1]), axis=(-2, -1)).max()
-    if not res <= rtol * (1.0 + np.shape(g)[-1]):
-        raise ConvergenceError(f"dwell integral residual {res:.3e} exceeds {rtol:.1e} * (1 + d)")
+    if not res <= _DWELL_RTOL * (1.0 + np.shape(g)[-1]):
+        raise ConvergenceError(f"dwell integral residual {res:.3e} exceeds {_DWELL_RTOL:.1e} * (1 + d)")
     return dwell
 
 
@@ -167,7 +170,10 @@ def gauss_legendre_01(q: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def simplex_quadrature_blocks(n: int, t: float, q: int, max_block: int = 200_000):
+_QUAD_BLOCK = 200_000  # quadrature nodes per block of simplex_quadrature_blocks
+
+
+def simplex_quadrature_blocks(n: int, t: float, q: int):
     """Tensorized quadrature for the ordered-time region 0 < t_1 < ... < t_n < t.
 
     The region is flattened onto the unit cube by t_k = t * u_k u_{k+1} ... u_n,
@@ -177,8 +183,8 @@ def simplex_quadrature_blocks(n: int, t: float, q: int, max_block: int = 200_000
     """
     x, w = gauss_legendre_01(q)
     total = q**n
-    for start in range(0, total, max_block):
-        idx = np.arange(start, min(start + max_block, total))
+    for start in range(0, total, _QUAD_BLOCK):
+        idx = np.arange(start, min(start + _QUAD_BLOCK, total))
         digits = np.empty((idx.size, n), dtype=int)
         rem = idx
         for k in range(n - 1, -1, -1):

@@ -103,11 +103,11 @@ def classical_block_state(model: "WalkModel", weights: dict[VertexId, float]) ->
     return BlockState(blocks)
 
 
-def check_block_state(model: "WalkModel", mu: BlockState, atol: float = 1e-10) -> None:
+def check_block_state(model: "WalkModel", mu: BlockState) -> None:
     """Raise :class:`ModelError` unless every block has its vertex's shape
     (checked first, for all vertices) and is Hermitian and positive
     semidefinite, and the traces add up to at most one (less once mass has
-    escaped through a window boundary), all to ``atol``."""
+    escaped through a window boundary), all to ``STRUCT_TOL``."""
     for v in model.vertices:
         b = mu.block(v.id, v.dim)
         if b.shape != (v.dim, v.dim):
@@ -119,11 +119,11 @@ def check_block_state(model: "WalkModel", mu: BlockState, atol: float = 1e-10) -
             raise ModelError(f"block at {v.id!r} is not Hermitian")
         if v.dim > 0 and np.any(b):
             mineig = float(np.min(np.linalg.eigvalsh(linalg.herm(b))))
-            if mineig < -atol:
-                raise ModelError(f"block at {v.id!r} has eigenvalue {mineig:.3e} < -{atol:.1e}")
+            if mineig < -STRUCT_TOL:
+                raise ModelError(f"block at {v.id!r} has eigenvalue {mineig:.3e} < -{STRUCT_TOL:.1e}")
         tr += float(np.trace(b).real)
-    if tr > 1.0 + atol:
-        raise ModelError(f"total trace {tr!r} exceeds 1 beyond {atol:.1e}")
+    if tr > 1.0 + STRUCT_TOL:
+        raise ModelError(f"total trace {tr!r} exceeds 1 beyond {STRUCT_TOL:.1e}")
 
 
 class WalkModel:
@@ -367,7 +367,6 @@ def build_walk(
     hamiltonians: dict | None = None,
     effective: dict | None = None,
     meta: dict | None = None,
-    tol: float = STRUCT_TOL,
 ) -> WalkModel:
     """Assemble a model from vertex spaces, jumps, and (H or G) per vertex.
 
@@ -431,7 +430,7 @@ def build_walk(
             h_rec = 0.5j * (a_mat - a_mat.conj().T)
             defect = -(a_mat + a_mat.conj().T)
             if h is not None:
-                if np.linalg.norm(h - h_rec) > tol * (1.0 + np.linalg.norm(h)):
+                if np.linalg.norm(h - h_rec) > STRUCT_TOL * (1.0 + np.linalg.norm(h)):
                     raise ModelError(
                         f"H and G disagree at vertex {v.id!r} beyond tolerance"
                     )

@@ -30,6 +30,10 @@ from .errors import ConvergenceError, ModelError, PreconditionError
 from .model import VertexId, WalkModel
 from .superop import SuperOp
 
+# The passage tolerance: every Green certificate proves ``rho(K) <= 1 - TOL``,
+# and the monotone series stops once its probe increments stay below it.
+TOL = 1e-8
+
 
 # -- path operators ----------------------------------------------------------
 
@@ -209,15 +213,15 @@ class Green:
     x_max: float | None = None
     y_min: float | None = None
 
-    def holds(self, tol: float) -> bool:
-        """Whether the margins prove ``rho(K) <= 1 - tol``."""
+    def holds(self) -> bool:
+        """Whether the margins prove ``rho(K) <= 1 - TOL``."""
         if self.dim == 0:
             return True
         return (
             self.x_min is not None
             and self.x_min > 0.0
             and self.y_min >= 0.5
-            and self.y_min >= tol * self.x_max
+            and self.y_min >= TOL * self.x_max
         )
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
@@ -226,11 +230,11 @@ class Green:
             return np.zeros(rhs.shape, dtype=complex)
         return self.lu.solve(rhs, trans=trans)
 
-    def diagnostics(self, tol: float) -> dict:
+    def diagnostics(self) -> dict:
         return {
             "kernel_dim": self.dim,
             "kernel_nnz": self.nnz,
-            "certified": self.holds(tol),
+            "certified": self.holds(),
             "x_min": self.x_min,
             "x_max": self.x_max,
             "y_min": self.y_min,
@@ -279,7 +283,7 @@ def one_step_green(model: WalkModel) -> tuple[dict[VertexId, slice], Green]:
     return offsets, factor_kernel(_kernel_matrix(kernels, offsets, n), offsets)
 
 
-def return_operators(model: WalkModel, tol: float = 1e-8) -> tuple[dict[VertexId, np.ndarray], dict]:
+def return_operators(model: WalkModel) -> tuple[dict[VertexId, np.ndarray], dict]:
     """The adjoint return operator ``M_v = P[v->v]^*(I)`` of every vertex,
     from one factorization of the one-step kernel ``Q`` over all vertices,
     with its diagnostics.
@@ -290,15 +294,15 @@ def return_operators(model: WalkModel, tol: float = 1e-8) -> tuple[dict[VertexId
     blocks ``G_vv^dag`` come from solves against the identity columns of a
     few consecutive vertices at a time.  Raises :class:`ConvergenceError`,
     naming the margins, unless the factorization certifies
-    ``rho(Q) <= 1 - tol``.
+    ``rho(Q) <= 1 - TOL``.
     """
     ids = model.ids
     offsets, green = one_step_green(model)
     n = green.dim
-    info = green.diagnostics(tol)
+    info = green.diagnostics()
     if not info["certified"]:
         raise ConvergenceError(
-            f"no Green certificate of rho(Q) <= 1 - {tol:.1e} for the one-step "
+            f"no Green certificate of rho(Q) <= 1 - {TOL:.1e} for the one-step "
             f"kernel (lambda_min(X) = {green.x_min}, lambda_max(X) = {green.x_max}, "
             f"lambda_min(Y) = {green.y_min}); the return maps cannot be read off it"
         )
@@ -392,41 +396,29 @@ def _entry_block(model: WalkModel, i: VertexId, taboo: TabooKernel, kernels) -> 
     return start
 
 
-def first_passage_map(
-    model: WalkModel,
-    i: VertexId,
-    j: VertexId,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-    force_series: bool = False,
-) -> tuple[SuperOp, dict]:
+def first_passage_map(model: WalkModel, i: VertexId, j: VertexId) -> tuple[SuperOp, dict]:
     """The reach map ``P[i->j]`` with convergence diagnostics.
 
     Sums, over every path from ``i`` whose interior avoids ``j``, the
     time-integrated sandwich of the path operator.  The geometric sum over
     the taboo kernel is solved with the kernel's sparse LU when its Green
-    certificate proves a spectral radius of at most ``1 - tol``, and
+    certificate proves a spectral radius of at most ``1 - TOL``, and
     accumulated as monotone partial sums otherwise (stopping once the trace
-    increment on a spanning set of Hermitian probes stays below ``tol`` ten
-    times in a row).  No self-jumps are stored, so every path reaches ``j``
-    through the taboo kernel's exit.
+    increment on a spanning set of Hermitian probes stays below ``TOL`` ten
+    times in a row, within ``_MAX_TERMS`` terms).  No self-jumps are stored,
+    so every path reaches ``j`` through the taboo kernel's exit.
     The complete-positivity certificates are left to
     :func:`with_certificates`, for the maps whose diagnostics are reported.
     """
     kernels = model.derived("jump_kernel", jump_kernel)
     taboo = _taboo_kernel(model, j, kernels)
-    return _passage_map(model, i, taboo, kernels, tol, max_iter, force_series)
+    return _passage_map(model, i, taboo, kernels)
 
 
-def _passage_map(
-    model: WalkModel,
-    i: VertexId,
-    taboo: TabooKernel,
-    kernels,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-    force_series: bool = False,
-) -> tuple[SuperOp, dict]:
+_MAX_TERMS = 100_000  # partial sums the monotone series may take
+
+
+def _passage_map(model: WalkModel, i: VertexId, taboo: TabooKernel, kernels) -> tuple[SuperOp, dict]:
     """:func:`first_passage_map` into ``taboo.taboo`` on a given taboo kernel."""
     j = taboo.taboo
     di, dj = model.dim(i), model.dim(j)
@@ -438,27 +430,27 @@ def _passage_map(
             "converged": True,
         }
 
-    kernel_info = taboo.green.diagnostics(tol)
-    if kernel_info["certified"] and not force_series:
+    kernel_info = taboo.green.diagnostics()
+    if kernel_info["certified"]:
         mat = taboo.into_taboo @ taboo.green.solve(start)
         diagnostics = {"method": "solve", "terms": None, "converged": True}
     else:
         probes = _hermitian_probes(di)
         acc = np.zeros((dj * dj, di * di), dtype=complex)
         carry, prev, quiet, inc = start, np.zeros(len(probes)), 0, math.inf
-        for m in range(1, max_iter + 1):
+        for m in range(1, _MAX_TERMS + 1):
             acc = acc + taboo.into_taboo @ carry
             carry = taboo.matrix @ carry
             cur = np.array([np.trace(_apply_mat(acc, p, dj)).real for p in probes])
             inc = float(np.max(np.abs(cur - prev)))
             prev = cur
-            quiet = quiet + 1 if inc < tol else 0
+            quiet = quiet + 1 if inc < TOL else 0
             if quiet >= 10:
                 break
         else:
             raise ConvergenceError(
                 f"passage series for {i!r} -> {j!r} did not settle in "
-                f"{max_iter} terms (last probe increment {inc:.3e})"
+                f"{_MAX_TERMS} terms (last probe increment {inc:.3e})"
             )
         mat = acc
         diagnostics = {"method": "series", "terms": m, "converged": True}
@@ -500,10 +492,13 @@ def _hermitian_probes(d: int) -> list[np.ndarray]:
     return probes
 
 
-def reach_probability(p_map: SuperOp, rho: np.ndarray, clamp_tol: float = 1e-9) -> float:
+_CLAMP_TOL = 1e-9  # how far a reach probability may leave [0, 1] and be clamped
+
+
+def reach_probability(p_map: SuperOp, rho: np.ndarray) -> float:
     """``Tr P(rho)`` clamped into [0, 1].
 
-    Clamping beyond ``clamp_tol`` indicates a broken passage map and
+    Clamping beyond ``_CLAMP_TOL`` indicates a broken passage map and
     raises instead of silently hiding the defect.
     """
     rho = np.atleast_2d(np.asarray(rho, dtype=complex))
@@ -512,20 +507,14 @@ def reach_probability(p_map: SuperOp, rho: np.ndarray, clamp_tol: float = 1e-9) 
         raise PreconditionError("rho must have unit trace")
     value = float(np.trace(p_map.apply(rho)).real)
     clamped = min(1.0, max(0.0, value))
-    if abs(clamped - value) > clamp_tol:
+    if abs(clamped - value) > _CLAMP_TOL:
         raise ConvergenceError(
-            f"reach probability {value} violates [0, 1] beyond {clamp_tol:.1e}"
+            f"reach probability {value} violates [0, 1] beyond {_CLAMP_TOL:.1e}"
         )
     return clamped
 
 
-def expected_occupation(
-    model: WalkModel,
-    i: VertexId,
-    j: VertexId,
-    rho: np.ndarray,
-    tol: float = 1e-8,
-) -> float:
+def expected_occupation(model: WalkModel, i: VertexId, j: VertexId, rho: np.ndarray) -> float:
     """Expected total time spent at ``j`` when starting from ``(i, rho)``.
 
     Every arrival at ``j`` contributes an expected sojourn ``Tr D_j(sigma)``
@@ -533,7 +522,7 @@ def expected_occupation(
     iterates of the return map ``P_jj``, so the visits sum to
     ``(I - P_jj)^-1 sigma0``, solved with :func:`factor_kernel` on the
     ``d_j^2``-dimensional space of ``j``.  Returns ``inf`` unless its Green
-    certificate proves ``rho(P_jj) <= 1 - tol``: the geometric sum of visits
+    certificate proves ``rho(P_jj) <= 1 - TOL``: the geometric sum of visits
     then need not converge.
     """
     import scipy.sparse as sp
@@ -541,15 +530,15 @@ def expected_occupation(
     rho = np.atleast_2d(np.asarray(rho, dtype=complex))
     kernels = model.derived("jump_kernel", jump_kernel)
     taboo = _taboo_kernel(model, j, kernels)
-    p_jj, _ = _passage_map(model, j, taboo, kernels, tol=tol)
+    p_jj, _ = _passage_map(model, j, taboo, kernels)
     dj = model.dim(j)
     green = factor_kernel(sp.csc_array(p_jj.matrix), {j: slice(0, dj * dj)})
-    if not green.holds(tol):
+    if not green.holds():
         return float("inf")
     if i == j:
         sigma0 = rho
     else:
-        p_ij, _ = _passage_map(model, i, taboo, kernels, tol=tol)
+        p_ij, _ = _passage_map(model, i, taboo, kernels)
         sigma0 = p_ij.apply(rho)
     total_arrivals = linalg.unvec(green.solve(linalg.vec(sigma0)), (dj, dj))
     dwell = dwell_integral(model.effective(j), total_arrivals)

@@ -88,12 +88,14 @@ def lindblad_apply(model: WalkModel, mu: BlockState) -> dict[VertexId, np.ndarra
     return out
 
 
+_TRACE_TOL = 1e-8  # trace drift allowed on a closed model, per unit of 1 + t
+
+
 def evolve_grid(
     model: WalkModel,
     mu: BlockState,
     t: float,
     points: int,
-    tol: float = 1e-10,
     generator: BlockGenerator | None = None,
 ) -> list[tuple[float, BlockState]]:
     """The evolved states ``(t_k, mu_k)`` on ``linspace(0, t, points)``.
@@ -101,7 +103,7 @@ def evolve_grid(
     One propagator ``e^{dt L}`` with ``dt = t / (points - 1)`` is applied
     ``k`` times to reach ``t_k``, by the semigroup property; the first point
     is ``mu`` itself.  On models without escape defects each trace is
-    checked against one to ``max(tol, 1e-8) * (1 + t_k)``; a violation means
+    checked against one to ``_TRACE_TOL * (1 + t_k)``; a violation means
     the exponential lost accuracy (it should be machine precise at these
     sizes).
     """
@@ -123,7 +125,7 @@ def evolve_grid(
         out.blocks = {k: linalg.herm(b) for k, b in out.blocks.items()}
         if closed:
             defect = abs(out.total_trace() - mu.total_trace())
-            if defect > max(tol, 1e-8) * (1.0 + tk):
+            if defect > _TRACE_TOL * (1.0 + tk):
                 raise ConvergenceError(
                     f"evolution lost trace mass {defect:.3e} on a closed model"
                 )
@@ -135,12 +137,11 @@ def evolve(
     model: WalkModel,
     mu: BlockState,
     t: float,
-    tol: float = 1e-10,
     generator: BlockGenerator | None = None,
 ) -> BlockState:
     """Propagate ``mu`` for time ``t`` through the exact matrix exponential:
     the last point of the two-point :func:`evolve_grid`."""
-    return evolve_grid(model, mu, t, 2, tol, generator)[-1][1]
+    return evolve_grid(model, mu, t, 2, generator)[-1][1]
 
 
 def position_distribution(mu: BlockState) -> dict[VertexId, float]:
@@ -148,12 +149,8 @@ def position_distribution(mu: BlockState) -> dict[VertexId, float]:
     return {k: float(np.trace(b).real) for k, b in mu.blocks.items()}
 
 
-def _support_vertices(model: WalkModel, mu: BlockState, atol: float = 0.0):
-    out = []
-    for v in model.vertices:
-        if np.linalg.norm(mu.block(v.id, v.dim)) > atol:
-            out.append(v.id)
-    return out
+def _support_vertices(model: WalkModel, mu: BlockState):
+    return [v.id for v in model.vertices if np.linalg.norm(mu.block(v.id, v.dim)) > 0.0]
 
 
 def _paths_from(model: WalkModel, start: VertexId, n: int):
@@ -186,13 +183,15 @@ def jump_tail_bound(c: float, t: float, n_max: int) -> float:
     return float(total)
 
 
+_NODE_BUDGET = 50_000_000  # quadrature nodes of one Dyson partial sum
+
+
 def dyson_partial(
     model: WalkModel,
     mu: BlockState,
     t: float,
     n_max: int,
     quad_points: int = 8,
-    node_budget: int = 50_000_000,
 ) -> tuple[BlockState, float]:
     """Sum the jump expansion of the evolved state up to ``n_max`` jumps.
 
@@ -212,10 +211,10 @@ def dyson_partial(
     for n in range(1, n_max + 1):
         n_paths = sum(len(list(_paths_from(model, s, n))) for s in support)
         total_nodes += n_paths * quad_points**n
-    if total_nodes > node_budget:
+    if total_nodes > _NODE_BUDGET:
         raise BudgetError(
             f"path enumeration needs {total_nodes} quadrature nodes, "
-            f"budget is {node_budget}; lower n_max or quad_points"
+            f"budget is {_NODE_BUDGET}; lower n_max or quad_points"
         )
 
     flows = {}  # vertex -> (the Propagator of its dimension, its row there)

@@ -499,7 +499,10 @@ class TrajectoryRecord:
         return len(self.events)
 
 
-def check_record(model: WalkModel, rec: TrajectoryRecord, atol: float = 1e-9):
+_RECORD_TOL = 1e-9  # unit trace and positivity of a post-jump state
+
+
+def check_record(model: WalkModel, rec: TrajectoryRecord):
     """Assert the structural invariants of a sampled record."""
     t_prev = 0.0
     x_prev = rec.initial.vertex
@@ -514,10 +517,10 @@ def check_record(model: WalkModel, rec: TrajectoryRecord, atol: float = 1e-9):
         if ev.rho.shape != (d, d):
             raise ModelError("post-jump state has the wrong shape")
         tr = float(np.trace(ev.rho).real)
-        if abs(tr - 1.0) > atol:
+        if abs(tr - 1.0) > _RECORD_TOL:
             raise ModelError(f"post-jump state trace {tr} != 1")
         mineig = float(np.min(np.linalg.eigvalsh(linalg.herm(ev.rho))))
-        if mineig < -atol:
+        if mineig < -_RECORD_TOL:
             raise ModelError(f"post-jump state eigenvalue {mineig} < 0")
         t_prev, x_prev = ev.time, ev.vertex
 
@@ -529,6 +532,8 @@ def check_record(model: WalkModel, rec: TrajectoryRecord, atol: float = 1e-9):
 _CHUNK = 256
 # Uniforms drawn at once from one walker's stream.
 _DRAWS = 64
+# Jumps one trajectory may take: the guard against a runaway intensity.
+_MAX_JUMPS = 10_000_000
 
 
 def trajectory_rng(seed: int, stream: int) -> np.random.Generator:
@@ -570,7 +575,7 @@ def _positive(draws) -> float:
 
 
 def _sample(tab: _Tables, k0: int, rho0: np.ndarray, init: SitedState, horizon: float,
-            seed: int, streams, max_jumps: int, stop_at: int = -1,
+            seed: int, streams, stop_at: int = -1,
             keep_rho: bool = True) -> list[TrajectoryRecord]:
     """Sample one trajectory per stream, all walkers advancing together.
 
@@ -593,9 +598,9 @@ def _sample(tab: _Tables, k0: int, rho0: np.ndarray, init: SitedState, horizon: 
         """Walker ``i`` jumps to ``x``; False when it stops there."""
         pos[i], t[i], rho[i] = x, t_next, post
         events[i].append(JumpEvent(t_next, tab.ids[x], post if keep_rho else None))
-        if len(events[i]) > max_jumps:
+        if len(events[i]) > _MAX_JUMPS:
             raise ConvergenceError(
-                f"trajectory exceeded {max_jumps} jumps before the horizon; "
+                f"trajectory exceeded {_MAX_JUMPS} jumps before the horizon; "
                 "the model's jump intensity looks unbounded for this run"
             )
         return x != stop_at
@@ -656,7 +661,6 @@ def simulate(
     horizon: float,
     seed: int = 0,
     stream: int = 0,
-    max_jumps: int = 10_000_000,
     stop_at: VertexId | None = None,
 ) -> TrajectoryRecord:
     """Sample one trajectory up to ``horizon``: the one-walker case of the
@@ -665,11 +669,11 @@ def simulate(
     Deterministic given ``(seed, stream)`` and the inputs.  ``stop_at``
     truncates the walk right after the first arrival at that vertex, which
     is convenient for passage-time sampling.  Raises when the jump count
-    exceeds ``max_jumps`` (a runaway intensity guard).
+    exceeds ``_MAX_JUMPS`` (a runaway intensity guard).
     """
     tab, k0, rho0 = _start(model, init, horizon)
     stop = -1 if stop_at is None else model.position(stop_at)
-    return _sample(tab, k0, rho0, init, horizon, seed, [stream], max_jumps, stop)[0]
+    return _sample(tab, k0, rho0, init, horizon, seed, [stream], stop)[0]
 
 
 def survival_function(model: WalkModel, vertex: VertexId, rho):
@@ -740,14 +744,12 @@ def estimate(
     n_traj: int,
     seed: int,
     queries: list[dict],
-    stream_base: int = 0,
-    max_jumps: int = 10_000_000,
     on_record: Callable[[int, TrajectoryRecord], None] | None = None,
 ) -> list[EstimateReport]:
     """Monte Carlo estimates over ``n_traj`` independent trajectories.
 
     The walkers advance together, ``_CHUNK`` streams at a time; each
-    trajectory equals ``simulate(..., stream=stream_base + k)``.
+    trajectory equals ``simulate(..., stream=k)``.
     ``on_record(k, record)``, when given, sees the ``k``-th sampled
     trajectory as it is tallied; only then do the records keep their
     post-jump states.
@@ -789,8 +791,8 @@ def estimate(
 
     tab, k0, rho0 = _start(model, init, horizon)
     for first in range(0, n_traj, _CHUNK):
-        streams = range(stream_base + first, stream_base + min(first + _CHUNK, n_traj))
-        records = _sample(tab, k0, rho0, init, horizon, seed, streams, max_jumps,
+        streams = range(first, min(first + _CHUNK, n_traj))
+        records = _sample(tab, k0, rho0, init, horizon, seed, streams,
                           keep_rho=on_record is not None)
         for k, rec in enumerate(records, first):
             if on_record is not None:

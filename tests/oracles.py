@@ -279,7 +279,7 @@ def validate_per_vertex(model: WalkModel, tol: float = STRUCT_TOL) -> dict:
     return ValidationReport(checks, escaping, tol).to_json_dict()
 
 
-def vertex_scan_per_vertex(model: WalkModel, base, eps_spec: float = 1e-8, tol: float = 1e-8):
+def vertex_scan_per_vertex(model: WalkModel, base, eps_spec: float = 1e-8):
     """The transient scan of ``classify_trichotomy`` one vertex at a time:
     each vertex's own taboo passage map ``P[v->v]``, its adjoint at the
     identity and the largest eigenvalue.  Returns ``(vertex_max_return,
@@ -291,7 +291,7 @@ def vertex_scan_per_vertex(model: WalkModel, base, eps_spec: float = 1e-8, tol: 
     vertex_max = {}
     exhibit = None
     for vid in scan:
-        p_v, _ = first_passage_map(model, vid, vid, tol=tol)
+        p_v, _ = first_passage_map(model, vid, vid)
         top = float(np.linalg.eigvalsh(p_v.adjoint_at_identity())[-1])
         vertex_max[vid] = top
         if top >= 1.0 - eps_spec and exhibit is None:
@@ -361,10 +361,10 @@ def occupation_dense_radius(model: WalkModel, i, j, rho, tol: float = 1e-8) -> f
     from ctoqw.passage import dwell_integral, first_passage_map
 
     rho = np.atleast_2d(np.asarray(rho, dtype=complex))
-    p_jj, _ = first_passage_map(model, j, j, tol=tol)
+    p_jj, _ = first_passage_map(model, j, j)
     if np.max(np.abs(np.linalg.eigvals(p_jj.matrix))) >= 1.0 - tol:
         return float("inf")
-    sigma0 = rho if i == j else first_passage_map(model, i, j, tol=tol)[0].apply(rho)
+    sigma0 = rho if i == j else first_passage_map(model, i, j)[0].apply(rho)
     dj = model.dim(j)
     visits = np.linalg.solve(np.eye(dj * dj) - p_jj.matrix, sigma0.reshape(-1, order="F"))
     return float(np.trace(dwell_integral(model.effective(j), visits.reshape(dj, dj, order="F"))).real)

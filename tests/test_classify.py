@@ -407,7 +407,7 @@ def test_green_certificate_holds_exactly_on_transient_models():
         p, _ = passage.first_passage_map(m, base, base)
         transient = classify._perron_state(p)[0] < 1.0 - 1e-8
         _, green = passage.one_step_green(m)
-        assert green.holds(1e-8) == transient
+        assert green.holds() == transient
         seen[transient] += 1
     assert seen[True] >= 5 and seen[False] >= 5
 
@@ -415,7 +415,7 @@ def test_green_certificate_holds_exactly_on_transient_models():
 def test_uncertified_transient_kernel_exits_3(tmp_path, monkeypatch):
     m = fixtures.biased_line((-8, 8))
     # every taboo kernel still certifies; the one-step kernel (all 17 sites) does not
-    monkeypatch.setattr(passage.Green, "holds", lambda self, tol: self.dim < len(m.vertices))
+    monkeypatch.setattr(passage.Green, "holds", lambda self: self.dim < len(m.vertices))
     with pytest.raises(ConvergenceError, match="lambda_min"):
         classify.classify_trichotomy(m, 0)
     path = tmp_path / "m.json"

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import json
 import os
@@ -82,7 +81,7 @@ def test_evolve_report_steps_one_propagator(tmp_path, two_site_file, monkeypatch
         "--t", 1.5, "--out", tmp_path / "state.json", "--report", csv,
     )
     assert code == 0
-    assert sizes == [2, 2]
+    assert sizes == [2]
     rows = [l.split(",") for l in csv.read_text().splitlines()[-2:]]
     assert [r[:2] for r in rows] == [["1.5", "0"], ["1.5", "1"]]
     assert float(rows[0][2]) == pytest.approx(0.5 * (1 + np.exp(-3.0)), abs=1e-12)
@@ -255,10 +254,28 @@ def test_simulate_dump(tmp_path, spin_file, monkeypatch):
     assert [(ev["traj"], ev["t"], ev["to"], ev["rho"]) for ev in events] == expected
 
 
+def test_vertex_arguments_match_ids_as_strings(tmp_path, capsys):
+    # vertex "5" is a string id: "5" names it, and "+5" or "05" name nothing
+    doc = {
+        "vertices": [{"id": "5", "dim": 1}, {"id": "a", "dim": 1}],
+        "jumps": [{"from": "5", "to": "a", "matrix": [[[1.0, 0.0]]]},
+                  {"from": "a", "to": "5", "matrix": [[[1.0, 0.0]]]}],
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    fp, cl = tmp_path / "fp.json", tmp_path / "cl.json"
+    assert run(tmp_path, "first-passage", "--model", path, "--from", "a", "--to", "5", "--out", fp) == 0
+    assert json.loads(fp.read_text())["reach_probability"] == pytest.approx(1.0, abs=1e-12)
+    assert run(tmp_path, "classify", "--model", path, "--vertex", "5", "--out", cl) == 0
+    assert json.loads(cl.read_text())["report"]["base_vertex"] == "5"
+    for text in ("+5", "05"):
+        capsys.readouterr()
+        assert run(tmp_path, "occupation", "--model", path, "--from", "a", "--at", text) == 1
+        assert capsys.readouterr().err == f"ModelError: unknown vertex {text}\n"
+
+
 def test_runaway_trajectory_is_a_convergence_exit(tmp_path, two_site_file, capsys, monkeypatch):
-    monkeypatch.setattr(
-        trajectory, "estimate", functools.partial(trajectory.estimate, max_jumps=50)
-    )
+    monkeypatch.setattr(trajectory, "_MAX_JUMPS", 50)
     capsys.readouterr()
     code = run(
         tmp_path, "simulate", "--model", two_site_file, "--start", "0:e1",
@@ -541,9 +558,11 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, data):
          "ModelError: initial state at vertex 1 must be a 1x1 matrix"),
         (["validate", "--model", "{d}"], 1, "IsADirectoryError"),
         (["validate", "--out", "{d}/no/such/dir.json"], 1, "FileNotFoundError"),
+        (["first-passage", "--from", "0:e1", "--to", "²"], 1, "ModelError: unknown vertex ²"),
+        (["first-passage", "--from", "0:e1", "--to", "+-1"], 1, "ModelError: unknown vertex +-1"),
     ],
     ids=["negative-seed", "state-is-a-directory", "state-of-wrong-shape",
-         "model-is-a-directory", "unwritable-out"],
+         "model-is-a-directory", "unwritable-out", "superscript-vertex", "double-sign-vertex"],
 )
 def test_bad_inputs_exit_cleanly(tmp_path, two_site_file, capsys, argv, code, message):
     (tmp_path / "state.json").write_text(json.dumps(matrix_to_json(np.eye(2) / 2)))

@@ -201,20 +201,46 @@ def test_first_passage_spin_sure_and_unsure(spin_small):
     assert v < 1.0 - 1e-3
 
 
-def test_first_passage_series_matches_solve(biased_small):
-    direct, _ = passage.first_passage_map(biased_small, 0, 0)
-    series, diag = passage.first_passage_map(biased_small, 0, 0, force_series=True, tol=1e-12)
-    assert diag["method"] == "series"
-    assert np.max(np.abs(direct.matrix - series.matrix)) < 1e-9
+def _closed_class_walk():
+    """Scalar walk 0 -> 1 (rate 1), 0 -> 2 (rate 3), 1 -> 0, and the closed
+    class 2 <-> 3: the taboo kernel of 0 has spectral radius 1, and a walker
+    leaving 0 returns exactly when it first goes to 1."""
+    return build_walk(
+        [(v, 1) for v in range(4)],
+        [(0, 1, [[1.0]]), (0, 2, [[math.sqrt(3.0)]]), (1, 0, [[1.0]]),
+         (2, 3, [[1.0]]), (3, 2, [[1.0]])],
+    )
 
 
-def test_first_passage_series_budget_error(biased_small):
+def test_first_passage_series_on_uncertified_kernel():
+    p, diag = passage.first_passage_map(_closed_class_walk(), 0, 0)
+    assert diag["method"] == "series" and not diag["certified"]
+    assert abs(p.matrix[0, 0] - 0.25) < 1e-12
+
+
+def test_first_passage_series_budget_error(monkeypatch):
     from ctoqw.errors import ConvergenceError
 
-    with pytest.raises(ConvergenceError):
-        passage.first_passage_map(
-            biased_small, 0, 0, force_series=True, tol=1e-12, max_iter=3
-        )
+    monkeypatch.setattr(passage, "_MAX_TERMS", 3)
+    with pytest.raises(ConvergenceError, match="did not settle in 3 terms"):
+        passage.first_passage_map(_closed_class_walk(), 0, 0)
+
+
+def test_one_tolerance_switches_every_certificate(monkeypatch):
+    # A passage tolerance above every certificate margin of the model turns
+    # the solve into the series, the occupation infinite, and the return
+    # scan into an error, together.
+    from ctoqw.errors import ConvergenceError
+
+    m = fixtures.biased_line((-8, 8))
+    assert passage.first_passage_map(m, 0, 0)[1]["method"] == "solve"
+    assert passage.expected_occupation(m, 0, 0, [[1.0]]) == pytest.approx(2.0, abs=0.1)
+    passage.return_operators(m)
+    monkeypatch.setattr(passage, "TOL", 0.99)
+    assert passage.first_passage_map(m, 0, 0)[1]["method"] == "series"
+    assert passage.expected_occupation(m, 0, 0, [[1.0]]) == math.inf
+    with pytest.raises(ConvergenceError, match="no Green certificate"):
+        passage.return_operators(m)
 
 
 def test_first_passage_cp_certificates(two_site, biased_small, spin_small, coherent):

@@ -214,17 +214,19 @@ def test_escape_recorded_on_boundary(biased_small):
     assert seen_escape
 
 
-def test_circuit_breaker_on_jump_count(two_site):
+def test_circuit_breaker_on_jump_count(two_site, monkeypatch):
+    monkeypatch.setattr(trajectory, "_MAX_JUMPS", 50)
     init = SitedState(0, [[1.0]])
     with pytest.raises(ConvergenceError):
-        trajectory.simulate(two_site, init, 1e6, seed=1, max_jumps=50)
+        trajectory.simulate(two_site, init, 1e6, seed=1)
 
 
-def test_circuit_breaker_on_the_batched_path(two_site):
+def test_circuit_breaker_on_the_batched_path(two_site, monkeypatch):
+    monkeypatch.setattr(trajectory, "_MAX_JUMPS", 50)
     init = SitedState(0, [[1.0]])
     with pytest.raises(ConvergenceError, match="exceeded 50 jumps"):
         trajectory.estimate(two_site, init, 1e6, 3, seed=1,
-                            queries=[{"kind": "visits", "vertex": 1}], max_jumps=50)
+                            queries=[{"kind": "visits", "vertex": 1}])
 
 
 def qutrit_ring(seed: int, sites: int) -> WalkModel:
