@@ -207,23 +207,33 @@ def _dump_writer(fh, walk: model.WalkModel):
     """``on_record`` of ``simulate --dump``: one JSON line per event, written
     one record at a time.  The text is that of ``json.dumps(..., sort_keys=True)``
     on ``{"traj", "t", "from", "to", "rho": matrix_to_json(rho)}``; json
-    writes a finite float as its ``repr``, which the line templates use."""
+    writes a finite float as its ``repr``, which the matrix templates use.
+    The text of a read-only state, such as the post-jump state the sampler
+    shares among all jumps along an edge, is formatted once, keyed by its
+    bytes."""
     labels = {v.id: json.dumps(str(v.id)) for v in walk.vertices}
     templates = {
-        d: '{{"from": {}, "rho": [['
-        + "], [".join([", ".join(["[{!r}, {!r}]"] * d)] * d)
-        + ']], "t": {!r}, "to": {}, "traj": {}}}\n'
+        d: "[[" + "], [".join([", ".join(["[{!r}, {!r}]"] * d)] * d) + "]]"
         for d in {v.dim for v in walk.vertices}
     }
+    shared: dict[bytes, str] = {}
+
+    def matrix(rho: np.ndarray) -> str:
+        rho = np.ascontiguousarray(rho, dtype=complex)
+        key = None if rho.flags.writeable else rho.tobytes()
+        text = shared.get(key)
+        if text is None:
+            text = templates[rho.shape[0]].format(*rho.view(float).ravel().tolist())
+            if key is not None:
+                shared[key] = text
+        return text
 
     def write(k: int, rec: trajectory.TrajectoryRecord):
         prev, lines = labels[rec.initial.vertex], []
         for ev in rec.events:
-            rho = np.ascontiguousarray(ev.rho, dtype=complex)
             to = labels[ev.vertex]
-            lines.append(templates[rho.shape[0]].format(
-                prev, *rho.view(float).ravel().tolist(), float(ev.time), to, k
-            ))
+            lines.append(f'{{"from": {prev}, "rho": {matrix(ev.rho)}, '
+                         f'"t": {float(ev.time)!r}, "to": {to}, "traj": {k}}}\n')
             prev = to
         fh.write("".join(lines))
 
@@ -237,6 +247,9 @@ def _cmd_simulate(args) -> int:
     if args.queries:
         with open(args.queries) as fh:
             queries = json.load(fh)
+        for q in queries:
+            if "vertex" in q:
+                q["vertex"] = _vertex(str(q["vertex"]), walk)
     else:
         queries = [{"kind": "position_law", "t": args.horizon / 2.0}]
     with open(args.dump, "w") if args.dump else contextlib.nullcontext() as dump:

@@ -16,8 +16,10 @@ leaves the retained vertex set and never returns.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -83,12 +85,14 @@ class _Tables:
         # and their total is the exponential event rate
         self.running: list = [None] * n
         self.esc: list = [None] * n
+        self.total: list = [None] * n  # the total weight _pick draws against
         self.posts: list = [None] * n
         for k in range(n):
             if self.dim[k] == 1:
                 weights = [float((r.conj().T @ r)[0, 0].real) for _, r in edges[k]]
                 self.running[k] = list(itertools.accumulate(weights))
                 self.esc[k] = max(float(escapes[k][0, 0].real), 0.0)
+                self.total[k] = _total(self.running[k], self.esc[k])
                 self.rate[k] = sum(weights) + self.esc[k]
                 self.posts[k] = [_normalised(r @ r.conj().T) for _, r in edges[k]]
                 for post in self.posts[k]:
@@ -125,11 +129,6 @@ class _Tables:
                 out[j] = eta
         return out
 
-    def scalar_jump(self, k: int, u: float, escape: bool = True):
-        """``(slot, post-jump state)`` at a one-dimensional vertex."""
-        slot = _pick(self.running[k], self.esc[k] if escape else 0.0, u)
-        return slot, self.posts[k][slot] if slot >= 0 else None
-
     def jump(self, ks, etas, us, escape: bool = True) -> list:
         """Pick the jump out of dwell states ``etas`` with weights
         ``Tr(R eta R^dag)`` and the escape weight, ``us`` uniform on [0, 1).
@@ -142,15 +141,18 @@ class _Tables:
         for d, js in self._by_dim(ks).items():
             if d == 1:
                 for j in js:
-                    out[j] = self.scalar_jump(ks[j], us[j], escape)
+                    k, run = ks[j], self.running[ks[j]]
+                    e = self.esc[k] if escape else 0.0
+                    slot = _pick(run, e, _total(run, e), us[j])
+                    out[j] = slot, self.posts[k][slot] if slot >= 0 else None
                 continue
             k, eta, u = _stack(js, ks, etas, us)
             blk = self.blocks[d]
             running, esc, products = blk.weights(k, eta, escape)
-            slots = [
-                _pick(run[: self.deg[kk]], e, uu)
-                for run, e, uu, kk in zip(running.tolist(), esc.tolist(), u.tolist(), k.tolist())
-            ]
+            slots = []
+            for run, e, uu, kk in zip(running.tolist(), esc.tolist(), u.tolist(), k.tolist()):
+                run = run[: self.deg[kk]]
+                slots.append(_pick(run, e, _total(run, e), uu))
             for j, slot, post in zip(js, slots, blk.posts(k, np.array(slots), products)):
                 out[j] = (slot, post)
         return out
@@ -178,10 +180,15 @@ def _exponential_wait(rate: float, u: float) -> float | None:
     return -math.log(u) / rate if rate > _PLATEAU else None
 
 
-def _pick(running, esc: float, u: float) -> int:
+def _total(running, esc: float) -> float:
+    """The total weight of the stored jumps' running weights and the escape."""
+    return (running[-1] if running else 0.0) + esc
+
+
+def _pick(running, esc: float, total: float, u: float) -> int:
     """Slot of the first stored jump whose running weight reaches ``u`` times
-    the total weight; -1 for the escape, -2 when every weight vanishes."""
-    total = (running[-1] if running else 0.0) + esc
+    the total weight ``_total(running, esc)``; -1 for the escape, -2 when
+    every weight vanishes."""
     if total <= _PLATEAU:
         return -2
     slot = bisect.bisect_left(running, u * total)
@@ -428,7 +435,7 @@ def sample_destination(model: WalkModel, vertex: VertexId, eta: np.ndarray, u: f
 # -- trajectory records --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class JumpEvent:
     time: float
     vertex: VertexId
@@ -536,20 +543,111 @@ _DRAWS = 64
 _MAX_JUMPS = 10_000_000
 
 
-def trajectory_rng(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream): parallel streams
-    are independent and every stream is reproducible in isolation."""
-    if seed < 0 or stream < 0:
+# numpy's SeedSequence entropy mixing (numpy/random/bit_generator.pyx) on
+# 32-bit words, with its default pool of four words
+_MASK32 = 0xFFFF_FFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """Little-endian 32-bit words of ``n >= 0``; one word for zero."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value: int, const: int) -> tuple[int, int]:
+    """SeedSequence's ``hashmix``: the hashed word and the next constant."""
+    value ^= const
+    const = const * _MULT_A & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x: int, y: int) -> int:
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _absorb(pool, const: int, words) -> tuple[list, int]:
+    """Mix every word into each pool word in turn, as SeedSequence does with
+    the entropy words past the pool size."""
+    pool = list(pool)
+    for w in words:
+        for dst in range(_POOL):
+            h, const = _hashmix(w, const)
+            pool[dst] = _mix(pool[dst], h)
+    return pool, const
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple, int]:
+    """The pool and hash constant of ``SeedSequence(seed, spawn_key=...)``
+    after the seed's words and before those of the spawn key.  With a spawn
+    key, a seed shorter than the pool is zero-padded to it."""
+    words = _words(seed)
+    words += [0] * (_POOL - len(words))
+    pool, const = [], _INIT_A
+    for w in words[:_POOL]:
+        h, const = _hashmix(w, const)
+        pool.append(h)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    pool, const = _absorb(pool, const, words[_POOL:])
+    return tuple(pool), const
+
+
+def _philox_key(pool: tuple, const: int, stream: int) -> list[int]:
+    """Philox key of ``SeedSequence(seed, spawn_key=(stream,))`` from the
+    seed's pool: ``generate_state(2, np.uint64)``."""
+    pool, _ = _absorb(pool, const, _words(stream))
+    out, const = [], _INIT_B
+    for w in pool:
+        w ^= const
+        const = const * _MULT_B & _MASK32
+        w = w * const & _MASK32
+        out.append(w ^ w >> 16)
+    return [out[0] | out[1] << 32, out[2] | out[3] << 32]
+
+
+_PHILOX = threading.local()  # one bit generator per thread, made on first use
+
+
+def _uniforms(key: list[int]):
+    """The doubles of successive ``random()`` calls of the Philox4x64-10
+    generator with ``key``, drawn ``_DRAWS`` at a time.  Each counter step
+    yields four 64-bit words, so refill ``r`` starts from counter
+    ``r * _DRAWS / 4`` with an empty buffer; the generator's documented
+    state is set to that before each refill."""
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for counter in itertools.count(0, _DRAWS // 4):
+        gen = getattr(_PHILOX, "gen", None)
+        if gen is None:
+            gen = _PHILOX.gen = np.random.Generator(np.random.Philox(0))
+        state["state"]["counter"][0] = counter
+        gen.bit_generator.state = state
+        yield from gen.random(_DRAWS).tolist()
+
+
+def _draws(seed: int, streams) -> list:
+    """The uniforms of each stream: those of
+    ``Generator(Philox(SeedSequence(seed, spawn_key=(stream,)))).random()``
+    (counter-based, so parallel streams are independent and every stream is
+    reproducible in isolation).  The seed's words are mixed once per seed;
+    each stream adds only its own."""
+    seed, streams = int(seed), [int(s) for s in streams]
+    if seed < 0 or any(s < 0 for s in streams):
         raise PreconditionError("seed and stream must be nonnegative integers")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def _uniforms(rng: np.random.Generator):
-    """The doubles of successive ``rng.random()`` calls, drawn ``_DRAWS`` at
-    a time: ``Generator.random(n)`` yields the doubles of ``n`` scalar calls."""
-    while True:
-        yield from rng.random(_DRAWS).tolist()
+    pool, const = _seed_pool(seed)
+    return [_uniforms(_philox_key(pool, const, s)) for s in streams]
 
 
 def _start(model: WalkModel, init: SitedState, horizon: float):
@@ -574,60 +672,68 @@ def _positive(draws) -> float:
     return u
 
 
+def _runaway() -> ConvergenceError:
+    return ConvergenceError(
+        f"trajectory exceeded {_MAX_JUMPS} jumps before the horizon; "
+        "the model's jump intensity looks unbounded for this run"
+    )
+
+
 def _sample(tab: _Tables, k0: int, rho0: np.ndarray, init: SitedState, horizon: float,
             seed: int, streams, stop_at: int = -1,
             keep_rho: bool = True) -> list[TrajectoryRecord]:
     """Sample one trajectory per stream, all walkers advancing together.
 
-    Each walker reads its own ``trajectory_rng(seed, stream)`` in the order
-    a lone walker would.  At one-dimensional vertices the state is fixed
-    and every event is scalar work: a walker runs through them on its own.
-    Walkers at vertices with matrix states take their next events together,
-    one batched step at a time: the waiting time, and unless it lies beyond
-    the horizon, the dwell flow and the jump.  Walkers stop when absorbed,
-    at the horizon, on escape, or on arriving at position ``stop_at``.
-    ``keep_rho`` keeps the post-jump states in the records.
+    Each walker reads the uniforms of its own stream (:func:`_draws`) in the
+    order a lone walker would.  At one-dimensional vertices the state is
+    fixed and every event is scalar work: a walker runs through them on its
+    own, in one tight loop over the vertex tables.  Walkers at vertices with
+    matrix states take their next events together, one batched step at a
+    time: the waiting time, and unless it lies beyond the horizon, the dwell
+    flow and the jump.  Walkers stop when absorbed, at the horizon, on
+    escape, or on arriving at position ``stop_at``.  ``keep_rho`` keeps the
+    post-jump states in the records.
     """
     n = len(streams)
-    draws = [_uniforms(trajectory_rng(seed, s)) for s in streams]
+    draws = _draws(seed, streams)
     pos, t, rho = [k0] * n, [0.0] * n, [rho0] * n
     absorbed, escaped = [False] * n, [None] * n
     events: list[list] = [[] for _ in range(n)]
-
-    def land(i: int, t_next: float, x: int, post: np.ndarray) -> bool:
-        """Walker ``i`` jumps to ``x``; False when it stops there."""
-        pos[i], t[i], rho[i] = x, t_next, post
-        events[i].append(JumpEvent(t_next, tab.ids[x], post if keep_rho else None))
-        if len(events[i]) > _MAX_JUMPS:
-            raise ConvergenceError(
-                f"trajectory exceeded {_MAX_JUMPS} jumps before the horizon; "
-                "the model's jump intensity looks unbounded for this run"
-            )
-        return x != stop_at
+    dim, rate, running, esc, total = tab.dim, tab.rate, tab.running, tab.esc, tab.total
+    dst, posts, ids, log, max_jumps = tab.dst, tab.posts, tab.ids, math.log, _MAX_JUMPS
 
     run = list(range(n))
     while run:
         batch = []
         for i in run:
-            while tab.dim[k := pos[i]] == 1:
-                dt = _exponential_wait(tab.rate[k], _positive(draws[i]))
-                if dt is None:
+            k, now, state, draw, record = pos[i], t[i], rho[i], draws[i], events[i]
+            while dim[k] == 1:
+                u = next(draw)
+                while u <= 0.0:
+                    u = next(draw)
+                if rate[k] <= _PLATEAU:
                     absorbed[i] = True
                     break
-                t_next = t[i] + dt
-                if t_next >= horizon:
+                # math.log, not np.log, as in _exponential_wait
+                now_next = now + -log(u) / rate[k]
+                if now_next >= horizon:
                     break
-                slot, post = tab.scalar_jump(k, next(draws[i]))
-                if slot == -2:
-                    absorbed[i] = True
+                slot = _pick(running[k], esc[k], total[k], next(draw))
+                if slot < 0:
+                    if slot == -1:
+                        escaped[i] = now_next
+                    else:
+                        absorbed[i] = True
                     break
-                if slot == -1:
-                    escaped[i] = t_next
-                    break
-                if not land(i, t_next, tab.dst[k][slot], post):
+                k, now, state = dst[k][slot], now_next, posts[k][slot]
+                record.append(JumpEvent(now, ids[k], state if keep_rho else None))
+                if len(record) > max_jumps:
+                    raise _runaway()
+                if k == stop_at:
                     break
             else:
                 batch.append(i)
+            pos[i], t[i], rho[i] = k, now, state
         if not batch:
             break
         ks = [pos[i] for i in batch]
@@ -648,8 +754,14 @@ def _sample(tab: _Tables, k0: int, rho0: np.ndarray, init: SitedState, horizon: 
                 absorbed[i] = True
             elif slot == -1:
                 escaped[i] = t_next
-            elif land(i, t_next, tab.dst[k][slot], post):
-                run.append(i)
+            else:
+                x = dst[k][slot]
+                pos[i], t[i], rho[i] = x, t_next, post
+                events[i].append(JumpEvent(t_next, ids[x], post if keep_rho else None))
+                if len(events[i]) > max_jumps:
+                    raise _runaway()
+                if x != stop_at:
+                    run.append(i)
     return [
         TrajectoryRecord(init, events[i], horizon, absorbed[i], escaped[i]) for i in range(n)
     ]
@@ -773,6 +885,8 @@ def estimate(
     position_counts: dict[int, dict] = {}
     for qi, q in enumerate(queries):
         kind = q.get("kind")
+        if kind in ("passage_cdf", "occupation", "visits"):
+            model.position(q.get("vertex"))  # ModelError for a vertex not in the model
         if kind == "passage_cdf":
             if max(q["grid"]) > horizon:
                 raise PreconditionError("passage grid reaches beyond the horizon")

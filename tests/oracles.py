@@ -13,6 +13,8 @@ from itertools import product
 import numpy as np
 import scipy.linalg as sla
 
+from ctoqw import trajectory
+from ctoqw.errors import ConvergenceError
 from ctoqw.model import STRUCT_TOL, CheckResult, ValidationReport, WalkModel
 
 
@@ -368,3 +370,90 @@ def occupation_dense_radius(model: WalkModel, i, j, rho, tol: float = 1e-8) -> f
     dj = model.dim(j)
     visits = np.linalg.solve(np.eye(dj * dj) - p_jj.matrix, sigma0.reshape(-1, order="F"))
     return float(np.trace(dwell_integral(model.effective(j), visits.reshape(dj, dj, order="F"))).real)
+
+
+def trajectory_rng(seed: int, stream: int) -> np.random.Generator:
+    """The generator of stream ``stream`` of ``seed`` that the sampler's
+    uniforms must reproduce: numpy's Philox4x64-10 keyed by
+    ``SeedSequence(seed, spawn_key=(stream,))``."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def uniforms(rng: np.random.Generator):
+    """The doubles of successive ``rng.random()`` calls, 64 at a time."""
+    while True:
+        yield from rng.random(64).tolist()
+
+
+def sample_per_walker(tab, k0, rho0, init, horizon, draws, stop_at=-1, keep_rho=True):
+    """The sampler's walk loop with the scalar work behind method calls: one
+    walker at a time through its one-dimensional vertices, every walker at a
+    matrix vertex in one batched step.  ``draws`` holds one iterator of
+    uniforms per walker."""
+    n = len(draws)
+    pos, t, rho = [k0] * n, [0.0] * n, [rho0] * n
+    absorbed, escaped = [False] * n, [None] * n
+    events: list[list] = [[] for _ in range(n)]
+
+    def scalar_jump(k, u):
+        running, esc = tab.running[k], tab.esc[k]
+        slot = trajectory._pick(running, esc, trajectory._total(running, esc), u)
+        return slot, tab.posts[k][slot] if slot >= 0 else None
+
+    def land(i, t_next, x, post):
+        pos[i], t[i], rho[i] = x, t_next, post
+        events[i].append(trajectory.JumpEvent(t_next, tab.ids[x], post if keep_rho else None))
+        if len(events[i]) > trajectory._MAX_JUMPS:
+            raise ConvergenceError(f"trajectory exceeded {trajectory._MAX_JUMPS} jumps")
+        return x != stop_at
+
+    run = list(range(n))
+    while run:
+        batch = []
+        for i in run:
+            while tab.dim[k := pos[i]] == 1:
+                dt = trajectory._exponential_wait(tab.rate[k], trajectory._positive(draws[i]))
+                if dt is None:
+                    absorbed[i] = True
+                    break
+                t_next = t[i] + dt
+                if t_next >= horizon:
+                    break
+                slot, post = scalar_jump(k, next(draws[i]))
+                if slot == -2:
+                    absorbed[i] = True
+                    break
+                if slot == -1:
+                    escaped[i] = t_next
+                    break
+                if not land(i, t_next, tab.dst[k][slot], post):
+                    break
+            else:
+                batch.append(i)
+        if not batch:
+            break
+        ks = [pos[i] for i in batch]
+        dts = tab.wait(ks, [rho[i] for i in batch], [trajectory._positive(draws[i]) for i in batch])
+        go = []
+        for i, k, dt in zip(batch, ks, dts):
+            if dt is None:
+                absorbed[i] = True
+            elif t[i] + dt < horizon:
+                go.append((i, k, dt))
+        ks = [k for _, k, _ in go]
+        etas = tab.flow(ks, [rho[i] for i, _, _ in go], [dt for _, _, dt in go])
+        hops = tab.jump(ks, etas, [next(draws[i]) for i, _, _ in go])
+        run = []
+        for (i, k, dt), (slot, post) in zip(go, hops):
+            t_next = t[i] + dt
+            if slot == -2:
+                absorbed[i] = True
+            elif slot == -1:
+                escaped[i] = t_next
+            elif land(i, t_next, tab.dst[k][slot], post):
+                run.append(i)
+    return [
+        trajectory.TrajectoryRecord(init, events[i], horizon, absorbed[i], escaped[i])
+        for i in range(n)
+    ]

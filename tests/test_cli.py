@@ -14,7 +14,7 @@ from hypothesis import strategies as hst
 
 import ctoqw
 from ctoqw import classify, linalg, model, passage, trajectory
-from ctoqw.cli import main
+from ctoqw.cli import _dump_writer, main
 from ctoqw.model import SitedState, build_walk, matrix_to_json, model_from_json
 
 
@@ -252,6 +252,45 @@ def test_simulate_dump(tmp_path, spin_file, monkeypatch):
         for ev in trajectory.simulate(walk, init, 3.0, seed=1, stream=k).events
     ]
     assert [(ev["traj"], ev["t"], ev["to"], ev["rho"]) for ev in events] == expected
+
+
+def test_query_vertices_match_ids_as_strings(tmp_path, two_site_file):
+    # the JSON string "1" names vertex 1 as the int 1 does, as on the command line
+    csvs = []
+    for vertex in (1, "1"):
+        q = tmp_path / f"q-{vertex!r}.json"
+        q.write_text(json.dumps([{"kind": kind, "vertex": vertex} for kind in ("occupation", "visits")]
+                                + [{"kind": "passage_cdf", "vertex": vertex, "grid": [1.0, 2.0]}]))
+        csvs.append(tmp_path / f"{vertex!r}.csv")
+        assert run(tmp_path, "simulate", "--model", two_site_file, "--start", "0:e1", "--horizon", 4,
+                   "--n", 50, "--seed", 3, "--queries", q, "--out", csvs[-1]) == 0
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
+    occupation = [l.split(",") for l in csvs[0].read_text().splitlines() if l.startswith("0,")]
+    assert occupation[0][1] == "1" and float(occupation[0][2]) > 0.0
+
+
+def test_dump_text_of_shared_states_is_json_text(tmp_path):
+    # the sampler shares one read-only post-jump state per edge of a scalar
+    # vertex; the writer keys their text by bytes, so equal values written
+    # as writable arrays, and -0.0 against 0.0, give json's own text
+    walk = ctoqw.fixtures.biased_line((-3, 3))
+    shared = [np.array([[1.0 + 0.0j]]), np.array([[1.0 - 0.0j]]), np.array([[-0.0 + 0.0j]])]
+    for rho in shared:
+        rho.flags.writeable = False
+    states = shared + [np.array([[1.0 + 0.0j]]), np.array([[0.0 + 0.0j]])]
+    rec = trajectory.TrajectoryRecord(
+        SitedState(0, [[1.0]]),
+        [trajectory.JumpEvent(0.5 * (j + 1), (j + 1) % 2, rho) for j, rho in enumerate(states)],
+        10.0,
+    )
+    fh = io.StringIO()
+    _dump_writer(fh, walk)(7, rec)
+    expected = [
+        json.dumps({"traj": 7, "t": ev.time, "from": str(j % 2), "to": str(ev.vertex),
+                    "rho": matrix_to_json(ev.rho)}, sort_keys=True)
+        for j, ev in enumerate(rec.events)
+    ]
+    assert fh.getvalue().splitlines() == expected
 
 
 def test_vertex_arguments_match_ids_as_strings(tmp_path, capsys):
@@ -560,12 +599,18 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, data):
         (["validate", "--out", "{d}/no/such/dir.json"], 1, "FileNotFoundError"),
         (["first-passage", "--from", "0:e1", "--to", "²"], 1, "ModelError: unknown vertex ²"),
         (["first-passage", "--from", "0:e1", "--to", "+-1"], 1, "ModelError: unknown vertex +-1"),
+        (["simulate", "--start", "0:e1", "--horizon", 1, "--n", 2, "--queries", "{d}/queries.json"],
+         1, "ModelError: unknown vertex 99"),
     ],
     ids=["negative-seed", "state-is-a-directory", "state-of-wrong-shape",
-         "model-is-a-directory", "unwritable-out", "superscript-vertex", "double-sign-vertex"],
+         "model-is-a-directory", "unwritable-out", "superscript-vertex", "double-sign-vertex",
+         "unknown-query-vertex"],
 )
 def test_bad_inputs_exit_cleanly(tmp_path, two_site_file, capsys, argv, code, message):
     (tmp_path / "state.json").write_text(json.dumps(matrix_to_json(np.eye(2) / 2)))
+    (tmp_path / "queries.json").write_text(json.dumps(
+        [{"kind": "visits", "vertex": 99}, {"kind": "occupation", "vertex": "1"}]
+    ))
     argv = [str(a).format(d=tmp_path) for a in argv]
     if "--model" not in argv:
         argv += ["--model", str(two_site_file)]

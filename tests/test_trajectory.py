@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,9 +12,9 @@ from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from ctoqw import fixtures, semigroup, trajectory
-from ctoqw.errors import ConvergenceError, PreconditionError
+from ctoqw.errors import ConvergenceError, ModelError, PreconditionError
 from ctoqw.model import SitedState, WalkModel, build_walk, classical_embed, sited_block_state
-from oracles import rk4_dwell
+from oracles import rk4_dwell, sample_per_walker, trajectory_rng, uniforms
 from strategies import random_density, random_hermitian, random_model
 
 
@@ -151,7 +154,7 @@ def test_simulate_first_event_time_is_sample_jump_time():
     rho = random_density(np.random.default_rng(14), 2)
     for stream in range(5):
         rec = trajectory.simulate(m, SitedState(0, rho), 50.0, seed=9, stream=stream)
-        u = trajectory.trajectory_rng(9, stream).random()
+        u = trajectory_rng(9, stream).random()
         assert rec.events[0].time == trajectory.sample_jump_time(g, rho, u)
 
 
@@ -229,6 +232,149 @@ def test_circuit_breaker_on_the_batched_path(two_site, monkeypatch):
                             queries=[{"kind": "visits", "vertex": 1}])
 
 
+_SEEDS = (0, 1, 101, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5)
+_STREAMS = list(range(50)) + [2**32 - 1, 2**32, 2**40 + 9, 2**70]
+
+
+def test_streams_are_the_seed_sequence_philox_streams():
+    # 200 draws per stream take four refills; the streams are read in
+    # turns of 50 draws, so refills of different streams interleave
+    for seed in _SEEDS:
+        draws = trajectory._draws(seed, _STREAMS)
+        got = [[] for _ in _STREAMS]
+        for _ in range(4):
+            for out, draw in zip(got, draws):
+                out.extend(itertools.islice(draw, 50))
+        for stream, out in zip(_STREAMS, got):
+            assert out == trajectory_rng(seed, stream).random(200).tolist(), (seed, stream)
+
+
+def test_streams_read_in_threads_are_their_own():
+    # each thread refills from its own bit generator; with a short switch
+    # interval the threads interleave between setting its state and drawing
+    seeds = (5, 2**40 + 1, 101, 0)
+    got: dict = {}
+
+    def read(seed):
+        draws = trajectory._draws(seed, range(8))
+        got[seed] = [list(itertools.islice(d, 300)) for d in draws]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(seed,)) for seed in seeds]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for seed in seeds:
+        assert got[seed] == [trajectory_rng(seed, s).random(300).tolist() for s in range(8)]
+
+
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (2**40, -(2**40))])
+def test_negative_seed_or_stream_is_a_precondition_error(two_site, seed, stream):
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        trajectory._draws(seed, [0, stream])
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        trajectory.simulate(two_site, SitedState(0, [[1.0]]), 1.0, seed=seed, stream=stream)
+
+
+def _scalar_tables(edges, escapes):
+    """Tables of one-dimensional vertices ``0..n-1``: ``edges[k]`` lists
+    ``(destination, weight)`` and ``escapes[k]`` is the escape weight."""
+    n = len(escapes)
+    return trajectory._Tables(
+        range(n),
+        [np.zeros((1, 1), dtype=complex)] * n,
+        [[(b, np.array([[math.sqrt(w)]], dtype=complex)) for b, w in out] for out in edges],
+        [np.array([[e]], dtype=complex) for e in escapes],
+    )
+
+
+_LAST = 1.0 - 2.0**-53  # the largest double below one
+# vertex 0 splits evenly between the absorbing vertices 1 and 2 and has an
+# escape weight under _PLATEAU: no escape channel, but a total above the
+# last running weight
+_GUARD = _scalar_tables([[(1, 0.5), (2, 0.5)], [], []], [1e-15, 0.0, 0.0])
+_PAIR = _scalar_tables([[(1, 1.0)], [(0, 1.0)]], [0.0, 0.0])
+
+
+def _scalar_cases(biased_small):
+    edge = trajectory._tables(biased_small)
+    yield "zero-draws-skipped", _PAIR, 0, [0.0, 0.0, 0.5, 0.3, 0.0, 0.7, 0.0, 0.2], 50.0, -1
+    yield "rounding-guard", _GUARD, 0, [0.5, _LAST, 0.5], 50.0, -1
+    yield "escape-at-window-edge", edge, biased_small.position(8), [0.5, _LAST], 50.0, -1
+    yield "absorbed-without-jumps-or-escape", _GUARD, 2, [0.5], 50.0, -1
+    yield "stop-at", _PAIR, 0, [0.5, 0.5, 0.5, 0.5], 50.0, 1
+    yield "horizon", _PAIR, 0, [0.5, 0.5, 0.01, 0.5], 2.0, -1
+
+
+def _same_records(a, b):
+    assert [(ev.time, ev.vertex) for ev in a.events] == [(ev.time, ev.vertex) for ev in b.events]
+    assert [ev.rho.tobytes() for ev in a.events] == [ev.rho.tobytes() for ev in b.events]
+    assert (a.absorbed, a.escaped_at) == (b.absorbed, b.escaped_at)
+
+
+def test_scalar_loop_matches_the_per_walker_oracle(biased_small, monkeypatch):
+    cases = list(_scalar_cases(biased_small))
+    running, esc = _GUARD.running[0], _GUARD.esc[0]
+    assert _LAST * _GUARD.total[0] > running[-1] and esc <= trajectory._PLATEAU
+    seen = {}
+    for name, tab, k0, script, horizon, stop in cases:
+        def scripted(n):
+            return [itertools.chain(script, itertools.cycle([0.4, 0.6])) for _ in range(n)]
+
+        monkeypatch.setattr(trajectory, "_draws", lambda seed, streams: scripted(len(streams)))
+        init, rho0 = SitedState(tab.ids[k0], [[1.0]]), np.ones((1, 1), dtype=complex)
+        got = trajectory._sample(tab, k0, rho0, init, horizon, 0, [0, 1], stop)
+        want = sample_per_walker(tab, k0, rho0, init, horizon, scripted(2), stop)
+        for a, b in zip(got, want):
+            _same_records(a, b)
+        seen[name] = got[0]
+    assert seen["zero-draws-skipped"].events[0].time == -math.log(0.5)
+    assert [ev.vertex for ev in seen["rounding-guard"].events] == [2]
+    assert seen["rounding-guard"].absorbed
+    edge_rate = trajectory._tables(biased_small).rate[biased_small.position(8)]
+    assert seen["escape-at-window-edge"].escaped_at == -math.log(0.5) / edge_rate
+    assert seen["absorbed-without-jumps-or-escape"].absorbed
+    assert [ev.vertex for ev in seen["stop-at"].events] == [1]
+    assert seen["horizon"].events[-1].time < 2.0 and not seen["horizon"].absorbed
+
+
+def test_scalar_loop_jump_budget_matches_the_oracle(monkeypatch):
+    # every wait is log 2, so the horizon admits 50 or 51 jumps
+    monkeypatch.setattr(trajectory, "_MAX_JUMPS", 50)
+    monkeypatch.setattr(trajectory, "_draws", lambda seed, streams: [itertools.cycle([0.5])])
+    init, rho0 = SitedState(0, [[1.0]]), np.ones((1, 1), dtype=complex)
+    horizon = 50.5 * math.log(2.0)
+    got = trajectory._sample(_PAIR, 0, rho0, init, horizon, 0, [0])[0]
+    _same_records(got, sample_per_walker(_PAIR, 0, rho0, init, horizon, [itertools.cycle([0.5])])[0])
+    assert got.jump_count == 50
+    horizon += math.log(2.0)
+    with pytest.raises(ConvergenceError, match="exceeded 50 jumps"):
+        trajectory._sample(_PAIR, 0, rho0, init, horizon, 0, [0])
+    with pytest.raises(ConvergenceError, match="exceeded 50 jumps"):
+        sample_per_walker(_PAIR, 0, rho0, init, horizon, [itertools.cycle([0.5])])
+
+
+@pytest.mark.parametrize("stop_on_return", [False, True])
+def test_sampler_matches_the_per_walker_oracle_on_its_streams(stop_on_return):
+    cases = list(_equivalence_cases()) + [
+        ("two-site", fixtures.two_site_exchange(), SitedState(0, [[1.0]]), 6.0),
+    ]
+    for name, m, init, horizon in cases:
+        tab, k0, rho0 = trajectory._start(m, init, horizon)
+        k_stop = k0 if stop_on_return else -1
+        streams = range(40)
+        got = trajectory._sample(tab, k0, rho0, init, horizon, 23, streams, k_stop)
+        draws = [uniforms(trajectory_rng(23, s)) for s in streams]
+        for a, b in zip(got, sample_per_walker(tab, k0, rho0, init, horizon, draws, k_stop)):
+            _same_records(a, b)
+
+
 def qutrit_ring(seed: int, sites: int) -> WalkModel:
     """Closed ring of qutrits with jumps to i+1, i-1 and i+2, each site's
     jumps rescaled so that sum R^dag R = diag(0.75, 1, 1.25): the decay is
@@ -280,8 +426,8 @@ def test_estimate_records_are_simulate_records(case):
     _, m, init, horizon = case
     n = trajectory._CHUNK + 10  # more than one chunk of walkers
     records = {}
-    trajectory.estimate(m, init, horizon, n, seed=17, queries=[{"kind": "visits", "vertex": 0}],
-                        on_record=records.__setitem__)
+    queries = [{"kind": "visits", "vertex": init.vertex}]
+    trajectory.estimate(m, init, horizon, n, seed=17, queries=queries, on_record=records.__setitem__)
     assert sorted(records) == list(range(n))
     for k, rec in records.items():
         alone = trajectory.simulate(m, init, horizon, seed=17, stream=k)
@@ -332,6 +478,16 @@ def test_estimate_rejects_unknown_query(two_site):
     with pytest.raises(PreconditionError):
         trajectory.estimate(two_site, init, 1.0, 10, seed=1,
                             queries=[{"kind": "nonsense"}])
+
+
+@pytest.mark.parametrize("query", [
+    {"kind": "visits", "vertex": 99},
+    {"kind": "occupation", "vertex": "1"},
+    {"kind": "passage_cdf", "grid": [0.5]},
+])
+def test_estimate_rejects_query_vertices_not_in_the_model(two_site, query):
+    with pytest.raises(ModelError, match="unknown vertex"):
+        trajectory.estimate(two_site, SitedState(0, [[1.0]]), 1.0, 10, seed=1, queries=[query])
 
 
 def test_estimate_rejects_queries_beyond_horizon(two_site):
