@@ -331,8 +331,6 @@ def _perron_state(p_map: SuperOp):
         rho = vecs_h @ np.diag(np.clip(vals_h, 0, None)) @ vecs_h.conj().T
         tr = np.trace(rho).real
     rho = rho / tr
-    if np.trace(rho).real < 0:
-        rho = -rho
     min_eig = float(np.min(np.linalg.eigvalsh(rho)))
     return float(lam), rho, min_eig
 

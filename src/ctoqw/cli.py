@@ -30,21 +30,20 @@ EXIT_NONCONVERGENCE = 3
 EXIT_PRECONDITION = 4
 
 
-def _meta(args, walk=None, extra=None) -> dict:
+def _meta(args, walk, extra=None) -> dict:
     info = {
         "tool": "ctoqw",
         "version": __version__,
         "command": args.command,
-        "seed": getattr(args, "seed", None),
-        "tolerance": getattr(args, "tol", None),
+        "seed": args.seed,
+        "tolerance": args.tol,
+        "model_hash": walk.canonical_hash(),
     }
-    if walk is not None:
-        info["model_hash"] = walk.canonical_hash()
-        if walk.meta.get("window"):
-            info["window"] = walk.meta["window"]
-        esc = walk.escaping_boundary()
-        if esc:
-            info["escaping_boundary"] = [str(v) for v in esc]
+    if walk.meta.get("window"):
+        info["window"] = walk.meta["window"]
+    esc = walk.escaping_boundary()
+    if esc:
+        info["escaping_boundary"] = [str(v) for v in esc]
     if extra:
         info.update(extra)
     return info
@@ -71,21 +70,6 @@ def _write_csv(path: str | None, header_meta: dict, columns: list[str], rows):
     _write(path, "\n".join(lines) + "\n")
 
 
-def _load_model(path: str) -> model.WalkModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return model.model_from_json(doc)
-
-
-def _vertex(text: str, walk: model.WalkModel) -> model.VertexId:
-    """The vertex of ``walk`` whose id reads ``text`` as a string, the rule
-    model files apply to their vertex keys."""
-    for v in walk.vertices:
-        if str(v.id) == text:
-            return v.id
-    raise ModelError(f"unknown vertex {text}")
-
-
 def _parse_start(spec: str, walk: model.WalkModel) -> model.SitedState:
     """Parse ``vertex[:state]`` where state is ``eK`` (basis projector,
     1-based), ``maxmixed`` (default), or a JSON file with a matrix, which
@@ -95,7 +79,7 @@ def _parse_start(spec: str, walk: model.WalkModel) -> model.SitedState:
         vpart, spart = spec.split(":", 1)
     else:
         vpart, spart = spec, "maxmixed"
-    vertex = _vertex(vpart, walk)
+    vertex = walk.named(vpart)
     d = walk.dim(vertex)
     if spart == "maxmixed":
         rho = np.eye(d) / d
@@ -124,51 +108,34 @@ def _parse_start(spec: str, walk: model.WalkModel) -> model.SitedState:
 def _windowed_rebuild(walk: model.WalkModel, window: int) -> model.WalkModel:
     spec = walk.meta.get("lattice")
     if spec is None:
-        raise PreconditionError(
-            "--window requires a model built from a lattice block"
-        )
-    lo, hi = (int(x) for x in spec["window"])
-    if lo == 0:
-        return model.build_lattice(spec, window=(0, window))
-    return model.build_lattice(spec, window=(-window, window))
+        raise PreconditionError("--window requires a model built from a lattice block")
+    lo = int(spec["window"][0])
+    return model.build_lattice(spec, window=(0 if lo == 0 else -window, window))
 
 
 # -- subcommand implementations ----------------------------------------------
 
 
 def _cmd_fixtures(args) -> int:
-    window = None if args.window is None else args.window[0]
-    walk = fixtures.get_fixture(args.name, window)
+    walk = fixtures.get_fixture(args.name, args.window)
     doc = walk.to_json_dict()
-    doc.setdefault("meta", {})
-    doc["meta"] = {k: v for k, v in doc["meta"].items() if not k.startswith("_")}
+    doc["meta"] = {k: v for k, v in doc.get("meta", {}).items() if not k.startswith("_")}
     doc["meta"]["generator"] = _meta(args, walk)
     _write_json(args.out, doc)
     return 0
 
 
-def _cmd_validate(args) -> int:
-    walk = _load_model(args.model)
-    report = model.validate(walk, tol=args.tol)
+def _cmd_validate(args, walk: model.WalkModel, report: model.ValidationReport) -> int:
     doc = {"meta": _meta(args, walk), "report": report.to_json_dict()}
     _write_json(args.out, doc)
     return 0 if report.ok else EXIT_VALIDATION
-
-
-def _require_valid(walk: model.WalkModel, tol: float):
-    report = model.validate(walk, tol=tol)
-    if not report.ok:
-        names = sorted({c.name for c in report.failures()})
-        raise _ValidationFailed(f"model fails validation checks: {names}")
 
 
 class _ValidationFailed(Exception):
     pass
 
 
-def _cmd_evolve(args) -> int:
-    walk = _load_model(args.model)
-    _require_valid(walk, args.tol)
+def _cmd_evolve(args, walk: model.WalkModel) -> int:
     if ":" not in args.state and args.state.endswith(".json"):
         with open(args.state) as fh:
             mu = model.state_from_json(json.load(fh), walk)
@@ -240,16 +207,14 @@ def _dump_writer(fh, walk: model.WalkModel):
     return write
 
 
-def _cmd_simulate(args) -> int:
-    walk = _load_model(args.model)
-    _require_valid(walk, args.tol)
+def _cmd_simulate(args, walk: model.WalkModel) -> int:
     init = _parse_start(args.start, walk)
     if args.queries:
         with open(args.queries) as fh:
             queries = json.load(fh)
-        for q in queries:
-            if "vertex" in q:
-                q["vertex"] = _vertex(str(q["vertex"]), walk)
+        for q in queries:  # estimate checks the shape of every query
+            if isinstance(q, dict) and "vertex" in q:
+                q["vertex"] = walk.named(str(q["vertex"]))
     else:
         queries = [{"kind": "position_law", "t": args.horizon / 2.0}]
     with open(args.dump, "w") if args.dump else contextlib.nullcontext() as dump:
@@ -295,11 +260,9 @@ def _window_study(walk, args, compute, key):
     return table
 
 
-def _cmd_first_passage(args) -> int:
-    walk = _load_model(args.model)
-    _require_valid(walk, args.tol)
+def _cmd_first_passage(args, walk: model.WalkModel) -> int:
     start = _parse_start(getattr(args, "from"), walk)
-    target = _vertex(args.to, walk)
+    target = walk.named(args.to)
     p_map, diag = passage.first_passage_map(walk, start.vertex, target)
     diag = passage.with_certificates(p_map, diag)
     prob = passage.reach_probability(p_map, start.rho)
@@ -319,11 +282,9 @@ def _cmd_first_passage(args) -> int:
     return 0
 
 
-def _cmd_occupation(args) -> int:
-    walk = _load_model(args.model)
-    _require_valid(walk, args.tol)
+def _cmd_occupation(args, walk: model.WalkModel) -> int:
     start = _parse_start(getattr(args, "from"), walk)
-    target = _vertex(args.at, walk)
+    target = walk.named(args.at)
     value = passage.expected_occupation(walk, start.vertex, target, start.rho)
     doc = {
         "meta": _meta(args, walk, {"from": str(start.vertex), "at": str(target)}),
@@ -334,10 +295,8 @@ def _cmd_occupation(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    walk = _load_model(args.model)
-    _require_valid(walk, args.tol)
-    base = None if args.vertex is None else _vertex(args.vertex, walk)
+def _cmd_classify(args, walk: model.WalkModel) -> int:
+    base = None if args.vertex is None else walk.named(args.vertex)
     report = classify.classify_trichotomy(walk, base, eps_spec=args.eps)
     doc = {"meta": _meta(args, walk, {"eps_spec": args.eps}), "report": report.to_json_dict()}
     if args.window:
@@ -350,9 +309,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_irreducible(args) -> int:
-    walk = _load_model(args.model)
-    _require_valid(walk, args.tol)
+def _cmd_irreducible(args, walk: model.WalkModel) -> int:
     if args.discrete:
         verdict = classify.check_discrete_irreducible(walk)
     else:
@@ -372,14 +329,17 @@ def _cmd_irreducible(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-class _SubParser(argparse.ArgumentParser):
-    def __init__(self, *a, **kw):
-        kw.setdefault("allow_abbrev", False)
-        super().__init__(*a, **kw)
+class _Parser(argparse.ArgumentParser):
+    """The parser of ``ctoqw`` and of each subcommand: a usage error prints
+    the usage and exits ``EXIT_PARSE``."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ctoqw",
         description="Continuous-time open quantum walks: evolve, simulate, "
         "classify.",
@@ -390,28 +350,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="structural validation tolerance")
     p.add_argument("--json-logs", action="store_true",
                    help="emit errors as JSON on stderr")
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_SubParser)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def out_opt(sp):
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        # global flags are also accepted after the subcommand
-        sp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        sp.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-        sp.add_argument("--json-logs", action="store_true", default=argparse.SUPPRESS)
+    with_model = argparse.ArgumentParser(add_help=False)
+    with_model.add_argument("--model", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None, help="output path (default stdout)")
+    # global flags are also accepted after the subcommand
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    common.add_argument("--json-logs", action="store_true", default=argparse.SUPPRESS)
 
-    sp = sub.add_parser("fixtures", help="emit a built-in model")
+    def command(name, summary, model=True):
+        return sub.add_parser(name, help=summary, allow_abbrev=False,
+                              parents=[with_model, common] if model else [common])
+
+    sp = command("fixtures", "emit a built-in model", model=False)
     sp.add_argument("--name", required=True, choices=sorted(fixtures.FIXTURES))
-    sp.add_argument("--window", type=int, nargs="+", default=None)
-    out_opt(sp)
-    sp.set_defaults(func=_cmd_fixtures)
+    sp.add_argument("--window", type=int, default=None,
+                    help="lattice size N: sites [-N, N] (biased-line) or [0, N] (spin-biased-line)")
 
-    sp = sub.add_parser("validate", help="check the structural invariants")
-    sp.add_argument("--model", required=True)
-    out_opt(sp)
-    sp.set_defaults(func=_cmd_validate)
+    command("validate", "check the structural invariants")
 
-    sp = sub.add_parser("evolve", help="propagate a block state exactly")
-    sp.add_argument("--model", required=True)
+    sp = command("evolve", "propagate a block state exactly")
     sp.add_argument("--state", required=True,
                     help="state file, or 'vertex:eK', or 'vertex:maxmixed'")
     sp.add_argument("--t", type=float, required=True)
@@ -419,51 +380,40 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also write a (t, vertex, probability) CSV here")
     sp.add_argument("--grid-points", type=int, default=21,
                     help="points of the uniform report grid on [0, t], at least 1")
-    out_opt(sp)
-    sp.set_defaults(func=_cmd_evolve)
 
-    sp = sub.add_parser("simulate", help="Monte Carlo estimates from trajectories")
-    sp.add_argument("--model", required=True)
+    sp = command("simulate", "Monte Carlo estimates from trajectories")
     sp.add_argument("--start", required=True)
     sp.add_argument("--horizon", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--queries", default=None, help="JSON file with query list")
     sp.add_argument("--dump", default=None, help="line-delimited event dump path")
-    out_opt(sp)
-    sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("first-passage", help="exact reach probability operator")
-    sp.add_argument("--model", required=True)
+    sp = command("first-passage", "exact reach probability operator")
     sp.add_argument("--from", required=True, dest="from")
     sp.add_argument("--to", required=True)
     sp.add_argument("--window", type=int, nargs="+", default=None,
                     help="window convergence study sizes N (each run at N and 2N)")
-    out_opt(sp)
-    sp.set_defaults(func=_cmd_first_passage)
 
-    sp = sub.add_parser("occupation", help="expected total time at a vertex")
-    sp.add_argument("--model", required=True)
+    sp = command("occupation", "expected total time at a vertex")
     sp.add_argument("--from", required=True, dest="from")
     sp.add_argument("--at", required=True)
-    out_opt(sp)
-    sp.set_defaults(func=_cmd_occupation)
 
-    sp = sub.add_parser("classify", help="recurrence/transience trichotomy")
-    sp.add_argument("--model", required=True)
+    sp = command("classify", "recurrence/transience trichotomy")
     sp.add_argument("--vertex", default=None, help="base vertex")
     sp.add_argument("--eps", type=float, default=1e-8)
     sp.add_argument("--window", type=int, nargs="+", default=None)
-    out_opt(sp)
-    sp.set_defaults(func=_cmd_classify)
 
-    sp = sub.add_parser("irreducible", help="irreducibility verdict with witness")
-    sp.add_argument("--model", required=True)
+    sp = command("irreducible", "irreducibility verdict with witness")
     sp.add_argument("--discrete", action="store_true",
                     help="check the jump-only map instead of the semigroup")
-    out_opt(sp)
-    sp.set_defaults(func=_cmd_irreducible)
 
     return p
+
+
+# the commands that require the model's checks to pass
+_COMMANDS = {"evolve": _cmd_evolve, "simulate": _cmd_simulate,
+             "first-passage": _cmd_first_passage, "occupation": _cmd_occupation,
+             "classify": _cmd_classify, "irreducible": _cmd_irreducible}
 
 
 def _fail(args, code: int, exc: Exception) -> int:
@@ -482,12 +432,25 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  Every command but
+    ``fixtures`` has its model loaded and checked here, once: ``validate``
+    reports the checks, every other command requires them to pass."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if args.command == "fixtures":
+            return _cmd_fixtures(args)
+        with open(args.model) as fh:
+            walk = model.model_from_json(json.load(fh))
+        report = model.validate(walk, tol=args.tol)
+        if args.command == "validate":
+            return _cmd_validate(args, walk, report)
+        if not report.ok:
+            names = sorted({c.name for c in report.failures()})
+            raise _ValidationFailed(f"model fails validation checks: {names}")
+        return _COMMANDS[args.command](args, walk)
     except (json.JSONDecodeError, OSError, ModelError) as exc:
         return _fail(args, EXIT_PARSE, exc)
     except _ValidationFailed as exc:

@@ -127,14 +127,14 @@ FIXTURES = {
 _WINDOWED = {"biased-line", "spin-biased-line"}
 
 
-def get_fixture(name: str, window: int | tuple[int, int] | None = None) -> WalkModel:
-    """Build a fixture by name; ``window`` resizes the lattice fixtures."""
+def get_fixture(name: str, window: int | None = None) -> WalkModel:
+    """Build a fixture by name; ``window`` resizes the lattice fixtures, to
+    ``[-window, window]`` for ``biased-line`` and ``[0, window]`` for
+    ``spin-biased-line``."""
     if name not in FIXTURES:
         raise ModelError(f"unknown fixture {name!r}; have {sorted(FIXTURES)}")
     if window is None:
         return FIXTURES[name]()
     if name not in _WINDOWED:
         raise ModelError(f"fixture {name!r} has no window parameter")
-    if isinstance(window, int):
-        window = (-window, window) if name == "biased-line" else (0, window)
-    return FIXTURES[name](tuple(window))
+    return FIXTURES[name]((-window, window) if name == "biased-line" else (0, window))

@@ -30,12 +30,8 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if shape is None:
-        d = int(round(np.sqrt(v.size)))
-        shape = (d, d)
-    return v.reshape(shape, order="F")
+def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    return np.asarray(v, dtype=complex).reshape(shape, order="F")
 
 
 def by_shape(mats) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -69,8 +65,11 @@ def herm(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def opnorm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.atleast_2d(m), 2))
+def opnorm(m: np.ndarray):
+    """Spectral norm of a matrix, or of each matrix of a stack: the
+    ``svd(..., compute_uv=False).max(-1)`` that ``np.linalg.norm(m, 2)``
+    computes, so a stack gives the same floats as its matrices one by one."""
+    return np.linalg.svd(m, compute_uv=False).max(axis=-1)
 
 
 def spectral_abscissa(g: np.ndarray) -> float:

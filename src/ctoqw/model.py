@@ -69,11 +69,10 @@ class BlockState:
 
     blocks: dict[VertexId, np.ndarray] = field(default_factory=dict)
 
-    def block(self, vertex: VertexId, dim: int | None = None) -> np.ndarray:
+    def block(self, vertex: VertexId, dim: int) -> np.ndarray:
+        """The block at ``vertex``, zero ``dim x dim`` where it is missing."""
         if vertex in self.blocks:
             return self.blocks[vertex]
-        if dim is None:
-            raise KeyError(vertex)
         return np.zeros((dim, dim), dtype=complex)
 
     def total_trace(self) -> float:
@@ -117,7 +116,7 @@ def check_block_state(model: "WalkModel", mu: BlockState) -> None:
         b = mu.block(v.id, v.dim)
         if np.linalg.norm(b - b.conj().T) > 1e-8 * (1 + np.linalg.norm(b)):
             raise ModelError(f"block at {v.id!r} is not Hermitian")
-        if v.dim > 0 and np.any(b):
+        if np.any(b):
             mineig = float(np.min(np.linalg.eigvalsh(linalg.herm(b))))
             if mineig < -STRUCT_TOL:
                 raise ModelError(f"block at {v.id!r} has eigenvalue {mineig:.3e} < -{STRUCT_TOL:.1e}")
@@ -138,7 +137,8 @@ class WalkModel:
         self._index = {v.id: k for k, v in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
             raise ModelError("vertex ids must be unique")
-        if len({str(v.id) for v in self.vertices}) != len(self.vertices):
+        self._by_text = {str(v.id): v.id for v in self.vertices}
+        if len(self._by_text) != len(self.vertices):
             raise ModelError("vertex ids must remain unique as strings")
         self._ham = tuple(hamiltonians)
         self._eff = tuple(effective)
@@ -163,6 +163,13 @@ class WalkModel:
             return self._index[vertex]
         except KeyError:
             raise ModelError(f"unknown vertex {vertex!r}") from None
+
+    def named(self, text: str) -> VertexId:
+        """The vertex whose id, written as a string, is ``text``."""
+        try:
+            return self._by_text[text]
+        except KeyError:
+            raise ModelError(f"unknown vertex {text}") from None
 
     def dim(self, vertex: VertexId) -> int:
         return self.vertices[self.position(vertex)].dim
@@ -258,11 +265,6 @@ def _dagger(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
 
 
-def _opnorms(stack: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix of a stack, as ``np.linalg.norm(m, 2)``."""
-    return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
-
-
 def _decays(dims, jumps: dict) -> list[np.ndarray]:
     """The decay ``sum_j R[i->j]^dag R[i->j]`` of each vertex, added up in
     jump order."""
@@ -282,14 +284,14 @@ def _canonical_hash(model: WalkModel) -> str:
 def _rate_constant(model: WalkModel) -> float:
     norms = np.empty(len(model._jumps))
     for ks, r in linalg.by_shape(list(model._jumps.values())):
-        norms[ks] = _opnorms(r @ _dagger(r))
+        norms[ks] = linalg.opnorm(r @ _dagger(r))
     return float(sum(norms.tolist()))
 
 
 def _escaping_boundary(model: WalkModel) -> tuple:
     norms = np.empty(len(model.vertices))
     for ks, d in linalg.by_shape(model._defect):
-        norms[ks] = _opnorms(d)
+        norms[ks] = linalg.opnorm(d)
     return tuple(v.id for v, x in zip(model.vertices, norms.tolist()) if x > STRUCT_TOL)
 
 
@@ -299,7 +301,7 @@ def _require_hermitian(vspaces, hams) -> None:
     given = [k for k, h in enumerate(hams) if h is not None]
     bad = []
     for ks, h in linalg.by_shape([hams[k] for k in given]):
-        res, norm = _opnorms(np.concatenate([h - _dagger(h), h])).reshape(2, -1)
+        res, norm = linalg.opnorm(np.concatenate([h - _dagger(h), h])).reshape(2, -1)
         bad.extend(ks[~(res <= 1e-12 * (1.0 + norm))].tolist())
     if bad:
         raise ModelError(f"H at {vspaces[given[min(bad)]].id!r} is not Hermitian")
@@ -345,15 +347,6 @@ def _json_matrices(items) -> list[np.ndarray]:
 # -- construction ------------------------------------------------------------
 
 
-def _as_vertex(v) -> VertexSpace:
-    if isinstance(v, VertexSpace):
-        return v
-    if isinstance(v, dict):
-        return VertexSpace(v["id"], int(v["dim"]))
-    vid, dim = v
-    return VertexSpace(vid, int(dim))
-
-
 def _finite_matrix(m, what: str) -> np.ndarray:
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     if not np.isfinite(m).all():
@@ -368,7 +361,8 @@ def build_walk(
     effective: dict | None = None,
     meta: dict | None = None,
 ) -> WalkModel:
-    """Assemble a model from vertex spaces, jumps, and (H or G) per vertex.
+    """Assemble a model from ``(id, dim)`` vertex pairs, jumps, and (H or G)
+    per vertex.
 
     ``jumps`` is an iterable of ``(src, dst, matrix)`` with ``src != dst``
     and matrix shape ``(d_dst, d_src)``.  Provide either ``hamiltonians``
@@ -380,7 +374,7 @@ def build_walk(
     closed models.  Validity of the defect (positive semidefiniteness) is
     judged by :func:`validate`, not here.
     """
-    vspaces = [_as_vertex(v) for v in vertices]
+    vspaces = [VertexSpace(vid, int(dim)) for vid, dim in vertices]
     index = {v.id: k for k, v in enumerate(vspaces)}
     if len(index) != len(vspaces):
         raise ModelError("vertex ids must be unique")
@@ -447,22 +441,18 @@ def build_walk(
     return WalkModel(vspaces, hams, effs, defects, jump_map, meta=meta)
 
 
-def classical_embed(q: np.ndarray, ids=None, meta: dict | None = None) -> WalkModel:
+def classical_embed(q: np.ndarray) -> WalkModel:
     """Embed a classical continuous-time Markov chain generator.
 
     ``q`` must have nonnegative off-diagonal entries and zero row sums.
-    Every vertex gets a one-dimensional internal space, ``H_i = 0`` and
-    ``R[i->j] = sqrt(q[i, j])``, so the position process of the resulting
-    walk is the chain generated by ``q``.
+    Vertex ``i`` is row ``i``; every vertex gets a one-dimensional internal
+    space, ``H_i = 0`` and ``R[i->j] = sqrt(q[i, j])``, so the position
+    process of the resulting walk is the chain generated by ``q``.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ModelError("generator must be a square matrix")
     n = q.shape[0]
-    if ids is None:
-        ids = list(range(n))
-    if len(ids) != n:
-        raise ModelError("ids must match the generator size")
     for i in range(n):
         for j in range(n):
             if i != j and q[i, j] < 0:
@@ -474,8 +464,8 @@ def classical_embed(q: np.ndarray, ids=None, meta: dict | None = None) -> WalkMo
     for i in range(n):
         for j in range(n):
             if i != j and q[i, j] > 0:
-                jumps.append((ids[i], ids[j], np.array([[np.sqrt(q[i, j])]])))
-    return build_walk([(v, 1) for v in ids], jumps, meta=meta)
+                jumps.append((i, j, np.array([[np.sqrt(q[i, j])]])))
+    return build_walk([(v, 1) for v in range(n)], jumps)
 
 
 def embedded_generator(model: WalkModel) -> np.ndarray:
@@ -555,7 +545,7 @@ def validate(model: WalkModel, tol: float = STRUCT_TOL) -> ValidationReport:
         rebuilt = -1j * h - 0.5 * decay - 0.5 * defect
         zero_sum = g + _dagger(g) + decay
         stacked = np.concatenate([h - _dagger(h), h, g - rebuilt, g, zero_sum])
-        cols[:5, ks] = _opnorms(stacked).reshape(5, -1)
+        cols[:5, ks] = linalg.opnorm(stacked).reshape(5, -1)
         minus = -zero_sum
         cols[5, ks] = np.linalg.eigvalsh(0.5 * (minus + _dagger(minus))).min(axis=-1)
 
@@ -647,7 +637,7 @@ def build_lattice(spec: dict, window: tuple[int, int] | None = None) -> WalkMode
             entry = block.get(str(s), default)
             if entry is None:
                 continue
-            m = json_to_matrix(entry) if not isinstance(entry, np.ndarray) else entry
+            m = json_to_matrix(entry)
             if m.shape == (dims[s], dims[s]):
                 out[s] = m
         return out
@@ -661,7 +651,7 @@ def build_lattice(spec: dict, window: tuple[int, int] | None = None) -> WalkMode
     templates: list[tuple[int, np.ndarray]] = []
     for entry in spec.get("jumps", []):
         m = entry.get("matrix")
-        mat = None if m is None else (m if isinstance(m, np.ndarray) else json_to_matrix(m))
+        mat = None if m is None else json_to_matrix(m)
         if "offset" in entry:
             if mat is None:
                 raise ModelError("offset template requires a matrix")
@@ -779,19 +769,14 @@ def state_to_json(mu: BlockState) -> dict:
     return {"blocks": {str(k): matrix_to_json(v) for k, v in mu.blocks.items()}}
 
 
-def state_from_json(doc: dict | str, model: WalkModel) -> BlockState:
+def state_from_json(doc: dict, model: WalkModel) -> BlockState:
     """The block state of a ``{"blocks": {vertex: matrix}}`` document,
     checked by :func:`check_block_state`; missing vertices are zero."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     if not isinstance(doc, dict) or not isinstance(doc.get("blocks", {}), dict):
         raise ModelError('a block state must be a JSON object {"blocks": {vertex: matrix}}')
-    by_str = {str(v.id): v.id for v in model.vertices}
     blocks = {v.id: np.zeros((v.dim, v.dim), dtype=complex) for v in model.vertices}
     for key, m in doc.get("blocks", {}).items():
-        if key not in by_str:
-            raise ModelError(f"state references unknown vertex {key!r}")
-        blocks[by_str[key]] = json_to_matrix(m)
+        blocks[model.named(key)] = json_to_matrix(m)
     mu = BlockState(blocks)
     check_block_state(model, mu)
     return mu

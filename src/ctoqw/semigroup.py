@@ -154,10 +154,7 @@ def _support_vertices(model: WalkModel, mu: BlockState):
 
 
 def _paths_from(model: WalkModel, start: VertexId, n: int):
-    """All vertex sequences of exactly n jumps starting at ``start``."""
-    if n == 0:
-        yield (start,)
-        return
+    """All vertex sequences of exactly ``n >= 1`` jumps starting at ``start``."""
     stack = [(start,)]
     while stack:
         path = stack.pop()

@@ -13,6 +13,8 @@ import numpy as np
 
 from . import linalg
 
+KRAUS_TOL = 1e-12  # least Choi eigenvalue kept as a Kraus factor
+
 
 @dataclass(frozen=True)
 class SuperOp:
@@ -26,10 +28,10 @@ class SuperOp:
             raise ValueError(f"superoperator matrix must have shape {expected}")
 
     @staticmethod
-    def from_kraus(ops, source_dim=None, target_dim=None) -> "SuperOp":
+    def from_kraus(ops) -> "SuperOp":
+        """The map ``rho -> sum_k A_k rho A_k^dag`` of a non-empty Kraus family."""
         ops = [np.atleast_2d(np.asarray(k, dtype=complex)) for k in ops]
-        if ops:
-            target_dim, source_dim = ops[0].shape
+        target_dim, source_dim = ops[0].shape
         m = np.zeros((target_dim**2, source_dim**2), dtype=complex)
         for k in ops:
             m += linalg.sandwich_matrix(k)
@@ -72,13 +74,13 @@ class SuperOp:
         c = linalg.herm(self.choi())
         return float(np.min(np.linalg.eigvalsh(c)))
 
-    def kraus(self, tol: float = 1e-12) -> list[np.ndarray]:
-        """Kraus factors recovered from the Choi eigendecomposition."""
+    def kraus(self) -> list[np.ndarray]:
+        """Kraus factors from the Choi eigenvectors of eigenvalues above ``KRAUS_TOL``."""
         ds, dt = self.source_dim, self.target_dim
         vals, vecs = np.linalg.eigh(linalg.herm(self.choi()))
         ops = []
         for w, v in zip(vals, vecs.T):
-            if w > tol:
+            if w > KRAUS_TOL:
                 # choi row index is (source col c, target row b)
                 a = np.sqrt(w) * v.reshape(ds, dt).T
                 ops.append(a)

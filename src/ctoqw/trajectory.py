@@ -19,6 +19,7 @@ import bisect
 import functools
 import itertools
 import math
+import numbers
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -473,10 +474,9 @@ class TrajectoryRecord:
                 return ev.time
         return None
 
-    def occupation_time(self, vertex: VertexId, up_to: float | None = None) -> float:
-        end = self.horizon if up_to is None else min(up_to, self.horizon)
-        if self.escaped_at is not None:
-            end = min(end, self.escaped_at)
+    def occupation_time(self, vertex: VertexId) -> float:
+        """Time spent at ``vertex`` before the horizon or the escape."""
+        end = self.horizon if self.escaped_at is None else min(self.horizon, self.escaped_at)
         total = 0.0
         t_prev = 0.0
         x = self.initial.vertex
@@ -491,12 +491,10 @@ class TrajectoryRecord:
             total += end - t_prev
         return total
 
-    def visit_count(self, vertex: VertexId, up_to: float | None = None) -> int:
-        end = self.horizon if up_to is None else up_to
+    def visit_count(self, vertex: VertexId) -> int:
+        """Arrivals at ``vertex``, plus one when the walk starts there."""
         n = 1 if self.initial.vertex == vertex else 0
         for ev in self.events:
-            if ev.time > end:
-                break
             if ev.vertex == vertex:
                 n += 1
         return n
@@ -824,7 +822,11 @@ class EstimateReport:
     points: list[EstimatePoint] = field(default_factory=list)
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959964) -> tuple[float, float]:
+_Z95 = 1.959964  # two-sided 95% normal quantile of every confidence interval
+
+
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    z = _Z95
     if n == 0:
         return 0.0, 1.0
     p = successes / n
@@ -845,8 +847,11 @@ def _mean_point(label: str, values: np.ndarray) -> EstimatePoint:
     n = values.size
     m = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    z = 1.959964
-    return EstimatePoint(label, m, se, m - z * se, m + z * se)
+    return EstimatePoint(label, m, se, m - _Z95 * se, m + _Z95 * se)
+
+
+def _is_time(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def estimate(
@@ -876,19 +881,29 @@ def estimate(
       horizon (plus one when starting there).
     - ``{"kind": "position_law", "t": t}``: occupation frequencies at a
       fixed time, one point per vertex plus one for escaped mass.
+
+    A query of the wrong shape, or naming a vertex not in the model, raises
+    :class:`ModelError`; one reaching beyond the horizon, or of an unknown
+    kind, :class:`PreconditionError`.
     """
     if n_traj < 1:
         raise PreconditionError("n_traj must be at least 1")
+    tab, k0, rho0 = _start(model, init, horizon)
     passage_hits: dict[int, np.ndarray] = {}
     occupations: dict[int, np.ndarray] = {}
     visits: dict[int, np.ndarray] = {}
     position_counts: dict[int, dict] = {}
+    if not isinstance(queries, list) or not all(isinstance(q, dict) for q in queries):
+        raise ModelError("queries must be a list of JSON objects")
     for qi, q in enumerate(queries):
         kind = q.get("kind")
         if kind in ("passage_cdf", "occupation", "visits"):
             model.position(q.get("vertex"))  # ModelError for a vertex not in the model
         if kind == "passage_cdf":
-            if max(q["grid"]) > horizon:
+            grid = q.get("grid")
+            if not (isinstance(grid, list) and grid and all(map(_is_time, grid))):
+                raise ModelError(f"query {qi}: 'grid' must be a non-empty list of finite times")
+            if max(grid) > horizon:
                 raise PreconditionError("passage grid reaches beyond the horizon")
             passage_hits[qi] = np.zeros((len(q["grid"]), ), dtype=np.int64)
         elif kind == "occupation":
@@ -896,6 +911,8 @@ def estimate(
         elif kind == "visits":
             visits[qi] = np.zeros(n_traj)
         elif kind == "position_law":
+            if not _is_time(q.get("t")):
+                raise ModelError(f"query {qi}: 't' must be a finite time")
             if q["t"] > horizon:
                 raise PreconditionError("position-law time lies beyond the horizon")
             position_counts[qi] = {v.id: 0 for v in model.vertices}
@@ -903,7 +920,6 @@ def estimate(
         else:
             raise PreconditionError(f"unknown query kind {kind!r}")
 
-    tab, k0, rho0 = _start(model, init, horizon)
     for first in range(0, n_traj, _CHUNK):
         streams = range(first, min(first + _CHUNK, n_traj))
         records = _sample(tab, k0, rho0, init, horizon, seed, streams,

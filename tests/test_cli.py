@@ -128,8 +128,9 @@ def test_main_builds_parser_and_model_hash_once(tmp_path, two_site_file, monkeyp
         ({"1": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-3.0, 0.0]]]},
          "ModelError: block at 1 has eigenvalue -3.000e+00"),
         ([1, 2], "ModelError: a block state must be a JSON object"),
+        ({"7": [[[1.0, 0.0]]]}, "ModelError: unknown vertex 7"),
     ],
-    ids=["wrong-shape", "not-psd", "not-an-object"],
+    ids=["wrong-shape", "not-psd", "not-an-object", "unknown-vertex"],
 )
 def test_evolve_rejects_bad_state_file(tmp_path, capsys, blocks, message):
     model = tmp_path / "pair.json"
@@ -601,10 +602,19 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, data):
         (["first-passage", "--from", "0:e1", "--to", "+-1"], 1, "ModelError: unknown vertex +-1"),
         (["simulate", "--start", "0:e1", "--horizon", 1, "--n", 2, "--queries", "{d}/queries.json"],
          1, "ModelError: unknown vertex 99"),
+        # usage errors: the usage text, then one error line
+        (["simulate", "--start", "0:e1", "--horizon", 1, "--n", 2, "--bogus"], 1,
+         "ctoqw: error: unrecognized arguments: --bogus"),
+        (["simulate", "--start", "0:e1", "--n", 2], 1,
+         "ctoqw simulate: error: the following arguments are required: --horizon"),
+        (["simulate", "--start", "0:e1", "--horizon", 1, "--n", "x"], 1,
+         "ctoqw simulate: error: argument --n: invalid int value: 'x'"),
+        (["fixtures", "--name", "biased-line", "--window", 3, 9], 1,
+         "ctoqw: error: unrecognized arguments: 9"),
     ],
     ids=["negative-seed", "state-is-a-directory", "state-of-wrong-shape",
          "model-is-a-directory", "unwritable-out", "superscript-vertex", "double-sign-vertex",
-         "unknown-query-vertex"],
+         "unknown-query-vertex", "unknown-flag", "missing-option", "bad-int", "two-windows"],
 )
 def test_bad_inputs_exit_cleanly(tmp_path, two_site_file, capsys, argv, code, message):
     (tmp_path / "state.json").write_text(json.dumps(matrix_to_json(np.eye(2) / 2)))
@@ -612,9 +622,52 @@ def test_bad_inputs_exit_cleanly(tmp_path, two_site_file, capsys, argv, code, me
         [{"kind": "visits", "vertex": 99}, {"kind": "occupation", "vertex": "1"}]
     ))
     argv = [str(a).format(d=tmp_path) for a in argv]
-    if "--model" not in argv:
+    if "--model" not in argv and argv[0] != "fixtures":
         argv += ["--model", str(two_site_file)]
     capsys.readouterr()
     assert run(tmp_path, *argv) == code
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(message)
+    *usage, last = err.splitlines()
+    assert err.endswith("\n") and last.startswith(message)
+    # only a usage error prints more than its one error line: the usage first
+    assert not usage or (": error: " in message and usage[0].startswith("usage: ctoqw"))
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["simulate", "--help"]) == 0
+    assert "--model MODEL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "queries, message",
+    [
+        ([{"kind": "passage_cdf", "vertex": 1}], "ModelError: query 0: 'grid' must be"),
+        ([{"kind": "position_law"}], "ModelError: query 0: 't' must be a finite time"),
+        ([{"kind": "passage_cdf", "vertex": 1, "grid": []}], "ModelError: query 0: 'grid' must be"),
+        ([{"kind": "passage_cdf", "vertex": 1, "grid": 3}], "ModelError: query 0: 'grid' must be"),
+        ([{"kind": "passage_cdf", "vertex": 1, "grid": ["a"]}], "ModelError: query 0: 'grid' must be"),
+        ([{"kind": "position_law", "t": "x"}], "ModelError: query 0: 't' must be a finite time"),
+        ({"kind": "position_law", "t": 1.0}, "ModelError: queries must be a list of JSON objects"),
+        ([5], "ModelError: queries must be a list of JSON objects"),
+    ],
+    ids=["no-grid", "no-t", "empty-grid", "grid-not-a-list", "grid-of-text", "t-of-text",
+         "one-object", "number-entry"],
+)
+def test_malformed_query_file_exits_with_one_line(tmp_path, two_site_file, capsys, queries, message):
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps(queries))
+    capsys.readouterr()
+    code = run(tmp_path, "simulate", "--model", two_site_file, "--start", "0:e1", "--horizon", 2,
+               "--n", 5, "--queries", q, "--out", tmp_path / "est.csv")
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1 and err.startswith(message)
+
+
+def test_json_logs_error_is_one_json_object(tmp_path, two_site_file, capsys):
+    capsys.readouterr()
+    code = run(tmp_path, "--json-logs", "occupation", "--model", two_site_file,
+               "--from", "0:e1", "--at", "9")
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert json.loads(err) == {"error": "ModelError: unknown vertex 9", "exit_code": 1}

@@ -218,6 +218,41 @@ def test_first_passage_series_on_uncertified_kernel():
     assert abs(p.matrix[0, 0] - 0.25) < 1e-12
 
 
+def test_first_passage_series_from_a_qubit():
+    # _closed_class_walk with a qubit at 0: the |+> part of the state leaves
+    # towards 1 (rate 1) and comes back in the state a a^dag, the |-> part
+    # leaves towards the closed class (rate 3) and never returns
+    plus, minus = np.array([1.0, 1.0]) / math.sqrt(2.0), np.array([1.0, -1.0]) / math.sqrt(2.0)
+    a = np.array([[0.6], [0.8]])
+    m = build_walk(
+        [(0, 2)] + [(v, 1) for v in range(1, 4)],
+        [(0, 1, plus[None, :]), (0, 2, math.sqrt(3.0) * minus[None, :]), (1, 0, a),
+         (2, 3, [[1.0]]), (3, 2, [[1.0]])],
+    )
+    p, diag = passage.first_passage_map(m, 0, 0)
+    assert diag["method"] == "series" and not diag["certified"]
+    # P(rho) = <+|rho|+> a a^dag, so its matrix is vec(a a^dag) vec(|+><+|)^dag
+    want = np.outer(linalg.vec(a @ a.T), linalg.vec(np.outer(plus, plus)))
+    assert_allclose(p.matrix, want, atol=1e-12)
+    assert len(passage._hermitian_probes(2)) == 4  # two diagonal, two off-diagonal
+    assert passage.reach_probability(p, np.outer(plus, plus)) == pytest.approx(1.0, abs=1e-12)
+    assert passage.reach_probability(p, np.diag([1.0, 0.0])) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_trivial_map_and_empty_taboo_kernel():
+    # vertex 1 has no outgoing jump: nothing leaves it, and the taboo kernel
+    # of 0 has no active vertex at all
+    m = build_walk([(0, 1), (1, 1)], [(0, 1, [[1.0]])])
+    p, diag = passage.first_passage_map(m, 1, 0)
+    assert diag == {"method": "trivial", "terms": 0, "converged": True}
+    assert passage.with_certificates(p, diag) == diag
+    assert not p.matrix.any()
+    p, diag = passage.first_passage_map(m, 0, 0)
+    assert diag["method"] == "solve" and diag["kernel_dim"] == 0 and diag["certified"]
+    assert not p.matrix.any()  # no walker comes back to 0
+    assert passage.expected_occupation(m, 0, 0, [[1.0]]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_first_passage_series_budget_error(monkeypatch):
     from ctoqw.errors import ConvergenceError
 

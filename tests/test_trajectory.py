@@ -586,3 +586,36 @@ def test_law_equivalence_small(coherent):
     tv = 0.5 * sum(abs(emp[str(k)] - v) for k, v in exact.items())
     bound = 0.5 * sum(math.sqrt(v * (1 - v) / n) for v in exact.values()) + 1.5 / math.sqrt(n)
     assert tv <= bound
+
+
+def _dark_qubit_model():
+    """Vertex 0 is a qubit whose e1 never leaves (a dark state): only its e2
+    part jumps to the scalar vertex 1, which jumps back into e2."""
+    return build_walk([(0, 2), (1, 1)], [(0, 1, [[0.0, 1.0]]), (1, 0, [[0.0], [1.0]])])
+
+
+def test_dark_state_at_a_matrix_vertex_is_absorbed_without_events(monkeypatch):
+    m = _dark_qubit_model()
+    inverted = []
+    invert = trajectory._Block.invert
+    monkeypatch.setattr(trajectory._Block, "invert",
+                        lambda blk, k, rho, u: inverted.append(k.size) or invert(blk, k, rho, u))
+    for k in range(5):
+        rec = trajectory.simulate(m, SitedState(0, np.diag([1.0, 0.0])), 5.0, seed=3, stream=k)
+        assert rec.absorbed and rec.events == [] and rec.escaped_at is None
+    assert inverted == [1] * 5  # the survival plateaus at one: no event time at all
+
+
+def test_dark_state_position_law_matches_evolve():
+    m = _dark_qubit_model()
+    init, n, t = SitedState(0, np.eye(2) / 2), 4000, 5.0
+    reports = trajectory.estimate(m, init, t + 1.0, n, seed=11,
+                                  queries=[{"kind": "position_law", "t": t}])
+    emp = {p.label: p.estimate for p in reports[0].points}
+    mu0 = sited_block_state(m, 0, np.eye(2) / 2)
+    exact = semigroup.position_distribution(semigroup.evolve(m, mu0, t))
+    # half the mass is dark at 0; the rest hops 0 <-> 1 at rate 1 each way
+    assert exact[0] == pytest.approx(0.75 + 0.25 * math.exp(-2 * t), abs=1e-12)
+    assert emp["escaped"] == 0.0
+    for v, p in exact.items():
+        assert abs(emp[str(v)] - p) <= 5 * math.sqrt(p * (1 - p) / n)
