@@ -329,13 +329,17 @@ def _cmd_irreducible(args, walk: model.WalkModel) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A command line argparse rejects: ``(usage text, error line)``."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """The parser of ``ctoqw`` and of each subcommand: a usage error prints
-    the usage and exits ``EXIT_PARSE``."""
+    """The parser of ``ctoqw`` and of each subcommand: a usage error raises
+    :class:`_UsageError`, which :func:`main` writes and exits ``EXIT_PARSE``
+    with."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+        raise _UsageError(self.format_usage(), f"{self.prog}: error: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,9 +420,11 @@ _COMMANDS = {"evolve": _cmd_evolve, "simulate": _cmd_simulate,
              "classify": _cmd_classify, "irreducible": _cmd_irreducible}
 
 
-def _fail(args, code: int, exc: Exception) -> int:
-    msg = f"{type(exc).__name__}: {exc}"
-    if getattr(args, "json_logs", False):
+def _fail(json_logs: bool, code: int, error) -> int:
+    """Write ``error``, an exception or a usage error's line, as one line on
+    stderr, or with ``--json-logs`` as one JSON object; return ``code``."""
+    msg = error if isinstance(error, str) else f"{type(error).__name__}: {error}"
+    if json_logs:
         sys.stderr.write(json.dumps({"error": msg, "exit_code": code}) + "\n")
     else:
         sys.stderr.write(msg + "\n")
@@ -435,10 +441,17 @@ def main(argv=None) -> int:
     """Run one command and return its exit code.  Every command but
     ``fixtures`` has its model loaded and checked here, once: ``validate``
     reports the checks, every other command requires them to pass."""
+    argv = sys.argv[1:] if argv is None else argv
+    json_logs = "--json-logs" in argv  # read before argparse may reject the line
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except _UsageError as exc:
+        usage, line = exc.args
+        if not json_logs:
+            sys.stderr.write(usage)
+        return _fail(json_logs, EXIT_PARSE, line)
     try:
         if args.command == "fixtures":
             return _cmd_fixtures(args)
@@ -452,13 +465,13 @@ def main(argv=None) -> int:
             raise _ValidationFailed(f"model fails validation checks: {names}")
         return _COMMANDS[args.command](args, walk)
     except (json.JSONDecodeError, OSError, ModelError) as exc:
-        return _fail(args, EXIT_PARSE, exc)
+        return _fail(json_logs, EXIT_PARSE, exc)
     except _ValidationFailed as exc:
-        return _fail(args, EXIT_VALIDATION, exc)
+        return _fail(json_logs, EXIT_VALIDATION, exc)
     except (ConvergenceError, np.linalg.LinAlgError) as exc:
-        return _fail(args, EXIT_NONCONVERGENCE, exc)
+        return _fail(json_logs, EXIT_NONCONVERGENCE, exc)
     except PreconditionError as exc:
-        return _fail(args, EXIT_PRECONDITION, exc)
+        return _fail(json_logs, EXIT_PRECONDITION, exc)
 
 
 if __name__ == "__main__":

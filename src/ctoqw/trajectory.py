@@ -103,31 +103,24 @@ class _Tables:
             for d in sorted(set(self.dim) - {1})
         }
 
-    def _by_dim(self, ks, js=None) -> dict[int, list]:
-        """The walkers ``js`` (default all) grouped by vertex dimension."""
+    def _by_dim(self, ks) -> dict[int, list]:
+        """The walkers at positions ``ks`` grouped by vertex dimension."""
         groups: dict[int, list] = {}
-        for j in range(len(ks)) if js is None else js:
-            groups.setdefault(self.dim[ks[j]], []).append(j)
+        for j, k in enumerate(ks):
+            groups.setdefault(self.dim[k], []).append(j)
         return groups
 
     def wait(self, ks, rhos, us) -> list:
         """Dwell times until the survival from ``rhos`` falls to ``us``;
         None where no event ever comes."""
-        out = [_exponential_wait(self.rate[k], u) for k, u in zip(ks, us)]
-        invert = [j for j, k in enumerate(ks) if math.isnan(self.rate[k])]
-        for d, js in self._by_dim(ks, invert).items():
-            ts = self.blocks[d].invert(*_stack(js, ks, rhos, us))
-            for j, t in zip(js, ts.tolist()):
-                out[j] = None if math.isnan(t) else t
-        return out
-
-    def flow(self, ks, rhos, dts) -> list:
-        """Normalized dwell states ``dts`` after entering in ``rhos`` at
-        vertices of dimension above one."""
         out: list = [None] * len(ks)
         for d, js in self._by_dim(ks).items():
-            for j, eta in zip(js, self.blocks[d].flow(*_stack(js, ks, rhos, dts))):
-                out[j] = eta
+            if d == 1:
+                for j in js:
+                    out[j] = _exponential_wait(self.rate[ks[j]], us[j])
+                continue
+            for j, t in zip(js, self.blocks[d].wait(*_stack(js, ks, rhos, us))):
+                out[j] = t
         return out
 
     def jump(self, ks, etas, us, escape: bool = True) -> list:
@@ -147,15 +140,8 @@ class _Tables:
                     slot = _pick(run, e, _total(run, e), us[j])
                     out[j] = slot, self.posts[k][slot] if slot >= 0 else None
                 continue
-            k, eta, u = _stack(js, ks, etas, us)
-            blk = self.blocks[d]
-            running, esc, products = blk.weights(k, eta, escape)
-            slots = []
-            for run, e, uu, kk in zip(running.tolist(), esc.tolist(), u.tolist(), k.tolist()):
-                run = run[: self.deg[kk]]
-                slots.append(_pick(run, e, _total(run, e), uu))
-            for j, slot, post in zip(js, slots, blk.posts(k, np.array(slots), products)):
-                out[j] = (slot, post)
+            for j, hop in zip(js, self.blocks[d].jump(*_stack(js, ks, etas, us), escape)):
+                out[j] = hop
         return out
 
     def survival(self, k: int, rho: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -206,50 +192,73 @@ class _Block:
     matrix work over walkers at these vertices."""
 
     def __init__(self, tab: _Tables, d: int, members, gens, edges, escapes):
-        n, self.width = len(gens), max([len(e) for e in edges] + [1])
-        shape = (n, d, d)
-        stack, self.gplus, self.escape = (np.zeros(shape, dtype=complex) for _ in range(3))
-        self.tscale = np.zeros(n)
+        n, width = len(gens), max([len(e) for e in edges] + [1])
+        self.rate, self.deg = tab.rate, tab.deg
+        stack, self.gplus = (np.zeros((n, d, d), dtype=complex) for _ in range(2))
+        # Row k holds the transposed intensities (R^dag R)^T of the jump
+        # slots of vertex k, then that of its escape, as interleaved real and
+        # negated imaginary parts, so that Tr(R eta R^dag) = Re <(R^dag R)^T, eta>
+        # is one real dot product with the floats of eta.
+        intensity = np.zeros((n, width + 1, d, d), dtype=complex)
+        # The jumps by destination dimension dd: (n, width, dd, d), zero in
+        # the slots whose jump goes to another dimension.
+        self.rs: dict[int, np.ndarray] = {}
+        self.out_dim = np.zeros((n, width), dtype=np.intp)
         for k in members:
-            g = gens[k]
-            gplus = g + g.conj().T
-            stack[k], self.gplus[k], self.escape[k] = g, gplus, escapes[k]
-            c = -float(np.trace(gplus).real) / d
-            if np.linalg.norm(gplus + c * np.eye(d)) <= 1e-13 * (1.0 + abs(c)):
+            stack[k] = gens[k]
+            self.gplus[k] = gens[k] + gens[k].conj().T
+            for j, (_, r) in enumerate(edges[k]):
+                dd = r.shape[0]
+                self.rs.setdefault(dd, np.zeros((n, width, dd, d), dtype=complex))[k, j] = r
+                self.out_dim[k, j] = dd
+                intensity[k, j] = (r.conj().T @ r).T
+            intensity[k, width] = escapes[k].T
+        self.intensity = np.stack([intensity.real, -intensity.imag], axis=-1).reshape(
+            n, width + 1, 2 * d * d)
+        self.tscale = np.zeros(n)
+        gplus = self.gplus[members]
+        for k, g, norm in zip(members, gplus, linalg.opnorm(gplus).tolist()):
+            c = -float(np.trace(g).real) / d
+            if np.linalg.norm(g + c * np.eye(d)) <= 1e-13 * (1.0 + abs(c)):
                 tab.rate[k] = max(c, 0.0)  # uniform decay: s(t) = exp(-c t)
-            elif (speed := linalg.opnorm(gplus)) < _PLATEAU:
+            elif norm < _PLATEAU:
                 tab.rate[k] = 0.0  # no event ever comes
             else:
-                self.tscale[k] = 1.0 / speed
+                self.tscale[k] = 1.0 / norm
+        # Where G + G^dag <= -c I, every trace-one eta has
+        # |(G + G^dag) eta|_F >= c |eta|_F >= c |Tr eta| / sqrt(d) = c / sqrt(d)
+        # (Cauchy-Schwarz on the diagonal), so the plateau test of invert
+        # cannot fire: ``steep`` holds where that bound, with c lowered by
+        # 4 d^2 eps |G + G^dag| (the rounding of eigvalsh and of the computed
+        # speed), is at least twice _PLATEAU.
+        lam = np.linalg.eigvalsh(gplus)
+        c = -lam[:, -1] - 4 * d * d * np.finfo(float).eps * np.abs(lam).max(axis=1)
+        self.steep = np.zeros(n, dtype=bool)
+        self.steep[members] = c / math.sqrt(d) >= 2 * _PLATEAU
         self.prop = prop = linalg.Propagator(stack)
         # the survival's eigen expansion (its coefficients vanish where
         # prop.pinv is zero, off prop.diag)
         self.mu = (prop.lam[:, :, None] + prop.lam.conj()[:, None, :]).reshape(n, d * d)
         self.pinvc = prop.pinv.conj()
         self.ovt = (prop.p.conj().swapaxes(1, 2) @ prop.p).swapaxes(1, 2)
-        # The jumps grouped by destination dimension: kind ``dd`` stacks the
-        # jumps into dd-dimensional spaces, one column per jump slot that
-        # has one, zero where the vertex's jump in that slot goes elsewhere.
-        slots: dict[int, set] = {}
-        for k in members:
-            for j, (_, r) in enumerate(edges[k]):
-                slots.setdefault(r.shape[0], set()).add(j)
-        self.kinds = []
-        self.kind_of = np.zeros((n, self.width), dtype=np.intp)
-        self.col_of = np.zeros((n, self.width), dtype=np.intp)
-        for ki, (dd, cols) in enumerate(sorted(slots.items())):
-            cols = sorted(cols)
-            rs = np.zeros((n, len(cols), dd, d), dtype=complex)
-            for k in members:
-                for j, (_, r) in enumerate(edges[k]):
-                    if r.shape[0] == dd:
-                        rs[k, cols.index(j)] = r
-                        self.kind_of[k, j], self.col_of[k, j] = ki, cols.index(j)
-            self.kinds.append((rs, np.array(cols, dtype=np.intp)))
+
+    def wait(self, k: np.ndarray, rho: np.ndarray, u) -> list:
+        """Dwell times until the survival from ``rho`` falls to ``u``; None
+        where no event ever comes.  The exponential wait of uniform decay
+        is taken per walker, the others are inverted together."""
+        rates = [self.rate[kk] for kk in k.tolist()]
+        out = [_exponential_wait(r, uu) for r, uu in zip(rates, u)]
+        invert = [j for j, r in enumerate(rates) if math.isnan(r)]
+        if invert:
+            ts = self.invert(k[invert], rho[invert], np.array(u)[invert])
+            for j, t in zip(invert, ts.tolist()):
+                out[j] = None if math.isnan(t) else t
+        return out
 
     def invert(self, k: np.ndarray, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Solve s(t) = u by doubling a bracket, then safeguarded Newton
-        steps to ``_INV_TOL``; NaN where the survival plateaus above u."""
+        steps to ``_INV_TOL``; NaN where the survival plateaus above u.
+        The plateau test runs only at vertices outside ``steep``."""
         out = np.full(k.size, math.nan)
         every = _Survival.of(self, k, rho)
         surv, walkers, lo, hi, level = every, np.arange(k.size), np.zeros(k.size), self.tscale[k], u
@@ -260,7 +269,9 @@ class _Block:
             if below.all():
                 break
             rise = ~below
-            rise[rise] = ~(surv.take(rise).speed(hi[rise]) < _PLATEAU)
+            test = rise & ~self.steep[surv.k]
+            if test.any():
+                rise[test] = ~(surv.take(test).speed(hi[test]) < _PLATEAU)
             surv, walkers, level = surv.take(rise), walkers[rise], level[rise]
             lo, hi = hi[rise], 2.0 * hi[rise]
         walkers, lo, hi = (np.concatenate(part) for part in zip(*brackets))
@@ -291,34 +302,36 @@ class _Block:
         e = self.prop.at(k, dt)
         return _normalised(e @ rho @ e.conj().swapaxes(1, 2))
 
+    def jump(self, k: np.ndarray, eta: np.ndarray, u, escape: bool = True) -> list:
+        """``(slot, post-jump state)`` per walker, as :meth:`_Tables.jump`."""
+        running, esc = self.weights(k, eta, escape)
+        slots = []
+        for run, e, uu, kk in zip(running.tolist(), esc.tolist(), u, k.tolist()):
+            run = run[: self.deg[kk]]
+            slots.append(_pick(run, e, _total(run, e), uu))
+        return list(zip(slots, self.posts(k, np.array(slots), eta)))
+
     def weights(self, k: np.ndarray, eta: np.ndarray, escape: bool):
         """Running sums of the jump weights ``Tr(R eta R^dag)`` in jump
-        order, the escape weights, and the products ``R eta R^dag`` of each
-        kind."""
-        weights = np.zeros((k.size, self.width))
-        products = []
-        for rs, cols in self.kinds:
-            r = rs[k]
-            p = r @ eta[:, None] @ r.conj().swapaxes(-1, -2)
-            weights[:, cols] += np.maximum(_trace(p), 0.0)
-            products.append(p)
-        if escape:
-            esc = np.maximum(_trace(self.escape[k] @ eta), 0.0)
-        else:
-            esc = np.zeros(k.size)
-        return np.cumsum(weights, axis=1), esc, products
+        order and the escape weights, read off the intensity table."""
+        floats = eta.reshape(k.size, -1).view(float)
+        w = np.maximum((self.intensity[k] @ floats[:, :, None])[..., 0], 0.0)
+        esc = w[:, -1] if escape else np.zeros(k.size)
+        return np.cumsum(w[:, :-1], axis=1), esc
 
-    def posts(self, k: np.ndarray, slot: np.ndarray, products) -> list:
-        """Normalized post-jump states of the walkers with ``slot >= 0``,
-        None for the others."""
+    def posts(self, k: np.ndarray, slot: np.ndarray, eta: np.ndarray) -> list:
+        """Normalized post-jump states ``R eta R^dag`` of the walkers with
+        ``slot >= 0``, None for the others."""
         out: list = [None] * k.size
         hop = np.flatnonzero(slot >= 0)
-        kind = self.kind_of[k[hop], slot[hop]]
-        col = self.col_of[k[hop], slot[hop]]
-        for ki, p in enumerate(products):
-            mine = kind == ki
+        kh, sh = k[hop], slot[hop]
+        dd = self.out_dim[kh, sh]
+        for d_out, rs in self.rs.items():
+            mine = dd == d_out
             if mine.any():
-                for j, post in zip(hop[mine].tolist(), _normalised(p[hop[mine], col[mine]])):
+                r = rs[kh[mine], sh[mine]]
+                products = r @ eta[hop[mine]] @ r.conj().swapaxes(-1, -2)
+                for j, post in zip(hop[mine].tolist(), _normalised(products)):
                     out[j] = post
         return out
 
@@ -687,8 +700,9 @@ def _sample(tab: _Tables, k0: int, rho0: np.ndarray, init: SitedState, horizon: 
     fixed and every event is scalar work: a walker runs through them on its
     own, in one tight loop over the vertex tables.  Walkers at vertices with
     matrix states take their next events together, one batched step at a
-    time: the waiting time, and unless it lies beyond the horizon, the dwell
-    flow and the jump.  Walkers stop when absorbed, at the horizon, on
+    time: per vertex dimension, their states are stacked once for the
+    waiting time, and unless it lies beyond the horizon, the dwell flow and
+    the jump.  Walkers stop when absorbed, at the horizon, on
     escape, or on arriving at position ``stop_at``.  ``keep_rho`` keeps the
     post-jump states in the records.
     """
@@ -734,32 +748,38 @@ def _sample(tab: _Tables, k0: int, rho0: np.ndarray, init: SitedState, horizon: 
             pos[i], t[i], rho[i] = k, now, state
         if not batch:
             break
-        ks = [pos[i] for i in batch]
-        dts = tab.wait(ks, [rho[i] for i in batch], [_positive(draws[i]) for i in batch])
-        go = []
-        for i, k, dt in zip(batch, ks, dts):
-            if dt is None:
-                absorbed[i] = True
-            elif t[i] + dt < horizon:
-                go.append((i, k, dt))
-        ks = [k for _, k, _ in go]
-        etas = tab.flow(ks, [rho[i] for i, _, _ in go], [dt for _, _, dt in go])
-        hops = tab.jump(ks, etas, [next(draws[i]) for i, _, _ in go])
         run = []
-        for (i, k, dt), (slot, post) in zip(go, hops):
-            t_next = t[i] + dt
-            if slot == -2:
-                absorbed[i] = True
-            elif slot == -1:
-                escaped[i] = t_next
-            else:
-                x = dst[k][slot]
-                pos[i], t[i], rho[i] = x, t_next, post
-                events[i].append(JumpEvent(t_next, ids[x], post if keep_rho else None))
-                if len(events[i]) > max_jumps:
-                    raise _runaway()
-                if x != stop_at:
-                    run.append(i)
+        for d, js in tab._by_dim([pos[i] for i in batch]).items():
+            blk, group = tab.blocks[d], [batch[j] for j in js]
+            ks = np.array([pos[i] for i in group])
+            states = np.stack([rho[i] for i in group])
+            dts = blk.wait(ks, states, [_positive(draws[i]) for i in group])
+            go = []
+            for j, (i, dt) in enumerate(zip(group, dts)):
+                if dt is None:
+                    absorbed[i] = True
+                elif t[i] + dt < horizon:
+                    go.append(j)
+            if not go:
+                continue
+            ks, dts = ks[go], [dts[j] for j in go]
+            group = [group[j] for j in go]
+            etas = blk.flow(ks, states[go], np.array(dts))
+            hops = blk.jump(ks, etas, [next(draws[i]) for i in group])
+            for i, k, dt, (slot, post) in zip(group, ks.tolist(), dts, hops):
+                t_next = t[i] + dt
+                if slot == -2:
+                    absorbed[i] = True
+                elif slot == -1:
+                    escaped[i] = t_next
+                else:
+                    x = dst[k][slot]
+                    pos[i], t[i], rho[i] = x, t_next, post
+                    events[i].append(JumpEvent(t_next, ids[x], post if keep_rho else None))
+                    if len(events[i]) > max_jumps:
+                        raise _runaway()
+                    if x != stop_at:
+                        run.append(i)
     return [
         TrajectoryRecord(init, events[i], horizon, absorbed[i], escaped[i]) for i in range(n)
     ]
@@ -883,8 +903,8 @@ def estimate(
       fixed time, one point per vertex plus one for escaped mass.
 
     A query of the wrong shape, or naming a vertex not in the model, raises
-    :class:`ModelError`; one reaching beyond the horizon, or of an unknown
-    kind, :class:`PreconditionError`.
+    :class:`ModelError`; one with a time before the start or beyond the
+    horizon, or of an unknown kind, :class:`PreconditionError`.
     """
     if n_traj < 1:
         raise PreconditionError("n_traj must be at least 1")
@@ -903,6 +923,8 @@ def estimate(
             grid = q.get("grid")
             if not (isinstance(grid, list) and grid and all(map(_is_time, grid))):
                 raise ModelError(f"query {qi}: 'grid' must be a non-empty list of finite times")
+            if min(grid) < 0.0:
+                raise PreconditionError("passage grid holds a time before the start")
             if max(grid) > horizon:
                 raise PreconditionError("passage grid reaches beyond the horizon")
             passage_hits[qi] = np.zeros((len(q["grid"]), ), dtype=np.int64)
@@ -913,6 +935,8 @@ def estimate(
         elif kind == "position_law":
             if not _is_time(q.get("t")):
                 raise ModelError(f"query {qi}: 't' must be a finite time")
+            if q["t"] < 0.0:
+                raise PreconditionError("position-law time lies before the start")
             if q["t"] > horizon:
                 raise PreconditionError("position-law time lies beyond the horizon")
             position_counts[qi] = {v.id: 0 for v in model.vertices}

@@ -389,8 +389,9 @@ def uniforms(rng: np.random.Generator):
 def sample_per_walker(tab, k0, rho0, init, horizon, draws, stop_at=-1, keep_rho=True):
     """The sampler's walk loop with the scalar work behind method calls: one
     walker at a time through its one-dimensional vertices, every walker at a
-    matrix vertex in one batched step.  ``draws`` holds one iterator of
-    uniforms per walker."""
+    matrix vertex in one step: the waits and jumps batched over all of them
+    at once, the dwell flow one walker at a time.  ``draws`` holds one
+    iterator of uniforms per walker."""
     n = len(draws)
     pos, t, rho = [k0] * n, [0.0] * n, [rho0] * n
     absorbed, escaped = [False] * n, [None] * n
@@ -442,7 +443,8 @@ def sample_per_walker(tab, k0, rho0, init, horizon, draws, stop_at=-1, keep_rho=
             elif t[i] + dt < horizon:
                 go.append((i, k, dt))
         ks = [k for _, k, _ in go]
-        etas = tab.flow(ks, [rho[i] for i, _, _ in go], [dt for _, _, dt in go])
+        etas = [tab.blocks[tab.dim[k]].flow(np.array([k]), rho[i][None], np.array([dt]))[0]
+                for i, k, dt in go]
         hops = tab.jump(ks, etas, [next(draws[i]) for i, _, _ in go])
         run = []
         for (i, k, dt), (slot, post) in zip(go, hops):

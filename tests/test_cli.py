@@ -664,6 +664,25 @@ def test_malformed_query_file_exits_with_one_line(tmp_path, two_site_file, capsy
     assert code == 1 and err.count("\n") == 1 and err.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ({"kind": "position_law", "t": -1}, "PreconditionError: position-law time lies before"),
+        ({"kind": "passage_cdf", "vertex": 1, "grid": [1.0, -2.0]},
+         "PreconditionError: passage grid holds a time before the start"),
+    ],
+    ids=["negative-law-time", "negative-grid-time"],
+)
+def test_query_time_before_the_start_exits_4(tmp_path, two_site_file, capsys, query, message):
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps([query]))
+    capsys.readouterr()
+    code = run(tmp_path, "simulate", "--model", two_site_file, "--start", "0:e1", "--horizon", 2,
+               "--n", 5, "--queries", q, "--out", tmp_path / "est.csv")
+    err = capsys.readouterr().err
+    assert code == 4 and err.count("\n") == 1 and err.startswith(message)
+
+
 def test_json_logs_error_is_one_json_object(tmp_path, two_site_file, capsys):
     capsys.readouterr()
     code = run(tmp_path, "--json-logs", "occupation", "--model", two_site_file,
@@ -671,3 +690,15 @@ def test_json_logs_error_is_one_json_object(tmp_path, two_site_file, capsys):
     err = capsys.readouterr().err
     assert code == 1 and err.count("\n") == 1
     assert json.loads(err) == {"error": "ModelError: unknown vertex 9", "exit_code": 1}
+    # a usage error too: no usage text, one object
+    code = run(tmp_path, "--json-logs", "simulate", "--model", two_site_file, "--start", "0:e1",
+               "--horizon", 2, "--n", 5, "--bogus")
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert json.loads(err) == {"error": "ctoqw: error: unrecognized arguments: --bogus",
+                               "exit_code": 1}
+    code = run(tmp_path, "simulate", "--json-logs", "--model", two_site_file, "--start", "0:e1",
+               "--n", "x", "--horizon", 2)
+    err = capsys.readouterr().err
+    assert code == 1 and json.loads(err) == {
+        "error": "ctoqw simulate: error: argument --n: invalid int value: 'x'", "exit_code": 1}

@@ -13,7 +13,8 @@ from numpy.testing import assert_allclose
 
 from ctoqw import fixtures, semigroup, trajectory
 from ctoqw.errors import ConvergenceError, ModelError, PreconditionError
-from ctoqw.model import SitedState, WalkModel, build_walk, classical_embed, sited_block_state
+from ctoqw.model import (SitedState, WalkModel, build_lattice, build_walk, classical_embed,
+                         matrix_to_json, sited_block_state)
 from oracles import rk4_dwell, sample_per_walker, trajectory_rng, uniforms
 from strategies import random_density, random_hermitian, random_model
 
@@ -619,3 +620,151 @@ def test_dark_state_position_law_matches_evolve():
     assert emp["escaped"] == 0.0
     for v, p in exact.items():
         assert abs(emp[str(v)] - p) <= 5 * math.sqrt(p * (1 - p) / n)
+
+
+# -- the batched step's rules ----------------------------------------------------
+
+
+def _dissipative(rng, d):
+    """A generator with G + G^dag < 0 and no uniform decay."""
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return -1j * random_hermitian(rng, d) - 0.5 * (a @ a.conj().T + 0.1 * np.eye(d))
+
+
+def _inverted_with_and_without_steep(monkeypatch, blk, k, rho, u):
+    """The times of ``blk.invert`` with its ``steep`` mask and with the mask
+    off, and how many walkers the plateau test checked in each."""
+    checked = []
+    speed = trajectory._Survival.speed
+    monkeypatch.setattr(trajectory._Survival, "speed",
+                        lambda surv, t: checked.append(t.size) or speed(surv, t))
+    masked = blk.invert(k, rho, u)
+    with_mask = sum(checked)
+    monkeypatch.setattr(blk, "steep", np.zeros_like(blk.steep))
+    plain = blk.invert(k, rho, u)
+    return masked, plain, with_mask, sum(checked) - with_mask
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_steep_mask_keeps_every_inverted_time_on_random_generators(monkeypatch, seed, d):
+    rng = np.random.default_rng(seed)
+    gens = [_dissipative(rng, d) for _ in range(6)]
+    tab = trajectory._Tables(range(6), gens, [[]] * 6, [-(g + g.conj().T) for g in gens])
+    blk = tab.blocks[d]
+    assert blk.steep.all() and all(math.isnan(r) for r in tab.rate)
+    k = rng.integers(0, 6, 300)
+    rho = np.stack([random_density(rng, d) for _ in k])
+    masked, plain, with_mask, without = _inverted_with_and_without_steep(
+        monkeypatch, blk, k, rho, rng.random(k.size))
+    assert masked.tobytes() == plain.tobytes() and not np.isnan(masked).any()
+    assert with_mask == 0 and without > 0
+
+
+def test_steep_mask_keeps_every_inverted_time_on_the_jordan_vertex(monkeypatch):
+    tab = trajectory._tables(jordan_vertex_model())
+    blk = tab.blocks[2]
+    assert blk.steep[[0, 2]].all() and not blk.prop.diag[0]
+    rng = np.random.default_rng(5)
+    k = rng.choice([0, 2], 200)
+    rho = np.stack([random_density(rng, 2) for _ in k])
+    masked, plain, with_mask, without = _inverted_with_and_without_steep(
+        monkeypatch, blk, k, rho, rng.random(k.size))
+    assert masked.tobytes() == plain.tobytes() and not np.isnan(masked).any()
+    assert with_mask == 0 and without > 0
+
+
+def test_steep_mask_leaves_the_plateau_test_to_dark_states():
+    blk = trajectory._tables(_dark_qubit_model()).blocks[2]
+    assert not blk.steep[0]  # G + G^dag = -diag(0, 1) has a zero eigenvalue
+
+
+def _jump_tables(rng, d):
+    """Vertices 0-3 of dimension ``d`` with 1 to 4 jumps, in turn, into the
+    vertices 4-7 of dimensions 1 to 4, and random escape operators."""
+    dests = [1, 2, 3, 4]
+    edges = [[(4 + (s + j) % 4, rng.standard_normal((dests[(s + j) % 4], d))
+               + 1j * rng.standard_normal((dests[(s + j) % 4], d))) for j in range(s + 1)]
+             for s in range(4)]
+    escapes = []
+    for _ in range(4):
+        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        escapes.append(b @ b.conj().T)
+    gens = [_dissipative(rng, d) for _ in range(4)] + [-np.eye(dd, dtype=complex) for dd in dests]
+    escapes += [np.zeros((dd, dd), dtype=complex) for dd in dests]
+    return trajectory._Tables(range(8), gens, edges + [[]] * 4, escapes), edges, escapes
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d", [2, 3])
+def test_weights_from_the_intensity_table_are_the_product_traces(seed, d):
+    rng = np.random.default_rng(seed)
+    tab, edges, escapes = _jump_tables(rng, d)
+    blk = tab.blocks[d]
+    k = rng.integers(0, 4, 60)
+    eta = np.stack([random_density(rng, d) for _ in k])
+    running, esc = blk.weights(k, eta, True)
+    for j, kk in enumerate(k.tolist()):
+        want = np.cumsum([np.trace(r @ eta[j] @ r.conj().T).real for _, r in edges[kk]])
+        assert_allclose(running[j, : want.size], want, rtol=1e-13, atol=0)
+        assert_allclose(esc[j], np.trace(escapes[kk] @ eta[j]).real, rtol=1e-13, atol=0)
+    assert not blk.weights(k, eta, False)[1].any()
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d", [2, 3])
+def test_posts_are_the_normalised_products_of_the_chosen_jump(seed, d):
+    rng = np.random.default_rng(seed)
+    tab, edges, _ = _jump_tables(rng, d)
+    blk = tab.blocks[d]
+    k = rng.integers(0, 4, 60)
+    eta = np.stack([random_density(rng, d) for _ in k])
+    slot = np.array([rng.integers(-2, tab.deg[kk]) for kk in k.tolist()])
+    posts = blk.posts(k, slot, eta)
+    for j, (kk, s) in enumerate(zip(k.tolist(), slot.tolist())):
+        if s < 0:
+            assert posts[j] is None
+            continue
+        r = edges[kk][s][1]
+        assert posts[j].tobytes() == trajectory._normalised(r @ eta[j] @ r.conj().T).tobytes()
+    assert (slot >= 0).any() and (slot < 0).any()
+
+
+def _escaping_qubit_line():
+    """Qubits on the sites 0-2 hopping both ways with non-uniform decay; the
+    boundary sites lose the hop out of the window, so they escape."""
+    up, down = np.array([[1.0, 0.0], [0.0, 0.5]]), np.array([[0.0, 0.5], [1.0, 0.0]])
+    g = -0.5 * (up.T @ up + down.T @ down) - 0.3j * np.array([[0.0, 1.0], [1.0, 0.0]])
+    return build_lattice({
+        "window": [0, 2], "dim": 2,
+        "effective": {"default": matrix_to_json(g)},
+        "jumps": [{"offset": 1, "matrix": matrix_to_json(up)},
+                  {"offset": -1, "matrix": matrix_to_json(down)}],
+    })
+
+
+def _same_as_the_oracle(m, init, horizon, streams):
+    tab, k0, rho0 = trajectory._start(m, init, horizon)
+    got = trajectory._sample(tab, k0, rho0, init, horizon, 29, streams)
+    draws = [uniforms(trajectory_rng(29, s)) for s in streams]
+    for a, b in zip(got, sample_per_walker(tab, k0, rho0, init, horizon, draws)):
+        _same_records(a, b)
+    return got
+
+
+def test_escape_by_jump_choice_after_a_matrix_wait_matches_the_oracle():
+    m = _escaping_qubit_line()
+    tab = trajectory._tables(m)
+    assert all(math.isnan(r) for r in tab.rate) and set(tab.dim) == {2}
+    got = _same_as_the_oracle(m, SitedState(1, np.diag([0.0, 1.0])), 6.0, range(60))
+    assert sum(rec.escaped_at is not None for rec in got) > 10  # slot -1
+    assert any(rec.escaped_at is None for rec in got)
+
+
+def test_vanishing_weights_after_a_matrix_wait_match_the_oracle(monkeypatch):
+    monkeypatch.setattr(trajectory._Block, "weights",
+                        lambda blk, k, eta, escape: (np.zeros((k.size, 1)), np.zeros(k.size)))
+    m = jordan_vertex_model()
+    got = _same_as_the_oracle(m, SitedState(1, [[1.0]]), 50.0, range(40))
+    for rec in got:  # slot -2: absorbed at the first matrix vertex reached
+        assert rec.absorbed and [ev.vertex for ev in rec.events] == [0]
