@@ -68,9 +68,7 @@ from .trajectory import (
     EstimateReport,
     JumpEvent,
     TrajectoryRecord,
-    dwell_evolution,
     estimate,
-    sample_destination,
     sample_jump_time,
     simulate,
     survival_function,

@@ -610,12 +610,16 @@ def build_lattice(spec: dict, window: tuple[int, int] | None = None) -> WalkMode
           ]
         }
 
-    Sites are the integers ``lo..hi``.  Offset templates apply to each
-    in-window pair whose endpoint dimensions match the template shape and
-    which has no explicit entry.  Jumps leaving the window are dropped; the
-    affected boundary sites keep their declared ``G`` and therefore become
+    Sites are the integers ``lo..hi``.  An explicit entry between two
+    in-window sites overrides the templates for that pair (a ``null``
+    matrix removes the jump); offset templates apply to every other
+    in-window pair whose endpoint dimensions match the template shape.
+    Explicit entries from a site outside the window are ignored.  Jumps
+    leaving the window, explicit or templated, are dropped, and their
+    source site with a declared ``G`` keeps it and therefore becomes
     sub-stochastic (the walker escapes there), which is recorded in the
-    model metadata.
+    model metadata.  An explicit entry to a site outside the window does
+    not stop a template from marking its source this way.
     """
     spec = dict(spec)
     lo, hi = (int(x) for x in (window if window is not None else spec["window"]))

@@ -34,30 +34,6 @@ _INV_TOL = 1e-12  # the tolerance linalg.COND_LIMIT is chosen for
 _PLATEAU = 1e-14
 
 
-# -- dwell flow ---------------------------------------------------------------
-
-
-def dwell_evolution(g: np.ndarray, rho: np.ndarray, t: float):
-    """Normalized dwell state and survival weight after time ``t``.
-
-    Returns ``(eta_t, s_t)``.  ``s`` is nonincreasing in ``t`` and the
-    normalized state solves the nonlinear dwell equation whose drift is
-    ``G eta + eta G^dag - eta Tr((G + G^dag) eta)``.
-    """
-    if t < 0:
-        raise PreconditionError("dwell time must be nonnegative")
-    g = np.atleast_2d(np.asarray(g, dtype=complex))
-    rho = np.atleast_2d(np.asarray(rho, dtype=complex))
-    e = linalg.expm(t * g)
-    raw = e @ rho @ e.conj().T
-    s = float(np.trace(raw).real)
-    if s < 1e-300:
-        raise PreconditionError(
-            "dwell state fully decayed, an event must be sampled earlier"
-        )
-    return raw / s, s
-
-
 class _Tables:
     """The sampling rule of every vertex as tables indexed by vertex position.
 
@@ -65,14 +41,13 @@ class _Tables:
     ``edges[k]`` as ``(destination position, R)`` in jump order and the
     escape intensity operator ``escapes[k]``.  ``rate[k]`` is the event
     rate of a vertex whose survival is ``exp(-rate t)``: every
-    one-dimensional vertex, uniform decay ``G + G^dag = -c I``, and decay
-    too weak to ever bring an event (rate 0).  It is NaN where the survival
-    is inverted numerically, by the tables of ``blocks[d]``, one per
-    dimension ``d > 1``.
+    one-dimensional vertex and uniform decay ``G + G^dag = -c I`` (rate 0
+    where ``c`` is not positive).  It is NaN where the survival is inverted
+    numerically, by the tables of ``blocks[d]``, one per dimension ``d > 1``.
 
-    The methods take one entry per walker.  Scalar work (exponential waits,
-    the jumps of one-dimensional vertices, the choice of the jump) runs per
-    walker; matrix work runs batched over the walkers of each dimension.
+    The scalar tables (``running``, ``esc``, ``total``, ``posts``) are read
+    by the event loop of :func:`_sample` one walker at a time; the waits and
+    jumps at matrix vertices run batched, by :class:`_Block`.
     """
 
     def __init__(self, ids, gens, edges, escapes):
@@ -109,56 +84,6 @@ class _Tables:
         for j, k in enumerate(ks):
             groups.setdefault(self.dim[k], []).append(j)
         return groups
-
-    def wait(self, ks, rhos, us) -> list:
-        """Dwell times until the survival from ``rhos`` falls to ``us``;
-        None where no event ever comes."""
-        out: list = [None] * len(ks)
-        for d, js in self._by_dim(ks).items():
-            if d == 1:
-                for j in js:
-                    out[j] = _exponential_wait(self.rate[ks[j]], us[j])
-                continue
-            for j, t in zip(js, self.blocks[d].wait(*_stack(js, ks, rhos, us))):
-                out[j] = t
-        return out
-
-    def jump(self, ks, etas, us, escape: bool = True) -> list:
-        """Pick the jump out of dwell states ``etas`` with weights
-        ``Tr(R eta R^dag)`` and the escape weight, ``us`` uniform on [0, 1).
-
-        Returns ``(slot, post-jump state)`` per walker; slot -1 is the
-        escape and -2 means every weight vanishes (no post state then).
-        ``escape=False`` draws among the stored jumps only.
-        """
-        out: list = [None] * len(ks)
-        for d, js in self._by_dim(ks).items():
-            if d == 1:
-                for j in js:
-                    k, run = ks[j], self.running[ks[j]]
-                    e = self.esc[k] if escape else 0.0
-                    slot = _pick(run, e, _total(run, e), us[j])
-                    out[j] = slot, self.posts[k][slot] if slot >= 0 else None
-                continue
-            for j, hop in zip(js, self.blocks[d].jump(*_stack(js, ks, etas, us), escape)):
-                out[j] = hop
-        return out
-
-    def survival(self, k: int, rho: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """s(t) at vertex ``k`` from state ``rho`` at the times ``ts``."""
-        if not math.isnan(self.rate[k]):
-            return np.exp(-self.rate[k] * ts)
-        rhos = np.broadcast_to(rho, (ts.size,) + rho.shape)
-        return _Survival.of(self.blocks[self.dim[k]], np.full(ts.size, k), rhos).value(ts)[0]
-
-
-def _stack(js, ks, states, values):
-    """Vertex positions, stacked states and values of the walkers ``js``."""
-    return (
-        np.array([ks[j] for j in js]),
-        np.stack([states[j] for j in js]),
-        np.array([values[j] for j in js]),
-    )
 
 
 def _exponential_wait(rate: float, u: float) -> float | None:
@@ -219,10 +144,10 @@ class _Block:
         gplus = self.gplus[members]
         for k, g, norm in zip(members, gplus, linalg.opnorm(gplus).tolist()):
             c = -float(np.trace(g).real) / d
+            # Uniform decay; so is any |G + G^dag|_2 < _PLATEAU when d < 100, since
+            # -c is the mean eigenvalue: |G + G^dag + c I|_F <= sqrt(d) |G + G^dag|_2.
             if np.linalg.norm(g + c * np.eye(d)) <= 1e-13 * (1.0 + abs(c)):
                 tab.rate[k] = max(c, 0.0)  # uniform decay: s(t) = exp(-c t)
-            elif norm < _PLATEAU:
-                tab.rate[k] = 0.0  # no event ever comes
             else:
                 self.tscale[k] = 1.0 / norm
         # Where G + G^dag <= -c I, every trace-one eta has
@@ -302,22 +227,26 @@ class _Block:
         e = self.prop.at(k, dt)
         return _normalised(e @ rho @ e.conj().swapaxes(1, 2))
 
-    def jump(self, k: np.ndarray, eta: np.ndarray, u, escape: bool = True) -> list:
-        """``(slot, post-jump state)`` per walker, as :meth:`_Tables.jump`."""
-        running, esc = self.weights(k, eta, escape)
+    def jump(self, k: np.ndarray, eta: np.ndarray, u) -> list:
+        """Pick the jump out of dwell states ``eta`` with weights
+        ``Tr(R eta R^dag)`` and the escape weight, ``u`` uniform on [0, 1).
+
+        Returns ``(slot, post-jump state)`` per walker; slot -1 is the
+        escape and -2 means every weight vanishes (no post state then).
+        """
+        running, esc = self.weights(k, eta)
         slots = []
         for run, e, uu, kk in zip(running.tolist(), esc.tolist(), u, k.tolist()):
             run = run[: self.deg[kk]]
             slots.append(_pick(run, e, _total(run, e), uu))
         return list(zip(slots, self.posts(k, np.array(slots), eta)))
 
-    def weights(self, k: np.ndarray, eta: np.ndarray, escape: bool):
+    def weights(self, k: np.ndarray, eta: np.ndarray):
         """Running sums of the jump weights ``Tr(R eta R^dag)`` in jump
         order and the escape weights, read off the intensity table."""
         floats = eta.reshape(k.size, -1).view(float)
         w = np.maximum((self.intensity[k] @ floats[:, :, None])[..., 0], 0.0)
-        esc = w[:, -1] if escape else np.zeros(k.size)
-        return np.cumsum(w[:, :-1], axis=1), esc
+        return np.cumsum(w[:, :-1], axis=1), w[:, -1]
 
     def posts(self, k: np.ndarray, slot: np.ndarray, eta: np.ndarray) -> list:
         """Normalized post-jump states ``R eta R^dag`` of the walkers with
@@ -346,21 +275,20 @@ class _Survival:
     elsewhere the dense exponential is taken at each time.
     """
 
-    def __init__(self, blk: _Block, k: np.ndarray, rho: np.ndarray, coef: np.ndarray):
-        self.blk, self.k, self.rho, self.coef = blk, k, rho, coef
-        self.mu = blk.mu[k]
-        self.slope = coef * self.mu
-        self.dense = ~blk.prop.diag[k]
-        self.any_dense = bool(self.dense.any())
+    def __init__(self, blk: _Block, k, rho, coef, mu, slope, dense):
+        self.blk, self.k, self.rho, self.coef, self.mu, self.slope = blk, k, rho, coef, mu, slope
+        self.dense, self.any_dense = dense, bool(dense.any())
 
     @classmethod
     def of(cls, blk: _Block, k: np.ndarray, rho: np.ndarray) -> _Survival:
         a = blk.prop.pinv[k] @ rho @ blk.pinvc[k].swapaxes(1, 2)
-        return cls(blk, k, rho, (a * blk.ovt[k]).reshape(k.size, -1))
+        coef, mu = (a * blk.ovt[k]).reshape(k.size, -1), blk.mu[k]
+        return cls(blk, k, rho, coef, mu, coef * mu, ~blk.prop.diag[k])
 
     def take(self, i) -> _Survival:
         """The survival of the walkers ``i`` (indices or a mask)."""
-        return _Survival(self.blk, self.k[i], self.rho[i], self.coef[i])
+        return _Survival(self.blk, *(a[i] for a in (self.k, self.rho, self.coef, self.mu,
+                                                     self.slope, self.dense)))
 
     def _raw(self, t: np.ndarray, i=slice(None)) -> np.ndarray:
         e = self.blk.prop.at(self.k[i], t)
@@ -424,26 +352,10 @@ def sample_jump_time(g: np.ndarray, rho: np.ndarray, u: float) -> float | None:
     if not 0.0 < u < 1.0:
         raise PreconditionError("u must lie strictly between 0 and 1")
     rho = _normalised(np.atleast_2d(np.asarray(rho, dtype=complex)))
-    return _bare_tables(g).wait([0], [rho], [u])[0]
-
-
-def sample_destination(model: WalkModel, vertex: VertexId, eta: np.ndarray, u: float):
-    """Draw the jump target and the post-jump state.
-
-    The target ``j`` is chosen with probability proportional to
-    ``Tr(R[i->j] eta R[i->j]^dag)`` among the stored jumps; escape weight
-    of windowed models is handled by the simulator, not here.
-    """
-    k = model.position(vertex)
-    tab = _tables(model)
-    eta = np.atleast_2d(np.asarray(eta, dtype=complex))
-    slot, post = tab.jump([k], [eta], [u], escape=False)[0]
-    if slot < 0:
-        raise PreconditionError(
-            f"zero total jump rate at vertex {vertex!r}; the dwell sampler "
-            "should have reported no event"
-        )
-    return tab.ids[tab.dst[k][slot]], post
+    tab = _bare_tables(g)
+    if tab.dim[0] == 1:
+        return _exponential_wait(tab.rate[0], u)
+    return tab.blocks[tab.dim[0]].wait(np.zeros(1, dtype=int), rho[None], np.array([u]))[0]
 
 
 # -- trajectory records --------------------------------------------------------
@@ -807,17 +719,19 @@ def simulate(
 
 
 def survival_function(model: WalkModel, vertex: VertexId, rho):
-    """The no-event survival s(t) at a vertex, as a callable of t."""
-    return survival_from_generator(model.effective(vertex), rho)
-
-
-def survival_from_generator(g: np.ndarray, rho):
-    """s(t) = Tr(e^{tG} rho e^{tG^dag}) as a callable of t."""
-    tab = _bare_tables(g)
+    """The no-event survival s(t) = Tr(e^{tG} rho e^{tG^dag}) at a vertex,
+    as a callable of t."""
+    tab = _bare_tables(model.effective(vertex))
     rho = _normalised(np.atleast_2d(np.asarray(rho, dtype=complex)))
+    rate = tab.rate[0]
 
     def survival(t):
-        s = tab.survival(0, rho, np.atleast_1d(np.asarray(t, dtype=float)).ravel())
+        ts = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
+        if math.isnan(rate):
+            rhos = np.broadcast_to(rho, (ts.size,) + rho.shape)
+            s = _Survival.of(tab.blocks[tab.dim[0]], np.zeros(ts.size, dtype=int), rhos).value(ts)[0]
+        else:
+            s = np.exp(-rate * ts)
         return s if np.ndim(t) > 0 else float(s[0])
 
     return survival

@@ -387,11 +387,10 @@ def uniforms(rng: np.random.Generator):
 
 
 def sample_per_walker(tab, k0, rho0, init, horizon, draws, stop_at=-1, keep_rho=True):
-    """The sampler's walk loop with the scalar work behind method calls: one
-    walker at a time through its one-dimensional vertices, every walker at a
-    matrix vertex in one step: the waits and jumps batched over all of them
-    at once, the dwell flow one walker at a time.  ``draws`` holds one
-    iterator of uniforms per walker."""
+    """The sampler's walk loop one walker at a time: through its
+    one-dimensional vertices by the scalar tables, and at a matrix vertex
+    by its block's ``wait``, ``flow`` and ``jump`` on that walker alone.
+    ``draws`` holds one iterator of uniforms per walker."""
     n = len(draws)
     pos, t, rho = [k0] * n, [0.0] * n, [rho0] * n
     absorbed, escaped = [False] * n, [None] * n
@@ -434,21 +433,19 @@ def sample_per_walker(tab, k0, rho0, init, horizon, draws, stop_at=-1, keep_rho=
                 batch.append(i)
         if not batch:
             break
-        ks = [pos[i] for i in batch]
-        dts = tab.wait(ks, [rho[i] for i in batch], [trajectory._positive(draws[i]) for i in batch])
-        go = []
-        for i, k, dt in zip(batch, ks, dts):
+        run = []
+        for i in batch:
+            k, blk = pos[i], tab.blocks[tab.dim[pos[i]]]
+            ks = np.array([k])
+            dt = blk.wait(ks, rho[i][None], [trajectory._positive(draws[i])])[0]
             if dt is None:
                 absorbed[i] = True
-            elif t[i] + dt < horizon:
-                go.append((i, k, dt))
-        ks = [k for _, k, _ in go]
-        etas = [tab.blocks[tab.dim[k]].flow(np.array([k]), rho[i][None], np.array([dt]))[0]
-                for i, k, dt in go]
-        hops = tab.jump(ks, etas, [next(draws[i]) for i, _, _ in go])
-        run = []
-        for (i, k, dt), (slot, post) in zip(go, hops):
+                continue
             t_next = t[i] + dt
+            if t_next >= horizon:
+                continue
+            eta = blk.flow(ks, rho[i][None], np.array([dt]))
+            slot, post = blk.jump(ks, eta, [next(draws[i])])[0]
             if slot == -2:
                 absorbed[i] = True
             elif slot == -1:

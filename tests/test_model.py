@@ -211,6 +211,47 @@ def test_lattice_shape_mismatch_templates_skipped(spin_small):
     assert rep.ok
 
 
+def _explicit_chain(site_matrices: dict) -> dict:
+    """A scalar chain on [0, 3] with explicit jumps only: unit hops between
+    neighbours, a hop from 3 out of the window to 4 and one from the
+    outside site 5 into 2."""
+    one = matrix_to_json(np.ones((1, 1)))
+    hops = [(a, b) for a in range(4) for b in (a - 1, a + 1) if 0 <= b <= 3]
+    return {
+        "window": [0, 3],
+        **site_matrices,
+        "jumps": [{"from": a, "to": b, "matrix": one} for a, b in hops + [(3, 4), (5, 2)]],
+    }
+
+
+def test_lattice_explicit_jumps_leaving_the_window():
+    eff = {"default": matrix_to_json(-np.ones((1, 1))),
+           "0": matrix_to_json(-0.5 * np.ones((1, 1)))}
+    pinned = build_lattice(_explicit_chain({"effective": eff}))
+    # site 3 keeps the decay of its hops to 2 and 4, and loses the one to 4
+    assert pinned.meta["escaping"] == [3] and pinned.escaping_boundary() == [3]
+    assert pinned.escape_defect(3)[0, 0].real == pytest.approx(1.0)
+    assert validate(pinned).ok
+    free = build_lattice(_explicit_chain({"hamiltonians": {"default": matrix_to_json(np.zeros((1, 1)))}}))
+    assert free.meta["escaping"] == [] and free.escaping_boundary() == []
+    for m in (pinned, free):
+        # the hop 3 -> 4 is dropped and the one from 5 ignored
+        assert sorted((a, b) for a, b, _ in m.jumps()) == [
+            (0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
+
+
+def test_lattice_explicit_null_leaving_the_window_keeps_the_template_escape():
+    spec = {
+        "window": [0, 3],
+        "effective": {"default": matrix_to_json(-0.5 * np.ones((1, 1)))},
+        "jumps": [{"offset": 1, "matrix": matrix_to_json(np.sqrt(0.5) * np.ones((1, 1)))},
+                  {"offset": -1, "matrix": matrix_to_json(np.sqrt(0.5) * np.ones((1, 1)))},
+                  {"from": 0, "to": -1, "matrix": None}],
+    }
+    m = build_lattice(spec)
+    assert m.meta["escaping"] == [0, 3] and m.escaping_boundary() == [0, 3]
+
+
 def test_lattice_rejects_conflicting_blocks():
     with pytest.raises(ModelError):
         model_from_json({"lattice": {"window": [0, 1]}, "vertices": []})

@@ -19,23 +19,36 @@ from oracles import rk4_dwell, sample_per_walker, trajectory_rng, uniforms
 from strategies import random_density, random_hermitian, random_model
 
 
+def _lone(g) -> WalkModel:
+    """A one-vertex model whose dwell generator is ``g``."""
+    g = np.atleast_2d(np.asarray(g, dtype=complex))
+    return build_walk([(0, g.shape[0])], [], effective={0: g})
+
+
+def _dwell(m, vid, rho, t):
+    """The dwell state ``t`` after entering vertex ``vid`` in ``rho``, by the
+    sampler's ``_Block.flow``, and the survival weight by ``survival_function``."""
+    tab, rho = trajectory._tables(m), np.asarray(rho, dtype=complex)
+    k = m.position(vid)
+    eta = tab.blocks[tab.dim[k]].flow(np.array([k]), rho[None], np.array([t]))[0]
+    return eta, trajectory.survival_function(m, vid, rho)(t)
+
+
 def test_dwell_evolution_scalar():
-    eta, s = trajectory.dwell_evolution([[-0.5]], [[1.0]], 1.0)
-    assert eta[0, 0] == pytest.approx(1.0)
+    s = trajectory.survival_function(_lone([[-0.5]]), 0, [[1.0]])(1.0)
     assert s == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 def test_dwell_evolution_absorbing():
     rho = np.array([[0.3, 0.1], [0.1, 0.7]], dtype=complex)
-    eta, s = trajectory.dwell_evolution(np.zeros((2, 2)), rho, 3.0)
+    eta, s = _dwell(_lone(np.zeros((2, 2))), 0, rho, 3.0)
     assert_allclose(eta, rho, atol=1e-14)
     assert s == pytest.approx(1.0)
 
 
 def test_dwell_evolution_uniform_decay(spin_small):
-    g = spin_small.effective(1)
     rho = np.diag([0.0, 1.0]).astype(complex)
-    eta, s = trajectory.dwell_evolution(g, rho, 2.0)
+    eta, s = _dwell(spin_small, 1, rho, 2.0)
     assert_allclose(eta, rho, atol=1e-13)
     assert s == pytest.approx(math.exp(-2.0), abs=1e-12)
 
@@ -45,9 +58,10 @@ def test_dwell_evolution_matches_rk4_oracle():
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     g = g - (np.max(np.linalg.eigvals(g).real) + 0.4) * np.eye(2)
     rho = random_density(rng, 2)
-    eta, _ = trajectory.dwell_evolution(g, rho, 0.8)
-    oracle = rk4_dwell(g, rho, 0.8)
-    assert np.linalg.norm(eta - oracle) < 1e-8
+    eta, s = _dwell(_lone(g), 0, rho, 0.8)
+    assert np.linalg.norm(eta - rk4_dwell(g, rho, 0.8)) < 1e-8
+    e = sla.expm(0.8 * g)
+    assert s == pytest.approx(np.trace(e @ rho @ e.conj().T).real, abs=1e-12)
 
 
 def test_sample_jump_time_scalar_exact():
@@ -72,7 +86,7 @@ def test_sample_jump_time_inverts_survival_generic():
     g = g - (np.max(np.linalg.eigvals(g).real) + 0.5) * np.eye(3)
     # make the decay state-dependent (not a multiple of the identity)
     rho = random_density(rng, 3)
-    surv = trajectory.survival_from_generator(g, rho)
+    surv = trajectory.survival_function(_lone(g), 0, rho)
     for u in (0.9, 0.5, 0.123, 0.02):
         t = trajectory.sample_jump_time(g, rho, u)
         assert abs(surv(t) - u) <= 1e-12
@@ -101,30 +115,32 @@ def test_sample_jump_time_near_exceptional_point(k, u, state):
     assert abs(np.trace(e @ rho @ e.conj().T).real - u) <= 1e-10
 
 
+def _scalar_jump(m, vid, u):
+    """The destination and post-jump state that the sampler's scalar loop
+    picks at the one-dimensional vertex ``vid`` for the draw ``u``."""
+    tab, k = trajectory._tables(m), m.position(vid)
+    slot = trajectory._pick(tab.running[k], tab.esc[k], tab.total[k], u)
+    return tab.ids[tab.dst[k][slot]], tab.posts[k][slot]
+
+
 def test_sample_destination_spin_vertex_one(spin_small):
-    dst, rho = trajectory.sample_destination(spin_small, 1, np.diag([0.0, 1.0]), 0.7)
-    assert dst == 0
+    tab, k = trajectory._tables(spin_small), spin_small.position(1)
+    eta = np.diag([0.0, 1.0]).astype(complex)
+    slot, rho = tab.blocks[2].jump(np.array([k]), eta[None], [0.7])[0]
+    assert tab.ids[tab.dst[k][slot]] == 0
     assert rho[0, 0] == pytest.approx(1.0)
 
 
 def test_sample_destination_spin_vertex_zero(spin_small):
-    dst, rho = trajectory.sample_destination(spin_small, 0, [[1.0]], 0.2)
+    dst, rho = _scalar_jump(spin_small, 0, 0.2)
     assert dst == 1
     assert_allclose(rho, np.array([[4, 2], [2, 1]]) / 5.0, atol=1e-14)
 
 
 def test_sample_destination_rates_drift(biased_small):
     # probabilities are 3/4 right and 1/4 left; u below 3/4 goes right
-    dst, _ = trajectory.sample_destination(biased_small, 0, [[1.0]], 0.74)
-    assert dst == 1
-    dst, _ = trajectory.sample_destination(biased_small, 0, [[1.0]], 0.76)
-    assert dst == -1
-
-
-def test_sample_destination_zero_rate_raises(two_site):
-    m = classical_embed(np.zeros((2, 2)))
-    with pytest.raises(PreconditionError):
-        trajectory.sample_destination(m, 0, [[1.0]], 0.5)
+    assert _scalar_jump(biased_small, 0, 0.74)[0] == 1
+    assert _scalar_jump(biased_small, 0, 0.76)[0] == -1
 
 
 def test_simulate_no_jumps_when_all_rates_zero():
@@ -703,12 +719,11 @@ def test_weights_from_the_intensity_table_are_the_product_traces(seed, d):
     blk = tab.blocks[d]
     k = rng.integers(0, 4, 60)
     eta = np.stack([random_density(rng, d) for _ in k])
-    running, esc = blk.weights(k, eta, True)
+    running, esc = blk.weights(k, eta)
     for j, kk in enumerate(k.tolist()):
         want = np.cumsum([np.trace(r @ eta[j] @ r.conj().T).real for _, r in edges[kk]])
         assert_allclose(running[j, : want.size], want, rtol=1e-13, atol=0)
         assert_allclose(esc[j], np.trace(escapes[kk] @ eta[j]).real, rtol=1e-13, atol=0)
-    assert not blk.weights(k, eta, False)[1].any()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -763,8 +778,26 @@ def test_escape_by_jump_choice_after_a_matrix_wait_matches_the_oracle():
 
 def test_vanishing_weights_after_a_matrix_wait_match_the_oracle(monkeypatch):
     monkeypatch.setattr(trajectory._Block, "weights",
-                        lambda blk, k, eta, escape: (np.zeros((k.size, 1)), np.zeros(k.size)))
+                        lambda blk, k, eta: (np.zeros((k.size, 1)), np.zeros(k.size)))
     m = jordan_vertex_model()
     got = _same_as_the_oracle(m, SitedState(1, [[1.0]]), 50.0, range(40))
     for rec in got:  # slot -2: absorbed at the first matrix vertex reached
         assert rec.absorbed and [ev.vertex for ev in rec.events] == [0]
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 60])
+def test_decay_below_the_plateau_is_uniform_decay(d):
+    """A decay |G + G^dag|_2 < _PLATEAU that is not a multiple of the
+    identity passes the uniform-decay test for d < 100: its rate is at most
+    _PLATEAU, so no event ever comes."""
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    decay = a @ a.conj().T
+    decay *= 0.9 * trajectory._PLATEAU / np.linalg.norm(decay, 2)
+    g = -1j * random_hermitian(rng, d) - 0.5 * decay
+    gplus = g + g.conj().T
+    assert np.linalg.norm(gplus, 2) < trajectory._PLATEAU
+    assert np.linalg.norm(gplus - np.trace(gplus) / d * np.eye(d)) > 0.1 * trajectory._PLATEAU
+    rate = trajectory._bare_tables(g).rate[0]
+    assert 0.0 <= rate <= trajectory._PLATEAU
+    assert trajectory.sample_jump_time(g, random_density(rng, d), 0.5) is None
