@@ -23,6 +23,7 @@ import numbers
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -429,38 +430,12 @@ class TrajectoryRecord:
         return len(self.events)
 
 
-_RECORD_TOL = 1e-9  # unit trace and positivity of a post-jump state
-
-
-def check_record(model: WalkModel, rec: TrajectoryRecord):
-    """Assert the structural invariants of a sampled record."""
-    t_prev = 0.0
-    x_prev = rec.initial.vertex
-    for ev in rec.events:
-        if not ev.time > t_prev:
-            raise ModelError("event times must be strictly increasing")
-        if ev.time >= rec.horizon:
-            raise ModelError("event beyond the horizon")
-        if ev.vertex == x_prev:
-            raise ModelError("consecutive vertices must differ")
-        d = model.dim(ev.vertex)
-        if ev.rho.shape != (d, d):
-            raise ModelError("post-jump state has the wrong shape")
-        tr = float(np.trace(ev.rho).real)
-        if abs(tr - 1.0) > _RECORD_TOL:
-            raise ModelError(f"post-jump state trace {tr} != 1")
-        mineig = float(np.min(np.linalg.eigvalsh(linalg.herm(ev.rho))))
-        if mineig < -_RECORD_TOL:
-            raise ModelError(f"post-jump state eigenvalue {mineig} < 0")
-        t_prev, x_prev = ev.time, ev.vertex
-
-
 # -- the simulator ---------------------------------------------------------
 
 # Walkers advance together in chunks of this many streams, so memory does
 # not grow with the number of trajectories.
 _CHUNK = 256
-# Uniforms drawn at once from one walker's stream.
+# Uniforms a walker's buffer holds: one block of its stream.
 _DRAWS = 64
 # Jumps one trajectory may take: the guard against a runaway intensity.
 _MAX_JUMPS = 10_000_000
@@ -496,22 +471,11 @@ def _mix(x: int, y: int) -> int:
     return value ^ value >> 16
 
 
-def _absorb(pool, const: int, words) -> tuple[list, int]:
-    """Mix every word into each pool word in turn, as SeedSequence does with
-    the entropy words past the pool size."""
-    pool = list(pool)
-    for w in words:
-        for dst in range(_POOL):
-            h, const = _hashmix(w, const)
-            pool[dst] = _mix(pool[dst], h)
-    return pool, const
-
-
-@functools.lru_cache(maxsize=16)
 def _seed_pool(seed: int) -> tuple[tuple, int]:
     """The pool and hash constant of ``SeedSequence(seed, spawn_key=...)``
     after the seed's words and before those of the spawn key.  With a spawn
-    key, a seed shorter than the pool is zero-padded to it."""
+    key, a seed shorter than the pool is zero-padded to it; the words past
+    the pool are mixed into each pool word in turn."""
     words = _words(seed)
     words += [0] * (_POOL - len(words))
     pool, const = [], _INIT_A
@@ -523,54 +487,128 @@ def _seed_pool(seed: int) -> tuple[tuple, int]:
             if src != dst:
                 h, const = _hashmix(pool[src], const)
                 pool[dst] = _mix(pool[dst], h)
-    pool, const = _absorb(pool, const, words[_POOL:])
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            h, const = _hashmix(w, const)
+            pool[dst] = _mix(pool[dst], h)
     return tuple(pool), const
 
 
-def _philox_key(pool: tuple, const: int, stream: int) -> list[int]:
-    """Philox key of ``SeedSequence(seed, spawn_key=(stream,))`` from the
-    seed's pool: ``generate_state(2, np.uint64)``."""
-    pool, _ = _absorb(pool, const, _words(stream))
-    out, const = [], _INIT_B
-    for w in pool:
-        w ^= const
-        const = const * _MULT_B & _MASK32
-        w = w * const & _MASK32
-        out.append(w ^ w >> 16)
-    return [out[0] | out[1] << 32, out[2] | out[3] << 32]
+def _constants(const: int, mult: int, n: int) -> tuple:
+    """``const`` and the ``n`` hash constants that follow it."""
+    out = [const]
+    for _ in range(n):
+        const = const * mult & _MASK32
+        out.append(const)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=16)
+def _key_constants(seed: int, n_words: int) -> tuple[tuple, tuple]:
+    """What the key of a stream of ``n_words`` 32-bit words under ``seed``
+    depends on besides its words: the seed's pool and the hash constants
+    that mix the stream's words into it, four for each word and the next."""
+    pool, const = _seed_pool(seed)
+    return pool, _constants(const, _MULT_A, _POOL * n_words)
+
+
+_OUT = _constants(_INIT_B, _MULT_B, _POOL)  # the hash constants of generate_state
+
+
+def _keys(seed: int, streams: list[int]) -> list[list[int]]:
+    """The Philox keys of ``SeedSequence(seed, spawn_key=(stream,))``,
+    ``generate_state(2, np.uint64)``, for every stream: the stream's words
+    are hashed into the seed's pool, then the pool into the key, with the
+    constants of :func:`_key_constants`."""
+    mask, mix_l, mix_r = _MASK32, _MIX_L, _MIX_R
+    b0, b1, b2, b3, b4 = _OUT
+    keys = []
+    for stream in streams:
+        words = _words(stream)
+        (p0, p1, p2, p3), c = _key_constants(seed, len(words))
+        for j, w in enumerate(words):
+            c0, c1, c2, c3, c4 = c[_POOL * j: _POOL * j + 5]
+            h = (w ^ c0) * c1 & mask
+            p0 = (mix_l * p0 - mix_r * (h ^ h >> 16)) & mask
+            p0 ^= p0 >> 16
+            h = (w ^ c1) * c2 & mask
+            p1 = (mix_l * p1 - mix_r * (h ^ h >> 16)) & mask
+            p1 ^= p1 >> 16
+            h = (w ^ c2) * c3 & mask
+            p2 = (mix_l * p2 - mix_r * (h ^ h >> 16)) & mask
+            p2 ^= p2 >> 16
+            h = (w ^ c3) * c4 & mask
+            p3 = (mix_l * p3 - mix_r * (h ^ h >> 16)) & mask
+            p3 ^= p3 >> 16
+        p0, p1 = (p0 ^ b0) * b1 & mask, (p1 ^ b1) * b2 & mask
+        p2, p3 = (p2 ^ b2) * b3 & mask, (p3 ^ b3) * b4 & mask
+        keys.append([p0 ^ p0 >> 16 | (p1 ^ p1 >> 16) << 32,
+                     p2 ^ p2 >> 16 | (p3 ^ p3 >> 16) << 32])
+    return keys
 
 
 _PHILOX = threading.local()  # one bit generator per thread, made on first use
 
 
-def _uniforms(key: list[int]):
-    """The doubles of successive ``random()`` calls of the Philox4x64-10
-    generator with ``key``, drawn ``_DRAWS`` at a time.  Each counter step
-    yields four 64-bit words, so refill ``r`` starts from counter
-    ``r * _DRAWS / 4`` with an empty buffer; the generator's documented
-    state is set to that before each refill."""
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for counter in itertools.count(0, _DRAWS // 4):
-        gen = getattr(_PHILOX, "gen", None)
-        if gen is None:
-            gen = _PHILOX.gen = np.random.Generator(np.random.Philox(0))
-        state["state"]["counter"][0] = counter
-        gen.bit_generator.state = state
-        yield from gen.random(_DRAWS).tolist()
+def _block(key: list[int], counter: int) -> list[float]:
+    """The ``_DRAWS`` doubles that ``random()`` of the Philox4x64-10
+    generator with ``key`` gives from ``counter`` on, with an empty buffer.
+    Each counter step yields four 64-bit words, so block ``r`` of a stream
+    starts at counter ``r * _DRAWS / 4``; the generator's documented state
+    is set to that first."""
+    gen = getattr(_PHILOX, "gen", None)
+    if gen is None:
+        gen = _PHILOX.gen = np.random.Generator(np.random.Philox(0))
+        _PHILOX.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0]},
+                         "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state = _PHILOX.state
+    state["state"]["key"] = key
+    state["state"]["counter"][0] = counter
+    gen.bit_generator.state = state
+    return gen.random(_DRAWS).tolist()
 
 
-def _draws(seed: int, streams) -> list:
-    """The uniforms of each stream: those of
+class _Streams:
+    """The uniforms of a chunk of walkers, one ``(seed, stream)`` stream
+    each: those of
     ``Generator(Philox(SeedSequence(seed, spawn_key=(stream,)))).random()``
     (counter-based, so parallel streams are independent and every stream is
-    reproducible in isolation).  The seed's words are mixed once per seed;
-    each stream adds only its own."""
-    seed, streams = int(seed), [int(s) for s in streams]
-    if seed < 0 or any(s < 0 for s in streams):
-        raise PreconditionError("seed and stream must be nonnegative integers")
-    pool, const = _seed_pool(seed)
-    return [_uniforms(_philox_key(pool, const, s)) for s in streams]
+    reproducible in isolation).
+
+    Walker ``i`` reads ``bufs[i][at[i]]`` next.  Its buffer holds one block
+    of its stream and is refilled in place when read to the end, from
+    ``counter[i]``.
+    """
+
+    def __init__(self, seed: int, streams):
+        seed, streams = int(seed), [int(s) for s in streams]
+        if seed < 0 or min(streams) < 0:
+            raise PreconditionError("seed and stream must be nonnegative integers")
+        self.keys = _keys(seed, streams)
+        self.bufs = [_block(key, 0) for key in self.keys]  # every walker draws
+        self.at = [0] * len(streams)
+        self.counter = [_DRAWS // 4] * len(streams)
+
+    def refill(self, i: int):
+        """Load walker ``i``'s next block and read it from its start."""
+        self.bufs[i][:] = _block(self.keys[i], self.counter[i])
+        self.counter[i] += _DRAWS // 4
+        self.at[i] = 0
+
+    def draw(self, walkers, positive: bool = False) -> list[float]:
+        """The next draw of each of ``walkers``; with ``positive``, the next
+        nonzero one (a wait inverts ``-log u``)."""
+        bufs, at, out = self.bufs, self.at, []
+        for i in walkers:
+            while True:
+                if at[i] == _DRAWS:
+                    self.refill(i)
+                u = bufs[i][at[i]]
+                at[i] += 1
+                if u > 0.0 or not positive:
+                    break
+            out.append(u)
+        return out
 
 
 def _start(model: WalkModel, init: SitedState, horizon: float):
@@ -588,13 +626,6 @@ def _start(model: WalkModel, init: SitedState, horizon: float):
     return tab, k0, rho / trace
 
 
-def _positive(draws) -> float:
-    u = next(draws)
-    while u <= 0.0:
-        u = next(draws)
-    return u
-
-
 def _runaway() -> ConvergenceError:
     return ConvergenceError(
         f"trajectory exceeded {_MAX_JUMPS} jumps before the horizon; "
@@ -602,39 +633,59 @@ def _runaway() -> ConvergenceError:
     )
 
 
-def _sample(tab: _Tables, k0: int, rho0: np.ndarray, init: SitedState, horizon: float,
-            seed: int, streams, stop_at: int = -1,
-            keep_rho: bool = True) -> list[TrajectoryRecord]:
+class _Events(NamedTuple):
+    """The events of a chunk of walkers, in the order they were sampled
+    (each walker's in time order): walker index, time, vertex position and,
+    where kept, the post-jump state; and how each walker ended."""
+
+    walker: list[int]
+    time: list[float]
+    pos: list[int]
+    rho: list | None
+    absorbed: list[bool]
+    escaped: list[float | None]
+
+
+def _sample(tab: _Tables, k0: int, rho0: np.ndarray, horizon: float, seed: int, streams,
+            stop_at: int = -1, keep_rho: bool = True) -> _Events:
     """Sample one trajectory per stream, all walkers advancing together.
 
-    Each walker reads the uniforms of its own stream (:func:`_draws`) in the
-    order a lone walker would.  At one-dimensional vertices the state is
-    fixed and every event is scalar work: a walker runs through them on its
-    own, in one tight loop over the vertex tables.  Walkers at vertices with
-    matrix states take their next events together, one batched step at a
-    time: per vertex dimension, their states are stacked once for the
+    Each walker reads the uniforms of its own stream (:class:`_Streams`) in
+    the order a lone walker would.  At one-dimensional vertices the state
+    is fixed and every event is scalar work: a walker runs through them on
+    its own, in one tight loop over the vertex tables.  Walkers at vertices
+    with matrix states take their next events together, one batched step at
+    a time: per vertex dimension, their states are stacked once for the
     waiting time, and unless it lies beyond the horizon, the dwell flow and
-    the jump.  Walkers stop when absorbed, at the horizon, on
-    escape, or on arriving at position ``stop_at``.  ``keep_rho`` keeps the
-    post-jump states in the records.
+    the jump.  Walkers stop when absorbed, at the horizon, on escape, or on
+    arriving at position ``stop_at``.  ``keep_rho`` keeps the post-jump
+    states.
     """
-    n = len(streams)
-    draws = _draws(seed, streams)
-    pos, t, rho = [k0] * n, [0.0] * n, [rho0] * n
-    absorbed, escaped = [False] * n, [None] * n
-    events: list[list] = [[] for _ in range(n)]
+    draws = _Streams(seed, streams)
+    n = len(draws.bufs)
+    pos, t, rho, jumps = [k0] * n, [0.0] * n, [rho0] * n, [0] * n
+    ev = _Events([], [], [], [] if keep_rho else None, [False] * n, [None] * n)
+    absorbed, escaped = ev.absorbed, ev.escaped
+    add_walker, add_time, add_pos = ev.walker.append, ev.time.append, ev.pos.append
+    add_rho = ev.rho.append if keep_rho else None
     dim, rate, running, esc, total = tab.dim, tab.rate, tab.running, tab.esc, tab.total
-    dst, posts, ids, log, max_jumps = tab.dst, tab.posts, tab.ids, math.log, _MAX_JUMPS
+    dst, posts, log, max_jumps = tab.dst, tab.posts, math.log, _MAX_JUMPS
+    bufs, ats, refill, size = draws.bufs, draws.at, draws.refill, _DRAWS
 
     run = list(range(n))
     while run:
         batch = []
         for i in run:
-            k, now, state, draw, record = pos[i], t[i], rho[i], draws[i], events[i]
+            k, now, state, buf, at, count = pos[i], t[i], rho[i], bufs[i], ats[i], jumps[i]
             while dim[k] == 1:
-                u = next(draw)
-                while u <= 0.0:
-                    u = next(draw)
+                while True:
+                    if at == size:
+                        refill(i)
+                        at = 0
+                    u = buf[at]
+                    at += 1
+                    if u > 0.0:
+                        break
                 if rate[k] <= _PLATEAU:
                     absorbed[i] = True
                     break
@@ -642,7 +693,11 @@ def _sample(tab: _Tables, k0: int, rho0: np.ndarray, init: SitedState, horizon: 
                 now_next = now + -log(u) / rate[k]
                 if now_next >= horizon:
                     break
-                slot = _pick(running[k], esc[k], total[k], next(draw))
+                if at == size:
+                    refill(i)
+                    at = 0
+                slot = _pick(running[k], esc[k], total[k], buf[at])
+                at += 1
                 if slot < 0:
                     if slot == -1:
                         escaped[i] = now_next
@@ -650,14 +705,19 @@ def _sample(tab: _Tables, k0: int, rho0: np.ndarray, init: SitedState, horizon: 
                         absorbed[i] = True
                     break
                 k, now, state = dst[k][slot], now_next, posts[k][slot]
-                record.append(JumpEvent(now, ids[k], state if keep_rho else None))
-                if len(record) > max_jumps:
+                add_walker(i)
+                add_time(now)
+                add_pos(k)
+                if keep_rho:
+                    add_rho(state)
+                count += 1
+                if count > max_jumps:
                     raise _runaway()
                 if k == stop_at:
                     break
             else:
                 batch.append(i)
-            pos[i], t[i], rho[i] = k, now, state
+            pos[i], t[i], rho[i], ats[i], jumps[i] = k, now, state, at, count
         if not batch:
             break
         run = []
@@ -665,7 +725,7 @@ def _sample(tab: _Tables, k0: int, rho0: np.ndarray, init: SitedState, horizon: 
             blk, group = tab.blocks[d], [batch[j] for j in js]
             ks = np.array([pos[i] for i in group])
             states = np.stack([rho[i] for i in group])
-            dts = blk.wait(ks, states, [_positive(draws[i]) for i in group])
+            dts = blk.wait(ks, states, draws.draw(group, positive=True))
             go = []
             for j, (i, dt) in enumerate(zip(group, dts)):
                 if dt is None:
@@ -677,7 +737,7 @@ def _sample(tab: _Tables, k0: int, rho0: np.ndarray, init: SitedState, horizon: 
             ks, dts = ks[go], [dts[j] for j in go]
             group = [group[j] for j in go]
             etas = blk.flow(ks, states[go], np.array(dts))
-            hops = blk.jump(ks, etas, [next(draws[i]) for i in group])
+            hops = blk.jump(ks, etas, draws.draw(group))
             for i, k, dt, (slot, post) in zip(group, ks.tolist(), dts, hops):
                 t_next = t[i] + dt
                 if slot == -2:
@@ -687,14 +747,27 @@ def _sample(tab: _Tables, k0: int, rho0: np.ndarray, init: SitedState, horizon: 
                 else:
                     x = dst[k][slot]
                     pos[i], t[i], rho[i] = x, t_next, post
-                    events[i].append(JumpEvent(t_next, ids[x], post if keep_rho else None))
-                    if len(events[i]) > max_jumps:
+                    add_walker(i)
+                    add_time(t_next)
+                    add_pos(x)
+                    if keep_rho:
+                        add_rho(post)
+                    jumps[i] += 1
+                    if jumps[i] > max_jumps:
                         raise _runaway()
                     if x != stop_at:
                         run.append(i)
-    return [
-        TrajectoryRecord(init, events[i], horizon, absorbed[i], escaped[i]) for i in range(n)
-    ]
+    return ev
+
+
+def _records(ids, init: SitedState, horizon: float, ev: _Events) -> list[TrajectoryRecord]:
+    """The trajectory records of a chunk's events, built in one pass."""
+    events: list[list] = [[] for _ in ev.absorbed]
+    rhos = itertools.repeat(None) if ev.rho is None else ev.rho
+    for i, event in zip(ev.walker, map(JumpEvent, ev.time, map(ids.__getitem__, ev.pos), rhos)):
+        events[i].append(event)
+    return [TrajectoryRecord(init, e, horizon, a, x)
+            for e, a, x in zip(events, ev.absorbed, ev.escaped)]
 
 
 def simulate(
@@ -715,7 +788,8 @@ def simulate(
     """
     tab, k0, rho0 = _start(model, init, horizon)
     stop = -1 if stop_at is None else model.position(stop_at)
-    return _sample(tab, k0, rho0, init, horizon, seed, [stream], stop)[0]
+    ev = _sample(tab, k0, rho0, horizon, seed, [stream], stop)
+    return _records(tab.ids, init, horizon, ev)[0]
 
 
 def survival_function(model: WalkModel, vertex: VertexId, rho):
@@ -788,6 +862,60 @@ def _is_time(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
+class _Tally:
+    """The events of a chunk as arrays sorted by walker, each walker's in
+    time order, and the record queries over all its walkers at once.  Each
+    query gives the numbers of the :class:`TrajectoryRecord` method of the
+    same name, bit for bit; vertices are positions."""
+
+    def __init__(self, ev: _Events, k0: int, horizon: float):
+        self.n, self.k0 = len(ev.absorbed), k0
+        w = np.array(ev.walker, dtype=np.intp)
+        order = np.argsort(w, kind="stable")
+        self.w, self.t = w[order], np.array(ev.time, dtype=float)[order]
+        self.x = np.array(ev.pos, dtype=np.intp)[order]
+        self.count = np.bincount(self.w, minlength=self.n)
+        self.start = np.cumsum(self.count) - self.count  # each walker's first event
+        self.escaped = np.array([math.inf if e is None else e for e in ev.escaped])
+        self.end = np.minimum(horizon, self.escaped)
+
+    def _last(self, mask: np.ndarray):
+        """Each walker's position and time after the last of its events in
+        ``mask``, a prefix of them; ``k0`` and 0.0 before its first."""
+        c = np.bincount(self.w[mask], minlength=self.n)
+        at = np.where(c > 0, self.start + c - 1, -1)
+        return np.append(self.x, self.k0)[at], np.append(self.t, 0.0)[at]
+
+    def position_at(self, t: float) -> np.ndarray:
+        """Each walker's position at ``t``; -1 once it escaped."""
+        x, _ = self._last(self.t <= t)
+        return np.where(t >= self.escaped, -1, x)
+
+    def first_passage(self, k: int) -> np.ndarray:
+        """The first arrival time at ``k`` of each walker that arrives."""
+        hit = self.x == k
+        return self.t[hit][np.unique(self.w[hit], return_index=True)[1]]
+
+    def visit_count(self, k: int) -> np.ndarray:
+        return np.bincount(self.w[self.x == k], minlength=self.n) + (self.k0 == k)
+
+    def occupation_time(self, k: int) -> np.ndarray:
+        """Each walker's time at ``k``.  ``np.add.at`` is unbuffered and adds
+        in index order, so each sum takes its dwell intervals in the order
+        of the record's loop."""
+        first = self.start[self.count > 0]
+        x_prev, t_prev = np.roll(self.x, 1), np.roll(self.t, 1)
+        x_prev[first], t_prev[first] = self.k0, 0.0
+        keep = self.t < self.end[self.w]
+        dwell = keep & (x_prev == k)
+        total = np.zeros(self.n)
+        np.add.at(total, self.w[dwell], (self.t - t_prev)[dwell])
+        x, t_last = self._last(keep)
+        tail = (x == k) & (self.end > t_last)
+        total[tail] += (self.end - t_last)[tail]
+        return total
+
+
 def estimate(
     model: WalkModel,
     init: SitedState,
@@ -802,8 +930,8 @@ def estimate(
     The walkers advance together, ``_CHUNK`` streams at a time; each
     trajectory equals ``simulate(..., stream=k)``.
     ``on_record(k, record)``, when given, sees the ``k``-th sampled
-    trajectory as it is tallied; only then do the records keep their
-    post-jump states.
+    trajectory as it is tallied; only then are the records built, and
+    they keep their post-jump states.
 
     Supported queries (dicts):
 
@@ -823,16 +951,15 @@ def estimate(
     if n_traj < 1:
         raise PreconditionError("n_traj must be at least 1")
     tab, k0, rho0 = _start(model, init, horizon)
-    passage_hits: dict[int, np.ndarray] = {}
-    occupations: dict[int, np.ndarray] = {}
-    visits: dict[int, np.ndarray] = {}
-    position_counts: dict[int, dict] = {}
     if not isinstance(queries, list) or not all(isinstance(q, dict) for q in queries):
         raise ModelError("queries must be a list of JSON objects")
+    target: dict[int, int] = {}  # query -> the position of its vertex
+    tally: dict[int, np.ndarray] = {}
     for qi, q in enumerate(queries):
         kind = q.get("kind")
         if kind in ("passage_cdf", "occupation", "visits"):
-            model.position(q.get("vertex"))  # ModelError for a vertex not in the model
+            # ModelError for a vertex not in the model
+            target[qi] = model.position(q.get("vertex"))
         if kind == "passage_cdf":
             grid = q.get("grid")
             if not (isinstance(grid, list) and grid and all(map(_is_time, grid))):
@@ -841,11 +968,9 @@ def estimate(
                 raise PreconditionError("passage grid holds a time before the start")
             if max(grid) > horizon:
                 raise PreconditionError("passage grid reaches beyond the horizon")
-            passage_hits[qi] = np.zeros((len(q["grid"]), ), dtype=np.int64)
-        elif kind == "occupation":
-            occupations[qi] = np.zeros(n_traj)
-        elif kind == "visits":
-            visits[qi] = np.zeros(n_traj)
+            tally[qi] = np.zeros(len(grid), dtype=np.int64)  # arrivals by each grid time
+        elif kind in ("occupation", "visits"):
+            tally[qi] = np.zeros(n_traj)  # per trajectory
         elif kind == "position_law":
             if not _is_time(q.get("t")):
                 raise ModelError(f"query {qi}: 't' must be a finite time")
@@ -853,49 +978,43 @@ def estimate(
                 raise PreconditionError("position-law time lies before the start")
             if q["t"] > horizon:
                 raise PreconditionError("position-law time lies beyond the horizon")
-            position_counts[qi] = {v.id: 0 for v in model.vertices}
-            position_counts[qi][None] = 0
+            tally[qi] = np.zeros(len(tab.ids) + 1, dtype=np.int64)  # per position, then escaped
         else:
             raise PreconditionError(f"unknown query kind {kind!r}")
 
     for first in range(0, n_traj, _CHUNK):
         streams = range(first, min(first + _CHUNK, n_traj))
-        records = _sample(tab, k0, rho0, init, horizon, seed, streams,
-                          keep_rho=on_record is not None)
-        for k, rec in enumerate(records, first):
-            if on_record is not None:
+        ev = _sample(tab, k0, rho0, horizon, seed, streams, keep_rho=on_record is not None)
+        if on_record is not None:
+            for k, rec in enumerate(_records(tab.ids, init, horizon, ev), first):
                 on_record(k, rec)
-            for qi, q in enumerate(queries):
-                kind = q["kind"]
-                if kind == "passage_cdf":
-                    tau = rec.first_passage(q["vertex"])
-                    if tau is not None:
-                        grid = q["grid"]
-                        hits = passage_hits[qi]
-                        for gi, tg in enumerate(grid):
-                            if tau <= tg:
-                                hits[gi] += 1
-                elif kind == "occupation":
-                    occupations[qi][k] = rec.occupation_time(q["vertex"])
-                elif kind == "visits":
-                    visits[qi][k] = rec.visit_count(q["vertex"])
-                elif kind == "position_law":
-                    position_counts[qi][rec.position_at(q["t"])] += 1
+        arrays, chunk = _Tally(ev, k0, horizon), slice(first, first + len(streams))
+        for qi, q in enumerate(queries):
+            kind = q["kind"]
+            if kind == "passage_cdf":
+                tau = arrays.first_passage(target[qi])
+                tally[qi] += (tau[:, None] <= np.array(q["grid"], dtype=float)).sum(axis=0)
+            elif kind == "occupation":
+                tally[qi][chunk] = arrays.occupation_time(target[qi])
+            elif kind == "visits":
+                tally[qi][chunk] = arrays.visit_count(target[qi])
+            elif kind == "position_law":
+                x = arrays.position_at(q["t"])
+                escaped = len(tab.ids)
+                tally[qi] += np.bincount(np.where(x < 0, escaped, x), minlength=escaped + 1)
 
     reports = []
     for qi, q in enumerate(queries):
         kind = q["kind"]
         rep = EstimateReport(query=dict(q), n=n_traj)
         if kind == "passage_cdf":
-            for tg, k_hit in zip(q["grid"], passage_hits[qi]):
-                rep.points.append(_proportion_point(f"{tg:g}", int(k_hit), n_traj))
-        elif kind == "occupation":
-            rep.points.append(_mean_point(str(q["vertex"]), occupations[qi]))
-        elif kind == "visits":
-            rep.points.append(_mean_point(str(q["vertex"]), visits[qi]))
+            for tg, k_hit in zip(q["grid"], tally[qi].tolist()):
+                rep.points.append(_proportion_point(f"{tg:g}", k_hit, n_traj))
+        elif kind in ("occupation", "visits"):
+            rep.points.append(_mean_point(str(q["vertex"]), tally[qi]))
         elif kind == "position_law":
-            for key, count in position_counts[qi].items():
-                label = "escaped" if key is None else str(key)
+            labels = [str(v) for v in tab.ids] + ["escaped"]
+            for label, count in zip(labels, tally[qi].tolist()):
                 rep.points.append(_proportion_point(label, count, n_traj))
         reports.append(rep)
     return reports

@@ -13,8 +13,8 @@ from itertools import product
 import numpy as np
 import scipy.linalg as sla
 
-from ctoqw import trajectory
-from ctoqw.errors import ConvergenceError
+from ctoqw import linalg, trajectory
+from ctoqw.errors import ConvergenceError, ModelError
 from ctoqw.model import STRUCT_TOL, CheckResult, ValidationReport, WalkModel
 
 
@@ -386,6 +386,33 @@ def uniforms(rng: np.random.Generator):
         yield from rng.random(64).tolist()
 
 
+def philox_key(seed: int, stream: int) -> list[int]:
+    """The Philox key of ``SeedSequence(seed, spawn_key=(stream,))``,
+    ``generate_state(2, np.uint64)``, by numpy's hashing step by step: the
+    stream's words are mixed into the seed's pool one hash at a time."""
+    pool, const = trajectory._seed_pool(int(seed))
+    pool = list(pool)
+    for w in trajectory._words(int(stream)):
+        for dst in range(trajectory._POOL):
+            h, const = trajectory._hashmix(w, const)
+            pool[dst] = trajectory._mix(pool[dst], h)
+    out, const = [], trajectory._INIT_B
+    for w in pool:
+        w ^= const
+        const = const * trajectory._MULT_B & trajectory._MASK32
+        w = w * const & trajectory._MASK32
+        out.append(w ^ w >> 16)
+    return [out[0] | out[1] << 32, out[2] | out[3] << 32]
+
+
+def positive(draws) -> float:
+    """The next nonzero uniform of ``draws``."""
+    u = next(draws)
+    while u <= 0.0:
+        u = next(draws)
+    return u
+
+
 def sample_per_walker(tab, k0, rho0, init, horizon, draws, stop_at=-1, keep_rho=True):
     """The sampler's walk loop one walker at a time: through its
     one-dimensional vertices by the scalar tables, and at a matrix vertex
@@ -413,7 +440,7 @@ def sample_per_walker(tab, k0, rho0, init, horizon, draws, stop_at=-1, keep_rho=
         batch = []
         for i in run:
             while tab.dim[k := pos[i]] == 1:
-                dt = trajectory._exponential_wait(tab.rate[k], trajectory._positive(draws[i]))
+                dt = trajectory._exponential_wait(tab.rate[k], positive(draws[i]))
                 if dt is None:
                     absorbed[i] = True
                     break
@@ -437,7 +464,7 @@ def sample_per_walker(tab, k0, rho0, init, horizon, draws, stop_at=-1, keep_rho=
         for i in batch:
             k, blk = pos[i], tab.blocks[tab.dim[pos[i]]]
             ks = np.array([k])
-            dt = blk.wait(ks, rho[i][None], [trajectory._positive(draws[i])])[0]
+            dt = blk.wait(ks, rho[i][None], [positive(draws[i])])[0]
             if dt is None:
                 absorbed[i] = True
                 continue
@@ -456,3 +483,29 @@ def sample_per_walker(tab, k0, rho0, init, horizon, draws, stop_at=-1, keep_rho=
         trajectory.TrajectoryRecord(init, events[i], horizon, absorbed[i], escaped[i])
         for i in range(n)
     ]
+
+
+_RECORD_TOL = 1e-9  # unit trace and positivity of a post-jump state
+
+
+def check_record(model: WalkModel, rec: trajectory.TrajectoryRecord):
+    """Assert the structural invariants of a sampled record."""
+    t_prev = 0.0
+    x_prev = rec.initial.vertex
+    for ev in rec.events:
+        if not ev.time > t_prev:
+            raise ModelError("event times must be strictly increasing")
+        if ev.time >= rec.horizon:
+            raise ModelError("event beyond the horizon")
+        if ev.vertex == x_prev:
+            raise ModelError("consecutive vertices must differ")
+        d = model.dim(ev.vertex)
+        if ev.rho.shape != (d, d):
+            raise ModelError("post-jump state has the wrong shape")
+        tr = float(np.trace(ev.rho).real)
+        if abs(tr - 1.0) > _RECORD_TOL:
+            raise ModelError(f"post-jump state trace {tr} != 1")
+        mineig = float(np.min(np.linalg.eigvalsh(linalg.herm(ev.rho))))
+        if mineig < -_RECORD_TOL:
+            raise ModelError(f"post-jump state eigenvalue {mineig} < 0")
+        t_prev, x_prev = ev.time, ev.vertex

@@ -226,7 +226,7 @@ def test_simulate_dump(tmp_path, spin_file, monkeypatch):
     streams = []
 
     def counting(*args, **kwargs):
-        streams.append(list(args[6]))
+        streams.append(list(args[5]))
         return sample(*args, **kwargs)
 
     monkeypatch.setattr(trajectory, "_sample", counting)

@@ -15,8 +15,9 @@ from ctoqw import fixtures, semigroup, trajectory
 from ctoqw.errors import ConvergenceError, ModelError, PreconditionError
 from ctoqw.model import (SitedState, WalkModel, build_lattice, build_walk, classical_embed,
                          matrix_to_json, sited_block_state)
-from oracles import rk4_dwell, sample_per_walker, trajectory_rng, uniforms
-from strategies import random_density, random_hermitian, random_model
+from oracles import (check_record, philox_key, rk4_dwell, sample_per_walker, trajectory_rng,
+                     uniforms)
+from strategies import leaky_variant, random_density, random_hermitian, random_model
 
 
 def _lone(g) -> WalkModel:
@@ -219,7 +220,7 @@ def test_record_invariants(spin_small):
     init = SitedState(1, 0.5 * np.eye(2))
     for k in range(40):
         rec = trajectory.simulate(spin_small, init, 8.0, seed=41, stream=k)
-        trajectory.check_record(spin_small, rec)
+        check_record(spin_small, rec)
 
 
 def test_escape_recorded_on_boundary(biased_small):
@@ -253,17 +254,43 @@ _SEEDS = (0, 1, 101, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5)
 _STREAMS = list(range(50)) + [2**32 - 1, 2**32, 2**40 + 9, 2**70]
 
 
+def _read(draws: trajectory._Streams, i: int, n: int) -> list[float]:
+    """The next ``n`` uniforms of walker ``i``; its buffer never holds more
+    than one block."""
+    out = []
+    for _ in range(n):
+        out += draws.draw([i])
+        assert len(draws.bufs[i]) <= trajectory._DRAWS
+    return out
+
+
 def test_streams_are_the_seed_sequence_philox_streams():
     # 200 draws per stream take four refills; the streams are read in
     # turns of 50 draws, so refills of different streams interleave
     for seed in _SEEDS:
-        draws = trajectory._draws(seed, _STREAMS)
+        draws = trajectory._Streams(seed, _STREAMS)
         got = [[] for _ in _STREAMS]
         for _ in range(4):
-            for out, draw in zip(got, draws):
-                out.extend(itertools.islice(draw, 50))
+            for i, out in enumerate(got):
+                out.extend(_read(draws, i, 50))
         for stream, out in zip(_STREAMS, got):
             assert out == trajectory_rng(seed, stream).random(200).tolist(), (seed, stream)
+
+
+def test_stream_buffer_holds_one_block():
+    draws = trajectory._Streams(7, [3])
+    assert _read(draws, 0, 10_000) == trajectory_rng(7, 3).random(10_000).tolist()
+    assert len(draws.bufs[0]) == trajectory._DRAWS
+
+
+def test_keys_from_the_hoisted_constants_are_the_seed_sequence_keys():
+    # streams of one, two and three 32-bit words in one chunk
+    streams = [0, 5, 2**32 - 1, 2**32, 2**40 + 9, 2**64 - 1, 2**64, 2**70, 7, 2**33 + 1]
+    for seed in _SEEDS:
+        want = [np.random.SeedSequence(seed, spawn_key=(s,)).generate_state(2, np.uint64).tolist()
+                for s in streams]
+        assert trajectory._keys(seed, streams) == want, seed
+        assert [philox_key(seed, s) for s in streams] == want, seed
 
 
 def test_streams_read_in_threads_are_their_own():
@@ -273,8 +300,8 @@ def test_streams_read_in_threads_are_their_own():
     got: dict = {}
 
     def read(seed):
-        draws = trajectory._draws(seed, range(8))
-        got[seed] = [list(itertools.islice(d, 300)) for d in draws]
+        draws = trajectory._Streams(seed, range(8))
+        got[seed] = [_read(draws, i, 300) for i in range(8)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -294,7 +321,7 @@ def test_streams_read_in_threads_are_their_own():
 @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (2**40, -(2**40))])
 def test_negative_seed_or_stream_is_a_precondition_error(two_site, seed, stream):
     with pytest.raises(PreconditionError, match="nonnegative"):
-        trajectory._draws(seed, [0, stream])
+        trajectory._Streams(seed, [0, stream])
     with pytest.raises(PreconditionError, match="nonnegative"):
         trajectory.simulate(two_site, SitedState(0, [[1.0]]), 1.0, seed=seed, stream=stream)
 
@@ -329,6 +356,23 @@ def _scalar_cases(biased_small):
     yield "horizon", _PAIR, 0, [0.5, 0.5, 0.01, 0.5], 2.0, -1
 
 
+def _sampled(tab, k0, rho0, init, horizon, seed, streams, stop_at=-1):
+    """The records of ``_sample``'s events."""
+    ev = trajectory._sample(tab, k0, rho0, horizon, seed, streams, stop_at)
+    return trajectory._records(tab.ids, init, horizon, ev)
+
+
+def _script(monkeypatch, draws):
+    """Make every stream read the uniforms of the iterator ``draws()``."""
+    size = trajectory._DRAWS
+
+    def block(key, counter):
+        start = counter // (size // 4) * size
+        return list(itertools.islice(draws(), start, start + size))
+
+    monkeypatch.setattr(trajectory, "_block", block)
+
+
 def _same_records(a, b):
     assert [(ev.time, ev.vertex) for ev in a.events] == [(ev.time, ev.vertex) for ev in b.events]
     assert [ev.rho.tobytes() for ev in a.events] == [ev.rho.tobytes() for ev in b.events]
@@ -341,17 +385,19 @@ def test_scalar_loop_matches_the_per_walker_oracle(biased_small, monkeypatch):
     assert _LAST * _GUARD.total[0] > running[-1] and esc <= trajectory._PLATEAU
     seen = {}
     for name, tab, k0, script, horizon, stop in cases:
-        def scripted(n):
-            return [itertools.chain(script, itertools.cycle([0.4, 0.6])) for _ in range(n)]
+        def scripted():
+            return itertools.chain(script, itertools.cycle([0.4, 0.6]))
 
-        monkeypatch.setattr(trajectory, "_draws", lambda seed, streams: scripted(len(streams)))
+        _script(monkeypatch, scripted)
         init, rho0 = SitedState(tab.ids[k0], [[1.0]]), np.ones((1, 1), dtype=complex)
-        got = trajectory._sample(tab, k0, rho0, init, horizon, 0, [0, 1], stop)
-        want = sample_per_walker(tab, k0, rho0, init, horizon, scripted(2), stop)
+        got = _sampled(tab, k0, rho0, init, horizon, 0, [0, 1], stop)
+        want = sample_per_walker(tab, k0, rho0, init, horizon, [scripted(), scripted()], stop)
         for a, b in zip(got, want):
             _same_records(a, b)
         seen[name] = got[0]
     assert seen["zero-draws-skipped"].events[0].time == -math.log(0.5)
+    # after its odd count of skipped zeros, draw 64 is a jump's: a block ends there
+    assert seen["zero-draws-skipped"].jump_count > 32
     assert [ev.vertex for ev in seen["rounding-guard"].events] == [2]
     assert seen["rounding-guard"].absorbed
     edge_rate = trajectory._tables(biased_small).rate[biased_small.position(8)]
@@ -364,15 +410,15 @@ def test_scalar_loop_matches_the_per_walker_oracle(biased_small, monkeypatch):
 def test_scalar_loop_jump_budget_matches_the_oracle(monkeypatch):
     # every wait is log 2, so the horizon admits 50 or 51 jumps
     monkeypatch.setattr(trajectory, "_MAX_JUMPS", 50)
-    monkeypatch.setattr(trajectory, "_draws", lambda seed, streams: [itertools.cycle([0.5])])
+    _script(monkeypatch, lambda: itertools.cycle([0.5]))
     init, rho0 = SitedState(0, [[1.0]]), np.ones((1, 1), dtype=complex)
     horizon = 50.5 * math.log(2.0)
-    got = trajectory._sample(_PAIR, 0, rho0, init, horizon, 0, [0])[0]
+    got = _sampled(_PAIR, 0, rho0, init, horizon, 0, [0])[0]
     _same_records(got, sample_per_walker(_PAIR, 0, rho0, init, horizon, [itertools.cycle([0.5])])[0])
     assert got.jump_count == 50
     horizon += math.log(2.0)
     with pytest.raises(ConvergenceError, match="exceeded 50 jumps"):
-        trajectory._sample(_PAIR, 0, rho0, init, horizon, 0, [0])
+        trajectory._sample(_PAIR, 0, rho0, horizon, 0, [0])
     with pytest.raises(ConvergenceError, match="exceeded 50 jumps"):
         sample_per_walker(_PAIR, 0, rho0, init, horizon, [itertools.cycle([0.5])])
 
@@ -386,7 +432,7 @@ def test_sampler_matches_the_per_walker_oracle_on_its_streams(stop_on_return):
         tab, k0, rho0 = trajectory._start(m, init, horizon)
         k_stop = k0 if stop_on_return else -1
         streams = range(40)
-        got = trajectory._sample(tab, k0, rho0, init, horizon, 23, streams, k_stop)
+        got = _sampled(tab, k0, rho0, init, horizon, 23, streams, k_stop)
         draws = [uniforms(trajectory_rng(23, s)) for s in streams]
         for a, b in zip(got, sample_per_walker(tab, k0, rho0, init, horizon, draws, k_stop)):
             _same_records(a, b)
@@ -473,21 +519,27 @@ def test_estimate_samples_in_chunks_and_keeps_no_states(two_site, monkeypatch):
 
     def spy(*args, **kwargs):
         out = sample(*args, **kwargs)
-        calls.append((len(args[6]), kwargs["keep_rho"]))
-        states = [ev.rho for rec in out for ev in rec.events]
-        assert states and all((rho is None) != kwargs["keep_rho"] for rho in states)
+        calls.append((len(args[5]), kwargs["keep_rho"]))
+        assert out.time
+        if kwargs["keep_rho"]:
+            assert len(out.rho) == len(out.time) and all(rho is not None for rho in out.rho)
+        else:
+            assert out.rho is None
         return out
 
+    records = trajectory._records
+    built = []
     monkeypatch.setattr(trajectory, "_sample", spy)
+    monkeypatch.setattr(trajectory, "_records", lambda *a: built.append(1) or records(*a))
     init = SitedState(0, [[1.0]])
     n = 2 * trajectory._CHUNK + 1
     queries = [{"kind": "visits", "vertex": 1}]
     trajectory.estimate(two_site, init, 3.0, n, seed=2, queries=queries)
     chunk = trajectory._CHUNK
-    assert calls == [(chunk, False), (chunk, False), (1, False)]
+    assert calls == [(chunk, False), (chunk, False), (1, False)] and not built
     calls.clear()
     trajectory.estimate(two_site, init, 3.0, 3, seed=2, queries=queries, on_record=lambda k, r: None)
-    assert calls == [(3, True)]
+    assert calls == [(3, True)] and built == [1]
 
 
 def test_estimate_rejects_unknown_query(two_site):
@@ -531,6 +583,72 @@ def test_occupation_is_exact_dwell_sum(two_site):
     rec = trajectory.simulate(two_site, SitedState(0, [[1.0]]), 12.0, seed=8)
     total = rec.occupation_time(0) + rec.occupation_time(1)
     assert total == pytest.approx(12.0, abs=1e-12)
+
+
+def test_occupation_ignores_events_from_the_escape_on():
+    # hand-built: the events at and after the escape time never happen in a
+    # sampled record; the record method and the tally both stop at the first
+    events = [(1.0, 1), (2.0, 0), (3.0, 1)]
+    rec = trajectory.TrajectoryRecord(SitedState(0, [[1.0]]),
+                                      [trajectory.JumpEvent(t, x, None) for t, x in events],
+                                      10.0, escaped_at=2.0)
+    assert (rec.occupation_time(0), rec.occupation_time(1)) == (1.0, 1.0)
+    ev = trajectory._Events([0, 0, 0], [t for t, _ in events], [x for _, x in events], None,
+                            [False], [2.0])
+    tally = trajectory._Tally(ev, 0, 10.0)
+    assert (tally.occupation_time(0).tolist(), tally.occupation_time(1).tolist()) == ([1.0], [1.0])
+    # at the escape time the walker is gone
+    assert [rec.position_at(t) for t in (0.5, 1.5, 2.0)] == [0, 1, None]
+    assert [tally.position_at(t).tolist() for t in (0.5, 1.5, 2.0)] == [[0], [1], [-1]]
+
+
+def _tally_models():
+    rng = np.random.default_rng(19)
+    yield random_model(rng, n_vertices=4, max_dim=1)
+    yield leaky_variant(rng, random_model(rng, n_vertices=5, max_dim=1))
+    yield random_model(rng, n_vertices=3, max_dim=3)
+    yield leaky_variant(rng, random_model(rng, n_vertices=4, max_dim=2))
+
+
+@pytest.mark.parametrize("m", list(_tally_models()), ids=["scalar", "scalar-leaky", "matrix",
+                                                          "matrix-leaky"])
+def test_estimate_tallies_are_the_record_methods(m, monkeypatch):
+    """Every tallied number equals the record methods of ``simulate``, bit
+    for bit, over more than one chunk of walkers; the per-trajectory means
+    are checked value by value."""
+    means = []
+    mean_point = trajectory._mean_point
+    def spy(label, values):
+        means.append(values.tolist())
+        return mean_point(label, values)
+
+    monkeypatch.setattr(trajectory, "_mean_point", spy)
+    d = m.dim(0)
+    init, horizon, n = SitedState(0, np.eye(d) / d), 3.0, trajectory._CHUNK + 50
+    times, grid = [0.0, 0.7, horizon], [0.0, 0.5, 1.5, horizon]
+    queries = [{"kind": "position_law", "t": t} for t in times]
+    for v in m.ids[:2]:
+        queries += [{"kind": "passage_cdf", "vertex": v, "grid": grid},
+                    {"kind": "occupation", "vertex": v}, {"kind": "visits", "vertex": v}]
+    reports = trajectory.estimate(m, init, horizon, n, seed=3, queries=queries)
+    recs = [trajectory.simulate(m, init, horizon, seed=3, stream=k) for k in range(n)]
+    assert any(rec.escaped_at is not None for rec in recs) == bool(m.meta.get("escaping"))
+    want_means = []
+    for q, rep in zip(queries, reports):
+        got = [(p.label, p.estimate) for p in rep.points]
+        if q["kind"] == "position_law":
+            at = [rec.position_at(q["t"]) for rec in recs]
+            want = [(str(v), at.count(v) / n) for v in m.ids] + [("escaped", at.count(None) / n)]
+            assert got == want
+        elif q["kind"] == "passage_cdf":
+            tau = [rec.first_passage(q["vertex"]) for rec in recs]
+            hits = [sum(x is not None and x <= tg for x in tau) for tg in grid]
+            assert got == [(f"{tg:g}", k / n) for tg, k in zip(grid, hits)]
+        elif q["kind"] == "occupation":
+            want_means.append([rec.occupation_time(q["vertex"]) for rec in recs])
+        else:
+            want_means.append([float(rec.visit_count(q["vertex"])) for rec in recs])
+    assert means == want_means
 
 
 def test_estimate_first_return_cdf(two_site):
@@ -760,7 +878,7 @@ def _escaping_qubit_line():
 
 def _same_as_the_oracle(m, init, horizon, streams):
     tab, k0, rho0 = trajectory._start(m, init, horizon)
-    got = trajectory._sample(tab, k0, rho0, init, horizon, 29, streams)
+    got = _sampled(tab, k0, rho0, init, horizon, 29, streams)
     draws = [uniforms(trajectory_rng(29, s)) for s in streams]
     for a, b in zip(got, sample_per_walker(tab, k0, rho0, init, horizon, draws)):
         _same_records(a, b)
@@ -774,6 +892,24 @@ def test_escape_by_jump_choice_after_a_matrix_wait_matches_the_oracle():
     got = _same_as_the_oracle(m, SitedState(1, np.diag([0.0, 1.0])), 6.0, range(60))
     assert sum(rec.escaped_at is not None for rec in got) > 10  # slot -1
     assert any(rec.escaped_at is None for rec in got)
+
+
+def test_scripted_draws_at_matrix_vertices_match_the_oracle(monkeypatch):
+    # zero draws are skipped for a wait, not for a jump, and the blocks run
+    # out in the batched step too
+    def scripted():
+        return itertools.chain([0.0, 0.0, 0.5, 0.0, 0.0, 0.7], itertools.cycle([0.4, 0.6, 0.3]))
+
+    _script(monkeypatch, scripted)
+    m = jordan_vertex_model()
+    tab, k0, rho0 = trajectory._start(m, SitedState(0, np.eye(2) / 2), 80.0)
+    init = SitedState(0, rho0)
+    got = _sampled(tab, k0, rho0, init, 80.0, 0, [0, 1])
+    want = sample_per_walker(tab, k0, rho0, init, 80.0, [scripted(), scripted()])
+    for a, b in zip(got, want):
+        _same_records(a, b)
+    assert got[0].events[0].time == trajectory.sample_jump_time(m.effective(0), rho0, 0.5)
+    assert 2 * got[0].jump_count + 4 > 2 * trajectory._DRAWS  # the walker reads three blocks
 
 
 def test_vanishing_weights_after_a_matrix_wait_match_the_oracle(monkeypatch):
