@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import PreconditionError
+from .errors import ConvergenceError, PreconditionError
 from .model import VertexId, WalkModel
 from .passage import first_passage_map, return_operators, with_certificates
 from .superop import SuperOp
@@ -317,22 +317,23 @@ class ClassificationReport:
 
 
 def _perron_state(p_map: SuperOp):
-    """Leading eigenvalue and normalized PSD eigenmatrix of a CP map."""
+    """Spectral radius and trace-one Perron eigenmatrix of a CP map, with
+    the least eigenvalue of that eigenmatrix.
+
+    The spectral radius of a positive map is itself an eigenvalue with a
+    PSD eigenmatrix (Evans and Hoegh-Krohn 1978), so it is the eigenvalue
+    of largest real part; one of largest modulus may be ``-r`` or a
+    rotation of ``r``.  The eigenvector comes with an arbitrary complex
+    phase, which dividing by its complex trace removes.
+    """
     vals, vecs = np.linalg.eig(p_map.matrix)
-    k = int(np.argmax(np.abs(vals)))
-    lam = float(np.abs(vals[k]))
-    v = vecs[:, k]
-    rho = linalg.unvec(v, (p_map.source_dim, p_map.source_dim))
-    rho = linalg.herm(rho)
-    tr = np.trace(rho).real
+    k = int(np.argmax(vals.real))
+    rho = linalg.unvec(vecs[:, k], (p_map.source_dim, p_map.source_dim))
+    tr = np.trace(rho)
     if abs(tr) < 1e-14:
-        # fall back to the positive part when the trace cancels
-        vals_h, vecs_h = np.linalg.eigh(rho)
-        rho = vecs_h @ np.diag(np.clip(vals_h, 0, None)) @ vecs_h.conj().T
-        tr = np.trace(rho).real
-    rho = rho / tr
-    min_eig = float(np.min(np.linalg.eigvalsh(rho)))
-    return float(lam), rho, min_eig
+        raise ConvergenceError("the Perron eigenmatrix of the return map has vanishing trace")
+    rho = linalg.herm(rho / tr)
+    return float(np.abs(vals[k])), rho, float(np.min(np.linalg.eigvalsh(rho)))
 
 
 def return_probability_extremes(

@@ -349,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
         "classify.",
         allow_abbrev=False,
     )
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed in [0, 2**64); trajectory k uses Philox4x64-10 keyed by (seed, k)")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="structural validation tolerance")
     p.add_argument("--json-logs", action="store_true",

@@ -16,7 +16,6 @@ leaves the retained vertex set and never returns.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import numbers
@@ -441,112 +440,6 @@ _DRAWS = 64
 _MAX_JUMPS = 10_000_000
 
 
-# numpy's SeedSequence entropy mixing (numpy/random/bit_generator.pyx) on
-# 32-bit words, with its default pool of four words
-_MASK32 = 0xFFFF_FFFF
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _words(n: int) -> list[int]:
-    """Little-endian 32-bit words of ``n >= 0``; one word for zero."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hashmix(value: int, const: int) -> tuple[int, int]:
-    """SeedSequence's ``hashmix``: the hashed word and the next constant."""
-    value ^= const
-    const = const * _MULT_A & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
-
-
-def _mix(x: int, y: int) -> int:
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return value ^ value >> 16
-
-
-def _seed_pool(seed: int) -> tuple[tuple, int]:
-    """The pool and hash constant of ``SeedSequence(seed, spawn_key=...)``
-    after the seed's words and before those of the spawn key.  With a spawn
-    key, a seed shorter than the pool is zero-padded to it; the words past
-    the pool are mixed into each pool word in turn."""
-    words = _words(seed)
-    words += [0] * (_POOL - len(words))
-    pool, const = [], _INIT_A
-    for w in words[:_POOL]:
-        h, const = _hashmix(w, const)
-        pool.append(h)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                h, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], h)
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            h, const = _hashmix(w, const)
-            pool[dst] = _mix(pool[dst], h)
-    return tuple(pool), const
-
-
-def _constants(const: int, mult: int, n: int) -> tuple:
-    """``const`` and the ``n`` hash constants that follow it."""
-    out = [const]
-    for _ in range(n):
-        const = const * mult & _MASK32
-        out.append(const)
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=16)
-def _key_constants(seed: int, n_words: int) -> tuple[tuple, tuple]:
-    """What the key of a stream of ``n_words`` 32-bit words under ``seed``
-    depends on besides its words: the seed's pool and the hash constants
-    that mix the stream's words into it, four for each word and the next."""
-    pool, const = _seed_pool(seed)
-    return pool, _constants(const, _MULT_A, _POOL * n_words)
-
-
-_OUT = _constants(_INIT_B, _MULT_B, _POOL)  # the hash constants of generate_state
-
-
-def _keys(seed: int, streams: list[int]) -> list[list[int]]:
-    """The Philox keys of ``SeedSequence(seed, spawn_key=(stream,))``,
-    ``generate_state(2, np.uint64)``, for every stream: the stream's words
-    are hashed into the seed's pool, then the pool into the key, with the
-    constants of :func:`_key_constants`."""
-    mask, mix_l, mix_r = _MASK32, _MIX_L, _MIX_R
-    b0, b1, b2, b3, b4 = _OUT
-    keys = []
-    for stream in streams:
-        words = _words(stream)
-        (p0, p1, p2, p3), c = _key_constants(seed, len(words))
-        for j, w in enumerate(words):
-            c0, c1, c2, c3, c4 = c[_POOL * j: _POOL * j + 5]
-            h = (w ^ c0) * c1 & mask
-            p0 = (mix_l * p0 - mix_r * (h ^ h >> 16)) & mask
-            p0 ^= p0 >> 16
-            h = (w ^ c1) * c2 & mask
-            p1 = (mix_l * p1 - mix_r * (h ^ h >> 16)) & mask
-            p1 ^= p1 >> 16
-            h = (w ^ c2) * c3 & mask
-            p2 = (mix_l * p2 - mix_r * (h ^ h >> 16)) & mask
-            p2 ^= p2 >> 16
-            h = (w ^ c3) * c4 & mask
-            p3 = (mix_l * p3 - mix_r * (h ^ h >> 16)) & mask
-            p3 ^= p3 >> 16
-        p0, p1 = (p0 ^ b0) * b1 & mask, (p1 ^ b1) * b2 & mask
-        p2, p3 = (p2 ^ b2) * b3 & mask, (p3 ^ b3) * b4 & mask
-        keys.append([p0 ^ p0 >> 16 | (p1 ^ p1 >> 16) << 32,
-                     p2 ^ p2 >> 16 | (p3 ^ p3 >> 16) << 32])
-    return keys
-
-
 _PHILOX = threading.local()  # one bit generator per thread, made on first use
 
 
@@ -570,10 +463,10 @@ def _block(key: list[int], counter: int) -> list[float]:
 
 class _Streams:
     """The uniforms of a chunk of walkers, one ``(seed, stream)`` stream
-    each: those of
-    ``Generator(Philox(SeedSequence(seed, spawn_key=(stream,)))).random()``
-    (counter-based, so parallel streams are independent and every stream is
-    reproducible in isolation).
+    each: those of ``Generator(Philox(key=k)).random()`` with ``k`` the
+    uint64 pair ``[seed, stream]``, the Philox4x64-10 generator keyed by
+    the pair (counter-based, so distinct keys give independent streams and
+    every stream is reproducible in isolation).
 
     Walker ``i`` reads ``bufs[i][at[i]]`` next.  Its buffer holds one block
     of its stream and is refilled in place when read to the end, from
@@ -582,9 +475,9 @@ class _Streams:
 
     def __init__(self, seed: int, streams):
         seed, streams = int(seed), [int(s) for s in streams]
-        if seed < 0 or min(streams) < 0:
-            raise PreconditionError("seed and stream must be nonnegative integers")
-        self.keys = _keys(seed, streams)
+        if not (0 <= seed < 2**64 and 0 <= min(streams) and max(streams) < 2**64):
+            raise PreconditionError("seed and stream must be nonnegative integers below 2**64")
+        self.keys = [[seed, s] for s in streams]
         self.bufs = [_block(key, 0) for key in self.keys]  # every walker draws
         self.at = [0] * len(streams)
         self.counter = [_DRAWS // 4] * len(streams)
@@ -781,7 +674,9 @@ def simulate(
     """Sample one trajectory up to ``horizon``: the one-walker case of the
     sampler behind :func:`estimate`.
 
-    Deterministic given ``(seed, stream)`` and the inputs.  ``stop_at``
+    Deterministic given ``(seed, stream)`` and the inputs: the uniforms
+    are those of Philox4x64-10 keyed by the pair, so both must lie in
+    ``[0, 2**64)`` (``PreconditionError`` otherwise).  ``stop_at``
     truncates the walk right after the first arrival at that vertex, which
     is convenient for passage-time sampling.  Raises when the jump count
     exceeds ``_MAX_JUMPS`` (a runaway intensity guard).
@@ -927,8 +822,9 @@ def estimate(
 ) -> list[EstimateReport]:
     """Monte Carlo estimates over ``n_traj`` independent trajectories.
 
-    The walkers advance together, ``_CHUNK`` streams at a time; each
-    trajectory equals ``simulate(..., stream=k)``.
+    The walkers advance together, ``_CHUNK`` streams at a time; the
+    ``k``-th trajectory equals ``simulate(..., seed=seed, stream=k)``, so
+    ``seed`` must lie in ``[0, 2**64)``.
     ``on_record(k, record)``, when given, sees the ``k``-th sampled
     trajectory as it is tallied; only then are the records built, and
     they keep their post-jump states.

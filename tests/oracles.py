@@ -374,35 +374,16 @@ def occupation_dense_radius(model: WalkModel, i, j, rho, tol: float = 1e-8) -> f
 
 def trajectory_rng(seed: int, stream: int) -> np.random.Generator:
     """The generator of stream ``stream`` of ``seed`` that the sampler's
-    uniforms must reproduce: numpy's Philox4x64-10 keyed by
-    ``SeedSequence(seed, spawn_key=(stream,))``."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
-    return np.random.Generator(np.random.Philox(ss))
+    uniforms must reproduce: numpy's Philox4x64-10 keyed by the pair.  The
+    key is a uint64 array: ``Philox(key=[seed, stream])`` would pass a list
+    through float64 and round words above 2**53."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def uniforms(rng: np.random.Generator):
     """The doubles of successive ``rng.random()`` calls, 64 at a time."""
     while True:
         yield from rng.random(64).tolist()
-
-
-def philox_key(seed: int, stream: int) -> list[int]:
-    """The Philox key of ``SeedSequence(seed, spawn_key=(stream,))``,
-    ``generate_state(2, np.uint64)``, by numpy's hashing step by step: the
-    stream's words are mixed into the seed's pool one hash at a time."""
-    pool, const = trajectory._seed_pool(int(seed))
-    pool = list(pool)
-    for w in trajectory._words(int(stream)):
-        for dst in range(trajectory._POOL):
-            h, const = trajectory._hashmix(w, const)
-            pool[dst] = trajectory._mix(pool[dst], h)
-    out, const = [], trajectory._INIT_B
-    for w in pool:
-        w ^= const
-        const = const * trajectory._MULT_B & trajectory._MASK32
-        w = w * const & trajectory._MASK32
-        out.append(w ^ w >> 16)
-    return [out[0] | out[1] << 32, out[2] | out[3] << 32]
 
 
 def positive(draws) -> float:

@@ -117,6 +117,55 @@ def test_classify_coherent_recurrent_faithful(coherent):
     assert rep.perron_min_eig > 1e-8
 
 
+_PSI = np.array([[1.0], [1.0j]]) / math.sqrt(2.0)
+
+
+def _pauli_return_walk():
+    """Base return map (X rho X + Y rho Y) / 2: spectrum {1, -1, 0, 0}, with
+    -1 of the same modulus as the Perron eigenvalue 1 and a traceless
+    eigenmatrix Z."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]]) / math.sqrt(2.0)
+    y = np.array([[0.0, -1.0j], [1.0j, 0.0]]) / math.sqrt(2.0)
+    return build_walk([("b", 2), ("c1", 2), ("c2", 2)],
+                      [("b", "c1", x), ("b", "c2", y), ("c1", "b", np.eye(2)),
+                       ("c2", "b", np.eye(2))])
+
+
+def _pure_return_walk():
+    """Base return map rho -> Tr(rho) psi psi^dag through two scalar
+    vertices, with psi = (1, i) / sqrt 2: the Perron eigenmatrix has
+    off-diagonal entries, so LAPACK may return it with any complex phase."""
+    h = np.array([[0.3, 0.2], [0.2, -0.1]])
+    return build_walk([("b", 2), ("a", 1), ("c", 1)],
+                      [("b", "a", np.array([[1.0, 0.0]])), ("b", "c", np.array([[0.0, 1.0]])),
+                       ("a", "b", _PSI), ("c", "b", _PSI)],
+                      hamiltonians={"b": h})
+
+
+@pytest.mark.parametrize("walk, state", [(_pauli_return_walk, np.eye(2) / 2),
+                                         (_pure_return_walk, _PSI @ _PSI.conj().T)],
+                         ids=["pauli-return", "pure-return"])
+def test_perron_state_is_the_eigenmatrix_of_the_spectral_radius(walk, state):
+    rep = classify.classify_trichotomy(walk(), "b")
+    assert rep.case == classify.RECURRENT
+    assert rep.spectral_radius == pytest.approx(1.0, abs=1e-9)
+    assert_allclose(rep.perron_state, state, atol=1e-7)
+    assert rep.perron_min_eig == pytest.approx(np.linalg.eigvalsh(state)[0], abs=1e-7)
+
+
+def test_perron_state_of_a_rank_one_map():
+    pure = _PSI @ _PSI.conj().T
+    p = SuperOp(2, 2, 0.5 * np.outer(linalg.vec(pure), linalg.vec(np.eye(2)).conj()))
+    lam, rho, min_eig = classify._perron_state(p)
+    assert lam == pytest.approx(0.5, abs=1e-12)
+    assert_allclose(rho, pure, atol=1e-12)
+    assert min_eig == pytest.approx(0.0, abs=1e-12)
+    # a map that is not positive: its leading eigenmatrix Z is traceless
+    z = np.diag([1.0, -1.0])
+    with pytest.raises(ConvergenceError, match="vanishing trace"):
+        classify._perron_state(SuperOp(2, 2, 0.5 * np.outer(linalg.vec(z), linalg.vec(z))))
+
+
 def test_classify_biased_uniform(biased_small):
     rep = classify.classify_trichotomy(biased_small, 0)
     assert rep.case == classify.TRANSIENT_UNIFORM

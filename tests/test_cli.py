@@ -456,6 +456,14 @@ def test_artifacts_embed_window_metadata(tmp_path, spin_file):
     assert doc["meta"]["escaping_boundary"] == ["10"]
 
 
+def test_commands_that_do_not_sample_take_any_seed(tmp_path, two_site_file):
+    # only the sampler keys Philox streams with the seed
+    for seed in (-1, 2**64):
+        out = tmp_path / "v.json"
+        assert run(tmp_path, "validate", "--model", two_site_file, "--seed", seed, "--out", out) == 0
+        assert json.loads(out.read_text())["meta"]["seed"] == seed
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_entry_is_a_parse_error(tmp_path, two_site_file, capsys, value):
     doc = json.loads(two_site_file.read_text())
@@ -593,6 +601,8 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, data):
     [
         (["--seed=-1", "simulate", "--start", "1:e1", "--horizon", 1, "--n", 2], 4,
          "PreconditionError: seed and stream must be nonnegative"),
+        (["--seed=18446744073709551616", "simulate", "--start", "0:e1", "--horizon", 1, "--n", 2],
+         4, "PreconditionError: seed and stream must be nonnegative integers below 2**64"),
         (["simulate", "--start", "1:{d}", "--horizon", 1, "--n", 2], 1, "IsADirectoryError"),
         (["simulate", "--start", "1:{d}/state.json", "--horizon", 1, "--n", 2], 1,
          "ModelError: initial state at vertex 1 must be a 1x1 matrix"),
@@ -612,7 +622,7 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, data):
         (["fixtures", "--name", "biased-line", "--window", 3, 9], 1,
          "ctoqw: error: unrecognized arguments: 9"),
     ],
-    ids=["negative-seed", "state-is-a-directory", "state-of-wrong-shape",
+    ids=["negative-seed", "seed-past-the-key-range", "state-is-a-directory", "state-of-wrong-shape",
          "model-is-a-directory", "unwritable-out", "superscript-vertex", "double-sign-vertex",
          "unknown-query-vertex", "unknown-flag", "missing-option", "bad-int", "two-windows"],
 )
@@ -702,3 +712,9 @@ def test_json_logs_error_is_one_json_object(tmp_path, two_site_file, capsys):
     err = capsys.readouterr().err
     assert code == 1 and json.loads(err) == {
         "error": "ctoqw simulate: error: argument --n: invalid int value: 'x'", "exit_code": 1}
+    code = run(tmp_path, "--json-logs", "--seed", 2**64, "simulate", "--model", two_site_file,
+               "--start", "0:e1", "--horizon", 2, "--n", 5)
+    err = capsys.readouterr().err
+    assert code == 4 and err.count("\n") == 1 and json.loads(err) == {
+        "error": "PreconditionError: seed and stream must be nonnegative integers below 2**64",
+        "exit_code": 4}

@@ -15,7 +15,7 @@ from ctoqw import fixtures, semigroup, trajectory
 from ctoqw.errors import ConvergenceError, ModelError, PreconditionError
 from ctoqw.model import (SitedState, WalkModel, build_lattice, build_walk, classical_embed,
                          matrix_to_json, sited_block_state)
-from oracles import (check_record, philox_key, rk4_dwell, sample_per_walker, trajectory_rng,
+from oracles import (check_record, rk4_dwell, sample_per_walker, trajectory_rng,
                      uniforms)
 from strategies import leaky_variant, random_density, random_hermitian, random_model
 
@@ -250,8 +250,9 @@ def test_circuit_breaker_on_the_batched_path(two_site, monkeypatch):
                             queries=[{"kind": "visits", "vertex": 1}])
 
 
-_SEEDS = (0, 1, 101, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5)
-_STREAMS = list(range(50)) + [2**32 - 1, 2**32, 2**40 + 9, 2**70]
+# the key's words at the edges of float64's exact integers, of int64 and of uint64
+_SEEDS = (0, 1, 13, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1)
+_STREAMS = list(range(50)) + [2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]
 
 
 def _read(draws: trajectory._Streams, i: int, n: int) -> list[float]:
@@ -264,7 +265,7 @@ def _read(draws: trajectory._Streams, i: int, n: int) -> list[float]:
     return out
 
 
-def test_streams_are_the_seed_sequence_philox_streams():
+def test_streams_are_the_keyed_philox_streams():
     # 200 draws per stream take four refills; the streams are read in
     # turns of 50 draws, so refills of different streams interleave
     for seed in _SEEDS:
@@ -278,29 +279,20 @@ def test_streams_are_the_seed_sequence_philox_streams():
 
 
 def test_stream_buffer_holds_one_block():
-    draws = trajectory._Streams(7, [3])
-    assert _read(draws, 0, 10_000) == trajectory_rng(7, 3).random(10_000).tolist()
+    draws = trajectory._Streams(2**64 - 1, [2**63 + 1])
+    assert _read(draws, 0, 10_000) == trajectory_rng(2**64 - 1, 2**63 + 1).random(10_000).tolist()
     assert len(draws.bufs[0]) == trajectory._DRAWS
-
-
-def test_keys_from_the_hoisted_constants_are_the_seed_sequence_keys():
-    # streams of one, two and three 32-bit words in one chunk
-    streams = [0, 5, 2**32 - 1, 2**32, 2**40 + 9, 2**64 - 1, 2**64, 2**70, 7, 2**33 + 1]
-    for seed in _SEEDS:
-        want = [np.random.SeedSequence(seed, spawn_key=(s,)).generate_state(2, np.uint64).tolist()
-                for s in streams]
-        assert trajectory._keys(seed, streams) == want, seed
-        assert [philox_key(seed, s) for s in streams] == want, seed
 
 
 def test_streams_read_in_threads_are_their_own():
     # each thread refills from its own bit generator; with a short switch
     # interval the threads interleave between setting its state and drawing
-    seeds = (5, 2**40 + 1, 101, 0)
+    seeds = (0, 2**53 + 1, 2**63, 2**64 - 1)
+    streams = _STREAMS[-8:]
     got: dict = {}
 
     def read(seed):
-        draws = trajectory._Streams(seed, range(8))
+        draws = trajectory._Streams(seed, streams)
         got[seed] = [_read(draws, i, 300) for i in range(8)]
 
     interval = sys.getswitchinterval()
@@ -315,15 +307,31 @@ def test_streams_read_in_threads_are_their_own():
     finally:
         sys.setswitchinterval(interval)
     for seed in seeds:
-        assert got[seed] == [trajectory_rng(seed, s).random(300).tolist() for s in range(8)]
+        assert got[seed] == [trajectory_rng(seed, s).random(300).tolist() for s in streams]
+
+
+def _check_key_range(two_site, seed, stream):
+    """Seed and stream outside the key's word range [0, 2**64) raise from
+    the streams, ``simulate`` and, for the seed, ``estimate``."""
+    init, message = SitedState(0, [[1.0]]), "nonnegative integers below 2\\*\\*64"
+    with pytest.raises(PreconditionError, match=message):
+        trajectory._Streams(seed, [0, stream])
+    with pytest.raises(PreconditionError, match=message):
+        trajectory.simulate(two_site, init, 1.0, seed=seed, stream=stream)
+    if not 0 <= seed < 2**64:
+        with pytest.raises(PreconditionError, match=message):
+            trajectory.estimate(two_site, init, 1.0, 3, seed=seed,
+                                queries=[{"kind": "visits", "vertex": 1}])
 
 
 @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (2**40, -(2**40))])
 def test_negative_seed_or_stream_is_a_precondition_error(two_site, seed, stream):
-    with pytest.raises(PreconditionError, match="nonnegative"):
-        trajectory._Streams(seed, [0, stream])
-    with pytest.raises(PreconditionError, match="nonnegative"):
-        trajectory.simulate(two_site, SitedState(0, [[1.0]]), 1.0, seed=seed, stream=stream)
+    _check_key_range(two_site, seed, stream)
+
+
+@pytest.mark.parametrize("seed, stream", [(2**64, 0), (0, 2**64), (2**70, 2**64 - 1)])
+def test_seed_or_stream_of_2_64_or_more_is_a_precondition_error(two_site, seed, stream):
+    _check_key_range(two_site, seed, stream)
 
 
 def _scalar_tables(edges, escapes):
