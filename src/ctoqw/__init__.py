@@ -33,9 +33,7 @@ from .model import (
     WalkModel,
     build_lattice,
     build_walk,
-    classical_block_state,
     classical_embed,
-    embedded_generator,
     model_from_json,
     sited_block_state,
     state_from_json,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,14 +95,6 @@ def sited_block_state(model: "WalkModel", vertex: VertexId, rho) -> BlockState:
     return BlockState(blocks)
 
 
-def classical_block_state(model: "WalkModel", weights: dict[VertexId, float]) -> BlockState:
-    blocks = {}
-    for v in model.vertices:
-        w = float(weights.get(v.id, 0.0))
-        blocks[v.id] = (w / v.dim) * np.eye(v.dim, dtype=complex)
-    return BlockState(blocks)
-
-
 def check_block_state(model: "WalkModel", mu: BlockState) -> None:
     """Raise :class:`ModelError` unless every block has its vertex's shape
     (checked first, for all vertices) and is Hermitian and positive
@@ -125,38 +118,70 @@ def check_block_state(model: "WalkModel", mu: BlockState) -> None:
         raise ModelError(f"total trace {tr!r} exceeds 1 beyond {STRUCT_TOL:.1e}")
 
 
-class WalkModel:
-    """Immutable container for a validated-shape walk model.
+class _Stacks(NamedTuple):
+    """The vertices of one internal dimension: their positions, increasing,
+    and ``H``, ``G``, the escape defect ``D`` and the decay
+    ``sum_j R[i->j]^dag R[i->j]`` of each, stacked in that order."""
 
-    Use :func:`build_walk`, :func:`classical_embed`, :func:`build_lattice`
-    or :func:`model_from_json` to construct instances.
+    pos: np.ndarray
+    ham: np.ndarray
+    eff: np.ndarray
+    defect: np.ndarray
+    decay: np.ndarray
+
+
+class WalkModel:
+    """Immutable walk model, held as stacks of equally shaped matrices.
+
+    Per internal dimension one :class:`_Stacks`; per jump shape one stack of
+    the jumps of that shape in jump order.  Every matrix an accessor returns
+    is a read-only view of a stack.  Use :func:`build_walk`,
+    :func:`classical_embed`, :func:`build_lattice` or
+    :func:`model_from_json` to construct instances.
     """
 
-    def __init__(self, vertices, hamiltonians, effective, defects, jumps, meta=None):
+    def __init__(self, vertices, stacks, ends, jumps, meta=None):
+        """``stacks`` maps each dimension to its :class:`_Stacks`; ``ends``
+        lists the ``(src, dst)`` vertex positions of every jump in jump
+        order, and ``jumps`` holds one ``(ks, stack)`` per jump shape, the
+        increasing jump-order indices ``ks`` of the stack's matrices."""
         self.vertices: tuple[VertexSpace, ...] = tuple(vertices)
-        self._index = {v.id: k for k, v in enumerate(self.vertices)}
+        self._ids = tuple(v.id for v in self.vertices)
+        self._index = {vid: k for k, vid in enumerate(self._ids)}
         if len(self._index) != len(self.vertices):
             raise ModelError("vertex ids must be unique")
-        self._by_text = {str(v.id): v.id for v in self.vertices}
+        self._by_text = {str(vid): vid for vid in self._ids}
         if len(self._by_text) != len(self.vertices):
             raise ModelError("vertex ids must remain unique as strings")
-        self._ham = tuple(hamiltonians)
-        self._eff = tuple(effective)
-        self._defect = tuple(defects)
-        self._jumps = dict(jumps)  # (from_pos, to_pos) -> matrix
+        self._stacks: dict[int, _Stacks] = dict(stacks)
+        for s in self._stacks.values():
+            for stack in (s.ham, s.eff, s.defect, s.decay):
+                stack.flags.writeable = False
+        self._row = _rows([s.pos for s in self._stacks.values()], len(self.vertices)).tolist()
+        self._ends = list(ends)
+        self._jump_at = {e: k for k, e in enumerate(self._ends)}
+        if len(self._jump_at) != len(self._ends):  # the dict kept the last of a duplicate
+            a, b = next(e for k, e in enumerate(self._ends) if self._jump_at[e] != k)
+            raise ModelError(f"duplicate jump {self._ids[a]!r} -> {self._ids[b]!r}")
+        self._jump_stacks = list(jumps)
+        self._slot: list = [None] * len(self._ends)  # (stack, row) of each jump
+        for ks, stack in self._jump_stacks:
+            stack.flags.writeable = False
+            for r, k in enumerate(ks.tolist()):
+                self._slot[k] = stack, r
+        self._out: list[list[int]] = [[] for _ in self.vertices]  # jumps by source, in order
+        self._in: list[list[int]] = [[] for _ in self.vertices]
+        for k, (a, b) in enumerate(self._ends):
+            self._out[a].append(k)
+            self._in[b].append(k)
         self.meta = dict(meta or {})
-        self._out = {k: [] for k in range(len(self.vertices))}
-        self._in = {k: [] for k in range(len(self.vertices))}
-        for (a, b), r in self._jumps.items():
-            self._out[a].append((b, r))
-            self._in[b].append((a, r))
         self._derived: dict = {}
 
     # -- lookups ---------------------------------------------------------
 
     @property
     def ids(self) -> list[VertexId]:
-        return [v.id for v in self.vertices]
+        return list(self._ids)
 
     def position(self, vertex: VertexId) -> int:
         try:
@@ -178,28 +203,43 @@ class WalkModel:
     def total_dim(self) -> int:
         return sum(v.dim for v in self.vertices)
 
+    def _at(self, vertex: VertexId) -> tuple[_Stacks, int]:
+        p = self.position(vertex)
+        return self._stacks[self.vertices[p].dim], self._row[p]
+
     def hamiltonian(self, vertex: VertexId) -> np.ndarray:
-        return self._ham[self.position(vertex)]
+        s, r = self._at(vertex)
+        return s.ham[r]
 
     def effective(self, vertex: VertexId) -> np.ndarray:
-        return self._eff[self.position(vertex)]
+        s, r = self._at(vertex)
+        return s.eff[r]
 
     def escape_defect(self, vertex: VertexId) -> np.ndarray:
-        return self._defect[self.position(vertex)]
+        s, r = self._at(vertex)
+        return s.defect[r]
+
+    def _jump(self, k: int) -> np.ndarray:
+        stack, r = self._slot[k]
+        return stack[r]
 
     def jump(self, src: VertexId, dst: VertexId) -> np.ndarray | None:
-        return self._jumps.get((self.position(src), self.position(dst)))
+        k = self._jump_at.get((self.position(src), self.position(dst)))
+        return None if k is None else self._jump(k)
 
     def jumps(self):
         """Iterate (src_id, dst_id, matrix) in deterministic order."""
-        for (a, b), r in self._jumps.items():
-            yield self.vertices[a].id, self.vertices[b].id, r
+        ids = self._ids
+        for k, (a, b) in enumerate(self._ends):
+            yield ids[a], ids[b], self._jump(k)
 
     def out_edges(self, vertex: VertexId):
-        return [(self.vertices[b].id, r) for b, r in self._out[self.position(vertex)]]
+        ks = self._out[self.position(vertex)]
+        return [(self._ids[self._ends[k][1]], self._jump(k)) for k in ks]
 
     def in_edges(self, vertex: VertexId):
-        return [(self.vertices[a].id, r) for a, r in self._in[self.position(vertex)]]
+        ks = self._in[self.position(vertex)]
+        return [(self._ids[self._ends[k][0]], self._jump(k)) for k in ks]
 
     # -- derived quantities ------------------------------------------------
 
@@ -231,18 +271,22 @@ class WalkModel:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        hams, effs = [None] * len(self.vertices), [None] * len(self.vertices)
+        for s in self._stacks.values():
+            for p, h, g in zip(s.pos.tolist(), matrix_to_json(s.ham), matrix_to_json(s.eff)):
+                hams[p], effs[p] = h, g
+        mats = [None] * len(self._ends)
+        for ks, stack in self._jump_stacks:
+            for k, r in zip(ks.tolist(), matrix_to_json(stack)):
+                mats[k] = r
+        ids = self._ids
         doc: dict = {
             "vertices": [{"id": v.id, "dim": v.dim} for v in self.vertices],
-            "hamiltonians": {
-                str(v.id): matrix_to_json(h) for v, h in zip(self.vertices, self._ham)
-            },
+            "hamiltonians": {str(vid): h for vid, h in zip(ids, hams)},
             "jumps": [
-                {"from": src, "to": dst, "matrix": matrix_to_json(r)}
-                for src, dst, r in self.jumps()
+                {"from": ids[a], "to": ids[b], "matrix": r} for (a, b), r in zip(self._ends, mats)
             ],
-            "effective": {
-                str(v.id): matrix_to_json(g) for v, g in zip(self.vertices, self._eff)
-            },
+            "effective": {str(vid): g for vid, g in zip(ids, effs)},
         }
         if self.meta:
             doc["meta"] = self.meta
@@ -255,22 +299,38 @@ class WalkModel:
 
 # -- stacked matrix work -------------------------------------------------------
 #
-# Per-vertex and per-edge checks run as one LAPACK call per stack of equally
-# shaped matrices.  LAPACK factors each matrix of a stack on its own, with
-# the routine it uses for a lone matrix, so every norm and eigenvalue below
-# is the same float as the one computed matrix by matrix.
+# Per-vertex and per-edge work runs on stacks of equally shaped matrices.
+# LAPACK factors each matrix of a stack on its own, with the routine it uses
+# for a lone matrix, and matmul and elementwise arithmetic treat each matrix
+# of a stack as they treat it alone, so every float below is the one computed
+# matrix by matrix.
 
 
 def _dagger(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
 
 
-def _decays(dims, jumps: dict) -> list[np.ndarray]:
-    """The decay ``sum_j R[i->j]^dag R[i->j]`` of each vertex, added up in
-    jump order."""
-    decays = [np.zeros((d, d), dtype=complex) for d in dims]
-    for (a, _), r in jumps.items():
-        decays[a] += r.conj().T @ r
+def _rows(groups, n: int) -> np.ndarray:
+    """The row of each of ``n`` vertices in its group, given the positions
+    of each group."""
+    row = np.empty(n, dtype=int)
+    for pos in groups:
+        row[pos] = np.arange(len(pos))
+    return row
+
+
+def _decays(groups: dict, src_rows: np.ndarray, jumps) -> dict[int, np.ndarray]:
+    """Per dimension, the decay ``sum_j R[i->j]^dag R[i->j]`` of each of its
+    vertices, added up in jump order by one unbuffered ``np.add.at``;
+    ``src_rows`` holds the row of each jump's source in its group."""
+    parts: dict[int, list] = {}
+    for ks, r in jumps:
+        parts.setdefault(r.shape[-1], []).append((ks, _dagger(r) @ r))
+    decays = {d: np.zeros((len(pos), d, d), dtype=complex) for d, pos in groups.items()}
+    for d, found in parts.items():
+        ks = np.concatenate([k for k, _ in found])
+        order = np.argsort(ks, kind="stable")
+        np.add.at(decays[d], src_rows[ks[order]], np.concatenate([p for _, p in found])[order])
     return decays
 
 
@@ -282,37 +342,38 @@ def _canonical_hash(model: WalkModel) -> str:
 
 
 def _rate_constant(model: WalkModel) -> float:
-    norms = np.empty(len(model._jumps))
-    for ks, r in linalg.by_shape(list(model._jumps.values())):
+    norms = np.empty(len(model._ends))
+    for ks, r in model._jump_stacks:
         norms[ks] = linalg.opnorm(r @ _dagger(r))
     return float(sum(norms.tolist()))
 
 
 def _escaping_boundary(model: WalkModel) -> tuple:
     norms = np.empty(len(model.vertices))
-    for ks, d in linalg.by_shape(model._defect):
-        norms[ks] = linalg.opnorm(d)
-    return tuple(v.id for v, x in zip(model.vertices, norms.tolist()) if x > STRUCT_TOL)
+    for s in model._stacks.values():
+        norms[s.pos] = linalg.opnorm(s.defect)
+    return tuple(vid for vid, x in zip(model._ids, norms.tolist()) if x > STRUCT_TOL)
 
 
-def _require_hermitian(vspaces, hams) -> None:
-    """Raise naming the first supplied ``H``, in vertex order, that is not
-    Hermitian to a relative 1e-12 in spectral norm."""
-    given = [k for k, h in enumerate(hams) if h is not None]
+def _require_hermitian(name, hams) -> None:
+    """Raise naming (``name(k)``) the first supplied ``H``, in vertex order,
+    that is not Hermitian to a relative 1e-12 in spectral norm."""
     bad = []
-    for ks, h in linalg.by_shape([hams[k] for k in given]):
+    for ks, h in hams:
         res, norm = linalg.opnorm(np.concatenate([h - _dagger(h), h])).reshape(2, -1)
         bad.extend(ks[~(res <= 1e-12 * (1.0 + norm))].tolist())
     if bad:
-        raise ModelError(f"H at {vspaces[given[min(bad)]].id!r} is not Hermitian")
+        raise ModelError(f"{name(min(bad))} is not Hermitian")
 
 
 # -- complex matrix (de)serialization: rows of [re, im] pairs ---------------
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    """A matrix as rows of ``[re, im]`` pairs; a stack gives the list of its
+    matrices."""
+    m = np.ascontiguousarray(np.atleast_2d(np.asarray(m, dtype=complex)))
+    return m.view(float).reshape(m.shape + (2,)).tolist()
 
 
 def json_to_matrix(data) -> np.ndarray:
@@ -347,11 +408,30 @@ def _json_matrices(items) -> list[np.ndarray]:
 # -- construction ------------------------------------------------------------
 
 
-def _finite_matrix(m, what: str) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    if not np.isfinite(m).all():
-        raise ModelError(f"{what} has a NaN or infinite entry")
-    return m
+def _stacked(mats, rows: np.ndarray, cols: np.ndarray, name) -> list:
+    """``mats`` as complex stacks, one ``(ks, stack)`` per shape with the
+    increasing indices ``ks`` of its matrices; a scalar or vector input is
+    read as a matrix as ``np.atleast_2d`` reads it.  Raise naming
+    (``name(k)``) the first matrix with a NaN or infinite entry, else the
+    first whose shape is not ``(rows[k], cols[k])``."""
+    groups: dict[tuple, list[int]] = {}
+    for k, m in enumerate(mats):
+        shape = m.shape if isinstance(m, np.ndarray) else np.shape(m)
+        groups.setdefault((1,) * (2 - len(shape)) + shape, []).append(k)
+    out, nonfinite, misshapen = [], [], []
+    for shape, ks in groups.items():
+        ks = np.array(ks)
+        stack = np.array([mats[k] for k in ks], dtype=complex).reshape((len(ks),) + shape)
+        nonfinite.extend(ks[~np.isfinite(stack).reshape(len(ks), -1).all(axis=1)].tolist())
+        fits = (rows[ks] == shape[-2]) & (cols[ks] == shape[-1]) & (len(shape) == 2)
+        misshapen.extend((k, shape) for k in ks[~fits].tolist())
+        out.append((ks, stack))
+    if nonfinite:
+        raise ModelError(f"{name(min(nonfinite))} has a NaN or infinite entry")
+    if misshapen:
+        k, shape = min(misshapen)
+        raise ModelError(f"{name(k)} must have shape {(int(rows[k]), int(cols[k]))}, got {shape}")
+    return out
 
 
 def build_walk(
@@ -372,73 +452,77 @@ def build_walk(
     ``A = G_i + 1/2 sum R^dag R``; the leftover Hermitian part of ``A``
     becomes the escape defect ``D_i = -(A + A^dag)``, which is zero for
     closed models.  Validity of the defect (positive semidefiniteness) is
-    judged by :func:`validate`, not here.
+    judged by :func:`validate`, not here.  The matrices are grouped by shape
+    and computed on as stacks, each float as it is matrix by matrix.
     """
     vspaces = [VertexSpace(vid, int(dim)) for vid, dim in vertices]
     index = {v.id: k for k, v in enumerate(vspaces)}
     if len(index) != len(vspaces):
         raise ModelError("vertex ids must be unique")
-    dims = [v.dim for v in vspaces]
+    dims = np.array([v.dim for v in vspaces], dtype=int)
 
-    jump_map: dict[tuple[int, int], np.ndarray] = {}
+    ends, mats = [], []
     for src, dst, r in jumps:
         if src not in index or dst not in index:
             raise ModelError(f"jump references unknown vertex: {src!r} -> {dst!r}")
-        a, b = index[src], index[dst]
-        if a == b:
+        if index[src] == index[dst]:
             raise ModelError(f"self-loop jump at vertex {src!r} is not allowed")
-        r = _finite_matrix(r, f"jump {src!r} -> {dst!r}")
-        want = (dims[b], dims[a])
-        if r.shape != want:
-            raise ModelError(
-                f"jump {src!r} -> {dst!r} must have shape {want}, got {r.shape}"
-            )
-        if (a, b) in jump_map:
-            raise ModelError(f"duplicate jump {src!r} -> {dst!r}")
-        jump_map[(a, b)] = r
+        ends.append((index[src], index[dst]))
+        mats.append(r)
+    src, dst = np.array(ends, dtype=int).reshape(-1, 2).T
+    jump_stacks = _stacked(
+        mats, dims[dst], dims[src],
+        lambda k: f"jump {vspaces[ends[k][0]].id!r} -> {vspaces[ends[k][1]].id!r}",
+    )
 
-    hamiltonians = dict(hamiltonians or {})
-    effective = dict(effective or {})
+    groups = {d: np.flatnonzero(dims == d) for d in sorted(set(dims.tolist()))}
+    row = _rows(groups.values(), len(vspaces))
+    decays = _decays(groups, row[src], jump_stacks)
 
-    decays = _decays(dims, jump_map)
+    def given(name, supplied):
+        """The positions of the vertices ``supplied`` has a matrix for, and
+        those matrices stacked by shape."""
+        pos = np.array([k for k, v in enumerate(vspaces) if supplied.get(v.id) is not None],
+                       dtype=int)
+        stacks = _stacked(
+            [supplied[vspaces[k].id] for k in pos], dims[pos], dims[pos],
+            lambda k: f"{name} at {vspaces[pos[k]].id!r}",
+        )
+        return pos, stacks
 
-    hams: list = [None] * len(vspaces)
-    for k, v in enumerate(vspaces):
-        h_in = hamiltonians.get(v.id)
-        if h_in is not None:
-            h = hams[k] = _finite_matrix(h_in, f"H at {v.id!r}")
-            if h.shape != (v.dim, v.dim):
-                raise ModelError(f"H at {v.id!r} must be {v.dim}x{v.dim}, got {h.shape}")
-    _require_hermitian(vspaces, hams)
+    h_pos, h_given = given("H", hamiltonians or {})
+    _require_hermitian(lambda k: f"H at {vspaces[h_pos[k]].id!r}", h_given)
+    g_pos, g_given = given("G", effective or {})
 
-    effs, defects = [], []
-    for k, (v, decay) in enumerate(zip(vspaces, decays)):
-        d = v.dim
-        h = hams[k]
-        g_in = effective.get(v.id)
-        if g_in is not None:
-            g = _finite_matrix(g_in, f"G at {v.id!r}")
-            if g.shape != (d, d):
-                raise ModelError(f"G at {v.id!r} must be {d}x{d}, got {g.shape}")
-            a_mat = g + 0.5 * decay
-            h_rec = 0.5j * (a_mat - a_mat.conj().T)
-            defect = -(a_mat + a_mat.conj().T)
-            if h is not None:
-                if np.linalg.norm(h - h_rec) > STRUCT_TOL * (1.0 + np.linalg.norm(h)):
-                    raise ModelError(
-                        f"H and G disagree at vertex {v.id!r} beyond tolerance"
-                    )
-            h = h_rec
-        else:
-            if h is None:
-                h = np.zeros((d, d), dtype=complex)
-            g = -1j * h - 0.5 * decay
-            defect = np.zeros((d, d), dtype=complex)
-        hams[k] = h
-        effs.append(g)
-        defects.append(linalg.herm(defect))
+    hams = {d: np.zeros((len(pos), d, d), dtype=complex) for d, pos in groups.items()}
+    has_h = np.zeros(len(vspaces), dtype=bool)
+    for ks, h in h_given:
+        hams[h.shape[-1]][row[h_pos[ks]]] = h
+        has_h[h_pos[ks]] = True
+    stacks, disagree = {}, []
+    for d, pos in groups.items():
+        h, decay = hams[d], decays[d]
+        g = -1j * h - 0.5 * decay
+        defect = np.zeros_like(h)
+        stacks[d] = _Stacks(pos, h, g, defect, decay)
+    for ks, g in g_given:
+        s = stacks[g.shape[-1]]
+        rows = row[g_pos[ks]]
+        a_mat = g + 0.5 * s.decay[rows]
+        h_rec = 0.5j * (a_mat - _dagger(a_mat))
+        minus = -(a_mat + _dagger(a_mat))
+        h = s.ham[rows]
+        both = has_h[g_pos[ks]]
+        far = np.linalg.norm(h - h_rec, axis=(-2, -1)) > STRUCT_TOL * (
+            1.0 + np.linalg.norm(h, axis=(-2, -1))
+        )
+        disagree.extend(g_pos[ks][both & far].tolist())
+        s.ham[rows], s.eff[rows], s.defect[rows] = h_rec, g, 0.5 * (minus + _dagger(minus))
+    if disagree:
+        vid = vspaces[min(disagree)].id
+        raise ModelError(f"H and G disagree at vertex {vid!r} beyond tolerance")
 
-    return WalkModel(vspaces, hams, effs, defects, jump_map, meta=meta)
+    return WalkModel(vspaces, stacks, ends, jump_stacks, meta=meta)
 
 
 def classical_embed(q: np.ndarray) -> WalkModel:
@@ -466,19 +550,6 @@ def classical_embed(q: np.ndarray) -> WalkModel:
             if i != j and q[i, j] > 0:
                 jumps.append((i, j, np.array([[np.sqrt(q[i, j])]])))
     return build_walk([(v, 1) for v in range(n)], jumps)
-
-
-def embedded_generator(model: WalkModel) -> np.ndarray:
-    """Read back the classical generator of a scalar model, q_ij = |R|^2."""
-    n = len(model.vertices)
-    if any(v.dim != 1 for v in model.vertices):
-        raise ModelError("only scalar models embed a classical chain")
-    q = np.zeros((n, n))
-    for src, dst, r in model.jumps():
-        q[model.position(src), model.position(dst)] = abs(r[0, 0]) ** 2
-    np.fill_diagonal(q, 0.0)
-    np.fill_diagonal(q, -q.sum(axis=1))
-    return q
 
 
 # -- validation --------------------------------------------------------------
@@ -536,12 +607,7 @@ def validate(model: WalkModel, tol: float = STRUCT_TOL) -> ValidationReport:
     # per vertex: |H - H^dag|, |H|, |G - rebuilt G|, |G|, |G + G^dag + decay|,
     # and the least eigenvalue of the escape defect -(G + G^dag + decay)
     cols = np.empty((6, len(model.vertices)))
-    decays = _decays([v.dim for v in model.vertices], model._jumps)
-    for ks, h in linalg.by_shape(model._ham):
-        g, decay, defect = (
-            np.stack([mats[k] for k in ks.tolist()])
-            for mats in (model._eff, decays, model._defect)
-        )
+    for ks, h, g, defect, decay in model._stacks.values():
         rebuilt = -1j * h - 0.5 * decay - 0.5 * defect
         zero_sum = g + _dagger(g) + decay
         stacked = np.concatenate([h - _dagger(h), h, g - rebuilt, g, zero_sum])
@@ -714,10 +780,20 @@ def build_lattice(spec: dict, window: tuple[int, int] | None = None) -> WalkMode
 def model_from_json(doc: dict | str) -> WalkModel:
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ModelError("a model must be a JSON object")
+    meta = doc.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise ModelError("'meta' must be a JSON object")
+    escaping = (meta or {}).get("escaping", [])
+    if not (isinstance(escaping, list) and all(isinstance(x, (int, float, str)) for x in escaping)):
+        raise ModelError("meta 'escaping' must be a list of vertex ids")
     if "lattice" in doc:
         extra = {"vertices", "hamiltonians", "jumps", "effective"} & set(doc)
         if extra:
             raise ModelError(f"'lattice' cannot be combined with {sorted(extra)}")
+        if not isinstance(doc["lattice"], dict):
+            raise ModelError("'lattice' must be a JSON object")
         return build_lattice(doc["lattice"])
     try:
         vertices = [(_coerce_id(v["id"]), _coerce_dim(v["dim"])) for v in doc["vertices"]]
@@ -747,7 +823,7 @@ def model_from_json(doc: dict | str) -> WalkModel:
         [(src, dst, next(mats)) for src, dst, _ in ends],
         hamiltonians=hams or None,
         effective=effs or None,
-        meta=doc.get("meta"),
+        meta=meta,
     )
 
 

@@ -15,7 +15,15 @@ import scipy.linalg as sla
 
 from ctoqw import linalg, trajectory
 from ctoqw.errors import ConvergenceError, ModelError
-from ctoqw.model import STRUCT_TOL, CheckResult, ValidationReport, WalkModel
+from ctoqw.model import (
+    STRUCT_TOL,
+    BlockState,
+    CheckResult,
+    ValidationReport,
+    VertexSpace,
+    WalkModel,
+    _Stacks,
+)
 
 
 def _interior_paths(model: WalkModel, i, j, n):
@@ -219,6 +227,94 @@ def pair_spans_irreducible(model: WalkModel, with_dwell: bool) -> bool:
         for i in model.ids
         for j in model.ids
     )
+
+
+def classical_block_state(model: WalkModel, weights: dict) -> BlockState:
+    """The block state with weight ``weights[v]`` spread evenly over the
+    internal space of each vertex ``v`` (zero where missing)."""
+    blocks = {}
+    for v in model.vertices:
+        w = float(weights.get(v.id, 0.0))
+        blocks[v.id] = (w / v.dim) * np.eye(v.dim, dtype=complex)
+    return BlockState(blocks)
+
+
+def embedded_generator(model: WalkModel) -> np.ndarray:
+    """Read back the classical generator of a scalar model, q_ij = |R|^2."""
+    n = len(model.vertices)
+    if any(v.dim != 1 for v in model.vertices):
+        raise ModelError("only scalar models embed a classical chain")
+    q = np.zeros((n, n))
+    for src, dst, r in model.jumps():
+        q[model.position(src), model.position(dst)] = abs(r[0, 0]) ** 2
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+def _finite_matrix(m, what: str) -> np.ndarray:
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    if not np.isfinite(m).all():
+        raise ModelError(f"{what} has a NaN or infinite entry")
+    return m
+
+
+def decays_per_matrix(dims, jumps: dict) -> list[np.ndarray]:
+    """The decay ``sum_j R[i->j]^dag R[i->j]`` of each vertex, one product
+    at a time, added up in jump order; ``jumps`` maps ``(src, dst)``
+    positions to matrices."""
+    decays = [np.zeros((d, d), dtype=complex) for d in dims]
+    for (a, _), r in jumps.items():
+        decays[a] += r.conj().T @ r
+    return decays
+
+
+def build_walk_per_matrix(vertices, jumps, hamiltonians=None, effective=None) -> dict:
+    """The arithmetic of ``model.build_walk`` one matrix at a time: per
+    vertex position the lists ``ham``, ``eff``, ``defect`` and ``decay``,
+    and ``jumps``, ``{(src, dst) positions: matrix}`` in jump order.  The
+    inputs must be valid; no check is made beyond finiteness."""
+    vspaces = [VertexSpace(vid, int(dim)) for vid, dim in vertices]
+    index = {v.id: k for k, v in enumerate(vspaces)}
+    jump_map = {
+        (index[src], index[dst]): _finite_matrix(r, "jump") for src, dst, r in jumps
+    }
+    hamiltonians, effective = dict(hamiltonians or {}), dict(effective or {})
+    decays = decays_per_matrix([v.dim for v in vspaces], jump_map)
+    hams, effs, defects = [], [], []
+    for v, decay in zip(vspaces, decays):
+        h = hamiltonians.get(v.id)
+        h = np.zeros((v.dim, v.dim), dtype=complex) if h is None else _finite_matrix(h, "H")
+        g_in = effective.get(v.id)
+        if g_in is not None:
+            g = _finite_matrix(g_in, "G")
+            a_mat = g + 0.5 * decay
+            h = 0.5j * (a_mat - a_mat.conj().T)
+            defect = -(a_mat + a_mat.conj().T)
+        else:
+            g = -1j * h - 0.5 * decay
+            defect = np.zeros((v.dim, v.dim), dtype=complex)
+        hams.append(h)
+        effs.append(g)
+        defects.append(linalg.herm(defect))
+    return {"ham": hams, "eff": effs, "defect": defects, "decay": decays, "jumps": jump_map}
+
+
+def model_from_parts(vertices, hams, effs, defects, jumps: dict, meta=None) -> WalkModel:
+    """A ``WalkModel`` that holds the given per-vertex ``H``, ``G`` and
+    escape defects and the jumps ``{(src, dst) positions: matrix}`` as they
+    are; only the decays are computed, by :func:`decays_per_matrix`.  Lets a
+    test hand ``validate`` an inconsistent model."""
+    dims = np.array([v.dim for v in vertices])
+    parts = (hams, effs, defects, decays_per_matrix(dims.tolist(), jumps))
+    stacks = {}
+    for d in np.unique(dims).tolist():
+        pos = np.flatnonzero(dims == d)
+        stacks[d] = _Stacks(
+            pos, *(np.array([mats[k] for k in pos], dtype=complex) for mats in parts)
+        )
+    stacked_jumps = [(ks, r.astype(complex)) for ks, r in linalg.by_shape(list(jumps.values()))]
+    return WalkModel(vertices, stacks, list(jumps), stacked_jumps, meta=meta)
 
 
 def validate_per_vertex(model: WalkModel, tol: float = STRUCT_TOL) -> dict:

@@ -621,13 +621,29 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, data):
          "ctoqw simulate: error: argument --n: invalid int value: 'x'"),
         (["fixtures", "--name", "biased-line", "--window", 3, 9], 1,
          "ctoqw: error: unrecognized arguments: 9"),
+        # malformed model files
+        (["validate", "--model", "{d}/number.json"], 1, "ModelError: a model must be a JSON object"),
+        (["validate", "--model", "{d}/null.json"], 1, "ModelError: a model must be a JSON object"),
+        (["validate", "--model", "{d}/meta-number.json"], 1,
+         "ModelError: 'meta' must be a JSON object"),
+        (["validate", "--model", "{d}/escaping-number.json"], 1,
+         "ModelError: meta 'escaping' must be a list of vertex ids"),
+        (["validate", "--model", "{d}/lattice-number.json"], 1,
+         "ModelError: 'lattice' must be a JSON object"),
     ],
     ids=["negative-seed", "seed-past-the-key-range", "state-is-a-directory", "state-of-wrong-shape",
          "model-is-a-directory", "unwritable-out", "superscript-vertex", "double-sign-vertex",
-         "unknown-query-vertex", "unknown-flag", "missing-option", "bad-int", "two-windows"],
+         "unknown-query-vertex", "unknown-flag", "missing-option", "bad-int", "two-windows",
+         "model-is-a-number", "model-is-null", "meta-is-a-number", "escaping-is-a-number",
+         "lattice-is-a-number"],
 )
 def test_bad_inputs_exit_cleanly(tmp_path, two_site_file, capsys, argv, code, message):
     (tmp_path / "state.json").write_text(json.dumps(matrix_to_json(np.eye(2) / 2)))
+    doc = json.loads(two_site_file.read_text())
+    for name, content in {"number": 5, "null": None, "meta-number": {**doc, "meta": 5},
+                          "escaping-number": {**doc, "meta": {"escaping": 5}},
+                          "lattice-number": {"lattice": 5}}.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
     (tmp_path / "queries.json").write_text(json.dumps(
         [{"kind": "visits", "vertex": 99}, {"kind": "occupation", "vertex": "1"}]
     ))

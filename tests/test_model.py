@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -9,17 +10,22 @@ from numpy.testing import assert_allclose
 from ctoqw import fixtures
 from ctoqw.errors import ModelError
 from ctoqw.model import (
+    STRUCT_TOL,
     WalkModel,
     build_lattice,
     build_walk,
     classical_embed,
-    embedded_generator,
     json_to_matrix,
     matrix_to_json,
     model_from_json,
     validate,
 )
-from oracles import validate_per_vertex
+from oracles import (
+    build_walk_per_matrix,
+    embedded_generator,
+    model_from_parts,
+    validate_per_vertex,
+)
 from strategies import (
     leaky_variant,
     random_classical_generator,
@@ -262,14 +268,15 @@ def test_lattice_rejects_conflicting_blocks():
 
 def _rebuilt(m: WalkModel, effective=None, jumps=None) -> WalkModel:
     """``m`` with some dwell generators or jumps replaced and nothing
-    recomputed, so that ``validate`` sees an inconsistent model."""
+    recomputed but the decays, so that ``validate`` sees an inconsistent
+    model."""
     effs = [m.effective(v.id) for v in m.vertices]
     for vid, g in (effective or {}).items():
         effs[m.position(vid)] = g
     jump_map = {(m.position(a), m.position(b)): r for a, b, r in m.jumps()}
     for (a, b), r in (jumps or {}).items():
         jump_map[(m.position(a), m.position(b))] = r
-    return WalkModel(
+    return model_from_parts(
         m.vertices,
         [m.hamiltonian(v.id) for v in m.vertices],
         effs,
@@ -385,3 +392,151 @@ def test_integral_float_vertex_dim_is_read_as_an_integer():
     doc["vertices"][0]["dim"] = 1.0
     m = model_from_json(doc)
     assert m.dim(m.ids[0]) == 1 and isinstance(m.dim(m.ids[0]), int)
+
+
+# -- the stacked build against the per-matrix oracle ---------------------------
+
+# sha256 of canonical_hash() and of the `fixtures --out` bytes, taken from the
+# per-matrix build: any float that moves in the stacked build changes one
+GOLDEN_FIXTURES = {
+    ("biased-line", None): (
+        "618d720440c2cae2b2745ae11182f764845facedcf25e071ac328c88216a3ed9",
+        "2c59366fe476bbae2aaec829b5b9d97c5ff52deb101248add6b9cc4dcad3bfc4",
+    ),
+    ("biased-line", 8): (
+        "5725ac5b112e95ceea5b0da1325a0b3ad4882fc3c92087ebad6d5b6cf294f8ee",
+        "ce751db03bd2ff3ef46f31013adf54409ac54d85260a15e2c80c18819adcda9e",
+    ),
+    ("coherent-pair", None): (
+        "c229ba97be69b8f9e607624c20c864c5dd3828f93711dd610aac5b1f94fe6cac",
+        "8ee5a346c8bc9c1f2924b27e4be51fd2215109cd9b7494e41887187b188e23bb",
+    ),
+    ("spin-biased-line", None): (
+        "3fcda484e3fe5971431185fb75f891035325deacaffb0f499e94bf1056672985",
+        "b3630ae34dcff255833edeed293a6df720bdd76eba6df1e037f3cfdc2db115cf",
+    ),
+    ("spin-biased-line", 8): (
+        "87b1e06c29cc3ecee59bdd3fe8404df373f0cd0e00a6a4906019a0d7f0b6d245",
+        "22df2a65284956ad2b02b9b3a5863bd5a4c65dbc62c338d9f7f9c80eb2ab3e7c",
+    ),
+    ("two-site-exchange", None): (
+        "e7978446e4a6892712c18c2e923cb5f387eda0a2c5788cc53d55931b22146018",
+        "159124495a979e1b155a0e1446d92283e755f8f316b6ec7a0d2e1c51b1882b47",
+    ),
+}
+GOLDEN_RANDOM = {
+    7: "f73633812c63bfe2e1133efa36299e8bd7126480008e97b78059a39fc2886702",
+    2024: "0a4e221cc152e1458271f12907dfa73804af1d8ba4eda8c96840658a70501f12",
+}
+
+
+@pytest.mark.parametrize("name, window", sorted(GOLDEN_FIXTURES, key=str))
+def test_golden_fixture_hashes(tmp_path, name, window):
+    from ctoqw.cli import main
+
+    model_hash, file_sha = GOLDEN_FIXTURES[(name, window)]
+    assert fixtures.get_fixture(name, window).canonical_hash() == model_hash
+    out = tmp_path / "m.json"
+    argv = ["fixtures", "--name", name, "--out", str(out)]
+    assert main(argv + ([] if window is None else ["--window", str(window)])) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == file_sha
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_RANDOM))
+def test_golden_random_model_hashes(seed):
+    m = random_model(np.random.default_rng(seed), n_vertices=5, max_dim=3)
+    assert m.canonical_hash() == GOLDEN_RANDOM[seed]
+
+
+def _bits(m) -> tuple:
+    m = np.asarray(m)
+    return m.dtype, m.shape, m.tobytes()
+
+
+def _per_matrix_json(m) -> list:
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.atleast_2d(m)]
+
+
+def _random_inputs(rng):
+    """Vertices, jumps in shuffled order (so one vertex's decay mixes jump
+    shapes out of source order), and the H and G dicts of one build."""
+    n = int(rng.integers(2, 8))
+    kind = rng.choice(["scalar", "qubit", "mixed"])
+    dims = {"scalar": [1] * n, "qubit": [2] * n}.get(kind) or rng.integers(1, 4, n).tolist()
+    jumps = []
+    for a in range(n):
+        for b in range(n):
+            if a != b and (b == (a + 1) % n or rng.random() < 0.4):
+                shape = (dims[b], dims[a])
+                jumps.append((a, b, 0.6 * (rng.standard_normal(shape)
+                                           + 1j * rng.standard_normal(shape))))
+    jumps = [jumps[k] for k in rng.permutation(len(jumps))]
+    vertices = list(enumerate(dims))
+    closed = build_walk(vertices, jumps, {k: random_hermitian(rng, d) for k, d in vertices})
+    if rng.random() < 0.4:
+        closed = leaky_variant(rng, closed)  # an escape defect where a jump was dropped
+        jumps = list(closed.jumps())
+    hams = {v: closed.hamiltonian(v) for v in closed.ids}
+    effs = {v: closed.effective(v) for v in closed.ids}
+    form = rng.choice(["H", "G", "H+G", "per-vertex"])
+    if form == "H":
+        effs = {}
+    elif form == "G":
+        hams = {}
+    elif form == "per-vertex":  # each vertex gives H, G, both or neither
+        pick = rng.integers(0, 4, n)
+        hams = {v: h for v, h in hams.items() if pick[v] & 1}
+        effs = {v: g for v, g in effs.items() if pick[v] & 2}
+    return vertices, jumps, hams, effs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_stacked_build_equals_per_matrix_oracle(seed):
+    rng = np.random.default_rng(seed)
+    vertices, jumps, hams, effs = _random_inputs(rng)
+    oracle = build_walk_per_matrix(vertices, jumps, hams, effs)
+    declared = [vid for vid, _ in vertices if rng.random() < 0.5]
+    m = build_walk(vertices, jumps, hams, effs, meta={"escaping": declared})
+    ids = m.ids
+    for k, vid in enumerate(ids):
+        assert _bits(m.hamiltonian(vid)) == _bits(oracle["ham"][k])
+        assert _bits(m.effective(vid)) == _bits(oracle["eff"][k])
+        assert _bits(m.escape_defect(vid)) == _bits(oracle["defect"][k])
+        stacks = m._stacks[m.dim(vid)]
+        assert _bits(stacks.decay[m._row[k]]) == _bits(oracle["decay"][k])
+    edges = [(ids[a], ids[b], r) for (a, b), r in oracle["jumps"].items()]
+    assert [(a, b, _bits(r)) for a, b, r in m.jumps()] == [(a, b, _bits(r)) for a, b, r in edges]
+    for a, b, r in edges:
+        assert _bits(m.jump(a, b)) == _bits(r)
+    for vid in ids:
+        assert [(b, _bits(r)) for b, r in m.out_edges(vid)] == [
+            (b, _bits(r)) for a, b, r in edges if a == vid
+        ]
+        assert [(a, _bits(r)) for a, r in m.in_edges(vid)] == [
+            (a, _bits(r)) for a, b, r in edges if b == vid
+        ]
+    assert m.rate_constant == float(sum(np.linalg.norm(r @ r.conj().T, 2) for _, _, r in edges))
+    assert m.escaping_boundary() == [
+        vid for vid, d in zip(ids, oracle["defect"]) if np.linalg.norm(d, 2) > STRUCT_TOL
+    ]
+    per_matrix = {
+        "vertices": [{"id": vid, "dim": d} for vid, d in vertices],
+        "hamiltonians": {str(vid): _per_matrix_json(h) for vid, h in zip(ids, oracle["ham"])},
+        "jumps": [{"from": a, "to": b, "matrix": _per_matrix_json(r)} for a, b, r in edges],
+        "effective": {str(vid): _per_matrix_json(g) for vid, g in zip(ids, oracle["eff"])},
+        "meta": m.meta,
+    }
+    assert json.dumps(m.to_json_dict()) == json.dumps(per_matrix)  # repr keeps the sign of 0.0
+    assert validate(m).to_json_dict() == validate_per_vertex(m)
+
+
+def test_accessors_return_read_only_views():
+    m = fixtures.spin_biased_line((0, 4))
+    views = [m.hamiltonian(1), m.effective(1), m.escape_defect(4), m.jump(1, 0)]
+    views += [r for _, r in m.out_edges(2)] + [r for _, r in m.in_edges(2)]
+    views += [r for _, _, r in m.jumps()]
+    for view in views:
+        assert view.base is not None and not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 1.0

@@ -9,11 +9,10 @@ from ctoqw import semigroup
 from ctoqw.errors import BudgetError, PreconditionError
 from ctoqw.model import (
     BlockState,
-    classical_block_state,
     classical_embed,
     sited_block_state,
 )
-from oracles import ctmc_law
+from oracles import classical_block_state, ctmc_law
 from strategies import random_classical_generator, random_density, random_model
 
 
