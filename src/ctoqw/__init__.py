@@ -53,6 +53,7 @@ from .passage import (
 )
 from .semigroup import (
     BlockGenerator,
+    Grid,
     build_block_generator,
     dyson_partial,
     evolve,

@@ -62,12 +62,11 @@ def _write_json(path: str | None, doc: dict):
     _write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: str | None, header_meta: dict, columns: list[str], rows):
-    lines = [f"# {k} = {v}" for k, v in sorted(header_meta.items())]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
-    _write(path, "\n".join(lines) + "\n")
+def _write_csv(path: str | None, header_meta: dict, columns: list[str], rows: str):
+    """Write the ``# key = value`` header, the column names and ``rows``,
+    the text of the formatted lines."""
+    lines = [f"# {k} = {v}\n" for k, v in sorted(header_meta.items())]
+    _write(path, "".join(lines) + ",".join(columns) + "\n" + rows)
 
 
 def _parse_start(spec: str, walk: model.WalkModel) -> model.SitedState:
@@ -147,26 +146,20 @@ def _cmd_evolve(args, walk: model.WalkModel) -> int:
     points = args.grid_points if args.report else 2
     gen = semigroup.build_block_generator(walk)
     grid = semigroup.evolve_grid(walk, mu, args.t, points, generator=gen)
-    out = grid[-1][1] if points > 1 else semigroup.evolve(walk, mu, args.t, generator=gen)
-    if args.report:
-        # Probabilities are accurate to about 1e-16 absolute, so they print at
-        # a fixed absolute resolution, and a row that rounds to zero prints
-        # without a sign.
-        rows = [
-            (f"{tg:.12g}", vid, f"{p:.15f}".replace("-0.000000000000000", "0.000000000000000"))
-            for tg, state in grid
-            for vid, p in semigroup.position_distribution(state).items()
-        ]
+    out = grid.state(-1) if points > 1 else semigroup.evolve(walk, mu, args.t, generator=gen)
     doc = model.state_to_json(out)
     doc["meta"] = _meta(args, walk, {"t": args.t})
     _write_json(args.out, doc)
     if args.report:
-        _write_csv(
-            args.report,
-            _meta(args, walk),
-            ["t", "vertex", "probability"],
-            rows,
-        )
+        # Probabilities are accurate to about 1e-16 absolute, so they print at
+        # a fixed absolute resolution, and a row that rounds to zero prints
+        # without a sign.
+        rows = []
+        for tk, law in zip(grid.times.tolist(), grid.law.tolist()):
+            tk = f"{tk:.12g}"
+            rows += [f"{tk},{v},{p:.15f}\n" for v, p in zip(walk.ids, law)]
+        rows = "".join(rows).replace(",-0.000000000000000\n", ",0.000000000000000\n")
+        _write_csv(args.report, _meta(args, walk), ["t", "vertex", "probability"], rows)
     return 0
 
 
@@ -225,22 +218,13 @@ def _cmd_simulate(args, walk: model.WalkModel) -> int:
     rows = []
     for qi, rep in enumerate(reports):
         for p in rep.points:
-            rows.append(
-                (
-                    qi,
-                    p.label,
-                    f"{p.estimate:.12g}",
-                    f"{p.stderr:.12g}",
-                    f"{p.ci_low:.12g}",
-                    f"{p.ci_high:.12g}",
-                    rep.n,
-                )
-            )
+            rows.append(f"{qi},{p.label},{p.estimate:.12g},{p.stderr:.12g},"
+                        f"{p.ci_low:.12g},{p.ci_high:.12g},{rep.n}\n")
     _write_csv(
         args.out,
         _meta(args, walk, {"horizon": args.horizon, "n_traj": args.n}),
         ["query_id", "t", "estimate", "stderr", "ci_lo", "ci_hi", "n"],
-        rows,
+        "".join(rows),
     )
     return 0
 

@@ -688,27 +688,30 @@ def build_lattice(spec: dict, window: tuple[int, int] | None = None) -> WalkMode
     not stop a template from marking its source this way.
     """
     spec = dict(spec)
-    lo, hi = (int(x) for x in (window if window is not None else spec["window"]))
+    if window is None:
+        window = spec.get("window")
+        if not (isinstance(window, (list, tuple)) and len(window) == 2):
+            raise ModelError(f"lattice 'window' must be a list [lo, hi], got {window!r}")
+    lo, hi = (_lattice_int(x, "window bound") for x in window)
     if hi < lo:
         raise ModelError("window must satisfy lo <= hi")
     sites = list(range(lo, hi + 1))
-    default_dim = int(spec.get("dim", 1))
+    default_dim = _lattice_dim(spec.get("dim", 1))
     dims = {s: default_dim for s in sites}
-    for key, d in (spec.get("dims") or {}).items():
-        s = int(key)
+    for key, d in _lattice_block(spec, "dims").items():
+        s = _lattice_int(key, "'dims' key")
         if lo <= s <= hi:
-            dims[s] = int(d)
+            dims[s] = _lattice_dim(d)
 
     def _site_matrices(block_name):
-        block = spec.get(block_name) or {}
-        default = block.get("default")
+        # each template is decoded once and shared by the sites it covers
+        block = _lattice_block(spec, block_name)
+        keys = [k for k in ("default", *map(str, sites)) if block.get(k) is not None]
+        mats = dict(zip(keys, _json_matrices([block[k] for k in keys])))
         out = {}
         for s in sites:
-            entry = block.get(str(s), default)
-            if entry is None:
-                continue
-            m = json_to_matrix(entry)
-            if m.shape == (dims[s], dims[s]):
+            m = mats.get(str(s)) if str(s) in block else mats.get("default")
+            if m is not None and m.shape == (dims[s], dims[s]):
                 out[s] = m
         return out
 
@@ -719,15 +722,23 @@ def build_lattice(spec: dict, window: tuple[int, int] | None = None) -> WalkMode
 
     explicit: dict[tuple[int, int], np.ndarray | None] = {}
     templates: list[tuple[int, np.ndarray]] = []
-    for entry in spec.get("jumps", []):
+    entries = spec.get("jumps") or []
+    if not isinstance(entries, list):
+        raise ModelError("lattice 'jumps' must be a list")
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ModelError(f"a lattice jump must be a JSON object, got {entry!r}")
         m = entry.get("matrix")
         mat = None if m is None else json_to_matrix(m)
         if "offset" in entry:
             if mat is None:
                 raise ModelError("offset template requires a matrix")
-            templates.append((int(entry["offset"]), mat))
+            templates.append((_lattice_int(entry["offset"], "jump 'offset'"), mat))
+        elif "from" in entry and "to" in entry:
+            ends = (_lattice_int(entry["from"], "jump 'from'"), _lattice_int(entry["to"], "jump 'to'"))
+            explicit[ends] = mat
         else:
-            explicit[(int(entry["from"]), int(entry["to"]))] = mat
+            raise ModelError("a lattice jump needs an 'offset', or a 'from' and a 'to'")
 
     jumps = []
     escaping: set[int] = set()
@@ -772,6 +783,38 @@ def build_lattice(spec: dict, window: tuple[int, int] | None = None) -> WalkMode
         effective=eff or None,
         meta=meta,
     )
+
+
+def _lattice_int(value, what: str) -> int:
+    """An integer field of a lattice block: an int, an integral float, or a
+    decimal string (as a JSON object key is)."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ModelError(f"lattice {what} must be an integer, got {value!r}")
+
+
+def _lattice_dim(value) -> int:
+    d = _lattice_int(value, "dimension")
+    if d < 1:
+        raise ModelError(f"lattice dimension must be positive, got {d}")
+    return d
+
+
+def _lattice_block(spec: dict, name: str) -> dict:
+    """The JSON object ``spec[name]``, empty where it is missing or null."""
+    block = spec.get(name)
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise ModelError(f"lattice '{name}' must be a JSON object")
+    return block
 
 
 # -- whole-model JSON ---------------------------------------------------------

@@ -27,13 +27,15 @@ class BlockGenerator:
     """Vectorized generator restricted to block-diagonal states.
 
     ``offsets[v]`` gives the slice of the stacked vec-vector holding block
-    ``v``.  Trace preservation of a closed model shows up as a left null
-    vector made of concatenated ``vec(Id_{d_i})``.
+    ``v``.  ``diagonal`` holds, per vertex dimension ``d``, the positions
+    ``ks`` of its vertices in model order and the ``(len(ks), d)`` indices
+    of their blocks' diagonal entries in the stacked vector.
     """
 
     model: WalkModel
     matrix: np.ndarray
     offsets: dict[VertexId, slice]
+    diagonal: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @property
     def dim(self) -> int:
@@ -51,11 +53,17 @@ class BlockGenerator:
             blocks[v.id] = linalg.unvec(x[self.offsets[v.id]], (v.dim, v.dim))
         return BlockState(blocks)
 
-    def trace_functional(self) -> np.ndarray:
-        w = np.zeros(self.dim, dtype=complex)
-        for v in self.model.vertices:
-            w[self.offsets[v.id]] = linalg.vec(np.eye(v.dim))
-        return w
+    def law(self, xs: np.ndarray) -> np.ndarray:
+        """The trace of every block of each row of ``xs`` (``(points, dim)``
+        stacked vectors): the position law, ``(points, V)`` in model vertex
+        order.  Each trace sums the complex diagonal along the last axis of a
+        C-ordered ``take``, in the order of ``np.trace``, so the floats are
+        those of :func:`position_distribution`; ``xs[:, idx]`` has no fixed
+        memory order, and summed in another order they can differ."""
+        out = np.empty((len(xs), len(self.model.vertices)))
+        for ks, idx in self.diagonal:
+            out[:, ks] = xs.take(idx, axis=1).sum(-1).real
+        return out
 
 
 def build_block_generator(model: WalkModel) -> BlockGenerator:
@@ -65,13 +73,17 @@ def build_block_generator(model: WalkModel) -> BlockGenerator:
     offsets, n = block_offsets(model, model.ids)
     mat = np.zeros((n, n), dtype=complex)
     ids, edges = model.ids, list(model.jumps())
+    diagonal = []
     for ks, g in linalg.by_shape([model.effective(v) for v in ids]):
         blocks = linalg.drift_matrix(g)
         mat[block_index(offsets, [ids[k] for k in ks], [ids[k] for k in ks], blocks.shape)] += blocks
+        d = g.shape[-1]
+        starts = np.array([offsets[ids[k]].start for k in ks])
+        diagonal.append((ks, starts[:, None] + (d + 1) * np.arange(d)))
     for ks, r in linalg.by_shape([r for _, _, r in edges]):
         blocks = linalg.sandwich_matrix(r)
         mat[block_index(offsets, [edges[k][1] for k in ks], [edges[k][0] for k in ks], blocks.shape)] += blocks
-    return BlockGenerator(model, mat, offsets)
+    return BlockGenerator(model, mat, offsets, tuple(diagonal))
 
 
 def lindblad_apply(model: WalkModel, mu: BlockState) -> dict[VertexId, np.ndarray]:
@@ -91,21 +103,42 @@ def lindblad_apply(model: WalkModel, mu: BlockState) -> dict[VertexId, np.ndarra
 _TRACE_TOL = 1e-8  # trace drift allowed on a closed model, per unit of 1 + t
 
 
+@dataclass(frozen=True)
+class Grid:
+    """Evolved states on ``times``, held as the rows of ``vectors``, one
+    stacked block vector per point; ``law[k]`` is the position law at
+    ``times[k]``, ``(points, V)`` in model vertex order."""
+
+    times: np.ndarray
+    law: np.ndarray
+    vectors: np.ndarray
+    generator: BlockGenerator
+    start: BlockState
+
+    def state(self, k: int) -> BlockState:
+        """The state at ``times[k]``: the start state where ``t_k = 0``,
+        else the Hermitian part of each block of ``vectors[k]``."""
+        if self.times[k] == 0:
+            return self.start.copy()
+        out = self.generator.unstack(self.vectors[k])
+        return BlockState({v: linalg.herm(b) for v, b in out.blocks.items()})
+
+
 def evolve_grid(
     model: WalkModel,
     mu: BlockState,
     t: float,
     points: int,
     generator: BlockGenerator | None = None,
-) -> list[tuple[float, BlockState]]:
-    """The evolved states ``(t_k, mu_k)`` on ``linspace(0, t, points)``.
+) -> Grid:
+    """The evolution of ``mu`` on ``linspace(0, t, points)``.
 
     One propagator ``e^{dt L}`` with ``dt = t / (points - 1)`` is applied
     ``k`` times to reach ``t_k``, by the semigroup property; the first point
-    is ``mu`` itself.  On models without escape defects each trace is
-    checked against one to ``_TRACE_TOL * (1 + t_k)``; a violation means
-    the exponential lost accuracy (it should be machine precise at these
-    sizes).
+    is ``mu`` itself.  On models without escape defects each total trace is
+    checked against that of ``mu`` to ``_TRACE_TOL * (1 + t_k)``; a
+    violation means the exponential lost accuracy (it should be machine
+    precise at these sizes).
     """
     if not 0.0 <= t < math.inf:
         raise PreconditionError("evolution time must be nonnegative and finite")
@@ -113,24 +146,21 @@ def evolve_grid(
         raise PreconditionError(f"a time grid needs at least one point, got {points}")
     gen = generator if generator is not None else build_block_generator(model)
     times = np.linspace(0.0, t, points)
-    if t == 0 or points == 1:
-        return [(float(tk), mu.copy()) for tk in times]
-    step = linalg.expm(t / (points - 1) * gen.matrix)
-    closed = not model.escaping_boundary()
-    x = gen.stack(mu)
-    grid = [(0.0, mu.copy())]
-    for tk in times[1:]:
-        x = step @ x
-        out = gen.unstack(x)
-        out.blocks = {k: linalg.herm(b) for k, b in out.blocks.items()}
-        if closed:
-            defect = abs(out.total_trace() - mu.total_trace())
-            if defect > _TRACE_TOL * (1.0 + tk):
-                raise ConvergenceError(
-                    f"evolution lost trace mass {defect:.3e} on a closed model"
-                )
-        grid.append((float(tk), out))
-    return grid
+    xs = np.empty((points, gen.dim), dtype=complex)
+    xs[:] = gen.stack(mu)
+    if t > 0 and points > 1:
+        step = linalg.expm(t / (points - 1) * gen.matrix)
+        for k in range(1, points):
+            xs[k] = step @ xs[k - 1]
+    law = gen.law(xs)
+    if not model.escaping_boundary():
+        defect = np.abs(law.sum(1) - mu.total_trace())
+        lost = np.flatnonzero(defect > _TRACE_TOL * (1.0 + times))
+        if lost.size:
+            raise ConvergenceError(
+                f"evolution lost trace mass {defect[lost[0]]:.3e} on a closed model"
+            )
+    return Grid(times, law, xs, gen, mu.copy())
 
 
 def evolve(
@@ -141,7 +171,7 @@ def evolve(
 ) -> BlockState:
     """Propagate ``mu`` for time ``t`` through the exact matrix exponential:
     the last point of the two-point :func:`evolve_grid`."""
-    return evolve_grid(model, mu, t, 2, generator)[-1][1]
+    return evolve_grid(model, mu, t, 2, generator).state(-1)
 
 
 def position_distribution(mu: BlockState) -> dict[VertexId, float]:

@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 import scipy.linalg as sla
 
-from ctoqw import linalg, trajectory
+from ctoqw import linalg, semigroup, trajectory
 from ctoqw.errors import ConvergenceError, ModelError
 from ctoqw.model import (
     STRUCT_TOL,
@@ -430,6 +430,41 @@ def block_generator_per_vertex(model: WalkModel) -> np.ndarray:
     for src, dst, r in model.jumps():
         mat[offsets[dst], offsets[src]] += np.kron(r.conj(), r)
     return mat
+
+
+def trace_functional(gen: semigroup.BlockGenerator) -> np.ndarray:
+    """The stacked ``vec(Id_{d_v})`` of every vertex: ``w . x`` is the total
+    trace of the stacked state ``x``, one block at a time."""
+    w = np.zeros(gen.dim, dtype=complex)
+    for v in gen.model.vertices:
+        w[gen.offsets[v.id]] = linalg.vec(np.eye(v.dim))
+    return w
+
+
+def evolve_grid_per_vertex(model: WalkModel, mu: BlockState, t: float, points: int,
+                           gen: semigroup.BlockGenerator) -> list[tuple[float, BlockState]]:
+    """``semigroup.evolve_grid`` one grid point and one vertex at a time:
+    ``(t_k, mu_k)`` pairs, each stepped state unstacked and Hermitized into a
+    :class:`BlockState`, the trace of a closed model checked at every point."""
+    times = np.linspace(0.0, t, points)
+    if t == 0 or points == 1:
+        return [(float(tk), mu.copy()) for tk in times]
+    step = linalg.expm(t / (points - 1) * gen.matrix)
+    closed = not model.escaping_boundary()
+    x = gen.stack(mu)
+    grid = [(0.0, mu.copy())]
+    for tk in times[1:]:
+        x = step @ x
+        out = gen.unstack(x)
+        out.blocks = {k: linalg.herm(b) for k, b in out.blocks.items()}
+        if closed:
+            defect = abs(out.total_trace() - mu.total_trace())
+            if defect > semigroup._TRACE_TOL * (1.0 + tk):
+                raise ConvergenceError(
+                    f"evolution lost trace mass {defect:.3e} on a closed model"
+                )
+        grid.append((float(tk), out))
+    return grid
 
 
 def propagator_per_vertex(g: np.ndarray, k: np.ndarray, t: np.ndarray, cond_limit: float):

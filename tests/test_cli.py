@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -100,6 +101,68 @@ def test_evolve_report_prints_fixed_absolute_resolution(tmp_path):
     assert all(len(p) == 17 and p.startswith("0.") or p == "1.000000000000000" for p in probs)
     # far sites are below the resolution and print as an unsigned zero
     assert "0.000000000000000" in probs and not any(p.startswith("-") for p in probs)
+
+
+def test_evolve_report_prints_only_nonzero_rows_signed(tmp_path, two_site_file, monkeypatch):
+    import dataclasses
+
+    from ctoqw import semigroup
+
+    evolve_grid = semigroup.evolve_grid
+
+    def negative(*args, **kwargs):
+        grid = evolve_grid(*args, **kwargs)
+        law = np.full_like(grid.law, -1e-17)
+        law[:, 1] = [-0.0, -2e-15, 0.0]
+        return dataclasses.replace(grid, law=law)
+
+    monkeypatch.setattr(semigroup, "evolve_grid", negative)
+    csv = tmp_path / "law.csv"
+    assert run(tmp_path, "evolve", "--model", two_site_file, "--state", "0:e1", "--t", 1.0,
+               "--out", tmp_path / "state.json", "--report", csv, "--grid-points", 3) == 0
+    probs = [l.split(",")[2] for l in csv.read_text().splitlines()[-6:]]
+    zero = "0.000000000000000"
+    assert probs == [zero, zero, zero, "-0.000000000000002", zero, zero]
+
+
+# sha256 of the --out state and the --report law of `evolve --report` (21
+# points), taken before the grid was held as one array: name -> (window, start,
+# t, state digest, law digest).  The floats depend on the numpy and BLAS build.
+GOLDEN_EVOLVE = {
+    "two-site-exchange": (None, "0:e1", 1.5,
+        "93219e649dc141eb607020dcda6ef2f6bbe24eba3b847c4d1f7d046ff907386b",
+        "cc9a95ca5af3c505e7b5c857bf702cd41259ec3bbd38b967843f7608e1cd7ba6"),
+    "coherent-pair": (None, "1:e1", 2.0,
+        "ef269929e2528051e7be26795f412e356b5ddd70390a22838520eed7b20259ef",
+        "b56a81f16beab0cdcd2484ca14c95c843ea044901a580a10375fcdb966dcac84"),
+    "biased-line": (8, "0:e1", 5.0,
+        "5509e9fa37a90b1f761253b9b68406a24f75779471e401b310d2301b0a3d9404",
+        "499e5f00e5dfc77fb11c5906b018dde7d6e24669ffcc91025e407e44e720cb5e"),
+    "spin-biased-line": (8, "1:e2", 5.0,
+        "fc2eb6b79e0ca05f23182f3d71bbef337774db024b8614bf73814bdd3d0b6551",
+        "0e0abe475868b71cf45a3e1c599fbaa066e0793a8fa475884dcc8737ebf79d73"),
+    "qudit-ring": (None, "0:e1", 4.0,  # strategies.qudit_ring(101, sites=8)
+        "d0a097807dab1705fc630c49b28bcfe1c56216dfae863c2a6b4b88da57ab93e8",
+        "338f65443d8cfb26de7de31080cef664e6f7b77a9234bc02d1d28275b5f6ee5b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EVOLVE))
+def test_golden_evolve_report_artifacts(tmp_path, name):
+    from strategies import qudit_ring
+
+    window, start, t, state_sha, law_sha = GOLDEN_EVOLVE[name]
+    path = tmp_path / "m.json"
+    if name == "qudit-ring":
+        path.write_text(json.dumps(qudit_ring(101, sites=8).to_json_dict()))
+    else:
+        argv = ["fixtures", "--name", name, "--out", path]
+        assert run(tmp_path, *argv, *([] if window is None else ["--window", window])) == 0
+    state, law = tmp_path / "s.json", tmp_path / "law.csv"
+    assert run(tmp_path, "evolve", "--model", path, "--state", start, "--t", repr(t),
+               "--out", state, "--report", law) == 0
+    assert hashlib.sha256(state.read_bytes()).hexdigest() == state_sha
+    assert hashlib.sha256(law.read_bytes()).hexdigest() == law_sha
 
 
 def test_main_builds_parser_and_model_hash_once(tmp_path, two_site_file, monkeypatch):
@@ -657,6 +720,43 @@ def test_bad_inputs_exit_cleanly(tmp_path, two_site_file, capsys, argv, code, me
     assert err.endswith("\n") and last.startswith(message)
     # only a usage error prints more than its one error line: the usage first
     assert not usage or (": error: " in message and usage[0].startswith("usage: ctoqw"))
+
+
+_SITE = matrix_to_json(np.array([[-0.5]]))
+
+
+@pytest.mark.parametrize(
+    "lattice, message",
+    [
+        ({"window": 5}, "lattice 'window' must be a list [lo, hi], got 5"),
+        ({"effective": {"default": _SITE}}, "lattice 'window' must be a list [lo, hi], got None"),
+        ({"window": [0, "a"], "effective": {"default": _SITE}}, "lattice window bound must be an integer"),
+        ({"window": [0, 2], "dim": [1], "effective": {"default": _SITE}}, "lattice dimension must be an integer"),
+        ({"window": [0, 2], "dim": 0, "effective": {"default": _SITE}}, "lattice dimension must be positive"),
+        ({"window": [0, 2], "dims": 3, "effective": {"default": _SITE}}, "lattice 'dims' must be a JSON object"),
+        ({"window": [0, 2], "dims": {"x": 2}, "effective": {"default": _SITE}}, "lattice 'dims' key must be"),
+        ({"window": [0, 2], "effective": 5}, "lattice 'effective' must be a JSON object"),
+        ({"window": [0, 2], "hamiltonians": [_SITE]}, "lattice 'hamiltonians' must be a JSON object"),
+        ({"window": [0, 2], "effective": {"default": 5}}, "a complex matrix must be encoded"),
+        ({"window": [0, 2], "effective": {"default": _SITE}, "jumps": 5}, "lattice 'jumps' must be a list"),
+        ({"window": [0, 2], "effective": {"default": _SITE}, "jumps": [5]},
+         "a lattice jump must be a JSON object, got 5"),
+        ({"window": [0, 2], "effective": {"default": _SITE}, "jumps": [{"matrix": _SITE}]},
+         "a lattice jump needs an 'offset', or a 'from' and a 'to'"),
+        ({"window": [0, 2], "effective": {"default": _SITE}, "jumps": [{"offset": 1.5, "matrix": _SITE}]},
+         "lattice jump 'offset' must be an integer"),
+    ],
+    ids=["window-number", "window-missing", "window-bound", "dim-list", "dim-zero", "dims-number",
+         "dims-key", "effective-number", "hamiltonians-list", "template-number", "jumps-number",
+         "jump-number", "jump-without-ends", "offset-fraction"],
+)
+def test_malformed_lattice_fields_exit_cleanly(tmp_path, capsys, lattice, message):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"lattice": lattice}))
+    capsys.readouterr()
+    assert run(tmp_path, "validate", "--model", path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ModelError: ") and err.count("\n") == 1 and message in err
 
 
 def test_help_exits_zero(capsys):

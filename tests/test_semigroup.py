@@ -5,15 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ctoqw import semigroup
-from ctoqw.errors import BudgetError, PreconditionError
+from ctoqw import linalg, semigroup
+from ctoqw.errors import BudgetError, ConvergenceError, PreconditionError
 from ctoqw.model import (
     BlockState,
+    build_walk,
     classical_embed,
     sited_block_state,
 )
-from oracles import classical_block_state, ctmc_law
-from strategies import random_classical_generator, random_density, random_model
+from oracles import classical_block_state, ctmc_law, evolve_grid_per_vertex, trace_functional
+from strategies import leaky_variant, random_classical_generator, random_density, random_model
 
 
 def block_l1(a: BlockState, b: BlockState) -> float:
@@ -52,7 +53,7 @@ def test_lindblad_apply_preserves_total_trace(seed):
 
 def test_generator_has_trace_null_vector(coherent):
     gen = semigroup.build_block_generator(coherent)
-    w = gen.trace_functional()
+    w = trace_functional(gen)
     assert np.linalg.norm(w.conj() @ gen.matrix) <= 1e-10
 
 
@@ -125,15 +126,62 @@ def test_grid_steps_match_per_point_expm(seed, t, points):
     mu = sited_block_state(m, v0.id, random_density(rng, v0.dim))
     gen = semigroup.build_block_generator(m)
     grid = semigroup.evolve_grid(m, mu, t, points, generator=gen)
-    assert [tk for tk, _ in grid] == list(np.linspace(0.0, t, points))
-    for tk, state in grid:
+    assert list(grid.times) == list(np.linspace(0.0, t, points))
+    for k, tk in enumerate(grid.times):
         exact = gen.unstack(sla.expm(tk * gen.matrix) @ gen.stack(mu))
-        for k, b in state.blocks.items():
-            assert_allclose(b, exact.blocks[k], rtol=0, atol=1e-12)
+        for v, b in grid.state(k).blocks.items():
+            assert_allclose(b, exact.blocks[v], rtol=0, atol=1e-12)
     if points > 1:
         last = semigroup.evolve(m, mu, t, generator=gen)
-        for k, b in grid[-1][1].blocks.items():
-            assert_allclose(b, last.blocks[k], rtol=0, atol=1e-12)
+        for v, b in grid.state(-1).blocks.items():
+            assert_allclose(b, last.blocks[v], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([0.0, 0.3, 2.5]), st.integers(1, 12), st.booleans())
+def test_grid_equals_per_vertex_oracle(seed, t, points, leaky):
+    # block dimensions up to 5: a real-part sum of a diagonal of 4 or more
+    # entries rounds differently from np.trace, a complex one does not
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, max_dim=5)
+    if leaky:
+        m = leaky_variant(rng, m)
+    v0 = m.vertices[0]
+    mu = sited_block_state(m, v0.id, random_density(rng, v0.dim))
+    gen = semigroup.build_block_generator(m)
+    grid = semigroup.evolve_grid(m, mu, t, points, generator=gen)
+    oracle = evolve_grid_per_vertex(m, mu, t, points, gen)
+    assert grid.times.tolist() == [tk for tk, _ in oracle]
+    laws = [list(semigroup.position_distribution(state).values()) for _, state in oracle]
+    assert grid.law.tolist() == laws
+    for k, (_, state) in enumerate(oracle):
+        got = grid.state(k).blocks
+        assert list(got) == list(state.blocks)
+        for v, b in state.blocks.items():
+            assert got[v].tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(1, 4), (5, 8), (9, 13), (2, 2, 3)])
+def test_law_sums_each_diagonal_as_np_trace(dims):
+    rng = np.random.default_rng(len(dims) + sum(dims))
+    n = len(dims)
+    jumps = [(k, (k + 1) % n, rng.standard_normal((dims[(k + 1) % n], dims[k])) + 0j) for k in range(n)]
+    m = build_walk(list(enumerate(dims)), jumps, hamiltonians={k: np.eye(d) for k, d in enumerate(dims)})
+    gen = semigroup.build_block_generator(m)
+    xs = (rng.standard_normal((4, gen.dim)) + 1j * rng.standard_normal((4, gen.dim))) * 10.0 ** rng.uniform(-12, 0, (4, gen.dim))
+    traces = [[float(np.trace(b).real) for b in gen.unstack(x).blocks.values()] for x in xs]
+    assert gen.law(xs).tolist() == traces
+
+
+def test_grid_of_a_leaking_exponential_is_a_convergence_error(coherent, monkeypatch):
+    expm = linalg.expm
+    monkeypatch.setattr(linalg, "expm", lambda a: 0.999 * expm(a))
+    mu = sited_block_state(coherent, 1, 0.5 * np.eye(2))
+    assert not coherent.escaping_boundary()
+    with pytest.raises(ConvergenceError, match="lost trace mass"):
+        semigroup.evolve_grid(coherent, mu, 1.0, 5)
+    with pytest.raises(ConvergenceError, match="lost trace mass"):
+        semigroup.evolve(coherent, mu, 1.0)
 
 
 def test_position_distribution_indicator_and_uniform(two_site):
