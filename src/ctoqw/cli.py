@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -163,37 +164,82 @@ def _cmd_evolve(args, walk: model.WalkModel) -> int:
     return 0
 
 
-def _dump_writer(fh, walk: model.WalkModel):
-    """``on_record`` of ``simulate --dump``: one JSON line per event, written
-    one record at a time.  The text is that of ``json.dumps(..., sort_keys=True)``
-    on ``{"traj", "t", "from", "to", "rho": matrix_to_json(rho)}``; json
-    writes a finite float as its ``repr``, which the matrix templates use.
-    The text of a read-only state, such as the post-jump state the sampler
-    shares among all jumps along an edge, is formatted once, keyed by its
-    bytes."""
-    labels = {v.id: json.dumps(str(v.id)) for v in walk.vertices}
-    templates = {
-        d: "[[" + "], [".join([", ".join(["[{!r}, {!r}]"] * d)] * d) + "]]"
-        for d in {v.dim for v in walk.vertices}
-    }
-    shared: dict[bytes, str] = {}
+@functools.cache
+def _hermitian_template(d: int) -> str:
+    """The ``str.format`` text of a ``d x d`` Hermitian matrix in the form of
+    :func:`model.matrix_to_json`.  Its fields are the diagonal real parts,
+    the real parts above the diagonal, their imaginary parts (row by row),
+    and then the text of those imaginary parts with the sign flipped."""
+    upper = {ij: q for q, ij in enumerate(zip(*np.triu_indices(d, 1)))}
+    p, n = len(upper), d * d
 
-    def matrix(rho: np.ndarray) -> str:
-        rho = np.ascontiguousarray(rho, dtype=complex)
-        key = None if rho.flags.writeable else rho.tobytes()
-        text = shared.get(key)
-        if text is None:
-            text = templates[rho.shape[0]].format(*rho.view(float).ravel().tolist())
-            if key is not None:
-                shared[key] = text
-        return text
+    def entry(i, j):
+        if i == j:
+            return f"[{{{i}}}, 0.0]"
+        q = upper[min(i, j), max(i, j)]
+        return f"[{{{d + q}}}, {{{d + p + q if i < j else n + q}}}]"
 
-    def write(k: int, rec: trajectory.TrajectoryRecord):
-        prev, lines = labels[rec.initial.vertex], []
-        for ev in rec.events:
-            to = labels[ev.vertex]
-            lines.append(f'{{"from": {prev}, "rho": {matrix(ev.rho)}, '
-                         f'"t": {float(ev.time)!r}, "to": {to}, "traj": {k}}}\n')
+    return "[" + ", ".join("[" + ", ".join(entry(i, j) for j in range(d)) + "]"
+                           for i in range(d)) + "]"
+
+
+def _hermitian_texts(states: np.ndarray) -> list[str]:
+    """The json text of the Hermitian part ``(rho + rho^dag) / 2`` of each
+    of a stack of ``d x d`` states: ``d^2`` float ``repr`` per state, json's
+    text of a finite float.  A lower entry is the exact conjugate of its
+    mirror: its imaginary part is the mirror's text with the sign flipped."""
+    m, d = states.shape[:2]
+    h = 0.5 * (states + states.conj().swapaxes(1, 2))
+    i, j = np.triu_indices(d, 1)
+    diag = np.arange(d)
+    floats = np.concatenate([h.real[:, diag, diag], h.real[:, i, j], h.imag[:, i, j]], axis=1)
+    reprs = list(map(repr, floats.ravel().tolist()))
+    template, n, p = _hermitian_template(d), d * d, i.size
+    out = []
+    for a in range(0, m * n, n):
+        fields = reprs[a:a + n]
+        fields += [s[1:] if s[0] == "-" else "-" + s for s in fields[n - p:]]
+        out.append(template.format(*fields))
+    return out
+
+
+def _dump_writer(fh, walk: model.WalkModel, start: model.VertexId):
+    """``on_chunk`` of ``simulate --dump``: one JSON line per event, written
+    one chunk at a time, each walker's lines in time order after those of
+    the walkers before it.  Each line is the text of ``json.dumps(...,
+    sort_keys=True)`` on ``{"traj", "t", "from", "to", "rho"}``, where
+    ``rho`` is ``matrix_to_json`` of the Hermitian part of the post-jump
+    state (:func:`_hermitian_texts`).  The states of a chunk are stacked
+    once per dimension, except read-only ones, such as the post-jump state
+    the sampler shares among all jumps along an edge of a scalar vertex:
+    those are formatted once, found by identity."""
+    labels = [json.dumps(str(v)) for v in walk.ids]
+    k0 = walk.position(start)
+    shared: dict[int, tuple[np.ndarray, str]] = {}  # id -> (state, text); the state keeps its id
+
+    def write(first: int, ev: trajectory._Events):
+        texts: list = [None] * len(ev.rho)
+        stacks: dict[int, list[int]] = {}  # dimension -> events of writable states
+        for j, rho in enumerate(ev.rho):
+            hit = shared.get(id(rho))
+            if hit is not None:
+                texts[j] = hit[1]
+            elif rho.flags.writeable:
+                stacks.setdefault(rho.shape[0], []).append(j)
+            else:
+                texts[j] = _hermitian_texts(rho[None])[0]
+                shared[id(rho)] = (rho, texts[j])
+        for js in stacks.values():
+            for j, text in zip(js, _hermitian_texts(np.stack([ev.rho[j] for j in js]))):
+                texts[j] = text
+        lines, last = [], -1
+        for j in np.argsort(ev.walker, kind="stable").tolist():
+            i = ev.walker[j]
+            if i != last:
+                prev, last = labels[k0], i
+            to = labels[ev.pos[j]]
+            lines.append(f'{{"from": {prev}, "rho": {texts[j]}, "t": {ev.time[j]!r}, '
+                         f'"to": {to}, "traj": {first + i}}}\n')
             prev = to
         fh.write("".join(lines))
 
@@ -210,22 +256,29 @@ def _cmd_simulate(args, walk: model.WalkModel) -> int:
                 q["vertex"] = walk.named(str(q["vertex"]))
     else:
         queries = [{"kind": "position_law", "t": args.horizon / 2.0}]
-    with open(args.dump, "w") if args.dump else contextlib.nullcontext() as dump:
-        reports = trajectory.estimate(
-            walk, init, args.horizon, args.n, seed=args.seed, queries=queries,
-            on_record=None if dump is None else _dump_writer(dump, walk),
+    dump = open(args.dump, "w") if args.dump else None
+    try:
+        with dump or contextlib.nullcontext():
+            reports = trajectory.estimate(
+                walk, init, args.horizon, args.n, seed=args.seed, queries=queries,
+                on_chunk=None if dump is None else _dump_writer(dump, walk, init.vertex),
+            )
+        rows = []
+        for qi, rep in enumerate(reports):
+            for p in rep.points:
+                rows.append(f"{qi},{p.label},{p.estimate:.12g},{p.stderr:.12g},"
+                            f"{p.ci_low:.12g},{p.ci_high:.12g},{rep.n}\n")
+        _write_csv(
+            args.out,
+            _meta(args, walk, {"horizon": args.horizon, "n_traj": args.n}),
+            ["query_id", "t", "estimate", "stderr", "ci_lo", "ci_hi", "n"],
+            "".join(rows),
         )
-    rows = []
-    for qi, rep in enumerate(reports):
-        for p in rep.points:
-            rows.append(f"{qi},{p.label},{p.estimate:.12g},{p.stderr:.12g},"
-                        f"{p.ci_low:.12g},{p.ci_high:.12g},{rep.n}\n")
-    _write_csv(
-        args.out,
-        _meta(args, walk, {"horizon": args.horizon, "n_traj": args.n}),
-        ["query_id", "t", "estimate", "stderr", "ci_lo", "ci_hi", "n"],
-        "".join(rows),
-    )
+    except BaseException:
+        if dump is not None:  # a failed run leaves no dump behind
+            with contextlib.suppress(OSError):
+                os.remove(args.dump)
+        raise
     return 0
 
 
@@ -375,7 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--queries", default=None, help="JSON file with query list")
-    sp.add_argument("--dump", default=None, help="line-delimited event dump path")
+    sp.add_argument("--dump", default=None,
+                    help="also write one JSON line per jump here: traj, t, from, to and rho, "
+                    "the Hermitian part of the post-jump state; removed if the run fails")
 
     sp = command("first-passage", "exact reach probability operator")
     sp.add_argument("--from", required=True, dest="from")

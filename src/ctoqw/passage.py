@@ -320,7 +320,8 @@ def return_operators(model: WalkModel) -> tuple[dict[VertexId, np.ndarray], dict
         cols = green.solve(rhs, trans="H")
         for vid in ids[k:end]:
             s = offsets[vid]
-            g_adj[vid] = cols[s, s.start - first:s.stop - first]
+            # a copy, so that no block keeps the whole (n, width) result alive
+            g_adj[vid] = cols[s, s.start - first:s.stop - first].copy()
         k = end
     out: dict[VertexId, np.ndarray] = {}
     for ks, stack in linalg.by_shape([g_adj[v] for v in ids]):

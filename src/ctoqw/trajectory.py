@@ -818,16 +818,16 @@ def estimate(
     n_traj: int,
     seed: int,
     queries: list[dict],
-    on_record: Callable[[int, TrajectoryRecord], None] | None = None,
+    on_chunk: Callable[[int, _Events], None] | None = None,
 ) -> list[EstimateReport]:
     """Monte Carlo estimates over ``n_traj`` independent trajectories.
 
     The walkers advance together, ``_CHUNK`` streams at a time; the
     ``k``-th trajectory equals ``simulate(..., seed=seed, stream=k)``, so
     ``seed`` must lie in ``[0, 2**64)``.
-    ``on_record(k, record)``, when given, sees the ``k``-th sampled
-    trajectory as it is tallied; only then are the records built, and
-    they keep their post-jump states.
+    ``on_chunk(first, events)``, when given, sees each chunk's events as
+    they are tallied: walker ``i`` of the chunk is trajectory ``first + i``,
+    and only then are the post-jump states kept.
 
     Supported queries (dicts):
 
@@ -880,10 +880,9 @@ def estimate(
 
     for first in range(0, n_traj, _CHUNK):
         streams = range(first, min(first + _CHUNK, n_traj))
-        ev = _sample(tab, k0, rho0, horizon, seed, streams, keep_rho=on_record is not None)
-        if on_record is not None:
-            for k, rec in enumerate(_records(tab.ids, init, horizon, ev), first):
-                on_record(k, rec)
+        ev = _sample(tab, k0, rho0, horizon, seed, streams, keep_rho=on_chunk is not None)
+        if on_chunk is not None:
+            on_chunk(first, ev)
         arrays, chunk = _Tally(ev, k0, horizon), slice(first, first + len(streams))
         for qi, q in enumerate(queries):
             kind = q["kind"]

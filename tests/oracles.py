@@ -621,3 +621,30 @@ def check_record(model: WalkModel, rec: trajectory.TrajectoryRecord):
         if mineig < -_RECORD_TOL:
             raise ModelError(f"post-jump state eigenvalue {mineig} < 0")
         t_prev, x_prev = ev.time, ev.vertex
+
+
+def hermitian_json(rho: np.ndarray) -> list:
+    """``matrix_to_json`` of the Hermitian part ``(rho + rho^dag) / 2`` of a
+    state, read off its upper triangle: a diagonal entry is its real part
+    and ``0.0``, and an entry below the diagonal is the exact conjugate of
+    its mirror."""
+    h = (rho + rho.conj().T) / 2
+    d = h.shape[0]
+    return [[[float(h[i, i].real), 0.0] if i == j
+             else [float(h[i, j].real), float(h[i, j].imag)] if i < j
+             else [float(h[j, i].real), -float(h[j, i].imag)]
+             for j in range(d)] for i in range(d)]
+
+
+def dump_events(model: WalkModel, init, horizon: float, n: int, seed: int) -> list[dict]:
+    """The events ``simulate --dump`` writes for ``n`` trajectories, one
+    ``simulate(stream=k)`` at a time: trajectory, time, vertices before and
+    after the jump, and the Hermitian part of the post-jump state."""
+    out = []
+    for k in range(n):
+        prev = init.vertex
+        for ev in trajectory.simulate(model, init, horizon, seed=seed, stream=k).events:
+            out.append({"traj": k, "t": ev.time, "from": str(prev), "to": str(ev.vertex),
+                        "rho": hermitian_json(ev.rho)})
+            prev = ev.vertex
+    return out

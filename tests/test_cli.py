@@ -14,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import ctoqw
-from ctoqw import classify, linalg, model, passage, trajectory
+from ctoqw import classify, cli, linalg, model, passage, trajectory
 from ctoqw.cli import _dump_writer, main
+from ctoqw.errors import ConvergenceError
 from ctoqw.model import SitedState, build_walk, matrix_to_json, model_from_json
+from oracles import dump_events, hermitian_json
+from strategies import leaky_variant, random_density, random_model
 
 
 def run(tmp_path, *argv):
@@ -310,12 +313,9 @@ def test_simulate_dump(tmp_path, spin_file, monkeypatch):
     assert set(events[0]) == {"traj", "t", "from", "to", "rho"}
     walk = model_from_json(json.loads(spin_file.read_text()))
     init = SitedState(1, np.diag([1.0, 0.0]))
-    expected = [
-        (k, ev.time, str(ev.vertex), matrix_to_json(ev.rho))
-        for k in range(5)
-        for ev in trajectory.simulate(walk, init, 3.0, seed=1, stream=k).events
-    ]
-    assert [(ev["traj"], ev["t"], ev["to"], ev["rho"]) for ev in events] == expected
+    # each rho is the exact-Hermitian part of simulate(stream=k)'s state,
+    # down to the text
+    assert lines == [json.dumps(ev, sort_keys=True) for ev in dump_events(walk, init, 3.0, 5, seed=1)]
 
 
 def test_query_vertices_match_ids_as_strings(tmp_path, two_site_file):
@@ -333,28 +333,72 @@ def test_query_vertices_match_ids_as_strings(tmp_path, two_site_file):
     assert occupation[0][1] == "1" and float(occupation[0][2]) > 0.0
 
 
-def test_dump_text_of_shared_states_is_json_text(tmp_path):
-    # the sampler shares one read-only post-jump state per edge of a scalar
-    # vertex; the writer keys their text by bytes, so equal values written
-    # as writable arrays, and -0.0 against 0.0, give json's own text
-    walk = ctoqw.fixtures.biased_line((-3, 3))
-    shared = [np.array([[1.0 + 0.0j]]), np.array([[1.0 - 0.0j]]), np.array([[-0.0 + 0.0j]])]
+def test_dump_text_of_shared_states_is_json_text(monkeypatch):
+    # The sampler shares one read-only post-jump state per edge of a scalar
+    # vertex.  The writer formats such a state once, found by identity, and
+    # stacks the writable ones per dimension in every chunk; equal values in
+    # distinct objects, -0.0 against 0.0 and states that are Hermitian only
+    # to rounding all give json's text of the state's Hermitian part.
+    walk = ctoqw.fixtures.spin_biased_line((0, 3))  # vertex 1 is a qubit
+    shared = [np.array([[1.0 + 0.0j]]), np.array([[1.0 - 0.0j]]), np.array([[0.8, 0.4], [0.4, 0.2]]) + 0j]
     for rho in shared:
         rho.flags.writeable = False
-    states = shared + [np.array([[1.0 + 0.0j]]), np.array([[0.0 + 0.0j]])]
-    rec = trajectory.TrajectoryRecord(
-        SitedState(0, [[1.0]]),
-        [trajectory.JumpEvent(0.5 * (j + 1), (j + 1) % 2, rho) for j, rho in enumerate(states)],
-        10.0,
-    )
-    fh = io.StringIO()
-    _dump_writer(fh, walk)(7, rec)
-    expected = [
-        json.dumps({"traj": 7, "t": ev.time, "from": str(j % 2), "to": str(ev.vertex),
-                    "rho": matrix_to_json(ev.rho)}, sort_keys=True)
-        for j, ev in enumerate(rec.events)
+    qubit = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2000000000000001j, 0.4]])
+    events = [  # walker, time, position, state, in sampling order
+        (1, 0.5, 1, qubit), (0, 0.7, 2, shared[0]), (1, 0.9, 2, shared[1]), (0, 1.1, 1, shared[2]),
+        (2, 1.3, 0, np.array([[1.0 + 0.0j]])), (0, 1.5, 0, np.array([[-0.0 + 0.0j]])),
+        (1, 1.7, 1, qubit.T.copy()), (0, 1.9, 1, shared[2]),
     ]
-    assert fh.getvalue().splitlines() == expected
+    w, t, x, rhos = (list(c) for c in zip(*events))
+    ev = trajectory._Events(w, t, x, rhos, [False] * 3, [None] * 3)
+    formatted = []
+    texts = cli._hermitian_texts
+    monkeypatch.setattr(cli, "_hermitian_texts", lambda s: formatted.append(len(s)) or texts(s))
+    fh = io.StringIO()
+    write = _dump_writer(fh, walk, 1)
+    for first in (7, 20):  # two chunks with the same shared states
+        write(first, ev)
+    lines = fh.getvalue().splitlines()
+    expected = []
+    for first in (7, 20):
+        for i in range(3):  # each walker's events in time order, after those of the walkers before it
+            prev = "1"
+            for wi, ti, xi, rho in events:
+                if wi == i:
+                    expected.append(json.dumps({"traj": first + i, "t": ti, "from": prev, "to": str(xi),
+                                                "rho": hermitian_json(rho)}, sort_keys=True))
+                    prev = str(xi)
+    assert lines == expected
+    # a lower imaginary part is its mirror's text with the sign flipped
+    assert '"rho": [[[0.8, 0.0], [0.4, 0.0]], [[0.4, -0.0], [0.2, 0.0]]]' in lines[1]
+    # three shared states formatted once each; four writable ones per chunk,
+    # stacked by dimension
+    assert sorted(formatted) == [1, 1, 1, 2, 2, 2, 2]
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.integers(0, 10_000), hst.booleans())
+def test_dump_lines_are_json_of_the_hermitian_simulate_states(seed, leaky):
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, max_dim=5)
+    if leaky:
+        m = leaky_variant(rng, m)
+    v0 = m.vertices[0]
+    init = SitedState(v0.id, random_density(rng, v0.dim))
+    fh = io.StringIO()
+    trajectory.estimate(m, init, 2.0, 6, seed=seed, queries=[{"kind": "position_law", "t": 1.0}],
+                        on_chunk=_dump_writer(fh, m, v0.id))
+    lines = fh.getvalue().splitlines()
+    oracle = dump_events(m, init, 2.0, 6, seed)
+    assert len(lines) == len(oracle)
+    assert lines == [json.dumps(ev, sort_keys=True) for ev in oracle]
+    for line in lines:
+        rho = json.loads(line)["rho"]
+        for i, row in enumerate(rho):
+            assert str(row[i][1]) == "0.0"
+            for j, (re, im) in enumerate(row[i + 1:], i + 1):
+                # exact conjugates, down to the sign of a zero
+                assert [str(re), str(-im)] == [str(z) for z in rho[j][i]]
 
 
 def test_vertex_arguments_match_ids_as_strings(tmp_path, capsys):
@@ -388,6 +432,25 @@ def test_runaway_trajectory_is_a_convergence_exit(tmp_path, two_site_file, capsy
     assert code == 3
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("ConvergenceError: trajectory exceeded 50 jumps")
+
+
+def test_failure_after_a_dumped_chunk_leaves_no_dump(tmp_path, two_site_file, capsys, monkeypatch):
+    sample, calls = trajectory._sample, []
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ConvergenceError("survival inversion did not reach tolerance")
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(trajectory, "_sample", fail_second)
+    dump = tmp_path / "dump.ndjson"
+    capsys.readouterr()
+    code = run(tmp_path, "simulate", "--model", two_site_file, "--start", "0:e1", "--horizon", 2,
+               "--n", trajectory._CHUNK + 1, "--out", tmp_path / "est.csv", "--dump", dump)
+    assert (code, len(calls)) == (3, 2)
+    assert capsys.readouterr().err == "ConvergenceError: survival inversion did not reach tolerance\n"
+    assert not dump.exists() and not (tmp_path / "est.csv").exists()
 
 
 def test_first_passage_and_occupation(tmp_path, spin_file):
@@ -675,6 +738,8 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, data):
         (["first-passage", "--from", "0:e1", "--to", "+-1"], 1, "ModelError: unknown vertex +-1"),
         (["simulate", "--start", "0:e1", "--horizon", 1, "--n", 2, "--queries", "{d}/queries.json"],
          1, "ModelError: unknown vertex 99"),
+        (["simulate", "--start", "0:e1", "--horizon", 1, "--n", 2, "--queries", "{d}/nonsense.json",
+          "--dump", "{d}/dump.ndjson"], 4, "PreconditionError: unknown query kind 'nonsense'"),
         # usage errors: the usage text, then one error line
         (["simulate", "--start", "0:e1", "--horizon", 1, "--n", 2, "--bogus"], 1,
          "ctoqw: error: unrecognized arguments: --bogus"),
@@ -696,7 +761,7 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, data):
     ],
     ids=["negative-seed", "seed-past-the-key-range", "state-is-a-directory", "state-of-wrong-shape",
          "model-is-a-directory", "unwritable-out", "superscript-vertex", "double-sign-vertex",
-         "unknown-query-vertex", "unknown-flag", "missing-option", "bad-int", "two-windows",
+         "unknown-query-vertex", "unknown-query-kind-with-dump", "unknown-flag", "missing-option", "bad-int", "two-windows",
          "model-is-a-number", "model-is-null", "meta-is-a-number", "escaping-is-a-number",
          "lattice-is-a-number"],
 )
@@ -710,6 +775,7 @@ def test_bad_inputs_exit_cleanly(tmp_path, two_site_file, capsys, argv, code, me
     (tmp_path / "queries.json").write_text(json.dumps(
         [{"kind": "visits", "vertex": 99}, {"kind": "occupation", "vertex": "1"}]
     ))
+    (tmp_path / "nonsense.json").write_text(json.dumps([{"kind": "nonsense"}]))
     argv = [str(a).format(d=tmp_path) for a in argv]
     if "--model" not in argv and argv[0] != "fixtures":
         argv += ["--model", str(two_site_file)]
@@ -720,6 +786,7 @@ def test_bad_inputs_exit_cleanly(tmp_path, two_site_file, capsys, argv, code, me
     assert err.endswith("\n") and last.startswith(message)
     # only a usage error prints more than its one error line: the usage first
     assert not usage or (": error: " in message and usage[0].startswith("usage: ctoqw"))
+    assert not (tmp_path / "dump.ndjson").exists()  # a failed run leaves no dump behind
 
 
 _SITE = matrix_to_json(np.array([[-0.5]]))

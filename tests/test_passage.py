@@ -278,6 +278,22 @@ def test_one_tolerance_switches_every_certificate(monkeypatch):
         passage.return_operators(m)
 
 
+def test_return_scan_keeps_no_solve_result_alive():
+    # Each G_vv block is copied out of its batch's (n, width) solve result.
+    # A view would keep every result alive until the blocks are stacked:
+    # n^2 * 16 bytes, about 244 MiB at 4,001 sites.
+    import tracemalloc
+
+    m = fixtures.biased_line((-2000, 2000))
+    tracemalloc.start()
+    try:
+        passage.return_operators(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
 def test_first_passage_cp_certificates(two_site, biased_small, spin_small, coherent):
     cases = [(two_site, 0, 0), (biased_small, 0, 0), (spin_small, 1, 1), (coherent, 1, 1)]
     for m, i, j in cases:

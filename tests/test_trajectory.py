@@ -497,8 +497,13 @@ def test_estimate_records_are_simulate_records(case):
     _, m, init, horizon = case
     n = trajectory._CHUNK + 10  # more than one chunk of walkers
     records = {}
+
+    def keep(first, ev):
+        for k, rec in enumerate(trajectory._records(m.ids, init, horizon, ev), first):
+            records[k] = rec
+
     queries = [{"kind": "visits", "vertex": init.vertex}]
-    trajectory.estimate(m, init, horizon, n, seed=17, queries=queries, on_record=records.__setitem__)
+    trajectory.estimate(m, init, horizon, n, seed=17, queries=queries, on_chunk=keep)
     assert sorted(records) == list(range(n))
     for k, rec in records.items():
         alone = trajectory.simulate(m, init, horizon, seed=17, stream=k)
@@ -546,8 +551,18 @@ def test_estimate_samples_in_chunks_and_keeps_no_states(two_site, monkeypatch):
     chunk = trajectory._CHUNK
     assert calls == [(chunk, False), (chunk, False), (1, False)] and not built
     calls.clear()
-    trajectory.estimate(two_site, init, 3.0, 3, seed=2, queries=queries, on_record=lambda k, r: None)
-    assert calls == [(3, True)] and built == [1]
+    firsts = []
+
+    def keep(first, ev):
+        firsts.append(first)
+        trajectory._records(two_site.ids, init, 3.0, ev)
+
+    trajectory.estimate(two_site, init, 3.0, 3, seed=2, queries=queries, on_chunk=keep)
+    assert calls == [(3, True)] and built == [1] and firsts == [0]
+    calls.clear()
+    trajectory.estimate(two_site, init, 3.0, n, seed=2, queries=queries,
+                        on_chunk=lambda first, ev: firsts.append(first))
+    assert calls == [(chunk, True), (chunk, True), (1, True)] and firsts == [0, 0, chunk, 2 * chunk]
 
 
 def test_estimate_rejects_unknown_query(two_site):
