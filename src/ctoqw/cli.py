@@ -256,12 +256,14 @@ def _cmd_simulate(args, walk: model.WalkModel) -> int:
                 q["vertex"] = walk.named(str(q["vertex"]))
     else:
         queries = [{"kind": "position_law", "t": args.horizon / 2.0}]
-    dump = open(args.dump, "w") if args.dump else None
+    to_file = bool(args.dump) and args.dump != "-"
+    stdout = sys.stdout if args.dump == "-" else None
+    dump = open(args.dump, "w") if to_file else contextlib.nullcontext(stdout)
     try:
-        with dump or contextlib.nullcontext():
+        with dump as fh:
             reports = trajectory.estimate(
                 walk, init, args.horizon, args.n, seed=args.seed, queries=queries,
-                on_chunk=None if dump is None else _dump_writer(dump, walk, init.vertex),
+                on_chunk=None if fh is None else _dump_writer(fh, walk, init.vertex),
             )
         rows = []
         for qi, rep in enumerate(reports):
@@ -275,7 +277,7 @@ def _cmd_simulate(args, walk: model.WalkModel) -> int:
             "".join(rows),
         )
     except BaseException:
-        if dump is not None:  # a failed run leaves no dump behind
+        if to_file:  # a failed run leaves no dump file behind
             with contextlib.suppress(OSError):
                 os.remove(args.dump)
         raise
@@ -429,8 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--queries", default=None, help="JSON file with query list")
     sp.add_argument("--dump", default=None,
-                    help="also write one JSON line per jump here: traj, t, from, to and rho, "
-                    "the Hermitian part of the post-jump state; removed if the run fails")
+                    help="also write one JSON line per jump here ('-' for stdout): traj, t, from, "
+                    "to and rho, the Hermitian part of the post-jump state; a dump file is "
+                    "removed if the run fails")
 
     sp = command("first-passage", "exact reach probability operator")
     sp.add_argument("--from", required=True, dest="from")

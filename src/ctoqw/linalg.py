@@ -34,13 +34,12 @@ def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(shape, order="F")
 
 
-def by_shape(mats) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(positions, stack)`` for each distinct shape among ``mats``; the
-    positions increase."""
-    groups: dict[tuple, list[int]] = {}
-    for k, m in enumerate(mats):
-        groups.setdefault(m.shape, []).append(k)
-    return [(np.array(ks), np.stack([mats[k] for k in ks])) for ks in groups.values()]
+def block_entries(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray):
+    """Rows, columns and values of the nonzero entries of a stack of blocks
+    placed with the first entry of ``blocks[k]`` at ``(rows[k], cols[k])``
+    of one larger matrix."""
+    k, a, b = np.nonzero(blocks)
+    return rows[k] + a, cols[k] + b, blocks[k, a, b]
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -138,6 +139,11 @@ class WalkModel:
     is a read-only view of a stack.  Use :func:`build_walk`,
     :func:`classical_embed`, :func:`build_lattice` or
     :func:`model_from_json` to construct instances.
+
+    Read-only views for stacked work: ``stacks`` and ``jump_stacks`` (as
+    passed to the constructor), ``ends``, the ``(E, 2)`` jump ends, and
+    ``starts``, the direct sum of the vectorized vertex spaces: vertex ``p``
+    holds ``starts[p]:starts[p + 1]``, and ``starts[-1] = sum_i d_i**2``.
     """
 
     def __init__(self, vertices, stacks, ends, jumps, meta=None):
@@ -153,20 +159,24 @@ class WalkModel:
         self._by_text = {str(vid): vid for vid in self._ids}
         if len(self._by_text) != len(self.vertices):
             raise ModelError("vertex ids must remain unique as strings")
-        self._stacks: dict[int, _Stacks] = dict(stacks)
-        for s in self._stacks.values():
-            for stack in (s.ham, s.eff, s.defect, s.decay):
+        self.stacks: MappingProxyType[int, _Stacks] = MappingProxyType(dict(stacks))
+        for s in self.stacks.values():
+            for stack in s:
                 stack.flags.writeable = False
-        self._row = _rows([s.pos for s in self._stacks.values()], len(self.vertices)).tolist()
-        self._ends = list(ends)
+        self._row = _rows([s.pos for s in self.stacks.values()], len(self.vertices)).tolist()
+        sizes = np.array([v.dim for v in self.vertices], dtype=int) ** 2
+        self.starts = np.concatenate(([0], np.cumsum(sizes)))
+        self.ends = np.asarray(ends, dtype=int).reshape(-1, 2)
+        self.starts.flags.writeable = self.ends.flags.writeable = False
+        self._ends = list(zip(*self.ends.T.tolist()))  # (src, dst) tuples, for lookups by jump
         self._jump_at = {e: k for k, e in enumerate(self._ends)}
         if len(self._jump_at) != len(self._ends):  # the dict kept the last of a duplicate
             a, b = next(e for k, e in enumerate(self._ends) if self._jump_at[e] != k)
             raise ModelError(f"duplicate jump {self._ids[a]!r} -> {self._ids[b]!r}")
-        self._jump_stacks = list(jumps)
+        self.jump_stacks: tuple[tuple[np.ndarray, np.ndarray], ...] = tuple(jumps)
         self._slot: list = [None] * len(self._ends)  # (stack, row) of each jump
-        for ks, stack in self._jump_stacks:
-            stack.flags.writeable = False
+        for ks, stack in self.jump_stacks:
+            ks.flags.writeable = stack.flags.writeable = False
             for r, k in enumerate(ks.tolist()):
                 self._slot[k] = stack, r
         self._out: list[list[int]] = [[] for _ in self.vertices]  # jumps by source, in order
@@ -205,7 +215,7 @@ class WalkModel:
 
     def _at(self, vertex: VertexId) -> tuple[_Stacks, int]:
         p = self.position(vertex)
-        return self._stacks[self.vertices[p].dim], self._row[p]
+        return self.stacks[self.vertices[p].dim], self._row[p]
 
     def hamiltonian(self, vertex: VertexId) -> np.ndarray:
         s, r = self._at(vertex)
@@ -272,11 +282,11 @@ class WalkModel:
 
     def to_json_dict(self) -> dict:
         hams, effs = [None] * len(self.vertices), [None] * len(self.vertices)
-        for s in self._stacks.values():
+        for s in self.stacks.values():
             for p, h, g in zip(s.pos.tolist(), matrix_to_json(s.ham), matrix_to_json(s.eff)):
                 hams[p], effs[p] = h, g
         mats = [None] * len(self._ends)
-        for ks, stack in self._jump_stacks:
+        for ks, stack in self.jump_stacks:
             for k, r in zip(ks.tolist(), matrix_to_json(stack)):
                 mats[k] = r
         ids = self._ids
@@ -343,14 +353,14 @@ def _canonical_hash(model: WalkModel) -> str:
 
 def _rate_constant(model: WalkModel) -> float:
     norms = np.empty(len(model._ends))
-    for ks, r in model._jump_stacks:
+    for ks, r in model.jump_stacks:
         norms[ks] = linalg.opnorm(r @ _dagger(r))
     return float(sum(norms.tolist()))
 
 
 def _escaping_boundary(model: WalkModel) -> tuple:
     norms = np.empty(len(model.vertices))
-    for s in model._stacks.values():
+    for s in model.stacks.values():
         norms[s.pos] = linalg.opnorm(s.defect)
     return tuple(vid for vid, x in zip(model._ids, norms.tolist()) if x > STRUCT_TOL)
 
@@ -469,7 +479,8 @@ def build_walk(
             raise ModelError(f"self-loop jump at vertex {src!r} is not allowed")
         ends.append((index[src], index[dst]))
         mats.append(r)
-    src, dst = np.array(ends, dtype=int).reshape(-1, 2).T
+    ends = np.array(ends, dtype=int).reshape(-1, 2)
+    src, dst = ends.T
     jump_stacks = _stacked(
         mats, dims[dst], dims[src],
         lambda k: f"jump {vspaces[ends[k][0]].id!r} -> {vspaces[ends[k][1]].id!r}",
@@ -607,7 +618,7 @@ def validate(model: WalkModel, tol: float = STRUCT_TOL) -> ValidationReport:
     # per vertex: |H - H^dag|, |H|, |G - rebuilt G|, |G|, |G + G^dag + decay|,
     # and the least eigenvalue of the escape defect -(G + G^dag + decay)
     cols = np.empty((6, len(model.vertices)))
-    for ks, h, g, defect, decay in model._stacks.values():
+    for ks, h, g, defect, decay in model.stacks.values():
         rebuilt = -1j * h - 0.5 * decay - 0.5 * defect
         zero_sum = g + _dagger(g) + decay
         stacked = np.concatenate([h - _dagger(h), h, g - rebuilt, g, zero_sum])

@@ -6,7 +6,9 @@ map assembled from two ingredients:
 
 - the dwell integral ``D_i(X) = int_0^infty e^{s G_i} X e^{s G_i^dag} ds``,
   the closed form of one sojourn, a batched inverse per vertex dimension;
-- one-step kernels ``J[k->l](X) = R[k->l] D_k(X) R[k->l]^dag``.
+- one-step kernels ``J[k->l](X) = R[k->l] D_k(X) R[k->l]^dag``, one stack
+  per jump stack of the model, placed on the direct sum of the vertex
+  spaces as ``WalkModel.starts`` lays it out.
 
 Summing dwell-then-jump steps over all interior paths that avoid ``j``
 (the taboo kernel) and closing with a final jump onto ``j`` gives the
@@ -98,45 +100,41 @@ def dwell_superop(model: WalkModel, vertex: VertexId) -> SuperOp:
     return SuperOp(d, d, linalg.lyapunov_dwell(model.effective(vertex)[None], where=[vertex])[0])
 
 
-def jump_kernel(model: WalkModel) -> dict[tuple[VertexId, VertexId], SuperOp]:
-    """One dwell-then-jump step for every stored edge.
+def jump_kernel(model: WalkModel) -> tuple[np.ndarray, ...]:
+    """One dwell-then-jump step for every stored jump: per jump stack
+    ``(ks, R)`` of the model, in its order, the read-only stack of the
+    vectorized ``J[k->l](rho) = R[k->l] D_k(rho) R[k->l]^dag``.
 
-    ``J[k->l](rho) = R[k->l] D_k(rho) R[k->l]^dag``.  Every vertex with an
-    outgoing jump must be escaping; vertices without outgoing jumps simply
-    contribute no kernels (the walker never leaves them).  One dwell call per
-    vertex dimension, one stacked product per jump shape.  The kernel
-    matrices are read-only: passage maps share one kernel per model.
+    Every vertex with an outgoing jump must be escaping; vertices without
+    outgoing jumps simply contribute no kernels (the walker never leaves
+    them).  One dwell call per vertex dimension, over the vertices with an
+    out-jump, and one stacked product per jump shape.  Passage maps share
+    one kernel per model.
     """
-    sources = [v.id for v in model.vertices if model.out_edges(v.id)]
+    ids, src = model.ids, model.ends[:, 0]
+    sources = np.bincount(src, minlength=len(ids)) > 0
+    slot = np.zeros(len(ids), dtype=int)  # each source's row in its dimension's dwell stack
     dwell = {}
-    for ks, gens in linalg.by_shape([model.effective(v) for v in sources]):
-        ids = [sources[k] for k in ks]
-        dwell.update(zip(ids, linalg.lyapunov_dwell(gens, where=ids)))
-    edges = [(src, dst, r) for src in sources for dst, r in model.out_edges(src)]
-    kernels = {}
-    for ks, rs in linalg.by_shape([r for _, _, r in edges]):
-        mats = linalg.sandwich_matrix(rs) @ np.stack([dwell[edges[k][0]] for k in ks])
+    for d, s in model.stacks.items():
+        pos = s.pos[sources[s.pos]]
+        if pos.size:
+            slot[pos] = np.arange(len(pos))
+            dwell[d] = linalg.lyapunov_dwell(s.eff[sources[s.pos]], where=[ids[p] for p in pos.tolist()])
+    kernels = []
+    for ks, r in model.jump_stacks:
+        mats = linalg.sandwich_matrix(r) @ dwell[r.shape[-1]][slot[src[ks]]]
         mats.flags.writeable = False
-        for k, m in zip(ks, mats):
-            kernels[edges[k][:2]] = SuperOp(rs.shape[2], rs.shape[1], m)
-    return {e[:2]: kernels[e[:2]] for e in edges}
+        kernels.append(mats)
+    return tuple(kernels)
 
 
 # -- kernel matrices and their Green factorization ----------------------------
+#
+# A kernel acts on a direct sum laid out by ``starts`` as ``WalkModel.starts``
+# lays out all vertices, with an empty block at each vertex it leaves out.
 
 # Entries of the dense right-hand side of one block of Green solves.
 _RHS_BUDGET = 1 << 20
-
-
-def block_offsets(model: WalkModel, vertices) -> tuple[dict[VertexId, slice], int]:
-    """Where each vertex's vectorized matrix space sits in the direct sum."""
-    offsets: dict[VertexId, slice] = {}
-    pos = 0
-    for vid in vertices:
-        d = model.dim(vid)
-        offsets[vid] = slice(pos, pos + d * d)
-        pos += d * d
-    return offsets, pos
 
 
 def _csc(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
@@ -148,35 +146,16 @@ def _csc(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     return sp.csc_array((vals[order], rows[order], indptr), shape=(n, n))
 
 
-def block_index(offsets: dict[VertexId, slice], dst, src, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices, broadcast to ``shape``, of a stack of blocks
-    placed at ``(dst[k], src[k])`` of the direct sum laid out by ``offsets``."""
-    r = np.add.outer([offsets[v].start for v in dst], np.arange(shape[1]))[:, :, None]
-    c = np.add.outer([offsets[v].start for v in src], np.arange(shape[2]))[:, None, :]
-    return np.broadcast_to(r, shape), np.broadcast_to(c, shape)
-
-
-def _kernel_matrix(kernels, offsets: dict[VertexId, slice], n: int):
-    """The one-step kernels between the vertices of ``offsets`` as one
-    sparse CSC matrix on their direct sum, assembled per block shape."""
-    edges = [e for e in kernels if e[0] in offsets and e[1] in offsets]
-    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
-    for ks, mats in linalg.by_shape([kernels[e].matrix for e in edges]):
-        r, c = block_index(offsets, [edges[k][1] for k in ks], [edges[k][0] for k in ks], mats.shape)
-        keep = mats != 0
-        rows.append(r[keep])
-        cols.append(c[keep])
-        vals.append(mats[keep])
-    return _csc(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), n)
-
-
-def _dim_groups(offsets: dict[VertexId, slice]) -> list[tuple[int, np.ndarray]]:
-    """The vertex blocks of a direct sum grouped by dimension ``d``: the
-    start of each ``d * d`` block."""
-    by_size: dict[int, list[int]] = {}
-    for s in offsets.values():
-        by_size.setdefault(s.stop - s.start, []).append(s.start)
-    return [(math.isqrt(size), np.array(starts)) for size, starts in by_size.items()]
+def _kernel_matrix(model: WalkModel, kernels, starts: np.ndarray):
+    """The one-step kernels between the vertices with a block in the
+    direct sum laid out by ``starts``, as one sparse CSC matrix on it."""
+    inside = starts[1:] > starts[:-1]
+    parts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=complex))]
+    for (ks, _), ker in zip(model.jump_stacks, kernels):
+        src, dst = model.ends[ks].T
+        keep = inside[src] & inside[dst]
+        parts.append(linalg.block_entries(starts[dst[keep]], starts[src[keep]], ker[keep]))
+    return _csc(*map(np.concatenate, zip(*parts)), int(starts[-1]))
 
 
 def _block_eigenvalue_range(v: np.ndarray, groups) -> tuple[float, float]:
@@ -241,10 +220,10 @@ class Green:
         }
 
 
-def factor_kernel(matrix, offsets: dict[VertexId, slice]) -> Green:
+def factor_kernel(matrix, dims) -> Green:
     """Factor ``I - matrix`` with a sparse LU and certify ``rho(matrix) < 1``
-    on the direct sum described by ``offsets``; never raises on a singular
-    kernel."""
+    on the direct sum of the vectorized matrix spaces of dimensions
+    ``dims``, in order; never raises on a singular kernel."""
     n = matrix.shape[0]
     if n == 0:
         return Green(0, 0, None)
@@ -263,10 +242,12 @@ def factor_kernel(matrix, offsets: dict[VertexId, slice]) -> Green:
         lu = spla.splu(i_minus_k)
     except RuntimeError:  # "Factor is exactly singular"
         return Green(n, nnz, None)
-    groups = _dim_groups(offsets)
+    dims = np.asarray(dims)
+    starts = np.cumsum(dims**2) - dims**2
+    groups = [(d, starts[dims == d]) for d in np.unique(dims).tolist()]
     ones = np.zeros(n, dtype=complex)
-    for d, starts in groups:
-        ones[np.add.outer(starts, (d + 1) * np.arange(d))] = 1.0  # vec(I_d)
+    for d, at in groups:
+        ones[np.add.outer(at, (d + 1) * np.arange(d))] = 1.0  # vec(I_d)
     x = lu.solve(ones, trans="H")
     if not np.all(np.isfinite(x)):
         return Green(n, nnz, lu)
@@ -276,11 +257,12 @@ def factor_kernel(matrix, offsets: dict[VertexId, slice]) -> Green:
     return Green(n, nnz, lu, x_min, x_max, y_min)
 
 
-def one_step_green(model: WalkModel) -> tuple[dict[VertexId, slice], Green]:
-    """The factored one-step kernel ``Q`` over all vertices, in model order."""
+def one_step_green(model: WalkModel) -> Green:
+    """The factored one-step kernel ``Q`` over all vertices, on the layout
+    of ``model.starts``."""
     kernels = model.derived("jump_kernel", jump_kernel)
-    offsets, n = block_offsets(model, model.ids)
-    return offsets, factor_kernel(_kernel_matrix(kernels, offsets, n), offsets)
+    matrix = _kernel_matrix(model, kernels, model.starts)
+    return factor_kernel(matrix, [v.dim for v in model.vertices])
 
 
 def return_operators(model: WalkModel) -> tuple[dict[VertexId, np.ndarray], dict]:
@@ -292,12 +274,12 @@ def return_operators(model: WalkModel) -> tuple[dict[VertexId, np.ndarray], dict
     exists, and its diagonal block at ``v`` sums every return to ``v``:
     ``G_vv = sum_n P_vv^n = (I - P_vv)^-1``, so ``P_vv = I - G_vv^-1``.  The
     blocks ``G_vv^dag`` come from solves against the identity columns of a
-    few consecutive vertices at a time.  Raises :class:`ConvergenceError`,
-    naming the margins, unless the factorization certifies
-    ``rho(Q) <= 1 - TOL``.
+    few consecutive vertices at a time, gathered into one stack per vertex
+    dimension.  Raises :class:`ConvergenceError`, naming the margins, unless
+    the factorization certifies ``rho(Q) <= 1 - TOL``.
     """
-    ids = model.ids
-    offsets, green = one_step_green(model)
+    starts = model.starts
+    green = one_step_green(model)
     n = green.dim
     info = green.diagnostics()
     if not info["certified"]:
@@ -306,33 +288,31 @@ def return_operators(model: WalkModel) -> tuple[dict[VertexId, np.ndarray], dict
             f"kernel (lambda_min(X) = {green.x_min}, lambda_max(X) = {green.x_max}, "
             f"lambda_min(Y) = {green.y_min}); the return maps cannot be read off it"
         )
-    g_adj: dict[VertexId, np.ndarray] = {}
+    g_adj = {d: np.empty((len(s.pos), d * d, d * d), dtype=complex) for d, s in model.stacks.items()}
     width = max(1, _RHS_BUDGET // n)
     k = 0
-    while k < len(ids):
-        first = offsets[ids[k]].start
-        end = k + 1
-        while end < len(ids) and offsets[ids[end]].stop - first <= width:
-            end += 1
-        stop = offsets[ids[end - 1]].stop
+    while k < len(model.vertices):
+        first = starts[k]
+        end = max(k + 1, int(np.searchsorted(starts, first + width, side="right")) - 1)
+        stop = starts[end]
         rhs = np.zeros((n, stop - first), dtype=complex)
         rhs[first:stop] = np.eye(stop - first)
         cols = green.solve(rhs, trans="H")
-        for vid in ids[k:end]:
-            s = offsets[vid]
+        for d, s in model.stacks.items():
+            lo, hi = np.searchsorted(s.pos, (k, end))
+            at = starts[s.pos[lo:hi], None, None] + np.arange(d * d)[:, None]
             # a copy, so that no block keeps the whole (n, width) result alive
-            g_adj[vid] = cols[s, s.start - first:s.stop - first].copy()
+            g_adj[d][lo:hi] = cols[at, at.transpose(0, 2, 1) - first]
         k = end
-    out: dict[VertexId, np.ndarray] = {}
-    for ks, stack in linalg.by_shape([g_adj[v] for v in ids]):
+    out = {}  # position -> M_v
+    for d, s in model.stacks.items():
         # P_vv^dag = I - (G_vv^dag)^-1, applied to vec(I)
-        d = math.isqrt(stack.shape[-1])
         eye = np.eye(d, dtype=complex)
-        z = np.linalg.solve(stack, np.broadcast_to(eye.reshape(-1, 1), (len(ks), d * d, 1)))
+        z = np.linalg.solve(g_adj[d], np.broadcast_to(eye.reshape(-1, 1), (len(s.pos), d * d, 1)))
         m = eye - z.reshape(-1, d, d).transpose(0, 2, 1)
         m = 0.5 * (m + m.conj().transpose(0, 2, 1))
-        out.update(zip([ids[k] for k in ks], m))
-    return {vid: out[vid] for vid in ids}, info
+        out.update(zip(s.pos.tolist(), m))
+    return {vid: out[p] for p, vid in enumerate(model.ids)}, info
 
 
 # -- taboo kernel and passage maps ---------------------------------------------
@@ -344,11 +324,14 @@ class TabooKernel:
 
     Acts on the direct sum of the matrix spaces of the active vertices
     (those distinct from the taboo vertex that can pass the walker on), as
-    a sparse CSC matrix.
+    a sparse CSC matrix.  ``starts`` lays the sum out, with an empty block
+    at every inactive vertex; ``dims`` lists the active vertices'
+    dimensions in model order.
     """
 
     taboo: VertexId
-    offsets: dict[VertexId, slice]
+    starts: np.ndarray
+    dims: np.ndarray
     matrix: object  # scipy.sparse.csc_array
     into_taboo: np.ndarray  # maps the stacked space onto the taboo block
 
@@ -360,21 +343,22 @@ class TabooKernel:
     def green(self) -> Green:
         """``I - matrix`` factored with its certificate, computed once for
         all passage maps into the taboo vertex."""
-        return factor_kernel(self.matrix, self.offsets)
+        return factor_kernel(self.matrix, self.dims)
 
 
 def _taboo_kernel(model: WalkModel, j: VertexId, kernels) -> TabooKernel:
-    active = [
-        v.id for v in model.vertices
-        if v.id != j and model.out_edges(v.id)
-    ]
-    offsets, pos = block_offsets(model, active)
-    dj = model.dim(j)
-    f_mat = np.zeros((dj * dj, pos), dtype=complex)
-    for (src, dst), ker in kernels.items():
-        if dst == j and src in offsets:
-            f_mat[:, offsets[src]] += ker.matrix
-    return TabooKernel(j, offsets, _kernel_matrix(kernels, offsets, pos), f_mat)
+    p = model.position(j)
+    dims = np.array([v.dim for v in model.vertices])
+    active = np.bincount(model.ends[:, 0], minlength=len(dims)) > 0
+    active[p] = False
+    starts = np.concatenate(([0], np.cumsum(np.where(active, dims**2, 0))))
+    into = np.zeros((dims[p] ** 2, starts[-1]), dtype=complex)
+    for (ks, _), ker in zip(model.jump_stacks, kernels):
+        src, dst = model.ends[ks].T
+        hit = (dst == p) & active[src]
+        r, c, v = linalg.block_entries(np.zeros(hit.sum(), dtype=int), starts[src[hit]], ker[hit])
+        into[r, c] += v
+    return TabooKernel(j, starts, dims[active], _kernel_matrix(model, kernels, starts), into)
 
 
 def _entry_block(model: WalkModel, i: VertexId, taboo: TabooKernel, kernels) -> np.ndarray | None:
@@ -384,14 +368,16 @@ def _entry_block(model: WalkModel, i: VertexId, taboo: TabooKernel, kernels) -> 
     of ``i`` for a return map (``i`` is the taboo vertex), the injection at
     ``i`` otherwise.  None when ``i`` cannot pass the walker on.
     """
-    di = model.dim(i)
+    p, di, starts = model.position(i), model.dim(i), taboo.starts
     start = np.zeros((taboo.dim, di * di), dtype=complex)
     if i == taboo.taboo:
-        for (src, dst), ker in kernels.items():
-            if src == i and dst in taboo.offsets:
-                start[taboo.offsets[dst], :] += ker.matrix
-    elif i in taboo.offsets:
-        start[taboo.offsets[i], :] = np.eye(di * di)
+        for (ks, _), ker in zip(model.jump_stacks, kernels):
+            src, dst = model.ends[ks].T
+            hit = (src == p) & (starts[dst + 1] > starts[dst])
+            r, c, v = linalg.block_entries(starts[dst[hit]], np.zeros(hit.sum(), dtype=int), ker[hit])
+            start[r, c] += v
+    elif starts[p + 1] > starts[p]:
+        start[starts[p]:starts[p + 1]] = np.eye(di * di)
     else:
         return None
     return start
@@ -533,7 +519,7 @@ def expected_occupation(model: WalkModel, i: VertexId, j: VertexId, rho: np.ndar
     taboo = _taboo_kernel(model, j, kernels)
     p_jj, _ = _passage_map(model, j, taboo, kernels)
     dj = model.dim(j)
-    green = factor_kernel(sp.csc_array(p_jj.matrix), {j: slice(0, dj * dj)})
+    green = factor_kernel(sp.csc_array(p_jj.matrix), [dj])
     if not green.holds():
         return float("inf")
     if i == j:

@@ -6,7 +6,7 @@ The master-equation generator acts blockwise on a vertex-indexed state:
 
 It never mixes in off-block-diagonal coherences, so the evolution is
 represented on the block sector only, as a dense matrix of dimension
-``sum_i d_i**2``.
+``sum_i d_i**2`` on the layout of ``WalkModel.starts``.
 """
 
 from __future__ import annotations
@@ -19,23 +19,19 @@ import numpy as np
 from . import linalg
 from .errors import BudgetError, ConvergenceError, PreconditionError
 from .model import BlockState, VertexId, WalkModel
-from .passage import block_index, block_offsets
 
 
 @dataclass(frozen=True)
 class BlockGenerator:
     """Vectorized generator restricted to block-diagonal states.
 
-    ``offsets[v]`` gives the slice of the stacked vec-vector holding block
-    ``v``.  ``diagonal`` holds, per vertex dimension ``d``, the positions
-    ``ks`` of its vertices in model order and the ``(len(ks), d)`` indices
-    of their blocks' diagonal entries in the stacked vector.
+    It acts on the direct sum laid out by ``model.starts``: a stacked
+    vec-vector ``x`` holds block ``p`` (model vertex order) in
+    ``x[starts[p]:starts[p + 1]]``.
     """
 
     model: WalkModel
     matrix: np.ndarray
-    offsets: dict[VertexId, slice]
-    diagonal: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @property
     def dim(self) -> int:
@@ -43,15 +39,15 @@ class BlockGenerator:
 
     def stack(self, mu: BlockState) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)
-        for v in self.model.vertices:
-            out[self.offsets[v.id]] = linalg.vec(mu.block(v.id, v.dim))
+        starts = self.model.starts.tolist()
+        for v, a, b in zip(self.model.vertices, starts, starts[1:]):
+            out[a:b] = linalg.vec(mu.block(v.id, v.dim))
         return out
 
     def unstack(self, x: np.ndarray) -> BlockState:
-        blocks = {}
-        for v in self.model.vertices:
-            blocks[v.id] = linalg.unvec(x[self.offsets[v.id]], (v.dim, v.dim))
-        return BlockState(blocks)
+        starts = self.model.starts.tolist()
+        return BlockState({v.id: linalg.unvec(x[a:b], (v.dim, v.dim))
+                           for v, a, b in zip(self.model.vertices, starts, starts[1:])})
 
     def law(self, xs: np.ndarray) -> np.ndarray:
         """The trace of every block of each row of ``xs`` (``(points, dim)``
@@ -61,29 +57,27 @@ class BlockGenerator:
         those of :func:`position_distribution`; ``xs[:, idx]`` has no fixed
         memory order, and summed in another order they can differ."""
         out = np.empty((len(xs), len(self.model.vertices)))
-        for ks, idx in self.diagonal:
-            out[:, ks] = xs.take(idx, axis=1).sum(-1).real
+        for d, s in self.model.stacks.items():
+            idx = self.model.starts[s.pos, None] + (d + 1) * np.arange(d)
+            out[:, s.pos] = xs.take(idx, axis=1).sum(-1).real
         return out
 
 
 def build_block_generator(model: WalkModel) -> BlockGenerator:
     """``drift_matrix(G)`` in the diagonal block of each vertex and
     ``sandwich_matrix(R)`` in the ``(dst, src)`` block of each jump, one
-    stacked assembly per shape, on the layout of :func:`block_offsets`."""
-    offsets, n = block_offsets(model, model.ids)
-    mat = np.zeros((n, n), dtype=complex)
-    ids, edges = model.ids, list(model.jumps())
-    diagonal = []
-    for ks, g in linalg.by_shape([model.effective(v) for v in ids]):
-        blocks = linalg.drift_matrix(g)
-        mat[block_index(offsets, [ids[k] for k in ks], [ids[k] for k in ks], blocks.shape)] += blocks
-        d = g.shape[-1]
-        starts = np.array([offsets[ids[k]].start for k in ks])
-        diagonal.append((ks, starts[:, None] + (d + 1) * np.arange(d)))
-    for ks, r in linalg.by_shape([r for _, _, r in edges]):
-        blocks = linalg.sandwich_matrix(r)
-        mat[block_index(offsets, [edges[k][1] for k in ks], [edges[k][0] for k in ks], blocks.shape)] += blocks
-    return BlockGenerator(model, mat, offsets, tuple(diagonal))
+    stacked assembly per vertex dimension and per jump shape, on the layout
+    of ``model.starts``."""
+    starts = model.starts
+    mat = np.zeros((starts[-1], starts[-1]), dtype=complex)
+    for s in model.stacks.values():
+        r, c, v = linalg.block_entries(starts[s.pos], starts[s.pos], linalg.drift_matrix(s.eff))
+        mat[r, c] += v
+    for ks, jumps in model.jump_stacks:
+        src, dst = model.ends[ks].T
+        r, c, v = linalg.block_entries(starts[dst], starts[src], linalg.sandwich_matrix(jumps))
+        mat[r, c] += v
+    return BlockGenerator(model, mat)
 
 
 def lindblad_apply(model: WalkModel, mu: BlockState) -> dict[VertexId, np.ndarray]:
@@ -245,9 +239,10 @@ def dyson_partial(
         )
 
     flows = {}  # vertex -> (the Propagator of its dimension, its row there)
-    for ks, gens in linalg.by_shape([model.effective(v) for v in model.ids]):
-        prop = linalg.Propagator(gens)
-        flows.update((model.ids[k], (prop, row)) for row, k in enumerate(ks.tolist()))
+    ids = model.ids
+    for s in model.stacks.values():
+        prop = linalg.Propagator(s.eff)
+        flows.update((ids[p], (prop, row)) for row, p in enumerate(s.pos.tolist()))
 
     def flow(v, ts):
         prop, row = flows[v]

@@ -24,6 +24,7 @@ from ctoqw.model import (
     WalkModel,
     _Stacks,
 )
+from ctoqw.superop import SuperOp
 
 
 def _interior_paths(model: WalkModel, i, j, n):
@@ -313,7 +314,12 @@ def model_from_parts(vertices, hams, effs, defects, jumps: dict, meta=None) -> W
         stacks[d] = _Stacks(
             pos, *(np.array([mats[k] for k in pos], dtype=complex) for mats in parts)
         )
-    stacked_jumps = [(ks, r.astype(complex)) for ks, r in linalg.by_shape(list(jumps.values()))]
+    mats, groups = list(jumps.values()), {}
+    for k, r in enumerate(mats):
+        groups.setdefault(np.shape(r), []).append(k)
+    stacked_jumps = [
+        (np.array(ks), np.array([mats[k] for k in ks], dtype=complex)) for ks in groups.values()
+    ]
     return WalkModel(vertices, stacks, list(jumps), stacked_jumps, meta=meta)
 
 
@@ -414,15 +420,79 @@ def jump_kernel_per_edge(model: WalkModel) -> dict:
     return kernels
 
 
+def kernels_by_edge(model: WalkModel, kernels) -> dict:
+    """The stacks of ``passage.jump_kernel(model)`` read one jump at a time:
+    ``{(src, dst): SuperOp}`` in the order of :func:`jump_kernel_per_edge`,
+    by source vertex and then in jump order."""
+    ids, ends = model.ids, model.ends.tolist()
+    ops = [None] * len(ends)
+    for (ks, _), stack in zip(model.jump_stacks, kernels):
+        for k, mat in zip(ks.tolist(), stack):
+            a, b = ends[k]
+            ops[k] = SuperOp(model.dim(ids[a]), model.dim(ids[b]), mat)
+    order = np.argsort(model.ends[:, 0], kind="stable").tolist()
+    return {(ids[ends[k][0]], ids[ends[k][1]]): ops[k] for k in order}
+
+
+def _layout(model: WalkModel, vertices) -> tuple[dict, int]:
+    """Where each of ``vertices`` sits in their direct sum, in order: a
+    slice of ``d**2`` entries each, and the total size."""
+    offsets, pos = {}, 0
+    for vid in vertices:
+        d = model.dim(vid)
+        offsets[vid] = slice(pos, pos + d * d)
+        pos += d * d
+    return offsets, pos
+
+
+def _kernel_matrix_per_edge(kernels: dict, offsets: dict, n: int) -> np.ndarray:
+    mat = np.zeros((n, n), dtype=complex)
+    for (src, dst), ker in kernels.items():
+        if src in offsets and dst in offsets:
+            mat[offsets[dst], offsets[src]] += ker
+    return mat
+
+
+def one_step_kernel_per_edge(model: WalkModel) -> np.ndarray:
+    """The one-step kernel that ``passage.one_step_green`` factors, as a
+    dense matrix over all vertices in model order, one edge at a time."""
+    return _kernel_matrix_per_edge(jump_kernel_per_edge(model), *_layout(model, model.ids))
+
+
+def taboo_kernel_per_edge(model: WalkModel, j) -> tuple[np.ndarray, np.ndarray, dict]:
+    """``passage._taboo_kernel(model, j, ...)`` and every
+    ``passage._entry_block`` one edge at a time, on a dict of slices over
+    the active vertices (those other than ``j`` with an out-jump, in model
+    order), each kernel from :func:`jump_kernel_per_edge`.  Returns the
+    dense taboo matrix, ``into_taboo`` and ``{i: entry block or None}``."""
+    kernels = jump_kernel_per_edge(model)
+    active = [v.id for v in model.vertices if v.id != j and model.out_edges(v.id)]
+    offsets, n = _layout(model, active)
+    dj = model.dim(j)
+    into = np.zeros((dj * dj, n), dtype=complex)
+    for (src, dst), ker in kernels.items():
+        if dst == j and src in offsets:
+            into[:, offsets[src]] += ker
+    entries = {}
+    for v in model.vertices:
+        start = np.zeros((n, v.dim**2), dtype=complex)
+        if v.id == j:
+            for (src, dst), ker in kernels.items():
+                if src == j and dst in offsets:
+                    start[offsets[dst], :] += ker
+        elif v.id in offsets:
+            start[offsets[v.id], :] = np.eye(v.dim**2)
+        else:
+            start = None
+        entries[v.id] = start
+    return _kernel_matrix_per_edge(kernels, offsets, n), into, entries
+
+
 def block_generator_per_vertex(model: WalkModel) -> np.ndarray:
     """``semigroup.build_block_generator(model).matrix`` one vertex block
     and one jump block at a time, each by ``np.kron``."""
-    offsets = {}
-    pos = 0
-    for v in model.vertices:
-        offsets[v.id] = slice(pos, pos + v.dim**2)
-        pos += v.dim**2
-    mat = np.zeros((pos, pos), dtype=complex)
+    offsets, n = _layout(model, model.ids)
+    mat = np.zeros((n, n), dtype=complex)
     for v in model.vertices:
         g = model.effective(v.id)
         eye = np.eye(v.dim, dtype=complex)
@@ -435,9 +505,10 @@ def block_generator_per_vertex(model: WalkModel) -> np.ndarray:
 def trace_functional(gen: semigroup.BlockGenerator) -> np.ndarray:
     """The stacked ``vec(Id_{d_v})`` of every vertex: ``w . x`` is the total
     trace of the stacked state ``x``, one block at a time."""
+    offsets, _ = _layout(gen.model, gen.model.ids)
     w = np.zeros(gen.dim, dtype=complex)
     for v in gen.model.vertices:
-        w[gen.offsets[v.id]] = linalg.vec(np.eye(v.dim))
+        w[offsets[v.id]] = linalg.vec(np.eye(v.dim))
     return w
 
 

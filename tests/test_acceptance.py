@@ -14,7 +14,7 @@ import scipy.stats as st
 
 from ctoqw import classify, fixtures, passage, semigroup, trajectory
 from ctoqw.model import SitedState, classical_embed, sited_block_state, validate
-from oracles import gamblers_ruin_return, jump_chain_expected_visits
+from oracles import gamblers_ruin_return, jump_chain_expected_visits, kernels_by_edge
 from strategies import random_classical_generator, random_classifiable_model, random_density
 
 
@@ -246,9 +246,10 @@ def test_criterion_8_structural_suite():
     kernels = passage.jump_kernel(m)
     taboo = passage._taboo_kernel(m, 1, kernels)
     start = np.zeros((taboo.dim, 4), dtype=complex)
-    for (src, dst), ker in kernels.items():
-        if src == 1 and dst in taboo.offsets:
-            start[taboo.offsets[dst], :] += ker.matrix
+    for (src, dst), ker in kernels_by_edge(m, kernels).items():
+        a, b = taboo.starts[m.position(dst):][:2]
+        if src == 1 and b > a:
+            start[a:b, :] += ker.matrix
     rho = random_density(rng, 2)
     acc = np.zeros((4, 4), dtype=complex)
     carry = start.copy()

@@ -455,7 +455,7 @@ def test_green_certificate_holds_exactly_on_transient_models():
         base = m.ids[0]
         p, _ = passage.first_passage_map(m, base, base)
         transient = classify._perron_state(p)[0] < 1.0 - 1e-8
-        _, green = passage.one_step_green(m)
+        green = passage.one_step_green(m)
         assert green.holds() == transient
         seen[transient] += 1
     assert seen[True] >= 5 and seen[False] >= 5

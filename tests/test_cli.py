@@ -318,6 +318,20 @@ def test_simulate_dump(tmp_path, spin_file, monkeypatch):
     assert lines == [json.dumps(ev, sort_keys=True) for ev in dump_events(walk, init, 3.0, 5, seed=1)]
 
 
+def test_simulate_dump_to_stdout(tmp_path, spin_file, capsys, monkeypatch):
+    # "--dump -" prints the events as "--out -" prints the estimate, and
+    # leaves no file named "-" behind
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--model", spin_file, "--start", "1:e1", "--horizon", 3, "--n", 5, "--seed", 1]
+    assert run(tmp_path, *argv, "--out", "est1.csv", "--dump", "d1.ndjson") == 0
+    capsys.readouterr()
+    assert run(tmp_path, *argv, "--out", "est.csv", "--dump", "-") == 0
+    out = capsys.readouterr().out
+    assert out and out.encode() == (tmp_path / "d1.ndjson").read_bytes()
+    assert (tmp_path / "est.csv").read_bytes() == (tmp_path / "est1.csv").read_bytes()
+    assert not (tmp_path / "-").exists()
+
+
 def test_query_vertices_match_ids_as_strings(tmp_path, two_site_file):
     # the JSON string "1" names vertex 1 as the int 1 does, as on the command line
     csvs = []

@@ -503,8 +503,8 @@ def test_stacked_build_equals_per_matrix_oracle(seed):
         assert _bits(m.hamiltonian(vid)) == _bits(oracle["ham"][k])
         assert _bits(m.effective(vid)) == _bits(oracle["eff"][k])
         assert _bits(m.escape_defect(vid)) == _bits(oracle["defect"][k])
-        stacks = m._stacks[m.dim(vid)]
-        assert _bits(stacks.decay[m._row[k]]) == _bits(oracle["decay"][k])
+        stacks = m.stacks[m.dim(vid)]
+        assert _bits(stacks.decay[np.searchsorted(stacks.pos, k)]) == _bits(oracle["decay"][k])
     edges = [(ids[a], ids[b], r) for (a, b), r in oracle["jumps"].items()]
     assert [(a, b, _bits(r)) for a, b, r in m.jumps()] == [(a, b, _bits(r)) for a, b, r in edges]
     for a, b, r in edges:

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from oracles import (
     jump_chain_expected_visits,
     jump_chain_hit_probability,
     jump_kernel_per_edge,
+    kernels_by_edge,
     occupation_dense_radius,
+    one_step_kernel_per_edge,
     passage_partial_oracle,
+    taboo_kernel_per_edge,
 )
 from strategies import (
     leaky_variant,
@@ -83,19 +87,19 @@ def test_dwell_integral_divergent_raises():
 
 
 def test_jump_kernel_two_site(two_site):
-    kernels = passage.jump_kernel(two_site)
+    kernels = kernels_by_edge(two_site, passage.jump_kernel(two_site))
     j01 = kernels[(0, 1)]
     assert j01.apply([[1.0]])[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jump_kernel_drift_weights(biased_small):
-    kernels = passage.jump_kernel(biased_small)
+    kernels = kernels_by_edge(biased_small, passage.jump_kernel(biased_small))
     assert kernels[(0, 1)].apply([[1.0]])[0, 0] == pytest.approx(0.75, abs=1e-12)
     assert kernels[(0, -1)].apply([[1.0]])[0, 0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_jump_kernel_cp_and_substochastic(spin_small):
-    kernels = passage.jump_kernel(spin_small)
+    kernels = kernels_by_edge(spin_small, passage.jump_kernel(spin_small))
     rho = random_density(np.random.default_rng(2), 2)
     total = 0.0
     for (src, dst), ker in kernels.items():
@@ -115,9 +119,10 @@ def test_jump_kernel_built_once_per_model(monkeypatch):
     passage.expected_occupation(walk, 1, 0, [[1.0]])
     assert builds == [walk]
     cached = walk.derived("jump_kernel", passage.jump_kernel)
-    assert not any(ker.matrix.flags.writeable for ker in cached.values())
+    assert len(cached) == len(walk.jump_stacks)
+    assert not any(stack.flags.writeable for stack in cached)
     with pytest.raises(ValueError):
-        cached[(0, 1)].matrix[0, 0] = 0.0
+        cached[0][0, 0, 0] = 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,7 +136,7 @@ def test_stacked_assembly_equals_per_vertex_oracles_on_random_models(seed):
         semigroup.build_block_generator(m).matrix, block_generator_per_vertex(m)
     )
     assume(all(m.is_escaping(v.id) for v in m.vertices))
-    kernels, oracle = passage.jump_kernel(m), jump_kernel_per_edge(m)
+    kernels, oracle = kernels_by_edge(m, passage.jump_kernel(m)), jump_kernel_per_edge(m)
     assert list(kernels) == list(oracle)
     for edge, mat in oracle.items():
         ker = kernels[edge]
@@ -145,10 +150,36 @@ def test_stacked_assembly_equals_per_vertex_oracles_on_random_models(seed):
 )
 def test_stacked_assembly_is_exact_on_fixtures(name, window):
     m = fixtures.get_fixture(name, window)
-    kernels, oracle = passage.jump_kernel(m), jump_kernel_per_edge(m)
+    kernels, oracle = kernels_by_edge(m, passage.jump_kernel(m)), jump_kernel_per_edge(m)
     assert list(kernels) == list(oracle)
     assert all(np.array_equal(kernels[e].matrix, mat) for e, mat in oracle.items())
     assert np.array_equal(semigroup.build_block_generator(m).matrix, block_generator_per_vertex(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_taboo_assembly_equals_per_edge_oracle_on_random_models(seed):
+    # every taboo kernel, its exit into the taboo vertex, every entry block
+    # and the one-step kernel, each equal to the one built edge by edge
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n_vertices=int(rng.integers(2, 9)), max_dim=4)
+    if rng.random() < 0.5:
+        m = leaky_variant(rng, m)
+    assume(all(m.is_escaping(v.id) for v in m.vertices if m.out_edges(v.id)))
+    kernels = passage.jump_kernel(m)
+    for j in m.ids:
+        matrix, into, entries = taboo_kernel_per_edge(m, j)
+        taboo = passage._taboo_kernel(m, j, kernels)
+        assert np.array_equal(taboo.matrix.toarray(), matrix)
+        assert np.array_equal(taboo.into_taboo, into)
+        for i in m.ids:
+            block = passage._entry_block(m, i, taboo, kernels)
+            assert (block is None) == (entries[i] is None)
+            assert block is None or np.array_equal(block, entries[i])
+    factor, seen = passage.factor_kernel, []
+    with mock.patch.object(passage, "factor_kernel", lambda k, o: seen.append(k) or factor(k, o)):
+        passage.one_step_green(m)
+    assert len(seen) == 1 and np.array_equal(seen[0].toarray(), one_step_kernel_per_edge(m))
 
 
 def test_jump_kernel_one_dwell_call_per_dimension(monkeypatch):
@@ -158,7 +189,7 @@ def test_jump_kernel_one_dwell_call_per_dimension(monkeypatch):
     walk = fixtures.biased_line((-500, 500))
     assert len(walk.vertices) == 1001
     kernels = passage.jump_kernel(walk)
-    assert sizes == [(1001, 1, 1)] and len(kernels) == 2000
+    assert sizes == [(1001, 1, 1)] and sum(len(stack) for stack in kernels) == 2000
     sizes.clear()
     mixed = random_model(np.random.default_rng(3), n_vertices=8, max_dim=3)
     dims = [v.dim for v in mixed.vertices]
