@@ -140,26 +140,36 @@ class _Block:
             intensity[k, width] = escapes[k].T
         self.intensity = np.stack([intensity.real, -intensity.imag], axis=-1).reshape(
             n, width + 1, 2 * d * d)
-        self.tscale = np.zeros(n)
         gplus = self.gplus[members]
-        for k, g, norm in zip(members, gplus, linalg.opnorm(gplus).tolist()):
+        for k, g in zip(members, gplus):
             c = -float(np.trace(g).real) / d
             # Uniform decay; so is any |G + G^dag|_2 < _PLATEAU when d < 100, since
             # -c is the mean eigenvalue: |G + G^dag + c I|_F <= sqrt(d) |G + G^dag|_2.
             if np.linalg.norm(g + c * np.eye(d)) <= 1e-13 * (1.0 + abs(c)):
                 tab.rate[k] = max(c, 0.0)  # uniform decay: s(t) = exp(-c t)
-            else:
-                self.tscale[k] = 1.0 / norm
-        # Where G + G^dag <= -c I, every trace-one eta has
-        # |(G + G^dag) eta|_F >= c |eta|_F >= c |Tr eta| / sqrt(d) = c / sqrt(d)
-        # (Cauchy-Schwarz on the diagonal), so the plateau test of invert
-        # cannot fire: ``steep`` holds where that bound, with c lowered by
-        # 4 d^2 eps |G + G^dag| (the rounding of eigvalsh and of the computed
-        # speed), is at least twice _PLATEAU.
+        # The decay spectrum brackets every event time.  Let c_lo <= c_hi be
+        # the extreme eigenvalues of -(G + G^dag).  For every trace-one
+        # eta >= 0, d/dt log s = Tr((G + G^dag) eta_t) lies in [-c_hi, -c_lo],
+        # so e^{-c_hi t} <= s(t) <= e^{-c_lo t}, and where c_lo > 0 the root
+        # of s(t) = u lies in [-log u / c_hi, -log u / c_lo].  c_lo and c_hi
+        # are moved out by 4 d^2 eps |G + G^dag|_2, which bounds the rounding
+        # of the sum G + G^dag (each entry within eps of its own size, so at
+        # most sqrt(d) eps |G + G^dag|_2 in norm) and of eigvalsh.  invert
+        # widens both ends by 8 eps, relative, for the rounding of log u (a
+        # few ulp in numpy's vectorized log), of the quotient and of the
+        # widening product (half an ulp each), so the exact root lies inside
+        # the bracket that it searches.
         lam = np.linalg.eigvalsh(gplus)
-        c = -lam[:, -1] - 4 * d * d * np.finfo(float).eps * np.abs(lam).max(axis=1)
+        margin = 4 * d * d * np.finfo(float).eps * np.abs(lam).max(axis=1)
+        self.c_lo, self.c_hi = np.zeros(n), np.zeros(n)
+        self.c_lo[members], self.c_hi[members] = -lam[:, -1] - margin, margin - lam[:, 0]
+        # ``steep`` holds where c_lo / sqrt(d) >= 2 _PLATEAU: there an event
+        # always comes, and the plateau test of the doubling search could not
+        # fire either, since |(G + G^dag) eta|_F >= c_lo |eta|_F >= c_lo / sqrt(d)
+        # (Cauchy-Schwarz on the diagonal).  Below that (dark states, decay
+        # slower than _PLATEAU) the search and its plateau test remain.
         self.steep = np.zeros(n, dtype=bool)
-        self.steep[members] = c / math.sqrt(d) >= 2 * _PLATEAU
+        self.steep[members] = self.c_lo[members] / math.sqrt(d) >= 2 * _PLATEAU
         self.prop = prop = linalg.Propagator(stack)
         # the survival's eigen expansion (its coefficients vanish where
         # prop.pinv is zero, off prop.diag)
@@ -181,45 +191,39 @@ class _Block:
         return out
 
     def invert(self, k: np.ndarray, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Solve s(t) = u by doubling a bracket, then safeguarded Newton
-        steps to ``_INV_TOL``; NaN where the survival plateaus above u.
-        The plateau test runs only at vertices outside ``steep``."""
-        out = np.full(k.size, math.nan)
-        every = _Survival.of(self, k, rho)
-        surv, walkers, lo, hi, level = every, np.arange(k.size), np.zeros(k.size), self.tscale[k], u
-        brackets = []
-        for _ in range(200):
-            below = surv.value(hi)[0] < level
-            brackets.append((walkers[below], lo[below], hi[below]))
-            if below.all():
-                break
-            rise = ~below
-            test = rise & ~self.steep[surv.k]
-            if test.any():
-                rise[test] = ~(surv.take(test).speed(hi[test]) < _PLATEAU)
-            surv, walkers, level = surv.take(rise), walkers[rise], level[rise]
-            lo, hi = hi[rise], 2.0 * hi[rise]
-        walkers, lo, hi = (np.concatenate(part) for part in zip(*brackets))
-        if not walkers.size:
-            return out
-        surv, u = every.take(walkers), u[walkers]
-        t = 0.5 * (lo + hi)
+        """Solve s(t) = u to ``_INV_TOL`` by safeguarded Newton steps on
+        ``log s``; NaN where the survival plateaus above ``u``.
+
+        At ``steep`` vertices the root lies in the closed-form bracket of the
+        decay spectrum; elsewhere a bracket is doubled up from its lower end
+        ``-log u / c_hi``, with the plateau test.  Newton starts at
+        ``-log u / h0``, with ``h0 = Tr(-(G + G^dag) rho)`` the initial
+        hazard, and every iterate stays in the bracket: a Newton step that
+        leaves it is replaced by the midpoint.  Walkers that have converged
+        keep their time while the others step on."""
+        surv = _Survival.of(self, k, rho)
+        log_u = np.log(u)
+        steep, c_hi, eps = self.steep[k], self.c_hi[k], np.finfo(float).eps
+        h0 = -np.einsum("kij,kji->k", self.gplus[k], rho).real
         with np.errstate(divide="ignore", invalid="ignore"):
+            lo = -log_u / c_hi * (1.0 - 8 * eps)
+            hi = np.where(steep, -log_u / self.c_lo[k] * (1.0 + 8 * eps), math.nan)
+            search = np.flatnonzero(~steep & (c_hi > 0.0))  # c_hi <= 0: s never falls
+            if search.size:
+                lo[search], hi[search] = _doubled(surv.take(search), lo[search], u[search])
+            none = np.isnan(hi)
+            t = np.where(none, 0.0, np.clip(-log_u / h0, lo, hi))
+            done = none
             for _ in range(200):
                 s, ds = surv.value(t, slope=True)
-                done = np.abs(s - u) <= _INV_TOL
-                if done.any():
-                    out[walkers[done]] = t[done]
-                    if done.all():
-                        return out
-                    go = ~done
-                    surv, walkers, t, s, ds = surv.take(go), walkers[go], t[go], s[go], ds[go]
-                    lo, hi, u = lo[go], hi[go], u[go]
+                done = done | (np.abs(s - u) <= _INV_TOL)
+                if done.all():
+                    return np.where(none, math.nan, t)
                 above = s > u
-                lo = np.where(above, t, lo)
-                hi = np.where(above, hi, t)
-                newton = t - (s - u) / ds
-                t = np.where((ds < 0) & (lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+                lo, hi = np.where(above, t, lo), np.where(above, hi, t)
+                newton = t - (np.log(s) - log_u) * s / ds
+                step = np.where((ds < 0) & (lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+                t = np.where(done, t, step)
         raise ConvergenceError("survival inversion did not reach tolerance")
 
     def flow(self, k: np.ndarray, rho: np.ndarray, dt: np.ndarray) -> np.ndarray:
@@ -263,6 +267,24 @@ class _Block:
                 for j, post in zip(hop[mine].tolist(), _normalised(products)):
                     out[j] = post
         return out
+
+
+def _doubled(surv: _Survival, hi: np.ndarray, u: np.ndarray):
+    """Brackets ``[lo, hi]`` with s(lo) >= u > s(hi), by doubling ``hi`` from
+    a time where s(hi) >= u; NaN ends where the survival plateaus above
+    ``u``: the speed of the dwell flow falls below ``_PLATEAU`` first."""
+    out_lo, out_hi = np.zeros(hi.size), np.full(hi.size, math.nan)
+    lo, walkers = np.zeros(hi.size), np.arange(hi.size)
+    for _ in range(200):
+        below = surv.value(hi)[0] < u
+        out_lo[walkers[below]], out_hi[walkers[below]] = lo[below], hi[below]
+        rise = ~below
+        if rise.any():
+            rise[rise] = ~(surv.take(rise).speed(hi[rise]) < _PLATEAU)
+        if not rise.any():
+            break
+        surv, walkers, u, lo, hi = surv.take(rise), walkers[rise], u[rise], hi[rise], 2.0 * hi[rise]
+    return out_lo, out_hi
 
 
 class _Survival:

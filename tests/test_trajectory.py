@@ -788,23 +788,33 @@ def _dissipative(rng, d):
     return -1j * random_hermitian(rng, d) - 0.5 * (a @ a.conj().T + 0.1 * np.eye(d))
 
 
-def _inverted_with_and_without_steep(monkeypatch, blk, k, rho, u):
-    """The times of ``blk.invert`` with its ``steep`` mask and with the mask
-    off, and how many walkers the plateau test checked in each."""
+def _certify(monkeypatch, blk, gens, k, rho, u, survival):
+    """Check every time of ``blk.invert`` against its certificate: it lies in
+    the closed-form bracket of its vertex's decay spectrum, with the
+    rounding margins of the proof in ``_Block``, and ``survival(k, rho)``
+    takes ``u`` there to ``_INV_TOL``.  The plateau test
+    (``_Survival.speed``) runs for no walker."""
     checked = []
     speed = trajectory._Survival.speed
     monkeypatch.setattr(trajectory._Survival, "speed",
                         lambda surv, t: checked.append(t.size) or speed(surv, t))
-    masked = blk.invert(k, rho, u)
-    with_mask = sum(checked)
-    monkeypatch.setattr(blk, "steep", np.zeros_like(blk.steep))
-    plain = blk.invert(k, rho, u)
-    return masked, plain, with_mask, sum(checked) - with_mask
+    times = blk.invert(k, rho, u)
+    assert checked == [] and not np.isnan(times).any()
+    eps = np.finfo(float).eps
+    for kk, r, uu, t in zip(k.tolist(), rho, u.tolist(), times.tolist()):
+        g = gens[kk]
+        d = g.shape[0]
+        lam = np.linalg.eigvalsh(g + g.conj().T)
+        margin = 4 * d * d * eps * np.abs(lam).max()
+        c_lo, c_hi = -lam[-1] - margin, margin - lam[0]
+        assert -math.log(uu) / c_hi * (1 - 8 * eps) <= t <= -math.log(uu) / c_lo * (1 + 8 * eps)
+        assert abs(survival(kk, r)(t) - uu) <= trajectory._INV_TOL
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_steep_mask_keeps_every_inverted_time_on_random_generators(monkeypatch, seed, d):
+    """Every walker at a steep vertex gets a certified time, with no plateau test."""
     rng = np.random.default_rng(seed)
     gens = [_dissipative(rng, d) for _ in range(6)]
     tab = trajectory._Tables(range(6), gens, [[]] * 6, [-(g + g.conj().T) for g in gens])
@@ -812,23 +822,71 @@ def test_steep_mask_keeps_every_inverted_time_on_random_generators(monkeypatch, 
     assert blk.steep.all() and all(math.isnan(r) for r in tab.rate)
     k = rng.integers(0, 6, 300)
     rho = np.stack([random_density(rng, d) for _ in k])
-    masked, plain, with_mask, without = _inverted_with_and_without_steep(
-        monkeypatch, blk, k, rho, rng.random(k.size))
-    assert masked.tobytes() == plain.tobytes() and not np.isnan(masked).any()
-    assert with_mask == 0 and without > 0
+    _certify(monkeypatch, blk, gens, k, rho, 1.0 - rng.random(k.size),
+             lambda kk, r: trajectory.survival_function(_lone(gens[kk]), 0, r))
 
 
 def test_steep_mask_keeps_every_inverted_time_on_the_jordan_vertex(monkeypatch):
-    tab = trajectory._tables(jordan_vertex_model())
-    blk = tab.blocks[2]
+    """The same certificate where the survival takes the dense exponential."""
+    m = jordan_vertex_model()
+    blk = trajectory._tables(m).blocks[2]
     assert blk.steep[[0, 2]].all() and not blk.prop.diag[0]
     rng = np.random.default_rng(5)
     k = rng.choice([0, 2], 200)
     rho = np.stack([random_density(rng, 2) for _ in k])
-    masked, plain, with_mask, without = _inverted_with_and_without_steep(
-        monkeypatch, blk, k, rho, rng.random(k.size))
-    assert masked.tobytes() == plain.tobytes() and not np.isnan(masked).any()
-    assert with_mask == 0 and without > 0
+    _certify(monkeypatch, blk, [m.effective(v) for v in m.ids], k, rho, 1.0 - rng.random(k.size),
+             lambda kk, r: trajectory.survival_function(m, m.ids[kk], r))
+
+
+def test_inversion_takes_at_most_six_survival_passes(monkeypatch):
+    """Newton on log s from the initial hazard converges in a few passes of
+    the whole batch, extreme draws included."""
+    blk = trajectory._tables(qutrit_ring(101, 6)).blocks[3]
+    passes = []
+    value = trajectory._Survival.value
+    monkeypatch.setattr(trajectory._Survival, "value",
+                        lambda surv, t, slope=False: passes.append(t.size) or value(surv, t, slope))
+    rng = np.random.default_rng(29)
+    extreme = [1e-300, 1e-12, 1.0 - 2.0**-53]
+    for _ in range(8):
+        k = rng.integers(0, 6, 256)
+        rho = np.stack([random_density(rng, 3) for _ in k])
+        u = 1.0 - rng.random(k.size)
+        u[:3] = extreme
+        batches = [(k, rho, u)] + [(k[:1], rho[:1], np.array([x])) for x in extreme]
+        for batch in batches:
+            passes.clear()
+            assert not np.isnan(blk.invert(*batch)).any()
+            assert 1 <= len(passes) <= 6
+
+
+def test_survival_ks_at_inverted_vertices():
+    """First-event times at vertices that invert their survival follow
+    1 - s(t): those of ``sample_jump_time``, and those of a batched
+    ``estimate`` run, which are censored at its horizon and so are compared
+    with the law conditioned on an event by then."""
+    ring, jordan = qutrit_ring(101, 6), jordan_vertex_model()
+    rng = np.random.default_rng(73)
+    cases = [(ring, v) for v in ring.ids] + [(jordan, 0), (jordan, 2)]
+    for case, (m, vid) in enumerate(cases):
+        assert math.isnan(trajectory._tables(m).rate[m.position(vid)])
+        rho = random_density(rng, m.dim(vid))
+        surv = trajectory.survival_function(m, vid, rho)
+        lone = [trajectory.sample_jump_time(m.effective(vid), rho, 1.0 - rng.random())
+                for _ in range(600)]
+        assert st.kstest(lone, lambda t: 1.0 - surv(t)).pvalue >= 1e-3, (case, "lone")
+        init, horizon, first = SitedState(vid, rho), 6.0, []
+
+        def keep(_, ev):
+            first.extend(rec.events[0].time for rec in trajectory._records(m.ids, init, horizon, ev)
+                         if rec.events)
+
+        trajectory.estimate(m, init, horizon, 600, seed=31 + case,
+                            queries=[{"kind": "visits", "vertex": vid}], on_chunk=keep)
+        tail = surv(horizon)
+        assert len(first) > 500
+        res = st.kstest(first, lambda t: (1.0 - surv(t)) / (1.0 - tail))
+        assert res.pvalue >= 1e-3, (case, "batched")
 
 
 def test_steep_mask_leaves_the_plateau_test_to_dark_states():
