@@ -515,6 +515,8 @@ def main(argv=None) -> int:
         return _fail(json_logs, EXIT_NONCONVERGENCE, exc)
     except PreconditionError as exc:
         return _fail(json_logs, EXIT_PRECONDITION, exc)
+    except MemoryError as exc:  # the model or the window is too large for this machine
+        return _fail(json_logs, EXIT_PRECONDITION, exc if str(exc) else "MemoryError: out of memory")
 
 
 if __name__ == "__main__":

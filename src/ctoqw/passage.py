@@ -240,8 +240,10 @@ def factor_kernel(matrix, dims) -> Green:
     )
     try:
         lu = spla.splu(i_minus_k)
-    except RuntimeError:  # "Factor is exactly singular"
-        return Green(n, nnz, None)
+    except RuntimeError as exc:
+        if "SUPERLU_MALLOC" in str(exc):  # SuperLU's report of a failed allocation
+            raise MemoryError(f"sparse LU of a {n}x{n} kernel: {exc}") from exc
+        return Green(n, nnz, None)  # "Factor is exactly singular"
     dims = np.asarray(dims)
     starts = np.cumsum(dims**2) - dims**2
     groups = [(d, starts[dims == d]) for d in np.unique(dims).tolist()]

@@ -47,7 +47,10 @@ class _Tables:
 
     The scalar tables (``running``, ``esc``, ``total``, ``posts``) are read
     by the event loop of :func:`_sample` one walker at a time; the waits and
-    jumps at matrix vertices run batched, by :class:`_Block`.
+    jumps at matrix vertices run batched, by :class:`_Block`, on states held
+    in its eigen-coordinates.  ``eigen[k]`` tells whether a state at vertex
+    ``k`` is held as ``a = P^-1 rho P^-dag`` with ``P != I``; elsewhere
+    ``a = rho``.
     """
 
     def __init__(self, ids, gens, edges, escapes):
@@ -74,12 +77,33 @@ class _Tables:
                 for post in self.posts[k]:
                     post.flags.writeable = False  # shared by every jump along the edge
         self.blocks = {
-            d: _Block(self, d, [k for k in range(n) if self.dim[k] == d], gens, edges, escapes)
+            d: _Block(self, d, [k for k in range(n) if self.dim[k] == d], gens)
             for d in sorted(set(self.dim) - {1})
         }
+        for blk in self.blocks.values():  # the jump maps need every block's P
+            blk.link(self, edges, escapes)
+        self.eigen = [d > 1 and not self.blocks[d].plain[k] for k, d in enumerate(self.dim)]
+
+    def enter(self, k: int, rho: np.ndarray) -> np.ndarray:
+        """The state ``rho`` at vertex ``k`` as a walker there holds it."""
+        return self.convert([k], [rho], _Block.enter)[0] if self.eigen[k] else rho
+
+    def convert(self, ks: list, states: list, how) -> list:
+        """``how(block, k, state)``, :meth:`_Block.enter` or
+        :meth:`_Block.to_rho`, of each of ``states`` at the vertices ``ks``
+        (where ``eigen`` holds): one stacked product per dimension."""
+        out: list = [None] * len(ks)
+        for d, js in self._by_dim(ks).items():
+            stack = np.array([states[j] for j in js])
+            for j, state in zip(js, how(self.blocks[d], np.array([ks[j] for j in js]), stack)):
+                out[j] = state
+        return out
 
     def _by_dim(self, ks) -> dict[int, list]:
-        """The walkers at positions ``ks`` grouped by vertex dimension."""
+        """The walkers at the matrix vertices ``ks`` grouped by vertex
+        dimension."""
+        if len(self.blocks) == 1:
+            return {d: list(range(len(ks))) for d in self.blocks}
         groups: dict[int, list] = {}
         for j, k in enumerate(ks):
             groups.setdefault(self.dim[k], []).append(j)
@@ -114,32 +138,26 @@ def _pick(running, esc: float, total: float, u: float) -> int:
 class _Block:
     """Tables of the vertices of one dimension ``d > 1``, indexed by vertex
     position (the rows of the other vertices are unused), and the batched
-    matrix work over walkers at these vertices."""
+    matrix work over walkers at these vertices.
 
-    def __init__(self, tab: _Tables, d: int, members, gens, edges, escapes):
-        n, width = len(gens), max([len(e) for e in edges] + [1])
-        self.rate, self.deg = tab.rate, tab.deg
+    A walker here holds its state in the eigen-coordinates of its vertex's
+    generator ``G = P diag(lam) P^-1``: ``a = P^-1 rho P^-dag``.  The dwell
+    flow ``e^{tG} rho e^{tG^dag}`` is then the elementwise scaling
+    ``a * w conj(w)^T`` with ``w = exp(lam t)``, and every trace
+    ``Tr(P a P^dag)`` is ``sum(a * ovt)`` with ``ovt = (P^dag P)^T``.  Where
+    ``cond(P)`` reaches ``linalg.COND_LIMIT`` (``~diag``) the dense
+    exponential is taken instead; there ``P = I`` and ``a = rho``.  The
+    rounding of the coordinates is about ``cond(P)^2 eps``, about ``1e-13``
+    at the limit: inside ``_INV_TOL``.
+    """
+
+    def __init__(self, tab: _Tables, d: int, members, gens):
+        n = len(gens)
+        self.members = members
         stack, self.gplus = (np.zeros((n, d, d), dtype=complex) for _ in range(2))
-        # Row k holds the transposed intensities (R^dag R)^T of the jump
-        # slots of vertex k, then that of its escape, as interleaved real and
-        # negated imaginary parts, so that Tr(R eta R^dag) = Re <(R^dag R)^T, eta>
-        # is one real dot product with the floats of eta.
-        intensity = np.zeros((n, width + 1, d, d), dtype=complex)
-        # The jumps by destination dimension dd: (n, width, dd, d), zero in
-        # the slots whose jump goes to another dimension.
-        self.rs: dict[int, np.ndarray] = {}
-        self.out_dim = np.zeros((n, width), dtype=np.intp)
         for k in members:
             stack[k] = gens[k]
             self.gplus[k] = gens[k] + gens[k].conj().T
-            for j, (_, r) in enumerate(edges[k]):
-                dd = r.shape[0]
-                self.rs.setdefault(dd, np.zeros((n, width, dd, d), dtype=complex))[k, j] = r
-                self.out_dim[k, j] = dd
-                intensity[k, j] = (r.conj().T @ r).T
-            intensity[k, width] = escapes[k].T
-        self.intensity = np.stack([intensity.real, -intensity.imag], axis=-1).reshape(
-            n, width + 1, 2 * d * d)
         gplus = self.gplus[members]
         for k, g in zip(members, gplus):
             c = -float(np.trace(g).real) / d
@@ -147,6 +165,11 @@ class _Block:
             # -c is the mean eigenvalue: |G + G^dag + c I|_F <= sqrt(d) |G + G^dag|_2.
             if np.linalg.norm(g + c * np.eye(d)) <= 1e-13 * (1.0 + abs(c)):
                 tab.rate[k] = max(c, 0.0)  # uniform decay: s(t) = exp(-c t)
+        self.deg = np.array(tab.deg)
+        # the rate of each exponential wait, NaN where no event comes or
+        # where the survival is inverted (``inverted``)
+        rate = np.array(tab.rate)
+        self.exp_rate, self.inverted = np.where(rate > _PLATEAU, rate, math.nan), np.isnan(rate)
         # The decay spectrum brackets every event time.  Let c_lo <= c_hi be
         # the extreme eigenvalues of -(G + G^dag).  For every trace-one
         # eta >= 0, d/dt log s = Tr((G + G^dag) eta_t) lies in [-c_hi, -c_lo],
@@ -171,26 +194,84 @@ class _Block:
         self.steep = np.zeros(n, dtype=bool)
         self.steep[members] = self.c_lo[members] / math.sqrt(d) >= 2 * _PLATEAU
         self.prop = prop = linalg.Propagator(stack)
-        # the survival's eigen expansion (its coefficients vanish where
-        # prop.pinv is zero, off prop.diag)
+        self.diag, self.lam, self.any_dense = prop.diag, prop.lam, not prop.diag.all()
+        eye = np.eye(d, dtype=complex)
+        self.p = np.where(prop.diag[:, None, None], prop.p, eye)
+        self.pinv = np.where(prop.diag[:, None, None], prop.pinv, eye)
+        self.plain = (self.p == eye).all(axis=(1, 2))  # P = I: a = rho
+        ph = self.p.conj().swapaxes(1, 2)
+        self.ovt = (ph @ self.p).swapaxes(1, 2)
+        # the initial hazard Tr(-(G + G^dag) rho) is -sum(a * hazard)
+        self.hazard = (ph @ self.gplus @ self.p).swapaxes(1, 2)
+        # ds/dt of the expansion: the coefficients times lam (+) conj(lam)
         self.mu = (prop.lam[:, :, None] + prop.lam.conj()[:, None, :]).reshape(n, d * d)
-        self.pinvc = prop.pinv.conj()
-        self.ovt = (prop.p.conj().swapaxes(1, 2) @ prop.p).swapaxes(1, 2)
 
-    def wait(self, k: np.ndarray, rho: np.ndarray, u) -> list:
-        """Dwell times until the survival from ``rho`` falls to ``u``; None
+    def link(self, tab: _Tables, edges, escapes):
+        """The jump tables, in eigen-coordinates, once every block has its
+        ``P``.
+
+        Row k of ``intensity`` holds the transposed intensities
+        ``(P^dag R^dag R P)^T`` of the jump slots of vertex k, then that of
+        its escape, as interleaved real and negated imaginary parts, so that
+        ``Tr(R eta R^dag) = Re <(P^dag R^dag R P)^T, a>`` is one real dot
+        product with the floats of ``a``.  ``ms[dd]`` holds, per slot, the
+        map ``M = P_dst^-1 R P`` of the jumps into dimension ``dd``
+        (``P_dst = 1`` for ``dd = 1``), zero in the slots whose jump goes to
+        another dimension.  ``dst`` and ``out_dim`` give each slot's
+        destination and its dimension; two zero columns past the slots
+        answer the slots -2 and -1 (no destination: dimension 0).
+        """
+        n, d = len(edges), self.p.shape[-1]
+        width = max([len(e) for e in edges] + [1])
+        rs: dict[int, np.ndarray] = {}
+        esc = np.zeros((n, d, d), dtype=complex)
+        self.dst, self.out_dim = (np.zeros((n, width + 2), dtype=np.intp) for _ in range(2))
+        for k in self.members:
+            for j, (x, r) in enumerate(edges[k]):
+                dd = r.shape[0]
+                rs.setdefault(dd, np.zeros((n, width, dd, d), dtype=complex))[k, j] = r
+                self.dst[k, j], self.out_dim[k, j] = x, dd
+            esc[k] = escapes[k]
+        p = self.p[:, None]
+        intensity = np.zeros((n, width + 1, d, d), dtype=complex)
+        intensity[:, width] = (self.p.conj().swapaxes(1, 2) @ esc @ self.p).swapaxes(1, 2)
+        self.ms: dict[int, np.ndarray] = {}
+        self.ovt_out: dict[int, np.ndarray] = {}  # the destinations' ovt, by dimension
+        for dd, r in rs.items():
+            rp = r @ p
+            intensity[:, :width] += (rp.conj().swapaxes(2, 3) @ rp).swapaxes(2, 3)
+            if dd == 1:
+                self.ms[dd] = rp
+            else:
+                self.ms[dd] = tab.blocks[dd].pinv[self.dst[:, :width]] @ rp
+                self.ovt_out[dd] = tab.blocks[dd].ovt
+        self.intensity = np.stack([intensity.real, -intensity.imag], axis=-1).reshape(
+            n, width + 1, 2 * d * d)
+
+    def enter(self, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """The states ``rho`` in eigen-coordinates, ``P^-1 rho P^-dag``."""
+        pinv = self.pinv[k]
+        return pinv @ rho @ pinv.conj().swapaxes(1, 2)
+
+    def to_rho(self, k: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """The states ``P a P^dag`` of eigen-coordinates ``a``."""
+        p = self.p[k]
+        return p @ a @ p.conj().swapaxes(1, 2)
+
+    def wait(self, k: np.ndarray, a: np.ndarray, u) -> np.ndarray:
+        """Dwell times until the survival from ``a`` falls to ``u``; NaN
         where no event ever comes.  The exponential wait of uniform decay
-        is taken per walker, the others are inverted together."""
-        rates = [self.rate[kk] for kk in k.tolist()]
-        out = [_exponential_wait(r, uu) for r, uu in zip(rates, u)]
-        invert = [j for j, r in enumerate(rates) if math.isnan(r)]
-        if invert:
-            ts = self.invert(k[invert], rho[invert], np.array(u)[invert])
-            for j, t in zip(invert, ts.tolist()):
-                out[j] = None if math.isnan(t) else t
-        return out
+        takes ``math.log`` per draw, as :func:`_exponential_wait`; the other
+        survivals are inverted together."""
+        invert = self.inverted[k]
+        if invert.all():
+            return self.invert(k, a, np.array(u))
+        t = -np.array([math.log(x) for x in u]) / self.exp_rate[k]
+        if invert.any():
+            t[invert] = self.invert(k[invert], a[invert], np.array(u)[invert])
+        return t
 
-    def invert(self, k: np.ndarray, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def invert(self, k: np.ndarray, a: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Solve s(t) = u to ``_INV_TOL`` by safeguarded Newton steps on
         ``log s``; NaN where the survival plateaus above ``u``.
 
@@ -201,10 +282,10 @@ class _Block:
         hazard, and every iterate stays in the bracket: a Newton step that
         leaves it is replaced by the midpoint.  Walkers that have converged
         keep their time while the others step on."""
-        surv = _Survival.of(self, k, rho)
+        surv = _Survival.of(self, k, a)
         log_u = np.log(u)
         steep, c_hi, eps = self.steep[k], self.c_hi[k], np.finfo(float).eps
-        h0 = -np.einsum("kij,kji->k", self.gplus[k], rho).real
+        h0 = -_trace_in(a, self.hazard[k])
         with np.errstate(divide="ignore", invalid="ignore"):
             lo = -log_u / c_hi * (1.0 - 8 * eps)
             hi = np.where(steep, -log_u / self.c_lo[k] * (1.0 + 8 * eps), math.nan)
@@ -226,45 +307,67 @@ class _Block:
                 t = np.where(done, t, step)
         raise ConvergenceError("survival inversion did not reach tolerance")
 
-    def flow(self, k: np.ndarray, rho: np.ndarray, dt: np.ndarray) -> np.ndarray:
-        """Normalized dwell states ``dt`` after entering in ``rho``."""
-        e = self.prop.at(k, dt)
-        return _normalised(e @ rho @ e.conj().swapaxes(1, 2))
+    def dwell(self, k: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The unnormalized dwell states ``e^{tG} rho e^{tG^dag}`` after
+        times ``t``, in eigen-coordinates."""
+        x = a * _scaling(self.lam[k], t)
+        if self.any_dense:
+            dense = ~self.diag[k]
+            x[dense] = self.dense(k[dense], a[dense], t[dense])
+        return x
 
-    def jump(self, k: np.ndarray, eta: np.ndarray, u) -> list:
-        """Pick the jump out of dwell states ``eta`` with weights
+    def dense(self, k: np.ndarray, rho: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``e^{tG} rho e^{tG^dag}`` by the dense exponential."""
+        e = self.prop.at(k, t)
+        return e @ rho @ e.conj().swapaxes(1, 2)
+
+    def flow(self, k: np.ndarray, a: np.ndarray, dt: np.ndarray) -> np.ndarray:
+        """Normalized dwell states ``dt`` after entering in ``a``."""
+        x = self.dwell(k, a, dt)
+        return x / _trace_in(x, self.ovt[k])[:, None, None]
+
+    def jump(self, k: np.ndarray, a: np.ndarray, u: np.ndarray):
+        """Pick the jump out of dwell states ``a`` with weights
         ``Tr(R eta R^dag)`` and the escape weight, ``u`` uniform on [0, 1).
 
-        Returns ``(slot, post-jump state)`` per walker; slot -1 is the
-        escape and -2 means every weight vanishes (no post state then).
+        Returns the slots, -1 for the escape and -2 where every weight
+        vanishes, and the post-jump states (:meth:`posts`).  The slot counts
+        the running weights below ``u`` times the total, over the running
+        weights padded past the vertex's jumps with their last value: that
+        count is ``_pick``'s ``bisect_left`` on the same floats.
         """
-        running, esc = self.weights(k, eta)
-        slots = []
-        for run, e, uu, kk in zip(running.tolist(), esc.tolist(), u, k.tolist()):
-            run = run[: self.deg[kk]]
-            slots.append(_pick(run, e, _total(run, e), uu))
-        return list(zip(slots, self.posts(k, np.array(slots), eta)))
+        running, esc = self.weights(k, a)
+        total = running[:, -1] + esc
+        slot = (running < (u * total)[:, None]).sum(axis=1)
+        deg = self.deg[k]
+        over = slot >= deg
+        if over.any():  # the escape, or the rounding guard of _pick: the last edge
+            slot[over] = np.where(esc[over] > _PLATEAU, -1, deg[over] - 1)
+        slot[total <= _PLATEAU] = -2
+        return slot, self.posts(k, slot, a)
 
-    def weights(self, k: np.ndarray, eta: np.ndarray):
+    def weights(self, k: np.ndarray, a: np.ndarray):
         """Running sums of the jump weights ``Tr(R eta R^dag)`` in jump
         order and the escape weights, read off the intensity table."""
-        floats = eta.reshape(k.size, -1).view(float)
+        floats = a.reshape(k.size, -1).view(float)
         w = np.maximum((self.intensity[k] @ floats[:, :, None])[..., 0], 0.0)
         return np.cumsum(w[:, :-1], axis=1), w[:, -1]
 
-    def posts(self, k: np.ndarray, slot: np.ndarray, eta: np.ndarray) -> list:
-        """Normalized post-jump states ``R eta R^dag`` of the walkers with
-        ``slot >= 0``, None for the others."""
+    def posts(self, k: np.ndarray, slot: np.ndarray, a: np.ndarray) -> list:
+        """Normalized post-jump states ``M a M^dag`` of the walkers with
+        ``slot >= 0``, in the eigen-coordinates of their destinations; None
+        for the others."""
         out: list = [None] * k.size
-        hop = np.flatnonzero(slot >= 0)
-        kh, sh = k[hop], slot[hop]
-        dd = self.out_dim[kh, sh]
-        for d_out, rs in self.rs.items():
-            mine = dd == d_out
-            if mine.any():
-                r = rs[kh[mine], sh[mine]]
-                products = r @ eta[hop[mine]] @ r.conj().swapaxes(-1, -2)
-                for j, post in zip(hop[mine].tolist(), _normalised(products)):
+        dd = self.out_dim[k, slot]
+        for d_out, ms in self.ms.items():
+            hop = np.flatnonzero(dd == d_out)
+            if hop.size:
+                kh, sh = k[hop], slot[hop]
+                m = ms[kh, sh]
+                x = m @ a[hop] @ m.conj().swapaxes(1, 2)
+                ovt = self.ovt_out.get(d_out)
+                tr = _trace(x) if ovt is None else _trace_in(x, ovt[self.dst[kh, sh]])
+                for j, post in zip(hop.tolist(), x / tr[:, None, None]):
                     out[j] = post
         return out
 
@@ -289,42 +392,37 @@ def _doubled(surv: _Survival, hi: np.ndarray, u: np.ndarray):
 
 class _Survival:
     """s(t) = Tr(e^{tG} rho e^{tG^dag}) for a batch of walkers at vertices
-    ``k`` of one block, in states ``rho``.
+    ``k`` of one block, in eigen-coordinates ``a``.
 
     Where the eigenvector matrix of the vertex generator has a condition
-    number below ``linalg.COND_LIMIT``, s is a sum of exponentials over
-    eigenvalue pairs ``mu = lam (+) conj(lam)`` with coefficients ``coef``;
+    number below ``linalg.COND_LIMIT``, s is ``Re sum(coef * w conj(w)^T)``
+    with ``w = exp(lam t)`` and the coefficients ``coef = a * ovt``;
     elsewhere the dense exponential is taken at each time.
     """
 
-    def __init__(self, blk: _Block, k, rho, coef, mu, slope, dense):
-        self.blk, self.k, self.rho, self.coef, self.mu, self.slope = blk, k, rho, coef, mu, slope
+    def __init__(self, blk: _Block, k, a, lam, coef, slope, dense):
+        self.blk, self.k, self.a, self.lam, self.coef, self.slope = blk, k, a, lam, coef, slope
         self.dense, self.any_dense = dense, bool(dense.any())
 
     @classmethod
-    def of(cls, blk: _Block, k: np.ndarray, rho: np.ndarray) -> _Survival:
-        a = blk.prop.pinv[k] @ rho @ blk.pinvc[k].swapaxes(1, 2)
-        coef, mu = (a * blk.ovt[k]).reshape(k.size, -1), blk.mu[k]
-        return cls(blk, k, rho, coef, mu, coef * mu, ~blk.prop.diag[k])
+    def of(cls, blk: _Block, k: np.ndarray, a: np.ndarray) -> _Survival:
+        coef = (a * blk.ovt[k]).reshape(k.size, -1)
+        return cls(blk, k, a, blk.lam[k], coef, coef * blk.mu[k], ~blk.diag[k])
 
     def take(self, i) -> _Survival:
         """The survival of the walkers ``i`` (indices or a mask)."""
-        return _Survival(self.blk, *(a[i] for a in (self.k, self.rho, self.coef, self.mu,
+        return _Survival(self.blk, *(a[i] for a in (self.k, self.a, self.lam, self.coef,
                                                      self.slope, self.dense)))
-
-    def _raw(self, t: np.ndarray, i=slice(None)) -> np.ndarray:
-        e = self.blk.prop.at(self.k[i], t)
-        return e @ self.rho[i] @ e.conj().swapaxes(1, 2)
 
     def value(self, t: np.ndarray, slope: bool = False):
         """``(s, ds/dt)`` of each walker at its time ``t``; the derivative
         only when ``slope``."""
-        e = np.exp(self.mu * t[:, None])
+        e = _scaling(self.lam, t).reshape(t.size, -1)
         s = (self.coef * e).sum(axis=1).real
         ds = (self.slope * e).sum(axis=1).real if slope else None
         if self.any_dense:
             dense = self.dense
-            raw = self._raw(t[dense], dense)
+            raw = self.blk.dense(self.k[dense], self.a[dense], t[dense])
             s[dense] = _trace(raw)
             if slope:
                 ds[dense] = _trace(self.blk.gplus[self.k[dense]] @ raw)
@@ -332,7 +430,7 @@ class _Survival:
 
     def speed(self, t: np.ndarray) -> np.ndarray:
         """Norm of (G + G^dag) applied to the normalized dwell states."""
-        raw = self._raw(t)
+        raw = self.blk.to_rho(self.k, self.blk.dwell(self.k, self.a, t))
         tr = _trace(raw)
         with np.errstate(divide="ignore", invalid="ignore"):
             eta = raw / tr[:, None, None]
@@ -340,9 +438,23 @@ class _Survival:
         return np.where(tr <= 0.0, 0.0, norm)
 
 
+def _scaling(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``w conj(w)^T`` with ``w = exp(lam t)``: the dwell flow of a state in
+    eigen-coordinates is the elementwise product with it."""
+    w = np.exp(lam * t[:, None])
+    return w[:, :, None] * w.conj()[:, None, :]
+
+
 def _trace(m: np.ndarray) -> np.ndarray:
     """Real part of the trace of each matrix in a stack."""
     return m.trace(axis1=-2, axis2=-1).real
+
+
+def _trace_in(a: np.ndarray, ovt: np.ndarray) -> np.ndarray:
+    """``Re Tr(P a P^dag)`` of each of a stack of states in
+    eigen-coordinates, with ``ovt = (P^dag P)^T``; also any
+    ``Re Tr(X^T a)`` with ``X`` in place of ``ovt``."""
+    return (a * ovt).reshape(len(a), -1).sum(axis=1).real
 
 
 def _normalised(m: np.ndarray) -> np.ndarray:
@@ -377,7 +489,8 @@ def sample_jump_time(g: np.ndarray, rho: np.ndarray, u: float) -> float | None:
     tab = _bare_tables(g)
     if tab.dim[0] == 1:
         return _exponential_wait(tab.rate[0], u)
-    return tab.blocks[tab.dim[0]].wait(np.zeros(1, dtype=int), rho[None], np.array([u]))[0]
+    t = float(tab.blocks[tab.dim[0]].wait(np.zeros(1, dtype=int), tab.enter(0, rho)[None], [u])[0])
+    return None if math.isnan(t) else t
 
 
 # -- trajectory records --------------------------------------------------------
@@ -570,22 +683,26 @@ def _sample(tab: _Tables, k0: int, rho0: np.ndarray, horizon: float, seed: int, 
     is fixed and every event is scalar work: a walker runs through them on
     its own, in one tight loop over the vertex tables.  Walkers at vertices
     with matrix states take their next events together, one batched step at
-    a time: per vertex dimension, their states are stacked once for the
-    waiting time, and unless it lies beyond the horizon, the dwell flow and
-    the jump.  Walkers stop when absorbed, at the horizon, on escape, or on
-    arriving at position ``stop_at``.  ``keep_rho`` keeps the post-jump
-    states.
+    a time: per vertex dimension, their states (in the eigen-coordinates of
+    :class:`_Block`) are stacked once for the waiting time, and unless it
+    lies beyond the horizon, the dwell flow and the jump.  Walkers stop when
+    absorbed, at the horizon, on escape, or on arriving at position
+    ``stop_at``.  ``keep_rho`` keeps the post-jump states: those held in
+    eigen-coordinates become ``rho = P a P^dag`` at the end, in one stacked
+    product per dimension.
     """
     draws = _Streams(seed, streams)
     n = len(draws.bufs)
-    pos, t, rho, jumps = [k0] * n, [0.0] * n, [rho0] * n, [0] * n
+    pos, t, rho, jumps = [k0] * n, [0.0] * n, [tab.enter(k0, rho0)] * n, [0] * n
     ev = _Events([], [], [], [] if keep_rho else None, [False] * n, [None] * n)
     absorbed, escaped = ev.absorbed, ev.escaped
     add_walker, add_time, add_pos = ev.walker.append, ev.time.append, ev.pos.append
     add_rho = ev.rho.append if keep_rho else None
     dim, rate, running, esc, total = tab.dim, tab.rate, tab.running, tab.esc, tab.total
-    dst, posts, log, max_jumps = tab.dst, tab.posts, math.log, _MAX_JUMPS
+    dst, posts, eigen, log, max_jumps = tab.dst, tab.posts, tab.eigen, math.log, _MAX_JUMPS
     bufs, ats, refill, size = draws.bufs, draws.at, draws.refill, _DRAWS
+    convert: list[int] = []  # the kept states that are eigen-coordinates
+    fresh: list[int] = []  # the walkers that arrived at an eigen vertex by a scalar jump
 
     run = list(range(n))
     while run:
@@ -632,46 +749,59 @@ def _sample(tab: _Tables, k0: int, rho0: np.ndarray, horizon: float, seed: int, 
                     break
             else:
                 batch.append(i)
+                if count != jumps[i] and eigen[k]:  # the state is rho
+                    fresh.append(i)
             pos[i], t[i], rho[i], ats[i], jumps[i] = k, now, state, at, count
         if not batch:
             break
+        if fresh:
+            for i, state in zip(fresh, tab.convert([pos[i] for i in fresh], [rho[i] for i in fresh],
+                                                   _Block.enter)):
+                rho[i] = state
+            fresh.clear()
         run = []
         for d, js in tab._by_dim([pos[i] for i in batch]).items():
             blk, group = tab.blocks[d], [batch[j] for j in js]
             ks = np.array([pos[i] for i in group])
-            states = np.stack([rho[i] for i in group])
+            states = np.array([rho[i] for i in group])
             dts = blk.wait(ks, states, draws.draw(group, positive=True))
-            go = []
-            for j, (i, dt) in enumerate(zip(group, dts)):
-                if dt is None:
-                    absorbed[i] = True
-                elif t[i] + dt < horizon:
-                    go.append(j)
-            if not go:
-                continue
-            ks, dts = ks[go], [dts[j] for j in go]
-            group = [group[j] for j in go]
-            etas = blk.flow(ks, states[go], np.array(dts))
-            hops = blk.jump(ks, etas, draws.draw(group))
-            for i, k, dt, (slot, post) in zip(group, ks.tolist(), dts, hops):
-                t_next = t[i] + dt
+            t_next = np.array([t[i] for i in group]) + dts
+            none = np.isnan(dts)
+            if none.any():
+                for j in np.flatnonzero(none).tolist():
+                    absorbed[group[j]] = True
+            go = np.flatnonzero(t_next < horizon)  # NaN: no event
+            if go.size < len(group):
+                if not go.size:
+                    continue
+                ks, states, dts, t_next = ks[go], states[go], dts[go], t_next[go]
+                group = [group[j] for j in go.tolist()]
+            etas = blk.flow(ks, states, dts)
+            slots, hops = blk.jump(ks, etas, np.array(draws.draw(group)))
+            dests = blk.dst[ks, slots].tolist()
+            for i, slot, x, t_i, post in zip(group, slots.tolist(), dests, t_next.tolist(), hops):
                 if slot == -2:
                     absorbed[i] = True
                 elif slot == -1:
-                    escaped[i] = t_next
+                    escaped[i] = t_i
                 else:
-                    x = dst[k][slot]
-                    pos[i], t[i], rho[i] = x, t_next, post
+                    pos[i], t[i], rho[i] = x, t_i, post
                     add_walker(i)
-                    add_time(t_next)
+                    add_time(t_i)
                     add_pos(x)
                     if keep_rho:
+                        if eigen[x]:
+                            convert.append(len(ev.rho))
                         add_rho(post)
                     jumps[i] += 1
                     if jumps[i] > max_jumps:
                         raise _runaway()
                     if x != stop_at:
                         run.append(i)
+    if convert:
+        states = tab.convert([ev.pos[j] for j in convert], [ev.rho[j] for j in convert], _Block.to_rho)
+        for j, state in zip(convert, states):
+            ev.rho[j] = state
     return ev
 
 
@@ -716,11 +846,13 @@ def survival_function(model: WalkModel, vertex: VertexId, rho):
     rho = _normalised(np.atleast_2d(np.asarray(rho, dtype=complex)))
     rate = tab.rate[0]
 
+    a = tab.enter(0, rho)
+
     def survival(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
         if math.isnan(rate):
-            rhos = np.broadcast_to(rho, (ts.size,) + rho.shape)
-            s = _Survival.of(tab.blocks[tab.dim[0]], np.zeros(ts.size, dtype=int), rhos).value(ts)[0]
+            states = np.broadcast_to(a, (ts.size,) + a.shape)
+            s = _Survival.of(tab.blocks[tab.dim[0]], np.zeros(ts.size, dtype=int), states).value(ts)[0]
         else:
             s = np.exp(-rate * ts)
         return s if np.ndim(t) > 0 else float(s[0])

@@ -8,7 +8,9 @@ a fixed-step RK4 integration of the nonlinear state equation.
 
 from __future__ import annotations
 
-from itertools import product
+import bisect
+import math
+from itertools import accumulate, product
 
 import numpy as np
 import scipy.linalg as sla
@@ -599,20 +601,22 @@ def positive(draws) -> float:
 def sample_per_walker(tab, k0, rho0, init, horizon, draws, stop_at=-1, keep_rho=True):
     """The sampler's walk loop one walker at a time: through its
     one-dimensional vertices by the scalar tables, and at a matrix vertex
-    by its block's ``wait``, ``flow`` and ``jump`` on that walker alone.
+    by its block's ``wait``, ``flow`` and ``jump`` on that walker alone, in
+    the block's eigen-coordinates; each kept post-jump state held in them
+    becomes ``rho`` by the block's ``to_rho``, one event at a time.
     ``draws`` holds one iterator of uniforms per walker."""
     n = len(draws)
-    pos, t, rho = [k0] * n, [0.0] * n, [rho0] * n
+    pos, t, state = [k0] * n, [0.0] * n, [tab.enter(k0, rho0)] * n
     absorbed, escaped = [False] * n, [None] * n
     events: list[list] = [[] for _ in range(n)]
 
-    def scalar_jump(k, u):
-        running, esc = tab.running[k], tab.esc[k]
-        slot = trajectory._pick(running, esc, trajectory._total(running, esc), u)
-        return slot, tab.posts[k][slot] if slot >= 0 else None
+    def kept(x, a):
+        if not tab.eigen[x]:
+            return a
+        return tab.blocks[tab.dim[x]].to_rho(np.array([x]), a[None])[0]
 
-    def land(i, t_next, x, post):
-        pos[i], t[i], rho[i] = x, t_next, post
+    def land(i, t_next, x, a, post):
+        pos[i], t[i], state[i] = x, t_next, a
         events[i].append(trajectory.JumpEvent(t_next, tab.ids[x], post if keep_rho else None))
         if len(events[i]) > trajectory._MAX_JUMPS:
             raise ConvergenceError(f"trajectory exceeded {trajectory._MAX_JUMPS} jumps")
@@ -630,14 +634,17 @@ def sample_per_walker(tab, k0, rho0, init, horizon, draws, stop_at=-1, keep_rho=
                 t_next = t[i] + dt
                 if t_next >= horizon:
                     break
-                slot, post = scalar_jump(k, next(draws[i]))
+                running, esc = tab.running[k], tab.esc[k]
+                u = next(draws[i])
+                slot = trajectory._pick(running, esc, trajectory._total(running, esc), u)
                 if slot == -2:
                     absorbed[i] = True
                     break
                 if slot == -1:
                     escaped[i] = t_next
                     break
-                if not land(i, t_next, tab.dst[k][slot], post):
+                x, post = tab.dst[k][slot], tab.posts[k][slot]
+                if not land(i, t_next, x, tab.enter(x, post), post):
                     break
             else:
                 batch.append(i)
@@ -647,25 +654,104 @@ def sample_per_walker(tab, k0, rho0, init, horizon, draws, stop_at=-1, keep_rho=
         for i in batch:
             k, blk = pos[i], tab.blocks[tab.dim[pos[i]]]
             ks = np.array([k])
-            dt = blk.wait(ks, rho[i][None], [positive(draws[i])])[0]
-            if dt is None:
+            dt = float(blk.wait(ks, state[i][None], [positive(draws[i])])[0])
+            if math.isnan(dt):
                 absorbed[i] = True
                 continue
             t_next = t[i] + dt
             if t_next >= horizon:
                 continue
-            eta = blk.flow(ks, rho[i][None], np.array([dt]))
-            slot, post = blk.jump(ks, eta, [next(draws[i])])[0]
+            eta = blk.flow(ks, state[i][None], np.array([dt]))
+            (slot,), (a,) = blk.jump(ks, eta, np.array([next(draws[i])]))
             if slot == -2:
                 absorbed[i] = True
             elif slot == -1:
                 escaped[i] = t_next
-            elif land(i, t_next, tab.dst[k][slot], post):
-                run.append(i)
+            else:
+                x = tab.dst[k][slot]
+                if land(i, t_next, x, a, kept(x, a)):
+                    run.append(i)
     return [
         trajectory.TrajectoryRecord(init, events[i], horizon, absorbed[i], escaped[i])
         for i in range(n)
     ]
+
+
+def _dense_survival(g: np.ndarray, rho: np.ndarray, t: float):
+    """``s(t) = Tr(e^{tG} rho e^{tG^dag})``, its slope and the unnormalized
+    dwell state, by the dense exponential."""
+    e = sla.expm(t * g)
+    raw = e @ rho @ e.conj().T
+    return np.trace(raw).real, np.trace((g + g.conj().T) @ raw).real, raw
+
+
+def _dense_wait(g: np.ndarray, rho: np.ndarray, u: float) -> float:
+    """The event time by the sampler's rule, in rho-space: ``-log u / c`` at
+    uniform decay ``G + G^dag = -c I``; elsewhere safeguarded Newton steps
+    on ``log s`` from ``-log u / h0``, ``h0 = Tr(-(G + G^dag) rho)``, inside
+    the bracket ``[-log u / c_hi, -log u / c_lo]`` of the decay spectrum, to
+    ``|s - u| <= _INV_TOL``, with ``s`` and its slope from the dense
+    exponential.  Only for generators whose every state decays,
+    ``c_lo > 0``."""
+    d, eps, log_u = g.shape[0], np.finfo(float).eps, math.log(u)
+    gplus = g + g.conj().T
+    c = -np.trace(gplus).real / d
+    if np.linalg.norm(gplus + c * np.eye(d)) <= 1e-13 * (1.0 + abs(c)):
+        return -log_u / c
+    lam = np.linalg.eigvalsh(gplus)
+    margin = 4 * d * d * eps * np.abs(lam).max()
+    c_lo, c_hi = -lam[-1] - margin, margin - lam[0]
+    if not c_lo > 0.0:
+        raise ModelError("the reference wait needs a decay spectrum with c_lo > 0")
+    lo, hi = -log_u / c_hi * (1.0 - 8 * eps), -log_u / c_lo * (1.0 + 8 * eps)
+    t = min(max(-log_u / -np.trace(gplus @ rho).real, lo), hi)
+    for _ in range(200):
+        s, ds, _ = _dense_survival(g, rho, t)
+        if abs(s - u) <= trajectory._INV_TOL:
+            return t
+        if s > u:
+            lo = t
+        else:
+            hi = t
+        newton = t - (math.log(s) - log_u) * s / ds
+        t = newton if ds < 0 and lo < newton < hi else 0.5 * (lo + hi)
+    raise ConvergenceError("the dense survival inversion did not converge")
+
+
+def reference_walk(model: WalkModel, start, rho0, horizon: float, draws) -> list[tuple]:
+    """One walker by the rho-space step, from ``draws``, an iterator of the
+    uniforms the sampler reads in the same order: the event time is
+    :func:`_dense_wait`'s, the dwell state is
+    ``e^{tG} rho e^{tG^dag}`` by the dense exponential, normalized, the
+    jump is picked with the weights ``Tr(R eta R^dag)`` in jump order and
+    the escape weight, as the sampler picks, and the post-jump state is
+    ``R eta R^dag / tr``.  Returns the events ``(time, vertex, rho)`` before
+    the horizon, an absorption or an escape."""
+    v, now, rho, events = start, 0.0, np.asarray(rho0, dtype=complex), []
+    plateau = trajectory._PLATEAU
+    while True:
+        g = model.effective(v)
+        dt = _dense_wait(g, rho, positive(draws))
+        if now + dt >= horizon:
+            return events
+        raw = _dense_survival(g, rho, dt)[2]
+        eta = raw / np.trace(raw).real
+        edges = model.out_edges(v)
+        running = list(accumulate(np.trace(r @ eta @ r.conj().T).real for _, r in edges))
+        esc = max(np.trace(linalg.herm(model.escape_defect(v)) @ eta).real, 0.0)
+        total = (running[-1] if running else 0.0) + esc
+        u = next(draws)
+        if total <= plateau:
+            return events
+        slot = bisect.bisect_left(running, u * total)
+        if slot == len(running):
+            if esc > plateau:
+                return events
+            slot -= 1
+        v, r = edges[slot]
+        now, post = now + dt, r @ eta @ r.conj().T
+        rho = post / np.trace(post).real
+        events.append((now, v, rho))
 
 
 _RECORD_TOL = 1e-9  # unit trace and positivity of a post-jump state

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import ctoqw
-from ctoqw import classify, cli, linalg, model, passage, trajectory
+from ctoqw import classify, cli, fixtures, linalg, model, passage, trajectory
 from ctoqw.cli import _dump_writer, main
 from ctoqw.errors import ConvergenceError
 from ctoqw.model import SitedState, build_walk, matrix_to_json, model_from_json
@@ -667,6 +667,39 @@ def test_linalg_error_is_a_convergence_exit(tmp_path, two_site_file, capsys, mon
     assert code == 3
     assert "Traceback" not in err
     assert err == "LinAlgError: singular matrix\n"
+
+
+@pytest.mark.parametrize("json_logs", [False, True])
+def test_out_of_memory_is_a_precondition_exit(tmp_path, two_site_file, capsys, monkeypatch, json_logs):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+    monkeypatch.setattr(linalg, "expm", exhausted)
+    capsys.readouterr()
+    logs = ["--json-logs"] if json_logs else []
+    code = run(tmp_path, *logs, "evolve", "--model", two_site_file, "--state", "0:e1", "--t", 1.0)
+    err = capsys.readouterr().err
+    assert code == 4
+    message = "MemoryError: Unable to allocate 1.00 TiB for an array"
+    assert err == (json.dumps({"error": message, "exit_code": 4}) if json_logs else message) + "\n"
+
+
+def test_superlu_allocation_failure_is_a_memory_error(tmp_path, capsys, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def exhausted(matrix):
+        raise RuntimeError("SUPERLU_MALLOC fails for buf in intMalloc()")
+
+    monkeypatch.setattr(spla, "splu", exhausted)
+    with pytest.raises(MemoryError, match="SUPERLU_MALLOC"):
+        passage.first_passage_map(fixtures.biased_line((-3, 3)), 0, 0)
+    path = tmp_path / "line.json"
+    assert run(tmp_path, "fixtures", "--name", "biased-line", "--window", 3, "--out", path) == 0
+    capsys.readouterr()
+    assert run(tmp_path, "classify", "--model", path, "--vertex", 0) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("MemoryError: sparse LU of a ")
+    assert "SUPERLU_MALLOC" in err
 
 
 _FUZZ_WINDOWS = {"two-site-exchange": [], "coherent-pair": [],

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
-from ctoqw import fixtures, semigroup, trajectory
+from ctoqw import fixtures, linalg, semigroup, trajectory
 from ctoqw.errors import ConvergenceError, ModelError, PreconditionError
 from ctoqw.model import (SitedState, WalkModel, build_lattice, build_walk, classical_embed,
                          matrix_to_json, sited_block_state)
-from oracles import (check_record, rk4_dwell, sample_per_walker, trajectory_rng,
-                     uniforms)
+from oracles import (check_record, reference_walk, rk4_dwell, sample_per_walker,
+                     trajectory_rng, uniforms)
 from strategies import leaky_variant, random_density, random_hermitian, random_model
 
 
@@ -28,10 +28,11 @@ def _lone(g) -> WalkModel:
 
 def _dwell(m, vid, rho, t):
     """The dwell state ``t`` after entering vertex ``vid`` in ``rho``, by the
-    sampler's ``_Block.flow``, and the survival weight by ``survival_function``."""
+    sampler's ``_Block.flow`` in eigen-coordinates, and the survival weight
+    by ``survival_function``."""
     tab, rho = trajectory._tables(m), np.asarray(rho, dtype=complex)
-    k = m.position(vid)
-    eta = tab.blocks[tab.dim[k]].flow(np.array([k]), rho[None], np.array([t]))[0]
+    k, blk = np.array([m.position(vid)]), tab.blocks[m.dim(vid)]
+    eta = blk.to_rho(k, blk.flow(k, blk.enter(k, rho[None]), np.array([t])))[0]
     return eta, trajectory.survival_function(m, vid, rho)(t)
 
 
@@ -126,8 +127,8 @@ def _scalar_jump(m, vid, u):
 
 def test_sample_destination_spin_vertex_one(spin_small):
     tab, k = trajectory._tables(spin_small), spin_small.position(1)
-    eta = np.diag([0.0, 1.0]).astype(complex)
-    slot, rho = tab.blocks[2].jump(np.array([k]), eta[None], [0.7])[0]
+    eta, ks, blk = np.diag([0.0, 1.0]).astype(complex), np.array([k]), tab.blocks[2]
+    (slot,), (rho,) = blk.jump(ks, blk.enter(ks, eta[None]), np.array([0.7]))
     assert tab.ids[tab.dst[k][slot]] == 0
     assert rho[0, 0] == pytest.approx(1.0)
 
@@ -514,6 +515,29 @@ def test_estimate_records_are_simulate_records(case):
         assert (rec.absorbed, rec.escaped_at) == (alone.absorbed, alone.escaped_at)
 
 
+@pytest.mark.parametrize("case", ["qutrit-ring", "jordan-vertex"])
+def test_long_runs_stay_on_the_reference_stepper(case):
+    """Over thousands of events the eigen-coordinate walkers follow the
+    rho-space reference stepper on the same draws: the same vertex path,
+    times and post-jump states within 1e-10, and every kept state a unit
+    trace state to 1e-12."""
+    m, init, horizon = {
+        "qutrit-ring": (qutrit_ring(101, 6), SitedState(0, np.diag([1.0, 0.0, 0.0])), 2300.0),
+        "jordan-vertex": (jordan_vertex_model(), SitedState(0, np.eye(2) / 2), 3200.0),
+    }[case]
+    tab, k0, rho0 = trajectory._start(m, init, horizon)
+    streams = range(2)
+    for s, rec in zip(streams, _sampled(tab, k0, rho0, init, horizon, 41, streams)):
+        want = reference_walk(m, init.vertex, rho0, horizon, uniforms(trajectory_rng(41, s)))
+        assert len(rec.events) >= 2000
+        assert [ev.vertex for ev in rec.events] == [v for _, v, _ in want]
+        for ev, (t, _, rho) in zip(rec.events, want):
+            assert abs(ev.time - t) <= 1e-10
+            assert np.abs(ev.rho - rho).max() <= 1e-10
+            assert abs(np.trace(ev.rho).real - 1.0) <= 1e-12
+            assert np.linalg.eigvalsh(linalg.herm(ev.rho)).min() >= -1e-12
+
+
 def test_equivalence_cases_cover_every_branch():
     cases = {name: (m, init, horizon) for name, m, init, horizon in _equivalence_cases()}
     tabs = {name: trajectory._tables(m) for name, (m, _, _) in cases.items()}
@@ -798,7 +822,7 @@ def _certify(monkeypatch, blk, gens, k, rho, u, survival):
     speed = trajectory._Survival.speed
     monkeypatch.setattr(trajectory._Survival, "speed",
                         lambda surv, t: checked.append(t.size) or speed(surv, t))
-    times = blk.invert(k, rho, u)
+    times = blk.invert(k, blk.enter(k, rho), u)
     assert checked == [] and not np.isnan(times).any()
     eps = np.finfo(float).eps
     for kk, r, uu, t in zip(k.tolist(), rho, u.tolist(), times.tolist()):
@@ -853,7 +877,8 @@ def test_inversion_takes_at_most_six_survival_passes(monkeypatch):
         rho = np.stack([random_density(rng, 3) for _ in k])
         u = 1.0 - rng.random(k.size)
         u[:3] = extreme
-        batches = [(k, rho, u)] + [(k[:1], rho[:1], np.array([x])) for x in extreme]
+        a = blk.enter(k, rho)
+        batches = [(k, a, u)] + [(k[:1], a[:1], np.array([x])) for x in extreme]
         for batch in batches:
             passes.clear()
             assert not np.isnan(blk.invert(*batch)).any()
@@ -918,7 +943,7 @@ def test_weights_from_the_intensity_table_are_the_product_traces(seed, d):
     blk = tab.blocks[d]
     k = rng.integers(0, 4, 60)
     eta = np.stack([random_density(rng, d) for _ in k])
-    running, esc = blk.weights(k, eta)
+    running, esc = blk.weights(k, blk.enter(k, eta))
     for j, kk in enumerate(k.tolist()):
         want = np.cumsum([np.trace(r @ eta[j] @ r.conj().T).real for _, r in edges[kk]])
         assert_allclose(running[j, : want.size], want, rtol=1e-13, atol=0)
@@ -934,13 +959,18 @@ def test_posts_are_the_normalised_products_of_the_chosen_jump(seed, d):
     k = rng.integers(0, 4, 60)
     eta = np.stack([random_density(rng, d) for _ in k])
     slot = np.array([rng.integers(-2, tab.deg[kk]) for kk in k.tolist()])
-    posts = blk.posts(k, slot, eta)
+    posts = blk.posts(k, slot, blk.enter(k, eta))
+    # enter, the jump map and to_rho each round in the eigen-coordinates, by
+    # about cond(P)^2 eps; COND_LIMIT bounds that at COND_LIMIT^2 eps = 1e-13
+    bound = linalg.COND_LIMIT ** 2 * np.finfo(float).eps
     for j, (kk, s) in enumerate(zip(k.tolist(), slot.tolist())):
         if s < 0:
             assert posts[j] is None
             continue
-        r = edges[kk][s][1]
-        assert posts[j].tobytes() == trajectory._normalised(r @ eta[j] @ r.conj().T).tobytes()
+        x, r = edges[kk][s]
+        rho = posts[j] if tab.dim[x] == 1 else tab.blocks[tab.dim[x]].to_rho(np.array([x]), posts[j][None])[0]
+        want = trajectory._normalised(r @ eta[j] @ r.conj().T)
+        assert np.abs(rho - want).max() <= bound
     assert (slot >= 0).any() and (slot < 0).any()
 
 
