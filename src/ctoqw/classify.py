@@ -20,6 +20,14 @@ blocks are these spans.  An irreducible walk then reports the algebra
 dimension ``(sum_i d_i)**2``.  A reducible one gets a witness, an invariant
 subspace verified edge by edge.
 
+Each closure is a work list of vertices.  A popped vertex multiplies the
+block of rows it gained since its last pop by each of its step operators
+once, skipping targets whose span is already full.  The target projects the
+block off its stored rows twice (block Gram-Schmidt) and keeps the right
+singular vectors of the residual whose singular value exceeds ``_RANK_TOL``,
+at most its free dimension; a one-row block is kept when its norm, its one
+singular value, exceeds ``_RANK_TOL``.
+
 An irreducible walk is then classified from spectral data of the return
 maps ``P[j->j]``:
 
@@ -37,6 +45,7 @@ one-step kernel, ``P[j->j] = I - G_jj^-1``.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,13 +74,17 @@ def _closure(model: WalkModel, with_dwell: bool, base: VertexId, adjoint: bool):
     """Orthonormal bases of the path-operator spans between ``base`` and
     every vertex, keyed by vertex; unreached vertices are absent.
 
-    Each basis element is a flattened ``(d_j, d_base)`` matrix.  The forward
-    closure seeds ``I`` at ``base`` and multiplies on the left by ``G_j``
-    (when ``with_dwell``) and by ``R[j->k]``; the adjoint closure seeds ``I``
-    at ``base`` and multiplies on the left by ``G_j^dag`` and by
-    ``R[k->j]^dag`` along reversed edges.  Every span is capped at full
-    dimension ``d_j * d_base``.
+    Each basis element is a flattened ``(d_j, d_base)`` matrix, a row of the
+    ``(r, d_j * d_base)`` array of its vertex.  The forward closure seeds
+    ``I`` at ``base`` and multiplies on the left by ``G_j`` (when
+    ``with_dwell``) and by ``R[j->k]``; the adjoint closure seeds ``I`` at
+    ``base`` and multiplies on the left by ``G_j^dag`` and by ``R[k->j]^dag``
+    along reversed edges.  Every span is capped at full dimension
+    ``d_j * d_base``.  The work list and the rank rule are those of the
+    module docstring.
     """
+    db = model.dim(base)
+    full = {v.id: v.dim * db for v in model.vertices}
     steps = {}
     for v in model.ids:
         g = model.effective(v)
@@ -80,29 +93,47 @@ def _closure(model: WalkModel, with_dwell: bool, base: VertexId, adjoint: bool):
             steps[v] = dwell + [(src, r.conj().T) for src, r in model.in_edges(v)]
         else:
             steps[v] = dwell + model.out_edges(v)
-    spans: dict[VertexId, np.ndarray] = {}
-    queue: list[tuple[VertexId, np.ndarray]] = []
+    rows: dict[VertexId, np.ndarray] = {}  # (full, full) per reached vertex, filled to count
+    conj: dict[VertexId, np.ndarray] = {}  # the conjugate transpose of rows, while not full
+    count: dict[VertexId, int] = {}
+    done: dict[VertexId, int] = {}  # rows already multiplied out
+    queue: collections.deque = collections.deque()
 
-    def try_add(j, mat):
-        v = mat.reshape(-1)
-        basis = spans.get(j)
-        if basis is not None:
-            if len(basis) == v.size:
-                return
-            for _ in range(2):  # Gram-Schmidt twice keeps the rows orthonormal
-                v = v - basis.T @ (basis.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm > _RANK_TOL:
-            v = v / norm
-            spans[j] = v[None] if basis is None else np.vstack([basis, v])
-            queue.append((j, v.reshape(mat.shape)))
+    def add(j, block):
+        c = count.get(j, 0)
+        if c:
+            q, qh = rows[j][:c], conj[j][:, :c]
+            for _ in range(2):  # block Gram-Schmidt twice keeps the rows orthonormal
+                block = block - (block @ qh) @ q
+        if len(block) == 1:  # the norm is the one singular value
+            norm = np.linalg.norm(block)
+            new = block / norm if norm > _RANK_TOL else block[:0]
+        else:
+            _, s, vh = np.linalg.svd(block, full_matrices=False)
+            new = vh[:min(int(np.sum(s > _RANK_TOL)), full[j] - c)]
+        if not len(new):
+            return
+        if not c:
+            rows[j], done[j] = np.empty((full[j], full[j]), complex), 0
+        end = count[j] = c + len(new)
+        rows[j][c:end] = new
+        if end < full[j]:
+            if j not in conj:
+                conj[j] = np.empty_like(rows[j])
+            conj[j][:, c:end] = new.conj().T
+        if done[j] == c:
+            queue.append(j)
 
-    try_add(base, np.eye(model.dim(base), dtype=complex))
+    add(base, np.eye(db, dtype=complex).reshape(1, -1))
     while queue:
-        j, mat = queue.pop()
+        j = queue.popleft()
+        a, b = done[j], count[j]
+        done[j] = b
+        block = rows[j][a:b].reshape(b - a, -1, db)
         for k, op in steps[j]:
-            try_add(k, op @ mat)
-    return spans
+            if count.get(k, 0) < full[k]:
+                add(k, (op @ block).reshape(b - a, -1))
+    return {j: rows[j][:c] for j, c in count.items()}
 
 
 def _column_space(model: WalkModel, spans, base: VertexId, j: VertexId):

@@ -19,11 +19,15 @@ import functools
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, classify, fixtures, model, passage, semigroup, trajectory
+from . import __version__, fixtures, model
 from .errors import ConvergenceError, ModelError, PreconditionError
+
+if TYPE_CHECKING:
+    from . import trajectory
 
 EXIT_PARSE = 1
 EXIT_VALIDATION = 2
@@ -136,6 +140,8 @@ class _ValidationFailed(Exception):
 
 
 def _cmd_evolve(args, walk: model.WalkModel) -> int:
+    from . import semigroup
+
     if ":" not in args.state and args.state.endswith(".json"):
         with open(args.state) as fh:
             mu = model.state_from_json(json.load(fh), walk)
@@ -247,6 +253,8 @@ def _dump_writer(fh, walk: model.WalkModel, start: model.VertexId):
 
 
 def _cmd_simulate(args, walk: model.WalkModel) -> int:
+    from . import trajectory
+
     init = _parse_start(args.start, walk)
     if args.queries:
         with open(args.queries) as fh:
@@ -300,6 +308,8 @@ def _window_study(walk, args, compute, key):
 
 
 def _cmd_first_passage(args, walk: model.WalkModel) -> int:
+    from . import passage
+
     start = _parse_start(getattr(args, "from"), walk)
     target = walk.named(args.to)
     p_map, diag = passage.first_passage_map(walk, start.vertex, target)
@@ -322,6 +332,8 @@ def _cmd_first_passage(args, walk: model.WalkModel) -> int:
 
 
 def _cmd_occupation(args, walk: model.WalkModel) -> int:
+    from . import passage
+
     start = _parse_start(getattr(args, "from"), walk)
     target = walk.named(args.at)
     value = passage.expected_occupation(walk, start.vertex, target, start.rho)
@@ -335,6 +347,8 @@ def _cmd_occupation(args, walk: model.WalkModel) -> int:
 
 
 def _cmd_classify(args, walk: model.WalkModel) -> int:
+    from . import classify
+
     base = None if args.vertex is None else walk.named(args.vertex)
     report = classify.classify_trichotomy(walk, base, eps_spec=args.eps)
     doc = {"meta": _meta(args, walk, {"eps_spec": args.eps}), "report": report.to_json_dict()}
@@ -349,6 +363,8 @@ def _cmd_classify(args, walk: model.WalkModel) -> int:
 
 
 def _cmd_irreducible(args, walk: model.WalkModel) -> int:
+    from . import classify
+
     if args.discrete:
         verdict = classify.check_discrete_irreducible(walk)
     else:

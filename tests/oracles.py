@@ -232,6 +232,47 @@ def pair_spans_irreducible(model: WalkModel, with_dwell: bool) -> bool:
     )
 
 
+def closure_per_vector(model: WalkModel, with_dwell: bool, base, adjoint: bool) -> dict:
+    """``classify._closure`` one vector at a time: a work list of basis
+    elements, each multiplied by every step operator of its vertex, and
+    each product added by two Gram-Schmidt passes and kept when its
+    residual norm exceeds ``classify._RANK_TOL``.  Returns the same
+    ``{vertex: (r, d_j * d_base)}`` orthonormal rows."""
+    from ctoqw.classify import _RANK_TOL
+
+    steps = {}
+    for v in model.ids:
+        g = model.effective(v)
+        dwell = [(v, g.conj().T if adjoint else g)] if with_dwell else []
+        if adjoint:
+            steps[v] = dwell + [(src, r.conj().T) for src, r in model.in_edges(v)]
+        else:
+            steps[v] = dwell + model.out_edges(v)
+    spans: dict = {}
+    queue: list = []
+
+    def try_add(j, mat):
+        v = mat.reshape(-1)
+        basis = spans.get(j)
+        if basis is not None:
+            if len(basis) == v.size:
+                return
+            for _ in range(2):
+                v = v - basis.T @ (basis.conj() @ v)
+        norm = np.linalg.norm(v)
+        if norm > _RANK_TOL:
+            v = v / norm
+            spans[j] = v[None] if basis is None else np.vstack([basis, v])
+            queue.append((j, v.reshape(mat.shape)))
+
+    try_add(base, np.eye(model.dim(base), dtype=complex))
+    while queue:
+        j, mat = queue.pop()
+        for k, op in steps[j]:
+            try_add(k, op @ mat)
+    return spans
+
+
 def classical_block_state(model: WalkModel, weights: dict) -> BlockState:
     """The block state with weight ``weights[v]`` spread evenly over the
     internal space of each vertex ``v`` (zero where missing)."""

@@ -11,7 +11,7 @@ from ctoqw import classify, cli, fixtures, linalg, passage
 from ctoqw.errors import ConvergenceError, PreconditionError
 from ctoqw.model import build_walk, classical_embed
 from ctoqw.superop import SuperOp
-from oracles import pair_spans_irreducible, vertex_scan_per_vertex
+from oracles import closure_per_vector, pair_spans_irreducible, vertex_scan_per_vertex
 from strategies import (
     leaky_variant,
     planted_dark_state,
@@ -337,6 +337,9 @@ def test_planted_dark_state_is_reducible(tmp_path):
             assert not v.irreducible, f"draw {k} ({check.__name__})"
             assert v.witness is not None
             assert classify._is_invariant(m, v.witness, with_dwell)
+            # the forward loop span holds at most 7 of the 9 dimensions;
+            # rounding must not fill it
+            assert len(classify._closure(m, with_dwell, 0, adjoint=False)[0]) < 9, f"draw {k}"
     path = tmp_path / "dark.json"
     path.write_text(json.dumps(models[0].to_json_dict()))
     out = tmp_path / "verdict.json"
@@ -412,6 +415,54 @@ def test_irreducible_check_builds_2v_spans(monkeypatch):
         assert v.irreducible
         assert v.algebra_dim == (sites * dim) ** 2
         assert sum(keys) <= 2 * sites
+
+
+def _assert_closure_matches_oracle(m):
+    base = m.ids[0]
+    for with_dwell in (True, False):
+        for adjoint in (False, True):
+            got = classify._closure(m, with_dwell, base, adjoint)
+            want = closure_per_vector(m, with_dwell, base, adjoint)
+            assert got.keys() == want.keys()
+            for j, rows in got.items():
+                assert rows.shape == want[j].shape, (with_dwell, adjoint, j)
+                assert_allclose(rows.conj() @ rows.T, np.eye(len(rows)), atol=1e-12)
+                # the spans agree as subspaces: their orthogonal projectors
+                assert_allclose(rows.T @ rows.conj(), want[j].T @ want[j].conj(), atol=1e-8)
+
+
+def test_block_closure_matches_per_vector_oracle_on_random_models():
+    rng = np.random.default_rng(97)
+    for k in range(150):
+        _assert_closure_matches_oracle(
+            random_model(rng, extra_edge_prob=rng.uniform(0.0, 0.5), with_hamiltonian=bool(k % 2))
+        )
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_block_closure_matches_per_vector_oracle_on_fixtures(name):
+    _assert_closure_matches_oracle(fixtures.get_fixture(name, None))
+
+
+def test_block_closure_matches_per_vector_oracle_on_the_ring():
+    _assert_closure_matches_oracle(qudit_ring(601, 20, 3))
+
+
+def test_closure_decides_ranks_per_block(monkeypatch):
+    # On the seeded ring of the benchmark each closure adds its 180 rows in
+    # blocks: at most 2V SVDs, where the per-vector closure makes about 160
+    # additions.  Every full span also needs the closure to reach it.
+    sites, dim = 20, 3
+    m = qudit_ring(601, sites, dim)
+    svd, shapes = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
+    for with_dwell in (True, False):
+        for adjoint in (False, True):
+            shapes.clear()
+            spans = classify._closure(m, with_dwell, 0, adjoint)
+            assert sum(len(rows) for rows in spans.values()) == sites * dim * dim
+            assert 0 < len(shapes) <= 2 * sites
+            assert all(rows > 1 for rows, _ in shapes)
 
 
 # -- Green scan and certificates ------------------------------------------------

@@ -566,6 +566,22 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_defers_the_command_modules():
+    # Each command imports its own modules: the start-up of any command
+    # loads none of these, and every package re-export still resolves.
+    env = {**os.environ, "PYTHONPATH": str(Path(ctoqw.__file__).parents[1])}
+    code = (
+        "import sys, ctoqw.cli\n"
+        "mods = ('passage', 'classify', 'semigroup', 'trajectory', 'superop')\n"
+        "print(sorted(m for m in mods if 'ctoqw.' + m in sys.modules))\n"
+        "import ctoqw\n"
+        "print(all(getattr(ctoqw, name) is not None for name in ctoqw.__all__))\n"
+        "print(sorted(set(ctoqw.__all__) & set(vars(ctoqw)) - {'__version__'}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:3] == ["[]", "True", "[]"]
+
+
 def test_exit_codes(tmp_path, two_site_file):
     # 1: unreadable model
     assert run(tmp_path, "validate", "--model", tmp_path / "missing.json") == 1
