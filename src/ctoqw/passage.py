@@ -12,11 +12,13 @@ map assembled from two ingredients:
 
 Summing dwell-then-jump steps over all interior paths that avoid ``j``
 (the taboo kernel) and closing with a final jump onto ``j`` gives the
-passage map as a geometric series.  It is solved with one sparse LU of the
-taboo kernel when a positive solution of the Green equation certifies that
-the kernel contracts, and by monotone partial sums otherwise.  The same
-factorization of the one-step kernel over all vertices gives every return
-map of a transient walk at once (:func:`return_operators`).
+passage map as a geometric sum.  The taboo kernel keeps only the
+vertices that can reach ``j`` in the jump graph, and the sum is solved
+with one sparse LU of it, once a positive solution of the Green equation
+certifies that the kernel contracts; without that certificate there is no
+passage map (:class:`ConvergenceError`).  The same factorization of the
+one-step kernel over all vertices gives every return map of a transient
+walk at once (:func:`return_operators`).
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .errors import ConvergenceError, ModelError, PreconditionError
 from .model import VertexId, WalkModel
 from .superop import SuperOp
 
-# The passage tolerance: every Green certificate proves ``rho(K) <= 1 - TOL``,
-# and the monotone series stops once its probe increments stay below it.
+# The passage tolerance: every Green certificate proves ``rho(K) <= 1 - TOL``.
 TOL = 1e-8
 
 
@@ -203,6 +204,16 @@ class Green:
             and self.y_min >= TOL * self.x_max
         )
 
+    def require(self, kernel: str, consequence: str) -> None:
+        """Raise :class:`ConvergenceError`, naming the margins, unless they
+        prove ``rho(kernel) <= 1 - TOL``."""
+        if not self.holds():
+            raise ConvergenceError(
+                f"no Green certificate of rho({kernel}) <= 1 - {TOL:.1e} "
+                f"(lambda_min(X) = {self.x_min}, lambda_max(X) = {self.x_max}, "
+                f"lambda_min(Y) = {self.y_min}); {consequence}"
+            )
+
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """``(I - K)^-1 rhs``, or ``(I - K)^-dag rhs`` for ``trans="H"``."""
         if self.dim == 0:
@@ -283,13 +294,7 @@ def return_operators(model: WalkModel) -> tuple[dict[VertexId, np.ndarray], dict
     starts = model.starts
     green = one_step_green(model)
     n = green.dim
-    info = green.diagnostics()
-    if not info["certified"]:
-        raise ConvergenceError(
-            f"no Green certificate of rho(Q) <= 1 - {TOL:.1e} for the one-step "
-            f"kernel (lambda_min(X) = {green.x_min}, lambda_max(X) = {green.x_max}, "
-            f"lambda_min(Y) = {green.y_min}); the return maps cannot be read off it"
-        )
+    green.require("Q", "the return maps cannot be read off the one-step kernel")
     g_adj = {d: np.empty((len(s.pos), d * d, d * d), dtype=complex) for d, s in model.stacks.items()}
     width = max(1, _RHS_BUDGET // n)
     k = 0
@@ -314,7 +319,7 @@ def return_operators(model: WalkModel) -> tuple[dict[VertexId, np.ndarray], dict
         m = eye - z.reshape(-1, d, d).transpose(0, 2, 1)
         m = 0.5 * (m + m.conj().transpose(0, 2, 1))
         out.update(zip(s.pos.tolist(), m))
-    return {vid: out[p] for p, vid in enumerate(model.ids)}, info
+    return {vid: out[p] for p, vid in enumerate(model.ids)}, green.diagnostics()
 
 
 # -- taboo kernel and passage maps ---------------------------------------------
@@ -325,10 +330,10 @@ class TabooKernel:
     """One interior dwell-then-jump step avoiding the taboo vertex.
 
     Acts on the direct sum of the matrix spaces of the active vertices
-    (those distinct from the taboo vertex that can pass the walker on), as
-    a sparse CSC matrix.  ``starts`` lays the sum out, with an empty block
-    at every inactive vertex; ``dims`` lists the active vertices'
-    dimensions in model order.
+    (those distinct from the taboo vertex that can reach it in the jump
+    graph), as a sparse CSC matrix.  ``starts`` lays the sum out, with an
+    empty block at every inactive vertex; ``dims`` lists the active
+    vertices' dimensions in model order.
     """
 
     taboo: VertexId
@@ -348,10 +353,31 @@ class TabooKernel:
         return factor_kernel(self.matrix, self.dims)
 
 
+def _reaching(model: WalkModel, p: int) -> np.ndarray:
+    """Which vertex positions have a path of jumps to position ``p``, by a
+    depth-first search over the jumps sorted by destination; ``p`` is
+    marked only when it lies on a cycle."""
+    src, dst = model.ends.T
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=len(model.ids))))).tolist()
+    into = src[np.argsort(dst, kind="stable")].tolist()
+    seen = [False] * len(model.ids)
+    stack = [p]
+    while stack:
+        v = stack.pop()
+        for u in into[bounds[v]:bounds[v + 1]]:
+            if not seen[u]:
+                seen[u] = True
+                stack.append(u)
+    return np.array(seen, dtype=bool)
+
+
 def _taboo_kernel(model: WalkModel, j: VertexId, kernels) -> TabooKernel:
+    # Vertices that cannot reach j are left out (Kemeny and Snell 1960): the
+    # kernel, into_taboo and the entry blocks drop every jump into them, so
+    # mass that enters one counts as never arriving, which is exact.
     p = model.position(j)
     dims = np.array([v.dim for v in model.vertices])
-    active = np.bincount(model.ends[:, 0], minlength=len(dims)) > 0
+    active = _reaching(model, p)
     active[p] = False
     starts = np.concatenate(([0], np.cumsum(np.where(active, dims**2, 0))))
     into = np.zeros((dims[p] ** 2, starts[-1]), dtype=complex)
@@ -368,7 +394,7 @@ def _entry_block(model: WalkModel, i: VertexId, taboo: TabooKernel, kernels) -> 
 
     A map from the matrix space at ``i`` to the stacked space: one step out
     of ``i`` for a return map (``i`` is the taboo vertex), the injection at
-    ``i`` otherwise.  None when ``i`` cannot pass the walker on.
+    ``i`` otherwise.  None when ``i`` cannot reach the taboo vertex.
     """
     p, di, starts = model.position(i), model.dim(i), taboo.starts
     start = np.zeros((taboo.dim, di * di), dtype=complex)
@@ -386,25 +412,23 @@ def _entry_block(model: WalkModel, i: VertexId, taboo: TabooKernel, kernels) -> 
 
 
 def first_passage_map(model: WalkModel, i: VertexId, j: VertexId) -> tuple[SuperOp, dict]:
-    """The reach map ``P[i->j]`` with convergence diagnostics.
+    """The reach map ``P[i->j]`` with its diagnostics.
 
     Sums, over every path from ``i`` whose interior avoids ``j``, the
     time-integrated sandwich of the path operator.  The geometric sum over
-    the taboo kernel is solved with the kernel's sparse LU when its Green
-    certificate proves a spectral radius of at most ``1 - TOL``, and
-    accumulated as monotone partial sums otherwise (stopping once the trace
-    increment on a spanning set of Hermitian probes stays below ``TOL`` ten
-    times in a row, within ``_MAX_TERMS`` terms).  No self-jumps are stored,
-    so every path reaches ``j`` through the taboo kernel's exit.
-    The complete-positivity certificates are left to
+    the taboo kernel, restricted to the vertices that can reach ``j``, is
+    solved with the kernel's sparse LU; a start that cannot reach ``j``
+    gets the zero map.  Raises :class:`ConvergenceError`, naming the
+    margins, unless the kernel's Green certificate proves a spectral radius
+    of at most ``1 - TOL``: a slow leak out of the interior, or a part of
+    it closed at the level of subspaces rather than vertices.  No
+    self-jumps are stored, so every path reaches ``j`` through the taboo
+    kernel's exit.  The complete-positivity certificates are left to
     :func:`with_certificates`, for the maps whose diagnostics are reported.
     """
     kernels = model.derived("jump_kernel", jump_kernel)
     taboo = _taboo_kernel(model, j, kernels)
     return _passage_map(model, i, taboo, kernels)
-
-
-_MAX_TERMS = 100_000  # partial sums the monotone series may take
 
 
 def _passage_map(model: WalkModel, i: VertexId, taboo: TabooKernel, kernels) -> tuple[SuperOp, dict]:
@@ -413,38 +437,11 @@ def _passage_map(model: WalkModel, i: VertexId, taboo: TabooKernel, kernels) -> 
     di, dj = model.dim(i), model.dim(j)
     start = _entry_block(model, i, taboo, kernels)
     if start is None:
-        return SuperOp.zero(di, dj), {
-            "method": "trivial",
-            "terms": 0,
-            "converged": True,
-        }
-
-    kernel_info = taboo.green.diagnostics()
-    if kernel_info["certified"]:
-        mat = taboo.into_taboo @ taboo.green.solve(start)
-        diagnostics = {"method": "solve", "terms": None, "converged": True}
-    else:
-        probes = _hermitian_probes(di)
-        acc = np.zeros((dj * dj, di * di), dtype=complex)
-        carry, prev, quiet, inc = start, np.zeros(len(probes)), 0, math.inf
-        for m in range(1, _MAX_TERMS + 1):
-            acc = acc + taboo.into_taboo @ carry
-            carry = taboo.matrix @ carry
-            cur = np.array([np.trace(_apply_mat(acc, p, dj)).real for p in probes])
-            inc = float(np.max(np.abs(cur - prev)))
-            prev = cur
-            quiet = quiet + 1 if inc < TOL else 0
-            if quiet >= 10:
-                break
-        else:
-            raise ConvergenceError(
-                f"passage series for {i!r} -> {j!r} did not settle in "
-                f"{_MAX_TERMS} terms (last probe increment {inc:.3e})"
-            )
-        mat = acc
-        diagnostics = {"method": "series", "terms": m, "converged": True}
-
-    return SuperOp(di, dj, mat), {**diagnostics, **kernel_info}
+        return SuperOp.zero(di, dj), {"method": "trivial"}
+    green = taboo.green
+    green.require("T", f"the taboo kernel of {j!r} gives no passage map {i!r} -> {j!r}")
+    mat = taboo.into_taboo @ green.solve(start)
+    return SuperOp(di, dj, mat), {"method": "solve", **green.diagnostics()}
 
 
 def with_certificates(op: SuperOp, diagnostics: dict) -> dict:
@@ -458,27 +455,6 @@ def with_certificates(op: SuperOp, diagnostics: dict) -> dict:
         "choi_min_eigenvalue": op.choi_min_eigenvalue(),
         "trace_increase_defect": op.trace_increase_defect(),
     }
-
-
-def _apply_mat(mat: np.ndarray, rho: np.ndarray, d_out: int) -> np.ndarray:
-    return linalg.unvec(mat @ linalg.vec(rho), (d_out, d_out))
-
-
-def _hermitian_probes(d: int) -> list[np.ndarray]:
-    probes = []
-    for a in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[a, a] = 1.0
-        probes.append(e)
-        for b in range(a + 1, d):
-            x = np.zeros((d, d), dtype=complex)
-            x[a, b] = x[b, a] = 1.0 / np.sqrt(2.0)
-            probes.append(x)
-            y = np.zeros((d, d), dtype=complex)
-            y[a, b] = -1j / np.sqrt(2.0)
-            y[b, a] = 1j / np.sqrt(2.0)
-            probes.append(y)
-    return probes
 
 
 _CLAMP_TOL = 1e-9  # how far a reach probability may leave [0, 1] and be clamped
@@ -512,7 +488,9 @@ def expected_occupation(model: WalkModel, i: VertexId, j: VertexId, rho: np.ndar
     ``(I - P_jj)^-1 sigma0``, solved with :func:`factor_kernel` on the
     ``d_j^2``-dimensional space of ``j``.  Returns ``inf`` unless its Green
     certificate proves ``rho(P_jj) <= 1 - TOL``: the geometric sum of visits
-    then need not converge.
+    then need not converge.  Raises :class:`ConvergenceError`, as
+    :func:`first_passage_map` does, when the taboo kernel of ``j`` has no
+    certificate.
     """
     import scipy.sparse as sp
 

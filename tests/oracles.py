@@ -505,11 +505,19 @@ def one_step_kernel_per_edge(model: WalkModel) -> np.ndarray:
 def taboo_kernel_per_edge(model: WalkModel, j) -> tuple[np.ndarray, np.ndarray, dict]:
     """``passage._taboo_kernel(model, j, ...)`` and every
     ``passage._entry_block`` one edge at a time, on a dict of slices over
-    the active vertices (those other than ``j`` with an out-jump, in model
-    order), each kernel from :func:`jump_kernel_per_edge`.  Returns the
-    dense taboo matrix, ``into_taboo`` and ``{i: entry block or None}``."""
+    the active vertices (those other than ``j`` with a path of jumps to
+    ``j``, grown to a fixed point edge by edge, in model order), each kernel
+    from :func:`jump_kernel_per_edge`.  Returns the dense taboo matrix,
+    ``into_taboo`` and ``{i: entry block or None}``."""
     kernels = jump_kernel_per_edge(model)
-    active = [v.id for v in model.vertices if v.id != j and model.out_edges(v.id)]
+    reach, grew = {j}, True
+    while grew:
+        grew = False
+        for src, dst, _ in model.jumps():
+            if dst in reach and src not in reach:
+                reach.add(src)
+                grew = True
+    active = [v.id for v in model.vertices if v.id != j and v.id in reach]
     offsets, n = _layout(model, active)
     dj = model.dim(j)
     into = np.zeros((dj * dj, n), dtype=complex)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import scipy.stats as st
 
-from ctoqw import classify, fixtures, passage, semigroup, trajectory
+from ctoqw import classify, fixtures, linalg, passage, semigroup, trajectory
 from ctoqw.model import SitedState, classical_embed, sited_block_state, validate
 from oracles import gamblers_ruin_return, jump_chain_expected_visits, kernels_by_edge
 from strategies import random_classical_generator, random_classifiable_model, random_density
@@ -257,7 +257,7 @@ def test_criterion_8_structural_suite():
     for _ in range(300):
         acc = acc + taboo.into_taboo @ carry
         carry = taboo.matrix @ carry
-        traces.append(float(np.trace(passage._apply_mat(acc, rho, 2)).real))
+        traces.append(float(np.trace(linalg.unvec(acc @ linalg.vec(rho), (2, 2))).real))
     diffs = np.diff(traces)
     checks.append(bool(np.all(diffs >= -1e-12) and traces[-1] <= 1.0 + 1e-9))
     details.append(f"series_max={traces[-1]:.9f}")

@@ -234,8 +234,9 @@ def test_first_passage_spin_sure_and_unsure(spin_small):
 
 def _closed_class_walk():
     """Scalar walk 0 -> 1 (rate 1), 0 -> 2 (rate 3), 1 -> 0, and the closed
-    class 2 <-> 3: the taboo kernel of 0 has spectral radius 1, and a walker
-    leaving 0 returns exactly when it first goes to 1."""
+    class 2 <-> 3: the class cannot reach 0, so the taboo kernel of 0 keeps
+    vertex 1 alone, and a walker leaving 0 returns exactly when it first
+    goes to 1."""
     return build_walk(
         [(v, 1) for v in range(4)],
         [(0, 1, [[1.0]]), (0, 2, [[math.sqrt(3.0)]]), (1, 0, [[1.0]]),
@@ -243,13 +244,13 @@ def _closed_class_walk():
     )
 
 
-def test_first_passage_series_on_uncertified_kernel():
+def test_first_passage_leaves_out_a_closed_class():
     p, diag = passage.first_passage_map(_closed_class_walk(), 0, 0)
-    assert diag["method"] == "series" and not diag["certified"]
+    assert diag["method"] == "solve" and diag["certified"] and diag["kernel_dim"] == 1
     assert abs(p.matrix[0, 0] - 0.25) < 1e-12
 
 
-def test_first_passage_series_from_a_qubit():
+def test_first_passage_leaves_out_a_closed_class_from_a_qubit():
     # _closed_class_walk with a qubit at 0: the |+> part of the state leaves
     # towards 1 (rate 1) and comes back in the state a a^dag, the |-> part
     # leaves towards the closed class (rate 3) and never returns
@@ -261,11 +262,10 @@ def test_first_passage_series_from_a_qubit():
          (2, 3, [[1.0]]), (3, 2, [[1.0]])],
     )
     p, diag = passage.first_passage_map(m, 0, 0)
-    assert diag["method"] == "series" and not diag["certified"]
+    assert diag["method"] == "solve" and diag["certified"] and diag["kernel_dim"] == 1
     # P(rho) = <+|rho|+> a a^dag, so its matrix is vec(a a^dag) vec(|+><+|)^dag
     want = np.outer(linalg.vec(a @ a.T), linalg.vec(np.outer(plus, plus)))
     assert_allclose(p.matrix, want, atol=1e-12)
-    assert len(passage._hermitian_probes(2)) == 4  # two diagonal, two off-diagonal
     assert passage.reach_probability(p, np.outer(plus, plus)) == pytest.approx(1.0, abs=1e-12)
     assert passage.reach_probability(p, np.diag([1.0, 0.0])) == pytest.approx(0.5, abs=1e-12)
 
@@ -275,7 +275,7 @@ def test_trivial_map_and_empty_taboo_kernel():
     # of 0 has no active vertex at all
     m = build_walk([(0, 1), (1, 1)], [(0, 1, [[1.0]])])
     p, diag = passage.first_passage_map(m, 1, 0)
-    assert diag == {"method": "trivial", "terms": 0, "converged": True}
+    assert diag == {"method": "trivial"}
     assert passage.with_certificates(p, diag) == diag
     assert not p.matrix.any()
     p, diag = passage.first_passage_map(m, 0, 0)
@@ -284,28 +284,31 @@ def test_trivial_map_and_empty_taboo_kernel():
     assert passage.expected_occupation(m, 0, 0, [[1.0]]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_first_passage_series_budget_error(monkeypatch):
-    from ctoqw.errors import ConvergenceError
-
-    monkeypatch.setattr(passage, "_MAX_TERMS", 3)
-    with pytest.raises(ConvergenceError, match="did not settle in 3 terms"):
-        passage.first_passage_map(_closed_class_walk(), 0, 0)
-
-
 def test_one_tolerance_switches_every_certificate(monkeypatch):
     # A passage tolerance above every certificate margin of the model turns
-    # the solve into the series, the occupation infinite, and the return
-    # scan into an error, together.
+    # the passage map, the occupation and the return scan into errors,
+    # together.  The leaky walk 0 -> 1 -> 0 (1 keeps half its mass) has a
+    # zero taboo kernel, which certifies at any tolerance below 1, so there
+    # the tolerance turns the occupation infinite.
     from ctoqw.errors import ConvergenceError
 
     m = fixtures.biased_line((-8, 8))
+    leaky = build_walk(
+        [(0, 1), (1, 1)], [(0, 1, [[1.0]]), (1, 0, [[math.sqrt(0.5)]])],
+        effective={0: [[-0.5]], 1: [[-0.5]]},
+    )
     assert passage.first_passage_map(m, 0, 0)[1]["method"] == "solve"
     assert passage.expected_occupation(m, 0, 0, [[1.0]]) == pytest.approx(2.0, abs=0.1)
+    assert passage.expected_occupation(leaky, 0, 0, [[1.0]]) == pytest.approx(2.0, abs=1e-12)
     passage.return_operators(m)
     monkeypatch.setattr(passage, "TOL", 0.99)
-    assert passage.first_passage_map(m, 0, 0)[1]["method"] == "series"
-    assert passage.expected_occupation(m, 0, 0, [[1.0]]) == math.inf
-    with pytest.raises(ConvergenceError, match="no Green certificate"):
+    with pytest.raises(ConvergenceError, match=r"no Green certificate of rho\(T\)"):
+        passage.first_passage_map(m, 0, 0)
+    with pytest.raises(ConvergenceError, match=r"no Green certificate of rho\(T\)"):
+        passage.expected_occupation(m, 0, 0, [[1.0]])
+    assert passage.first_passage_map(leaky, 0, 0)[1]["certified"]
+    assert passage.expected_occupation(leaky, 0, 0, [[1.0]]) == math.inf
+    with pytest.raises(ConvergenceError, match=r"no Green certificate of rho\(Q\)"):
         passage.return_operators(m)
 
 
@@ -344,7 +347,7 @@ def test_partial_sums_monotone_bounded(spin_small):
     for _ in range(200):
         acc = acc + taboo.into_taboo @ carry
         carry = taboo.matrix @ carry
-        out = passage._apply_mat(acc, rho, 2)
+        out = linalg.unvec(acc @ linalg.vec(rho), (2, 2))
         traces.append(float(np.trace(out).real))
     diffs = np.diff(traces)
     assert np.all(diffs >= -1e-12)
@@ -371,7 +374,7 @@ def test_passage_oracle_equivalence_small_paths(two_site, spin_small, coherent):
             acc = taboo.into_taboo @ start  # 1 jump
             acc = acc + taboo.into_taboo @ taboo.matrix @ start  # 2
             acc = acc + taboo.into_taboo @ taboo.matrix @ taboo.matrix @ start  # 3
-        restricted = passage._apply_mat(acc, rho, m.dim(j))
+        restricted = linalg.unvec(acc @ linalg.vec(rho), (m.dim(j), m.dim(j)))
         oracle = passage_partial_oracle(m, i, j, rho, max_jumps=3, q=48)
         assert np.max(np.abs(restricted - oracle)) < 1e-6
 
@@ -465,25 +468,88 @@ def test_taboo_gate_solves_on_fixtures_and_ring():
             assert diag["x_min"] > 0 and diag["y_min"] >= 0.5
 
 
-def test_closed_class_in_the_taboo_region_takes_the_series(tmp_path):
+def test_closed_class_in_the_taboo_region_is_left_out(tmp_path):
     # 1 -> 0 and 1 -> 2 with probability 1/2 each; 2 <-> 3 is a closed class
-    # that never reaches 0, so I - T is singular: no certificate, and the
-    # monotone series still gives the reach probability 1/2.
+    # that never reaches 0 (with it, I - T would be singular), so the taboo
+    # kernel keeps vertex 1 alone and its LU gives the reach probability 1/2.
     one, half = np.array([[1.0]]), np.array([[np.sqrt(0.5)]])
     m = build_walk(
         [(k, 1) for k in range(4)],
         [(0, 1, one), (1, 0, half), (1, 2, half), (2, 3, one), (3, 2, one)],
     )
     p, diag = passage.first_passage_map(m, 1, 0)
-    assert diag["method"] == "series" and not diag["certified"]
+    assert diag["method"] == "solve" and diag["certified"] and diag["kernel_dim"] == 1
     assert passage.reach_probability(p, [[1.0]]) == pytest.approx(0.5, abs=1e-12)
     path = tmp_path / "m.json"
     path.write_text(json.dumps(m.to_json_dict()))
     out = tmp_path / "p.json"
     assert cli.main(["first-passage", "--model", str(path), "--from", "1", "--to", "0", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["diagnostics"]["method"] == "series"
-    assert doc["diagnostics"]["x_min"] is None
+    assert doc["diagnostics"]["method"] == "solve" and doc["diagnostics"]["kernel_dim"] == 1
+    assert doc["reach_probability"] == pytest.approx(0.5, abs=1e-12)
+    # a start inside the closed class cannot reach 0: the zero map
+    p, diag = passage.first_passage_map(m, 2, 0)
+    assert diag == {"method": "trivial"} and not p.matrix.any()
+
+
+def _slow_leak_walk(eps, qubit):
+    """Closed walk 1 -> 2 (rate 1), 2 -> 1 (rate 1 - eps), 2 -> 3 (rate
+    eps), 3 -> 1 (rate 1): irreducible, so every reach probability into 3
+    is 1, while the taboo kernel of 3 has spectral radius 1 - eps.  With
+    ``qubit``, vertex 1 holds a qubit that leaves from |e1> and is turned
+    over by a Hamiltonian."""
+    e1 = np.array([[1.0], [0.0]])
+    if not qubit:
+        return build_walk(
+            [(1, 1), (2, 1), (3, 1)],
+            [(1, 2, [[1.0]]), (2, 1, [[math.sqrt(1 - eps)]]), (2, 3, [[math.sqrt(eps)]]), (3, 1, [[1.0]])],
+        )
+    return build_walk(
+        [(1, 2), (2, 1), (3, 1)],
+        [(1, 2, e1.T), (2, 1, math.sqrt(1 - eps) * e1), (2, 3, [[math.sqrt(eps)]]), (3, 1, e1)],
+        hamiltonians={1: [[0.0, 1.0], [1.0, 0.0]]},
+    )
+
+
+def test_slow_leak_is_solved_or_refused(tmp_path):
+    # From about eps = 2 * TOL down the Green certificate fails: the map and
+    # the occupation raise, and the commands exit 3.  No answer may come
+    # with a reach probability away from 1 or a finite occupation.
+    from ctoqw.errors import ConvergenceError
+
+    outcomes = set()
+    for eps in (1e-4, 1e-6, 1e-7, 1e-8, 2e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13):
+        for qubit in (False, True):
+            m = _slow_leak_walk(eps, qubit)
+            rho = np.diag([1.0, 0.0]) if qubit else np.eye(1)
+            for i, state in ((1, rho), (3, np.eye(1))):
+                try:
+                    p, diag = passage.first_passage_map(m, i, 3)
+                except ConvergenceError:
+                    outcomes.add("refused")
+                    continue
+                outcomes.add("solved")
+                assert diag["method"] == "solve" and diag["certified"]
+                assert abs(passage.reach_probability(p, state) - 1.0) <= 1e-6, (eps, qubit, i)
+            try:
+                assert passage.expected_occupation(m, 1, 3, rho) == math.inf, (eps, qubit)
+            except ConvergenceError:
+                pass
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(m.to_json_dict()))
+            out = tmp_path / "out.json"
+            start = "1:e1" if qubit else "1"
+            for sub, to in (("first-passage", "--to"), ("occupation", "--at")):
+                code = cli.main([sub, "--model", str(path), "--from", start, to, "3", "--out", str(out)])
+                assert code in (0, 3), (eps, qubit, sub)
+                if code == 0:
+                    doc = json.loads(out.read_text())
+                    if sub == "first-passage":
+                        assert abs(doc["reach_probability"] - 1.0) <= 1e-6, (eps, qubit)
+                    else:
+                        assert doc["finite"] is False and doc["expected_occupation"] is None
+                out.unlink(missing_ok=True)
+    assert outcomes == {"solved", "refused"}
 
 
 def test_reach_probability_validates_state(two_site):
