@@ -65,10 +65,11 @@ def herm(m: np.ndarray) -> np.ndarray:
 
 
 def opnorm(m: np.ndarray):
-    """Spectral norm of a matrix, or of each matrix of a stack: the
-    ``svd(..., compute_uv=False).max(-1)`` that ``np.linalg.norm(m, 2)``
-    computes, so a stack gives the same floats as its matrices one by one."""
-    return np.linalg.svd(m, compute_uv=False).max(axis=-1)
+    """Spectral norm of each matrix of a stack, the float ``np.linalg.norm(., 2)`` gives
+    it (largest singular value); a zero matrix, whose norm is 0.0, is not factored."""
+    norms, live = np.zeros(len(m)), m.any(axis=(-2, -1))
+    norms[live] = np.linalg.svd(m[live], compute_uv=False).max(axis=-1)
+    return norms
 
 
 def spectral_abscissa(g: np.ndarray) -> float:

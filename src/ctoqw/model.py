@@ -18,9 +18,12 @@ classical continuous-time Markov chains.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -32,6 +35,7 @@ from .errors import ModelError
 STRUCT_TOL = 1e-10
 
 VertexId = int | str
+_IDS = {int, str}  # the vertex id types that JSON gives as they are
 
 
 @dataclass(frozen=True)
@@ -153,37 +157,41 @@ class WalkModel:
         increasing jump-order indices ``ks`` of the stack's matrices."""
         self.vertices: tuple[VertexSpace, ...] = tuple(vertices)
         self._ids = tuple(v.id for v in self.vertices)
-        self._index = {vid: k for k, vid in enumerate(self._ids)}
-        if len(self._index) != len(self.vertices):
+        n = len(self._ids)
+        self._index = dict(zip(self._ids, range(n)))
+        if len(self._index) != n:
             raise ModelError("vertex ids must be unique")
-        self._by_text = {str(vid): vid for vid in self._ids}
-        if len(self._by_text) != len(self.vertices):
+        self._by_text = dict(zip(map(str, self._ids), self._ids))
+        if len(self._by_text) != n:
             raise ModelError("vertex ids must remain unique as strings")
         self.stacks: MappingProxyType[int, _Stacks] = MappingProxyType(dict(stacks))
         for s in self.stacks.values():
             for stack in s:
                 stack.flags.writeable = False
-        self._row = _rows([s.pos for s in self.stacks.values()], len(self.vertices)).tolist()
+        self._row = _rows([s.pos for s in self.stacks.values()], n).tolist()
         sizes = np.array([v.dim for v in self.vertices], dtype=int) ** 2
         self.starts = np.concatenate(([0], np.cumsum(sizes)))
         self.ends = np.asarray(ends, dtype=int).reshape(-1, 2)
         self.starts.flags.writeable = self.ends.flags.writeable = False
-        self._ends = list(zip(*self.ends.T.tolist()))  # (src, dst) tuples, for lookups by jump
-        self._jump_at = {e: k for k, e in enumerate(self._ends)}
-        if len(self._jump_at) != len(self._ends):  # the dict kept the last of a duplicate
-            a, b = next(e for k, e in enumerate(self._ends) if self._jump_at[e] != k)
-            raise ModelError(f"duplicate jump {self._ids[a]!r} -> {self._ids[b]!r}")
+        src, dst = self.ends.T
+        self._src, self._dst = src.tolist(), dst.tolist()
+        # the jumps from position p, in jump order, are _by_src[_out[p]:_out[p + 1]],
+        # those into p likewise; _jump_at maps the key src * n + dst of a jump to k
+        self._by_src, self._by_dst = (k.argsort(kind="stable").tolist() for k in (src, dst))
+        self._out, self._in = ([0, *accumulate(np.bincount(k, minlength=n).tolist())]
+                               for k in (src, dst))
+        pairs = (src * n + dst).tolist()
+        self._jump_at = dict(zip(pairs, range(len(pairs))))
+        if len(self._jump_at) != len(pairs):  # the dict kept the last of a duplicate
+            k = next(k for k, e in enumerate(pairs) if self._jump_at[e] != k)
+            a, b = self._ids[self._src[k]], self._ids[self._dst[k]]
+            raise ModelError(f"duplicate jump {a!r} -> {b!r}")
         self.jump_stacks: tuple[tuple[np.ndarray, np.ndarray], ...] = tuple(jumps)
-        self._slot: list = [None] * len(self._ends)  # (stack, row) of each jump
-        for ks, stack in self.jump_stacks:
+        which, row = np.empty((2, len(self._src)), dtype=int)  # jump k is row[k] of stack which[k]
+        for w, (ks, stack) in enumerate(self.jump_stacks):
             ks.flags.writeable = stack.flags.writeable = False
-            for r, k in enumerate(ks.tolist()):
-                self._slot[k] = stack, r
-        self._out: list[list[int]] = [[] for _ in self.vertices]  # jumps by source, in order
-        self._in: list[list[int]] = [[] for _ in self.vertices]
-        for k, (a, b) in enumerate(self._ends):
-            self._out[a].append(k)
-            self._in[b].append(k)
+            which[ks], row[ks] = w, np.arange(len(ks))
+        self._jump_stack, self._jump_row = which.tolist(), row.tolist()
         self.meta = dict(meta or {})
         self._derived: dict = {}
 
@@ -230,26 +238,27 @@ class WalkModel:
         return s.defect[r]
 
     def _jump(self, k: int) -> np.ndarray:
-        stack, r = self._slot[k]
-        return stack[r]
+        return self.jump_stacks[self._jump_stack[k]][1][self._jump_row[k]]
 
     def jump(self, src: VertexId, dst: VertexId) -> np.ndarray | None:
-        k = self._jump_at.get((self.position(src), self.position(dst)))
+        k = self._jump_at.get(self.position(src) * len(self._ids) + self.position(dst))
         return None if k is None else self._jump(k)
 
     def jumps(self):
         """Iterate (src_id, dst_id, matrix) in deterministic order."""
         ids = self._ids
-        for k, (a, b) in enumerate(self._ends):
+        for k, (a, b) in enumerate(zip(self._src, self._dst)):
             yield ids[a], ids[b], self._jump(k)
 
     def out_edges(self, vertex: VertexId):
-        ks = self._out[self.position(vertex)]
-        return [(self._ids[self._ends[k][1]], self._jump(k)) for k in ks]
+        p = self.position(vertex)
+        ids, dst = self._ids, self._dst
+        return [(ids[dst[k]], self._jump(k)) for k in self._by_src[self._out[p]:self._out[p + 1]]]
 
     def in_edges(self, vertex: VertexId):
-        ks = self._in[self.position(vertex)]
-        return [(self._ids[self._ends[k][0]], self._jump(k)) for k in ks]
+        p = self.position(vertex)
+        ids, src = self._ids, self._src
+        return [(ids[src[k]], self._jump(k)) for k in self._by_dst[self._in[p]:self._in[p + 1]]]
 
     # -- derived quantities ------------------------------------------------
 
@@ -285,7 +294,7 @@ class WalkModel:
         for s in self.stacks.values():
             for p, h, g in zip(s.pos.tolist(), matrix_to_json(s.ham), matrix_to_json(s.eff)):
                 hams[p], effs[p] = h, g
-        mats = [None] * len(self._ends)
+        mats = [None] * len(self._src)
         for ks, stack in self.jump_stacks:
             for k, r in zip(ks.tolist(), matrix_to_json(stack)):
                 mats[k] = r
@@ -294,7 +303,8 @@ class WalkModel:
             "vertices": [{"id": v.id, "dim": v.dim} for v in self.vertices],
             "hamiltonians": {str(vid): h for vid, h in zip(ids, hams)},
             "jumps": [
-                {"from": ids[a], "to": ids[b], "matrix": r} for (a, b), r in zip(self._ends, mats)
+                {"from": ids[a], "to": ids[b], "matrix": r}
+                for a, b, r in zip(self._src, self._dst, mats)
             ],
             "effective": {str(vid): g for vid, g in zip(ids, effs)},
         }
@@ -331,8 +341,9 @@ def _rows(groups, n: int) -> np.ndarray:
 
 def _decays(groups: dict, src_rows: np.ndarray, jumps) -> dict[int, np.ndarray]:
     """Per dimension, the decay ``sum_j R[i->j]^dag R[i->j]`` of each of its
-    vertices, added up in jump order by one unbuffered ``np.add.at``;
-    ``src_rows`` holds the row of each jump's source in its group."""
+    vertices, added up in jump order by one unbuffered ``np.add.at`` over
+    the flat entries; ``src_rows`` holds the row of each jump's source in
+    its group."""
     parts: dict[int, list] = {}
     for ks, r in jumps:
         parts.setdefault(r.shape[-1], []).append((ks, _dagger(r) @ r))
@@ -340,19 +351,20 @@ def _decays(groups: dict, src_rows: np.ndarray, jumps) -> dict[int, np.ndarray]:
     for d, found in parts.items():
         ks = np.concatenate([k for k, _ in found])
         order = np.argsort(ks, kind="stable")
-        np.add.at(decays[d], src_rows[ks[order]], np.concatenate([p for _, p in found])[order])
+        at = (src_rows[ks[order], None] * d * d + np.arange(d * d)).ravel()
+        np.add.at(decays[d].reshape(-1), at, np.concatenate([p for _, p in found])[order].ravel())
     return decays
 
 
 def _canonical_hash(model: WalkModel) -> str:
     doc = model.to_json_dict()
     doc.pop("meta", None)
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _rate_constant(model: WalkModel) -> float:
-    norms = np.empty(len(model._ends))
+    norms = np.empty(len(model._src))
     for ks, r in model.jump_stacks:
         norms[ks] = linalg.opnorm(r @ _dagger(r))
     return float(sum(norms.tolist()))
@@ -363,17 +375,6 @@ def _escaping_boundary(model: WalkModel) -> tuple:
     for s in model.stacks.values():
         norms[s.pos] = linalg.opnorm(s.defect)
     return tuple(vid for vid, x in zip(model._ids, norms.tolist()) if x > STRUCT_TOL)
-
-
-def _require_hermitian(name, hams) -> None:
-    """Raise naming (``name(k)``) the first supplied ``H``, in vertex order,
-    that is not Hermitian to a relative 1e-12 in spectral norm."""
-    bad = []
-    for ks, h in hams:
-        res, norm = linalg.opnorm(np.concatenate([h - _dagger(h), h])).reshape(2, -1)
-        bad.extend(ks[~(res <= 1e-12 * (1.0 + norm))].tolist())
-    if bad:
-        raise ModelError(f"{name(min(bad))} is not Hermitian")
 
 
 # -- complex matrix (de)serialization: rows of [re, im] pairs ---------------
@@ -387,68 +388,83 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def json_to_matrix(data) -> np.ndarray:
-    return _json_matrices([data])[0]
+    return _json_stacks([data])[0][1][0]
 
 
-def _json_matrices(items) -> list[np.ndarray]:
-    """Decode complex matrices stored as rows of [re, im] pairs, with one
-    array conversion per matrix shape."""
+def _json_stacks(items) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Decode matrices stored as rows of [re, im] pairs into one complex
+    ``(ks, stack)`` per shape, with one array conversion if all share one."""
     encoding = "a complex matrix must be encoded as rows of [re, im] pairs"
-    groups: dict[tuple[int, int], list[int]] = {}
+    nonfinite = "a complex matrix has a NaN or infinite entry"
     try:
-        for k, m in enumerate(items):
-            groups.setdefault((len(m), len(m[0])), []).append(k)
-    except (TypeError, IndexError, KeyError):
-        raise ModelError(encoding) from None
-    out: list = [None] * len(items)
-    for (rows, cols), ks in groups.items():
+        whole, groups = np.asarray(items, dtype=float), {(): np.arange(len(items))} if items else {}
+    except (TypeError, ValueError, OverflowError):  # the shapes differ, or an entry is bad
+        whole, groups = None, {}
         try:
-            arr = np.asarray([items[k] for k in ks], dtype=float)
-        except (TypeError, ValueError):
+            for k, m in enumerate(items):
+                groups.setdefault((len(m), len(m[0])), []).append(k)
+        except (TypeError, IndexError, KeyError):
             raise ModelError(encoding) from None
-        if arr.shape[1:] != (rows, cols, 2):
+    out = []
+    for ks in groups.values():
+        try:
+            arr = np.asarray([items[k] for k in ks], dtype=float) if whole is None else whole
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge integer
+            raise ModelError(nonfinite if isinstance(exc, OverflowError) else encoding) from None
+        if arr.ndim != 4 or arr.shape[-1] != 2:
             raise ModelError(encoding)
         if not np.isfinite(arr).all():
-            raise ModelError("a complex matrix has a NaN or infinite entry")
-        for k, m in zip(ks, arr[..., 0] + 1j * arr[..., 1]):
-            out[k] = m
+            raise ModelError(nonfinite)
+        out.append((np.asarray(ks), arr[..., 0] + 1j * arr[..., 1]))
     return out
 
 
 # -- construction ------------------------------------------------------------
 
 
-def _stacked(mats, rows: np.ndarray, cols: np.ndarray, name) -> list:
-    """``mats`` as complex stacks, one ``(ks, stack)`` per shape with the
-    increasing indices ``ks`` of its matrices; a scalar or vector input is
-    read as a matrix as ``np.atleast_2d`` reads it.  Raise naming
-    (``name(k)``) the first matrix with a NaN or infinite entry, else the
-    first whose shape is not ``(rows[k], cols[k])``."""
+class Stacked(NamedTuple):
+    """Matrices grouped by shape, one ``(ks, stack)`` each, and the vertex id
+    of each matrix (for jumps, the lists of source and of destination ids)."""
+
+    keys: list
+    stacks: list
+
+
+def _stacked(mats) -> list:
+    """Per-matrix input as complex stacks, one ``(ks, stack)`` per shape; a
+    scalar or vector is read as a matrix as ``np.atleast_2d`` reads it."""
     groups: dict[tuple, list[int]] = {}
     for k, m in enumerate(mats):
         shape = m.shape if isinstance(m, np.ndarray) else np.shape(m)
         groups.setdefault((1,) * (2 - len(shape)) + shape, []).append(k)
-    out, nonfinite, misshapen = [], [], []
-    for shape, ks in groups.items():
-        ks = np.array(ks)
-        stack = np.array([mats[k] for k in ks], dtype=complex).reshape((len(ks),) + shape)
-        nonfinite.extend(ks[~np.isfinite(stack).reshape(len(ks), -1).all(axis=1)].tolist())
+    return [(np.array(ks), np.array([mats[k] for k in ks], dtype=complex).reshape(-1, *shape))
+            for shape, ks in groups.items()]
+
+
+def _check_stacks(stacks, where: np.ndarray, rows: np.ndarray, cols: np.ndarray, name) -> None:
+    """Raise naming (``name(where[k])``) the matrix least in ``where`` with a
+    NaN or infinite entry, else the least not of shape ``(rows[k], cols[k])``."""
+    nonfinite, misshapen = [], []
+    for ks, stack in stacks:
+        shape = stack.shape[1:]
         fits = (rows[ks] == shape[-2]) & (cols[ks] == shape[-1]) & (len(shape) == 2)
-        misshapen.extend((k, shape) for k in ks[~fits].tolist())
-        out.append((ks, stack))
+        if fits.all() and np.isfinite(stack).all():
+            continue
+        nonfinite.extend(where[ks[~np.isfinite(stack).reshape(len(ks), -1).all(axis=1)]].tolist())
+        bad = ks[~fits]
+        misshapen.extend((w, k, shape) for w, k in zip(where[bad].tolist(), bad.tolist()))
     if nonfinite:
         raise ModelError(f"{name(min(nonfinite))} has a NaN or infinite entry")
     if misshapen:
-        k, shape = min(misshapen)
-        raise ModelError(f"{name(k)} must have shape {(int(rows[k]), int(cols[k]))}, got {shape}")
-    return out
+        w, k, shape = min(misshapen)
+        raise ModelError(f"{name(w)} must have shape {(int(rows[k]), int(cols[k]))}, got {shape}")
 
 
 def build_walk(
     vertices,
     jumps,
-    hamiltonians: dict | None = None,
-    effective: dict | None = None,
+    hamiltonians: dict | Stacked | None = None,
+    effective: dict | Stacked | None = None,
     meta: dict | None = None,
 ) -> WalkModel:
     """Assemble a model from ``(id, dim)`` vertex pairs, jumps, and (H or G)
@@ -463,59 +479,60 @@ def build_walk(
     becomes the escape defect ``D_i = -(A + A^dag)``, which is zero for
     closed models.  Validity of the defect (positive semidefiniteness) is
     judged by :func:`validate`, not here.  The matrices are grouped by shape
-    and computed on as stacks, each float as it is matrix by matrix.
+    (or come so, as :class:`Stacked`) and computed on as stacks, each float
+    as it is matrix by matrix.
     """
     vspaces = [VertexSpace(vid, int(dim)) for vid, dim in vertices]
-    index = {v.id: k for k, v in enumerate(vspaces)}
-    if len(index) != len(vspaces):
+    if not vspaces:
+        raise ModelError("a model needs at least one vertex")
+    ids = [v.id for v in vspaces]
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) != len(ids):
         raise ModelError("vertex ids must be unique")
     dims = np.array([v.dim for v in vspaces], dtype=int)
 
-    ends, mats = [], []
-    for src, dst, r in jumps:
-        if src not in index or dst not in index:
-            raise ModelError(f"jump references unknown vertex: {src!r} -> {dst!r}")
-        if index[src] == index[dst]:
-            raise ModelError(f"self-loop jump at vertex {src!r} is not allowed")
-        ends.append((index[src], index[dst]))
-        mats.append(r)
-    ends = np.array(ends, dtype=int).reshape(-1, 2)
-    src, dst = ends.T
-    jump_stacks = _stacked(
-        mats, dims[dst], dims[src],
-        lambda k: f"jump {vspaces[ends[k][0]].id!r} -> {vspaces[ends[k][1]].id!r}",
-    )
+    stacked = isinstance(jumps, Stacked)
+    srcs, dsts, mats = (*jumps.keys, None) if stacked else list(zip(*jumps)) or ((), (), ())
+    ends = [[index.get(a, -1) for a in srcs], [index.get(b, -1) for b in dsts]]  # -1: unknown
+    src, dst = np.array(ends, dtype=int).reshape(2, -1)
+    for k in np.flatnonzero((src < 0) | (dst < 0) | (src == dst))[:1].tolist():  # the first bad
+        if src[k] < 0 or dst[k] < 0:
+            raise ModelError(f"jump references unknown vertex: {srcs[k]!r} -> {dsts[k]!r}")
+        raise ModelError(f"self-loop jump at vertex {srcs[k]!r} is not allowed")
+    jump_stacks = jumps.stacks if stacked else _stacked(mats)
+    _check_stacks(jump_stacks, np.arange(len(src)), dims[dst], dims[src],
+                  lambda k: f"jump {ids[src[k]]!r} -> {ids[dst[k]]!r}")
 
     groups = {d: np.flatnonzero(dims == d) for d in sorted(set(dims.tolist()))}
-    row = _rows(groups.values(), len(vspaces))
+    row = _rows(groups.values(), len(ids))
     decays = _decays(groups, row[src], jump_stacks)
 
-    def given(name, supplied):
-        """The positions of the vertices ``supplied`` has a matrix for, and
-        those matrices stacked by shape."""
-        pos = np.array([k for k, v in enumerate(vspaces) if supplied.get(v.id) is not None],
-                       dtype=int)
-        stacks = _stacked(
-            [supplied[vspaces[k].id] for k in pos], dims[pos], dims[pos],
-            lambda k: f"{name} at {vspaces[pos[k]].id!r}",
-        )
-        return pos, stacks
+    def given(name, supplied):  # the position of each matrix, and the stacks
+        if not isinstance(supplied, Stacked):
+            keys = [vid for vid, m in supplied.items() if m is not None and vid in index]
+            supplied = Stacked(keys, _stacked([supplied[vid] for vid in keys]))
+        pos = np.array([index[vid] for vid in supplied.keys], dtype=int)
+        shapes = dims[pos]
+        _check_stacks(supplied.stacks, pos, shapes, shapes, lambda p: f"{name} at {ids[p]!r}")
+        return pos, supplied.stacks
 
     h_pos, h_given = given("H", hamiltonians or {})
-    _require_hermitian(lambda k: f"H at {vspaces[h_pos[k]].id!r}", h_given)
+    bad = []  # the supplied H not Hermitian to a relative 1e-12 in spectral norm
+    for ks, h in h_given:
+        res, size = linalg.opnorm(np.concatenate([h - _dagger(h), h])).reshape(2, -1)
+        bad.extend(h_pos[ks[~(res <= 1e-12 * (1.0 + size))]].tolist())
+    if bad:
+        raise ModelError(f"H at {ids[min(bad)]!r} is not Hermitian")
     g_pos, g_given = given("G", effective or {})
 
     hams = {d: np.zeros((len(pos), d, d), dtype=complex) for d, pos in groups.items()}
-    has_h = np.zeros(len(vspaces), dtype=bool)
+    has_h = np.zeros(len(ids), dtype=bool)
     for ks, h in h_given:
         hams[h.shape[-1]][row[h_pos[ks]]] = h
         has_h[h_pos[ks]] = True
-    stacks, disagree = {}, []
-    for d, pos in groups.items():
-        h, decay = hams[d], decays[d]
-        g = -1j * h - 0.5 * decay
-        defect = np.zeros_like(h)
-        stacks[d] = _Stacks(pos, h, g, defect, decay)
+    stacks = {d: _Stacks(pos, h, -1j * h - 0.5 * decays[d], np.zeros_like(h), decays[d])
+              for (d, pos), h in zip(groups.items(), hams.values())}
+    disagree, norm = [], np.linalg.norm
     for ks, g in g_given:
         s = stacks[g.shape[-1]]
         rows = row[g_pos[ks]]
@@ -523,17 +540,13 @@ def build_walk(
         h_rec = 0.5j * (a_mat - _dagger(a_mat))
         minus = -(a_mat + _dagger(a_mat))
         h = s.ham[rows]
-        both = has_h[g_pos[ks]]
-        far = np.linalg.norm(h - h_rec, axis=(-2, -1)) > STRUCT_TOL * (
-            1.0 + np.linalg.norm(h, axis=(-2, -1))
-        )
-        disagree.extend(g_pos[ks][both & far].tolist())
+        far = norm(h - h_rec, axis=(-2, -1)) > STRUCT_TOL * (1.0 + norm(h, axis=(-2, -1)))
+        disagree.extend(g_pos[ks][has_h[g_pos[ks]] & far].tolist())
         s.ham[rows], s.eff[rows], s.defect[rows] = h_rec, g, 0.5 * (minus + _dagger(minus))
     if disagree:
-        vid = vspaces[min(disagree)].id
-        raise ModelError(f"H and G disagree at vertex {vid!r} beyond tolerance")
+        raise ModelError(f"H and G disagree at vertex {ids[min(disagree)]!r} beyond tolerance")
 
-    return WalkModel(vspaces, stacks, ends, jump_stacks, meta=meta)
+    return WalkModel(vspaces, stacks, np.array([src, dst]).T, jump_stacks, meta=meta)
 
 
 def classical_embed(q: np.ndarray) -> WalkModel:
@@ -548,19 +561,15 @@ def classical_embed(q: np.ndarray) -> WalkModel:
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ModelError("generator must be a square matrix")
     n = q.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i != j and q[i, j] < 0:
-                raise ModelError(f"negative off-diagonal rate q[{i},{j}] = {q[i, j]}")
-    rowsums = q.sum(axis=1)
-    if np.max(np.abs(rowsums)) > 1e-12 * (1.0 + np.max(np.abs(q))):
+    off = ~np.eye(n, dtype=bool)
+    for i, j in np.argwhere(off & (q < 0))[:1].tolist():  # the first negative rate
+        raise ModelError(f"negative off-diagonal rate q[{i},{j}] = {q[i, j]}")
+    if np.abs(q.sum(axis=1)).max(initial=0.0) > 1e-12 * (1.0 + np.abs(q).max(initial=0.0)):
         raise ModelError("generator rows must sum to zero")
-    jumps = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and q[i, j] > 0:
-                jumps.append((i, j, np.array([[np.sqrt(q[i, j])]])))
-    return build_walk([(v, 1) for v in range(n)], jumps)
+    src, dst = np.nonzero(off & (q > 0))
+    rates = np.sqrt(q[src, dst]).astype(complex).reshape(-1, 1, 1)
+    stacks = [(np.arange(len(src)), rates)] if len(src) else []
+    return build_walk([(v, 1) for v in range(n)], Stacked((src.tolist(), dst.tolist()), stacks))
 
 
 # -- validation --------------------------------------------------------------
@@ -575,15 +584,38 @@ class CheckResult:
     note: str = ""
 
 
-@dataclass
+# the checks of each vertex, in report order, and their notes
+_CHECKS = (("hamiltonian_hermitian", ""), ("effective_consistent", ""),
+           ("dissipative", "escape defect must be positive semidefinite"), ("zero_sum", ""))
+_EDGE_NOTE = "window boundary vertex, walker escapes at this rate"
+
+
+@dataclass(eq=False)
 class ValidationReport:
-    checks: list[CheckResult]
+    """The checks of :func:`validate`, held as one row of ``residuals`` and
+    of ``passes`` per kind of ``_CHECKS``, over the vertices; the
+    :class:`CheckResult` list is built when first read."""
+
+    ids: tuple
+    residuals: np.ndarray
+    passes: np.ndarray
+    boundary: list[bool]  # the declared window-boundary vertices, by position
+    rate_constant: float
     escaping_boundary: list[VertexId]
     tolerance: float
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return bool(self.passes.all()) and math.isfinite(self.rate_constant)
+
+    @functools.cached_property
+    def checks(self) -> list[CheckResult]:
+        rows = zip(self.ids, self.residuals.T.tolist(), self.passes.T.tolist(), self.boundary)
+        checks = [CheckResult(name, vid, p, r, _EDGE_NOTE if edge and name == "zero_sum" else note)
+                  for vid, res, ok, edge in rows for (name, note), r, p in zip(_CHECKS, res, ok)]
+        c = self.rate_constant
+        return checks + [CheckResult("rate_constant_finite", None, math.isfinite(c), 0.0,
+                                     f"C = {c:.6g}")]
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
@@ -593,16 +625,8 @@ class ValidationReport:
             "ok": self.ok,
             "tolerance": self.tolerance,
             "escaping_boundary": [str(v) for v in self.escaping_boundary],
-            "checks": [
-                {
-                    "name": c.name,
-                    "vertex": None if c.vertex is None else str(c.vertex),
-                    "passed": c.passed,
-                    "residual": c.residual,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
+            "checks": [{**vars(c), "vertex": None if c.vertex is None else str(c.vertex)}
+                       for c in self.checks],
         }
 
 
@@ -615,6 +639,7 @@ def validate(model: WalkModel, tol: float = STRUCT_TOL) -> ValidationReport:
     reported in ``escaping_boundary``.
     """
     declared = set(model.meta.get("escaping", []))
+    boundary = [vid in declared for vid in model._ids]
     # per vertex: |H - H^dag|, |H|, |G - rebuilt G|, |G|, |G + G^dag + decay|,
     # and the least eigenvalue of the escape defect -(G + G^dag + decay)
     cols = np.empty((6, len(model.vertices)))
@@ -625,45 +650,14 @@ def validate(model: WalkModel, tol: float = STRUCT_TOL) -> ValidationReport:
         cols[:5, ks] = linalg.opnorm(stacked).reshape(5, -1)
         minus = -zero_sum
         cols[5, ks] = np.linalg.eigvalsh(0.5 * (minus + _dagger(minus))).min(axis=-1)
-
-    checks: list[CheckResult] = []
-    for v, (res_h, norm_h, res_g, norm_g, res_zs, defect_min) in zip(
-        model.vertices, cols.T.tolist()
-    ):
-        checks.append(
-            CheckResult("hamiltonian_hermitian", v.id, res_h <= 1e-12 * (1.0 + norm_h), res_h)
-        )
-        checks.append(
-            CheckResult("effective_consistent", v.id, res_g <= tol * (1.0 + norm_g), res_g)
-        )
-        checks.append(
-            CheckResult(
-                "dissipative",
-                v.id,
-                defect_min >= -tol,
-                max(0.0, -defect_min),
-                "escape defect must be positive semidefinite",
-            )
-        )
-        if v.id in declared:
-            checks.append(
-                CheckResult(
-                    "zero_sum",
-                    v.id,
-                    defect_min >= -tol,
-                    res_zs,
-                    "window boundary vertex, walker escapes at this rate",
-                )
-            )
-        else:
-            checks.append(CheckResult("zero_sum", v.id, res_zs <= tol, res_zs))
-
-    c = model.rate_constant
-    checks.append(
-        CheckResult("rate_constant_finite", None, bool(np.isfinite(c)), 0.0, f"C = {c:.6g}")
-    )
-
-    return ValidationReport(checks, model.escaping_boundary(), tol)
+    res_h, norm_h, res_g, norm_g, res_zs, defect_min = cols
+    psd, lack = defect_min >= -tol, -defect_min
+    passes = [res_h <= 1e-12 * (1.0 + norm_h), res_g <= tol * (1.0 + norm_g), psd,
+              np.where(boundary, psd, res_zs <= tol)]
+    # the dissipative residual is max(0.0, lack) as Python takes it
+    residuals = [res_h, res_g, np.where(lack > 0.0, lack, 0.0), res_zs]
+    return ValidationReport(model._ids, np.array(residuals), np.array(passes), boundary,
+                            model.rate_constant, model.escaping_boundary(), tol)
 
 
 # -- lattice window shorthand -------------------------------------------------
@@ -718,7 +712,8 @@ def build_lattice(spec: dict, window: tuple[int, int] | None = None) -> WalkMode
         # each template is decoded once and shared by the sites it covers
         block = _lattice_block(spec, block_name)
         keys = [k for k in ("default", *map(str, sites)) if block.get(k) is not None]
-        mats = dict(zip(keys, _json_matrices([block[k] for k in keys])))
+        mats = {keys[k]: m for ks, stack in _json_stacks([block[k] for k in keys])
+                for k, m in zip(ks.tolist(), stack)}
         out = {}
         for s in sites:
             m = mats.get(str(s)) if str(s) in block else mats.get("default")
@@ -782,18 +777,8 @@ def build_lattice(spec: dict, window: tuple[int, int] | None = None) -> WalkMode
     # Only sites whose G is pinned while losing jump weight are sub-stochastic.
     escaping = {s for s in escaping if s in eff}
 
-    meta = {
-        "lattice": spec,
-        "window": [lo, hi],
-        "escaping": sorted(escaping),
-    }
-    return build_walk(
-        [(s, dims[s]) for s in sites],
-        jumps,
-        hamiltonians=ham or None,
-        effective=eff or None,
-        meta=meta,
-    )
+    meta = {"lattice": spec, "window": [lo, hi], "escaping": sorted(escaping)}
+    return build_walk([(s, dims[s]) for s in sites], jumps, ham, eff, meta=meta)
 
 
 def _lattice_int(value, what: str) -> int:
@@ -850,35 +835,49 @@ def model_from_json(doc: dict | str) -> WalkModel:
             raise ModelError("'lattice' must be a JSON object")
         return build_lattice(doc["lattice"])
     try:
-        vertices = [(_coerce_id(v["id"]), _coerce_dim(v["dim"])) for v in doc["vertices"]]
+        ids, dims = _fields(doc["vertices"], ("id", _coerce_id, _IDS), ("dim", _coerce_dim, {int}))
     except (KeyError, TypeError) as exc:
         raise ModelError(f"bad vertices block: {exc}") from exc
-    by_str = {str(vid): vid for vid, _ in vertices}
-    blocks = {}
-    for name in ("hamiltonians", "effective"):
-        blocks[name] = doc.get(name) or {}
-        for key in blocks[name]:
+    by_str = dict(zip(map(str, ids), ids))
+    blocks = {name: {} if doc.get(name) is None else doc[name]
+              for name in ("hamiltonians", "effective")}
+    for name, block in blocks.items():
+        if not isinstance(block, dict):
+            raise ModelError(f"'{name}' must be a JSON object")
+        for key in block:
             if key not in by_str:
                 raise ModelError(f"{name} references unknown vertex {key!r}")
     try:
-        ends = [
-            (_coerce_id(e["from"]), _coerce_id(e["to"]), e["matrix"])
-            for e in doc.get("jumps", [])
-        ]
+        src, dst, mats = _fields(doc.get("jumps", []), ("from", _coerce_id, _IDS),
+                                 ("to", _coerce_id, _IDS), ("matrix", lambda m: m, {list}))
     except (KeyError, TypeError) as exc:
         raise ModelError(f"bad jumps block: {exc}") from exc
-    mats = iter(_json_matrices(
-        [*blocks["hamiltonians"].values(), *blocks["effective"].values(), *(m for _, _, m in ends)]
-    ))
-    hams = {by_str[key]: next(mats) for key in blocks["hamiltonians"]}
-    effs = {by_str[key]: next(mats) for key in blocks["effective"]}
-    return build_walk(
-        vertices,
-        [(src, dst, next(mats)) for src, dst, _ in ends],
-        hamiltonians=hams or None,
-        effective=effs or None,
-        meta=meta,
-    )
+    hams, effs = (list(block.values()) for block in blocks.values())
+    # one decode for the whole file, cut into the H, G and jump stacks
+    cuts = [0, *accumulate(map(len, (hams, effs, mats)))]
+    parts: list[list] = [[], [], []]
+    for ks, stack in _json_stacks(hams + effs + mats):
+        at = np.searchsorted(ks, cuts).tolist()
+        for part, lo, a, b in zip(parts, cuts, at, at[1:]):
+            if a < b:
+                part.append((ks[a:b] - lo, stack[a:b]))
+    h, g = (Stacked([by_str[key] for key in block], part)
+            for block, part in zip(blocks.values(), parts))
+    return build_walk(list(zip(ids, dims)), Stacked((src, dst), parts[2]), h, g, meta=meta)
+
+
+def _fields(items, *spec) -> list[list]:
+    """The columns ``key`` of ``items``, JSON objects, through ``coerce``: one
+    type scan per column (``plain``, the types it keeps), else item by item,
+    so that the first bad field raises as it would alone."""
+    try:
+        cols = [[item[key] for item in items] for key, _, _ in spec]
+        if all(set(map(type, col)) <= plain for (_, _, plain), col in zip(spec, cols)):
+            return cols
+    except (KeyError, TypeError):
+        pass
+    rows = [[coerce(item[key]) for key, coerce, _ in spec] for item in items]
+    return [list(col) for col in zip(*rows)]
 
 
 def _coerce_id(v) -> VertexId:

@@ -21,7 +21,6 @@ from ctoqw.model import (
     STRUCT_TOL,
     BlockState,
     CheckResult,
-    ValidationReport,
     VertexSpace,
     WalkModel,
     _Stacks,
@@ -423,7 +422,21 @@ def validate_per_vertex(model: WalkModel, tol: float = STRUCT_TOL) -> dict:
     escaping = [
         v.id for v in model.vertices if opnorm(model.escape_defect(v.id)) > STRUCT_TOL
     ]
-    return ValidationReport(checks, escaping, tol).to_json_dict()
+    return {
+        "ok": all(c.passed for c in checks),
+        "tolerance": tol,
+        "escaping_boundary": [str(v) for v in escaping],
+        "checks": [
+            {
+                "name": c.name,
+                "vertex": None if c.vertex is None else str(c.vertex),
+                "passed": c.passed,
+                "residual": c.residual,
+                "note": c.note,
+            }
+            for c in checks
+        ],
+    }
 
 
 def vertex_scan_per_vertex(model: WalkModel, base, eps_spec: float = 1e-8):

@@ -821,19 +821,33 @@ def test_cli_fuzz_exits_with_a_documented_code(fuzz_dir, data):
          "ModelError: meta 'escaping' must be a list of vertex ids"),
         (["validate", "--model", "{d}/lattice-number.json"], 1,
          "ModelError: 'lattice' must be a JSON object"),
+        (["validate", "--model", "{d}/hamiltonians-number.json"], 1,
+         "ModelError: 'hamiltonians' must be a JSON object"),
+        (["validate", "--model", "{d}/effective-list.json"], 1,
+         "ModelError: 'effective' must be a JSON object"),
+        (["validate", "--model", "{d}/no-vertices.json"], 1,
+         "ModelError: a model needs at least one vertex"),
+        (["irreducible", "--model", "{d}/no-vertices.json"], 1,
+         "ModelError: a model needs at least one vertex"),
+        (["classify", "--model", "{d}/no-vertices.json"], 1,
+         "ModelError: a model needs at least one vertex"),
     ],
     ids=["negative-seed", "seed-past-the-key-range", "state-is-a-directory", "state-of-wrong-shape",
          "model-is-a-directory", "unwritable-out", "superscript-vertex", "double-sign-vertex",
          "unknown-query-vertex", "unknown-query-kind-with-dump", "unknown-flag", "missing-option", "bad-int", "two-windows",
          "model-is-a-number", "model-is-null", "meta-is-a-number", "escaping-is-a-number",
-         "lattice-is-a-number"],
+         "lattice-is-a-number", "hamiltonians-is-a-number", "effective-is-a-list",
+         "validate-no-vertices", "irreducible-no-vertices", "classify-no-vertices"],
 )
 def test_bad_inputs_exit_cleanly(tmp_path, two_site_file, capsys, argv, code, message):
     (tmp_path / "state.json").write_text(json.dumps(matrix_to_json(np.eye(2) / 2)))
-    doc = json.loads(two_site_file.read_text())
+    doc, scalar = json.loads(two_site_file.read_text()), {"id": 0, "dim": 1}
     for name, content in {"number": 5, "null": None, "meta-number": {**doc, "meta": 5},
                           "escaping-number": {**doc, "meta": {"escaping": 5}},
-                          "lattice-number": {"lattice": 5}}.items():
+                          "lattice-number": {"lattice": 5},
+                          "hamiltonians-number": {"vertices": [scalar], "hamiltonians": 5},
+                          "effective-list": {"vertices": [scalar], "effective": [[1]]},
+                          "no-vertices": {"vertices": []}}.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
     (tmp_path / "queries.json").write_text(json.dumps(
         [{"kind": "visits", "vertex": 99}, {"kind": "occupation", "vertex": "1"}]
@@ -850,6 +864,39 @@ def test_bad_inputs_exit_cleanly(tmp_path, two_site_file, capsys, argv, code, me
     # only a usage error prints more than its one error line: the usage first
     assert not usage or (": error: " in message and usage[0].startswith("usage: ctoqw"))
     assert not (tmp_path / "dump.ndjson").exists()  # a failed run leaves no dump behind
+
+
+# a scalar vertex 0 and a qubit vertex 1, with H at 1; each case spoils one
+# matrix of the file
+_R01, _R10 = [[[1, 0]], [[0, 0]]], [[[0, 0], [1, 0]]]
+_H1 = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+
+
+@pytest.mark.parametrize(
+    "r01, r10, h1, message",
+    [
+        ([[[1, 0]], [[0, 0], [0, 0]]], _R10, _H1,
+         "a complex matrix must be encoded as rows of [re, im] pairs"),
+        ([[[1, 0, 0]], [[0, 0]]], _R10, _H1,
+         "a complex matrix must be encoded as rows of [re, im] pairs"),
+        (_R01, [[["x", 0], [1, 0]]], _H1,
+         "a complex matrix must be encoded as rows of [re, im] pairs"),
+        ([[["INF", 0]], [[0, 0]]], _R10, _H1, "a complex matrix has a NaN or infinite entry"),
+        (_R01, _R10, [[[1, 0], [0, 0]], [[0, 0], ["NAN", 0]]],
+         "a complex matrix has a NaN or infinite entry"),
+        ([[[1, 0]]], [[[1, 0]]], _H1, "jump 0 -> 1 must have shape (2, 1), got (1, 1)"),
+        (_R01, _R10, [[[1, 0]]], "H at 1 must have shape (2, 2), got (1, 1)"),
+    ],
+    ids=["ragged-rows", "three-number-pair", "string-entry", "inf", "nan", "jump-shape", "h-shape"],
+)
+def test_malformed_matrices_exit_with_one_line(tmp_path, capsys, r01, r10, h1, message):
+    doc = {"vertices": [{"id": 0, "dim": 1}, {"id": 1, "dim": 2}], "hamiltonians": {"1": h1},
+           "jumps": [{"from": 0, "to": 1, "matrix": r01}, {"from": 1, "to": 0, "matrix": r10}]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc).replace('"INF"', "1e999").replace('"NAN"', "NaN"))
+    capsys.readouterr()
+    assert run(tmp_path, "validate", "--model", path) == 1
+    assert capsys.readouterr().err == f"ModelError: {message}\n"
 
 
 _SITE = matrix_to_json(np.array([[-0.5]]))

@@ -140,6 +140,13 @@ def test_classical_embed_rejects_bad_generators():
         classical_embed([[-1.0, 0.5], [1.0, -1.0]])
 
 
+def test_a_model_needs_a_vertex():
+    with pytest.raises(ModelError, match=r"^a model needs at least one vertex$"):
+        classical_embed(np.zeros((0, 0)))
+    with pytest.raises(ModelError, match=r"^a model needs at least one vertex$"):
+        model_from_json({"vertices": []})
+
+
 def test_zero_generator_embeds_to_absorbing_model():
     m = classical_embed(np.zeros((3, 3)))
     assert list(m.jumps()) == []
@@ -293,9 +300,10 @@ def test_validate_equals_per_vertex_oracle_on_random_models(seed):
     m = random_model(rng, n_vertices=int(rng.integers(2, 9)), max_dim=4)
     if rng.random() < 0.5:
         m = leaky_variant(rng, m)  # an escape defect at one vertex
-    assert validate(m).to_json_dict() == validate_per_vertex(m)
     tight = float(rng.choice([1e-14, 1e-10, 1e-6]))
-    assert validate(m, tol=tight).to_json_dict() == validate_per_vertex(m, tol=tight)
+    for model in (m, model_from_json(m.to_json_dict())):
+        assert validate(model).to_json_dict() == validate_per_vertex(model)
+        assert validate(model, tol=tight).to_json_dict() == validate_per_vertex(model, tol=tight)
 
 
 @pytest.mark.parametrize(
@@ -304,11 +312,12 @@ def test_validate_equals_per_vertex_oracle_on_random_models(seed):
 )
 def test_validate_equals_per_vertex_oracle_on_windows(name, window):
     m = fixtures.get_fixture(name, window)
-    doc = validate(m).to_json_dict()
-    assert doc == validate_per_vertex(m)
-    assert doc["ok"]
-    if window is not None:
-        assert doc["escaping_boundary"]
+    for model in (m, model_from_json(m.to_json_dict())):
+        doc = validate(model).to_json_dict()
+        assert doc == validate_per_vertex(model)
+        assert doc["ok"]
+        if window is not None:
+            assert doc["escaping_boundary"]
 
 
 def test_validate_equals_per_vertex_oracle_on_invalid_models(coherent, spin_small):
@@ -329,6 +338,10 @@ def test_validate_equals_per_vertex_oracle_on_invalid_models(coherent, spin_smal
         assert doc == validate_per_vertex(m)
         assert not doc["ok"]
         assert failing in {c["name"] for c in doc["checks"] if not c["passed"]}
+        # the stacked decode of G alone (H and G that disagree are refused)
+        file = {k: v for k, v in m.to_json_dict().items() if k != "hamiltonians"}
+        decoded = model_from_json(file)
+        assert validate(decoded).to_json_dict() == validate_per_vertex(decoded)
 
 
 def test_build_walk_names_the_first_non_hermitian_h():
@@ -490,14 +503,23 @@ def _random_inputs(rng):
     return vertices, jumps, hams, effs
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000))
-def test_stacked_build_equals_per_matrix_oracle(seed):
-    rng = np.random.default_rng(seed)
-    vertices, jumps, hams, effs = _random_inputs(rng)
+def _decoded_per_matrix(doc: dict):
+    """The vertices, jumps and H and G dicts of a model file, each matrix
+    decoded on its own."""
+    def matrix(m):
+        a = np.array(m, dtype=float)
+        return a[..., 0] + 1j * a[..., 1]
+
+    vertices = [(v["id"], v["dim"]) for v in doc["vertices"]]
+    by_str = {str(vid): vid for vid, _ in vertices}
+    jumps = [(e["from"], e["to"], matrix(e["matrix"])) for e in doc["jumps"]]
+    hams, effs = ({by_str[k]: matrix(m) for k, m in doc[name].items()}
+                  for name in ("hamiltonians", "effective"))
+    return vertices, jumps, hams, effs
+
+
+def _assert_equals_per_matrix_oracle(m: WalkModel, vertices, jumps, hams, effs):
     oracle = build_walk_per_matrix(vertices, jumps, hams, effs)
-    declared = [vid for vid, _ in vertices if rng.random() < 0.5]
-    m = build_walk(vertices, jumps, hams, effs, meta={"escaping": declared})
     ids = m.ids
     for k, vid in enumerate(ids):
         assert _bits(m.hamiltonian(vid)) == _bits(oracle["ham"][k])
@@ -529,6 +551,21 @@ def test_stacked_build_equals_per_matrix_oracle(seed):
     }
     assert json.dumps(m.to_json_dict()) == json.dumps(per_matrix)  # repr keeps the sign of 0.0
     assert validate(m).to_json_dict() == validate_per_vertex(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_stacked_build_equals_per_matrix_oracle(seed):
+    rng = np.random.default_rng(seed)
+    vertices, jumps, hams, effs = _random_inputs(rng)
+    declared = [vid for vid, _ in vertices if rng.random() < 0.5]
+    m = build_walk(vertices, jumps, hams, effs, meta={"escaping": declared})
+    _assert_equals_per_matrix_oracle(m, vertices, jumps, hams, effs)
+    # the stacked decode of the model's file, against its matrices decoded one by one
+    doc = m.to_json_dict()
+    if rng.random() < 0.5:  # a file that gives G alone
+        doc["hamiltonians"] = {}
+    _assert_equals_per_matrix_oracle(model_from_json(doc), *_decoded_per_matrix(doc))
 
 
 def test_accessors_return_read_only_views():
