@@ -171,12 +171,16 @@ def _cmd_evolve(args, walk: model.WalkModel) -> int:
 
 
 @functools.cache
-def _hermitian_template(d: int) -> str:
+def _hermitian_template(d: int) -> tuple[str, np.ndarray, np.ndarray]:
     """The ``str.format`` text of a ``d x d`` Hermitian matrix in the form of
-    :func:`model.matrix_to_json`.  Its fields are the diagonal real parts,
-    the real parts above the diagonal, their imaginary parts (row by row),
-    and then the text of those imaginary parts with the sign flipped."""
-    upper = {ij: q for q, ij in enumerate(zip(*np.triu_indices(d, 1)))}
+    :func:`model.matrix_to_json`, and the row and column indices of its upper
+    triangle.  The text's fields are the diagonal real parts, the real parts
+    above the diagonal, their imaginary parts (row by row), and then the text
+    of those imaginary parts with the sign flipped."""
+    rows, cols = np.triu_indices(d, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    upper = {ij: q for q, ij in enumerate(zip(rows.tolist(), cols.tolist()))}
     p, n = len(upper), d * d
 
     def entry(i, j):
@@ -185,8 +189,9 @@ def _hermitian_template(d: int) -> str:
         q = upper[min(i, j), max(i, j)]
         return f"[{{{d + q}}}, {{{d + p + q if i < j else n + q}}}]"
 
-    return "[" + ", ".join("[" + ", ".join(entry(i, j) for j in range(d)) + "]"
+    text = "[" + ", ".join("[" + ", ".join(entry(i, j) for j in range(d)) + "]"
                            for i in range(d)) + "]"
+    return text, rows, cols
 
 
 def _hermitian_texts(states: np.ndarray) -> list[str]:
@@ -195,12 +200,12 @@ def _hermitian_texts(states: np.ndarray) -> list[str]:
     text of a finite float.  A lower entry is the exact conjugate of its
     mirror: its imaginary part is the mirror's text with the sign flipped."""
     m, d = states.shape[:2]
+    template, i, j = _hermitian_template(d)
     h = 0.5 * (states + states.conj().swapaxes(1, 2))
-    i, j = np.triu_indices(d, 1)
-    diag = np.arange(d)
-    floats = np.concatenate([h.real[:, diag, diag], h.real[:, i, j], h.imag[:, i, j]], axis=1)
+    diag = np.diagonal(h, axis1=1, axis2=2)
+    floats = np.concatenate([diag.real, h.real[:, i, j], h.imag[:, i, j]], axis=1)
     reprs = list(map(repr, floats.ravel().tolist()))
-    template, n, p = _hermitian_template(d), d * d, i.size
+    n, p = d * d, i.size
     out = []
     for a in range(0, m * n, n):
         fields = reprs[a:a + n]

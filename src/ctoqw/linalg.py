@@ -82,7 +82,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     # Imported here: loading scipy.linalg doubles the start-up of the CLI.
     import scipy.linalg as sla
 
-    return sla.expm(np.asarray(a, dtype=complex))
+    return sla.expm(a)
 
 
 _DWELL_RTOL = 1e-10  # bound on each dwell residual |L D + I|_F, per unit of 1 + d

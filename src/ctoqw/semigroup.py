@@ -4,13 +4,15 @@ The master-equation generator acts blockwise on a vertex-indexed state:
 
     d/dt rho(i) = G_i rho(i) + rho(i) G_i^dag + sum_{j != i} R[j->i] rho(j) R[j->i]^dag.
 
-It never mixes in off-block-diagonal coherences, so the evolution is
-represented on the block sector only, as a dense matrix of dimension
-``sum_i d_i**2`` on the layout of ``WalkModel.starts``.
+It never mixes in off-block-diagonal coherences and maps Hermitian blocks
+to Hermitian blocks, so the evolution is represented on the block sector
+only, as a real matrix of dimension ``sum_i d_i**2`` on the layout of
+``WalkModel.starts``, acting on the real coordinates of :func:`_hermitian_basis`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,63 +23,100 @@ from .errors import BudgetError, ConvergenceError, PreconditionError
 from .model import BlockState, VertexId, WalkModel
 
 
+@functools.cache
+def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(U, w)`` of the real coordinates ``x`` of a ``d x d`` Hermitian
+    ``rho``: column-major position ``(i, j)`` of ``x`` holds ``rho_ii`` on the
+    diagonal, ``Re rho_ij`` above it and ``Im rho_ji`` below it, so that
+    ``vec(rho) = U @ x`` and ``x = Re(w * vec(rho))``, ``w`` being ``1`` on
+    and above the diagonal and ``1j`` below it.  A superoperator ``B`` that
+    keeps Hermitian matrices Hermitian acts on ``x`` as ``Re(w[:, None] * (B @ U))``."""
+    k = np.arange(d * d)
+    i, j = k % d, k // d
+    w = np.where(i > j, 1j, 1.0)
+    u = np.zeros((d * d, d * d), dtype=complex)
+    u[k, k] = w.conj()
+    u[j + d * i, k] = w
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
+
+
 @dataclass(frozen=True)
 class BlockGenerator:
-    """Vectorized generator restricted to block-diagonal states.
+    """Real generator restricted to block-diagonal states.
 
     It acts on the direct sum laid out by ``model.starts``: a stacked
-    vec-vector ``x`` holds block ``p`` (model vertex order) in
-    ``x[starts[p]:starts[p + 1]]``.
+    coordinate vector ``x`` holds the real coordinates (:func:`_hermitian_basis`)
+    of block ``p`` (model vertex order) in ``x[starts[p]:starts[p + 1]]``;
+    ``slots[d]`` holds those ranges of the vertices of dimension ``d``, one
+    row each, in the order of ``model.stacks[d]``.
     """
 
     model: WalkModel
     matrix: np.ndarray
+    slots: dict[int, np.ndarray]
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def stack(self, mu: BlockState) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        starts = self.model.starts.tolist()
-        for v, a, b in zip(self.model.vertices, starts, starts[1:]):
-            out[a:b] = linalg.vec(mu.block(v.id, v.dim))
+        """The coordinates of the Hermitian part of each block of ``mu``."""
+        out = np.zeros(self.dim)
+        ids = self.model.ids
+        for d, s in self.model.stacks.items():
+            b = np.stack([mu.block(ids[p], d) for p in s.pos.tolist()])
+            v = (b + b.conj().swapaxes(1, 2)).swapaxes(1, 2).reshape(len(b), d * d)
+            out[self.slots[d]] = 0.5 * (_hermitian_basis(d)[1] * v).real
         return out
 
     def unstack(self, x: np.ndarray) -> BlockState:
-        starts = self.model.starts.tolist()
-        return BlockState({v.id: linalg.unvec(x[a:b], (v.dim, v.dim))
-                           for v, a, b in zip(self.model.vertices, starts, starts[1:])})
+        """The block state of the coordinates ``x``; each block is Hermitian
+        exactly, its lower triangle the conjugate of its upper one."""
+        blocks = [None] * len(self.model.vertices)
+        for d, s in self.model.stacks.items():
+            v = x[self.slots[d]] @ _hermitian_basis(d)[0].T
+            for p, b in zip(s.pos.tolist(), v.reshape(-1, d, d).transpose(0, 2, 1)):
+                blocks[p] = b
+        return BlockState(dict(zip(self.model.ids, blocks)))
 
     def law(self, xs: np.ndarray) -> np.ndarray:
         """The trace of every block of each row of ``xs`` (``(points, dim)``
-        stacked vectors): the position law, ``(points, V)`` in model vertex
-        order.  Each trace sums the complex diagonal along the last axis of a
-        C-ordered ``take``, in the order of ``np.trace``, so the floats are
-        those of :func:`position_distribution`; ``xs[:, idx]`` has no fixed
-        memory order, and summed in another order they can differ."""
+        stacked coordinates): the position law, ``(points, V)`` in model
+        vertex order.  Each trace sums the diagonal, as complex numbers, along
+        the last axis of a C-ordered ``take``, in the order of ``np.trace`` on
+        a complex block, so the floats are those of
+        :func:`position_distribution`; numpy sums real and complex arrays of
+        four or more entries in different orders."""
         out = np.empty((len(xs), len(self.model.vertices)))
         for d, s in self.model.stacks.items():
-            idx = self.model.starts[s.pos, None] + (d + 1) * np.arange(d)
-            out[:, s.pos] = xs.take(idx, axis=1).sum(-1).real
+            out[:, s.pos] = xs.take(self.slots[d][:, ::d + 1], axis=1).astype(complex).sum(-1).real
         return out
 
 
 def build_block_generator(model: WalkModel) -> BlockGenerator:
     """``drift_matrix(G)`` in the diagonal block of each vertex and
-    ``sandwich_matrix(R)`` in the ``(dst, src)`` block of each jump, one
-    stacked assembly per vertex dimension and per jump shape, on the layout
-    of ``model.starts``."""
+    ``sandwich_matrix(R)`` in the ``(dst, src)`` block of each jump, each
+    taken to real coordinates (:func:`_hermitian_basis`) as one stacked
+    product per vertex dimension and per jump shape, on the layout of
+    ``model.starts``."""
     starts = model.starts
-    mat = np.zeros((starts[-1], starts[-1]), dtype=complex)
-    for s in model.stacks.values():
-        r, c, v = linalg.block_entries(starts[s.pos], starts[s.pos], linalg.drift_matrix(s.eff))
+    mat = np.zeros((starts[-1], starts[-1]))
+    slots = {}
+    for d, s in model.stacks.items():
+        u, w = _hermitian_basis(d)
+        slots[d] = starts[s.pos, None] + np.arange(d * d)
+        blocks = (w[:, None] * (linalg.drift_matrix(s.eff) @ u)).real
+        r, c, v = linalg.block_entries(starts[s.pos], starts[s.pos], blocks)
         mat[r, c] += v
     for ks, jumps in model.jump_stacks:
         src, dst = model.ends[ks].T
-        r, c, v = linalg.block_entries(starts[dst], starts[src], linalg.sandwich_matrix(jumps))
+        u, w = _hermitian_basis(jumps.shape[2])[0], _hermitian_basis(jumps.shape[1])[1]
+        blocks = (w[:, None] * (linalg.sandwich_matrix(jumps) @ u)).real
+        r, c, v = linalg.block_entries(starts[dst], starts[src], blocks)
         mat[r, c] += v
-    return BlockGenerator(model, mat)
+    return BlockGenerator(model, mat, slots)
 
 
 def lindblad_apply(model: WalkModel, mu: BlockState) -> dict[VertexId, np.ndarray]:
@@ -100,7 +139,7 @@ _TRACE_TOL = 1e-8  # trace drift allowed on a closed model, per unit of 1 + t
 @dataclass(frozen=True)
 class Grid:
     """Evolved states on ``times``, held as the rows of ``vectors``, one
-    stacked block vector per point; ``law[k]`` is the position law at
+    stacked coordinate vector per point; ``law[k]`` is the position law at
     ``times[k]``, ``(points, V)`` in model vertex order."""
 
     times: np.ndarray
@@ -110,12 +149,11 @@ class Grid:
     start: BlockState
 
     def state(self, k: int) -> BlockState:
-        """The state at ``times[k]``: the start state where ``t_k = 0``,
-        else the Hermitian part of each block of ``vectors[k]``."""
+        """The state at ``times[k]``: the start state where ``t_k = 0``, else
+        the blocks of ``vectors[k]``."""
         if self.times[k] == 0:
             return self.start.copy()
-        out = self.generator.unstack(self.vectors[k])
-        return BlockState({v: linalg.herm(b) for v, b in out.blocks.items()})
+        return self.generator.unstack(self.vectors[k])
 
 
 def evolve_grid(
@@ -127,12 +165,13 @@ def evolve_grid(
 ) -> Grid:
     """The evolution of ``mu`` on ``linspace(0, t, points)``.
 
-    One propagator ``e^{dt L}`` with ``dt = t / (points - 1)`` is applied
-    ``k`` times to reach ``t_k``, by the semigroup property; the first point
-    is ``mu`` itself.  On models without escape defects each total trace is
-    checked against that of ``mu`` to ``_TRACE_TOL * (1 + t_k)``; a
-    violation means the exponential lost accuracy (it should be machine
-    precise at these sizes).
+    One real propagator ``e^{dt L}`` with ``dt = t / (points - 1)`` is
+    applied ``k`` times to reach ``t_k``, by the semigroup property; the
+    first point is ``mu`` itself.  A grid value that is not finite (the
+    exponential overflowed) raises :class:`ConvergenceError`, and so, on
+    models without escape defects, does a total trace that differs from that
+    of ``mu`` by more than ``_TRACE_TOL * (1 + t_k)``: the exponential lost
+    accuracy (it should be machine precise at these sizes).
     """
     if not 0.0 <= t < math.inf:
         raise PreconditionError("evolution time must be nonnegative and finite")
@@ -140,16 +179,19 @@ def evolve_grid(
         raise PreconditionError(f"a time grid needs at least one point, got {points}")
     gen = generator if generator is not None else build_block_generator(model)
     times = np.linspace(0.0, t, points)
-    xs = np.empty((points, gen.dim), dtype=complex)
+    xs = np.empty((points, gen.dim))
     xs[:] = gen.stack(mu)
     if t > 0 and points > 1:
         step = linalg.expm(t / (points - 1) * gen.matrix)
         for k in range(1, points):
             xs[k] = step @ xs[k - 1]
+    if not np.isfinite(xs).all():
+        k = np.flatnonzero(~np.isfinite(xs).all(1))[0]
+        raise ConvergenceError(f"evolution is not finite at t = {times[k]:.6g}: the exponential overflowed")
     law = gen.law(xs)
     if not model.escaping_boundary():
         defect = np.abs(law.sum(1) - mu.total_trace())
-        lost = np.flatnonzero(defect > _TRACE_TOL * (1.0 + times))
+        lost = np.flatnonzero(~(defect <= _TRACE_TOL * (1.0 + times)))
         if lost.size:
             raise ConvergenceError(
                 f"evolution lost trace mass {defect[lost[0]]:.3e} on a closed model"

@@ -566,6 +566,35 @@ def block_generator_per_vertex(model: WalkModel) -> np.ndarray:
     return mat
 
 
+def hermitian_coordinates_per_vertex(model: WalkModel) -> tuple[np.ndarray, np.ndarray]:
+    """``(U, lower)`` on the layout of ``model.starts``, one entry at a time:
+    ``vec(mu) = U @ x`` for the real coordinates ``x`` of a Hermitian block
+    state, which hold at column-major ``(i, j)`` of a vertex's slot
+    ``rho_ii``, ``Re rho_ij`` for ``i < j`` and ``Im rho_ji`` for ``i > j``
+    (``lower``)."""
+    offsets, n = _layout(model, model.ids)
+    u, lower = np.zeros((n, n), dtype=complex), np.zeros(n, dtype=bool)
+    for v in model.vertices:
+        at = offsets[v.id].start
+        for i in range(v.dim):
+            for j in range(v.dim):
+                a, b = at + i + j * v.dim, at + j + i * v.dim
+                if i <= j:  # Re rho_ij, in the entries (i, j) and (j, i)
+                    u[a, a] = u[b, a] = 1.0
+                else:  # Im rho_ji, in (j, i) and with the sign flipped in (i, j)
+                    u[b, a], u[a, a], lower[a] = 1j, -1j, True
+    return u, lower
+
+
+def real_block_generator_per_vertex(model: WalkModel) -> np.ndarray:
+    """The complex :func:`block_generator_per_vertex` ``L`` in real
+    coordinates: the rows of ``L @ U``, the real part of an upper or
+    diagonal row and the negated imaginary part of a lower one."""
+    u, lower = hermitian_coordinates_per_vertex(model)
+    lu = block_generator_per_vertex(model) @ u
+    return np.where(lower[:, None], -lu.imag, lu.real)
+
+
 def trace_functional(gen: semigroup.BlockGenerator) -> np.ndarray:
     """The stacked ``vec(Id_{d_v})`` of every vertex: ``w . x`` is the total
     trace of the stacked state ``x``, one block at a time."""
@@ -579,7 +608,8 @@ def trace_functional(gen: semigroup.BlockGenerator) -> np.ndarray:
 def evolve_grid_per_vertex(model: WalkModel, mu: BlockState, t: float, points: int,
                            gen: semigroup.BlockGenerator) -> list[tuple[float, BlockState]]:
     """``semigroup.evolve_grid`` one grid point and one vertex at a time:
-    ``(t_k, mu_k)`` pairs, each stepped state unstacked and Hermitized into a
+    ``(t_k, mu_k)`` pairs, each stepped state unstacked and Hermitized (a
+    no-op on the exactly Hermitian blocks of ``unstack``) into a
     :class:`BlockState`, the trace of a closed model checked at every point."""
     times = np.linspace(0.0, t, points)
     if t == 0 or points == 1:

@@ -128,25 +128,43 @@ def test_evolve_report_prints_only_nonzero_rows_signed(tmp_path, two_site_file, 
     assert probs == [zero, zero, zero, "-0.000000000000002", zero, zero]
 
 
+@pytest.mark.parametrize("name, window", [("two-site-exchange", None), ("biased-line", 5)])
+def test_evolve_that_overflows_exits_3_and_writes_nothing(tmp_path, capsys, name, window):
+    # a closed model (trace check) and an escaping one (no trace check): the
+    # exponential of 5e298 L is not finite on either
+    model = tmp_path / "m.json"
+    assert run(tmp_path, "fixtures", "--name", name, "--out", model,
+               *([] if window is None else ["--window", window])) == 0
+    capsys.readouterr()
+    out, csv = tmp_path / "s.json", tmp_path / "law.csv"
+    code = run(tmp_path, "evolve", "--model", model, "--state", "0:e1", "--t", "1e300",
+               "--out", out, "--report", csv)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "ConvergenceError: evolution is not finite at t = 5e+298: the exponential overflowed\n"
+    assert not out.exists() and not csv.exists()
+
+
 # sha256 of the --out state and the --report law of `evolve --report` (21
-# points), taken before the grid was held as one array: name -> (window, start,
-# t, state digest, law digest).  The floats depend on the numpy and BLAS build.
+# points), taken when the evolution moved to real Hermitian coordinates: name ->
+# (window, start, t, state digest, law digest).  The floats depend on the numpy
+# and BLAS build.
 GOLDEN_EVOLVE = {
     "two-site-exchange": (None, "0:e1", 1.5,
-        "93219e649dc141eb607020dcda6ef2f6bbe24eba3b847c4d1f7d046ff907386b",
-        "cc9a95ca5af3c505e7b5c857bf702cd41259ec3bbd38b967843f7608e1cd7ba6"),
+        "b37be7ec6cec16ba216603f5cfc26767da89171e29e193d60d93328378950778",
+        "bf78613bba195900496aa8cf971372c11e8f57d5ff85c40733e9851d44acd2f3"),
     "coherent-pair": (None, "1:e1", 2.0,
-        "ef269929e2528051e7be26795f412e356b5ddd70390a22838520eed7b20259ef",
-        "b56a81f16beab0cdcd2484ca14c95c843ea044901a580a10375fcdb966dcac84"),
+        "232f578462f1e3d080893dfe84da237c467af2cce2bad582f77dd2eae455d901",
+        "a15c914d10418356f77e463f25e46e05109ada038482570292bf387ab2244a3f"),
     "biased-line": (8, "0:e1", 5.0,
-        "5509e9fa37a90b1f761253b9b68406a24f75779471e401b310d2301b0a3d9404",
-        "499e5f00e5dfc77fb11c5906b018dde7d6e24669ffcc91025e407e44e720cb5e"),
+        "ebe22299c8442bd656e005adc5a1da324c8113459d4825d43d989177233abad7",
+        "8176906fde206f00e63075c65a0172d70a2904f8c8f2a059816e48c9221105ac"),
     "spin-biased-line": (8, "1:e2", 5.0,
-        "fc2eb6b79e0ca05f23182f3d71bbef337774db024b8614bf73814bdd3d0b6551",
-        "0e0abe475868b71cf45a3e1c599fbaa066e0793a8fa475884dcc8737ebf79d73"),
+        "071793acc0a80204aadb266898bd10ff073a3d6b121294ebf13a5af92e2c47c9",
+        "42666742bbbf082e6d8e0bbedbd6b8c4338f620785504dc9edb198044bb3c8ec"),
     "qudit-ring": (None, "0:e1", 4.0,  # strategies.qudit_ring(101, sites=8)
-        "d0a097807dab1705fc630c49b28bcfe1c56216dfae863c2a6b4b88da57ab93e8",
-        "338f65443d8cfb26de7de31080cef664e6f7b77a9234bc02d1d28275b5f6ee5b"),
+        "f382f6ccaec7aeb71b33d22a02270977d38f6a0160ca95b1ae296b0289908fdd",
+        "8893aa46cecaad322a7d4b0d0bcdc7a0c3d47813369afdf7f902e7358d51cfaa"),
 }
 
 
