@@ -399,6 +399,8 @@ def classify_trichotomy(
     the one-step kernel (:func:`passage.return_operators`); a transient base
     whose kernel cannot be certified raises ``ConvergenceError``.
     """
+    if not 0.0 < eps_spec < 1.0:  # NaN fails too
+        raise PreconditionError(f"eps_spec must lie strictly between 0 and 1, got {eps_spec!r}")
     verdict = check_irreducible(model)
     if not verdict.irreducible:
         raise PreconditionError(

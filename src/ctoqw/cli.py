@@ -517,6 +517,8 @@ def main(argv=None) -> int:
             sys.stderr.write(usage)
         return _fail(json_logs, EXIT_PARSE, line)
     try:
+        if not 0.0 < args.tol < np.inf:  # NaN fails too
+            raise PreconditionError(f"--tol must be positive and finite, got {args.tol!r}")
         if args.command == "fixtures":
             return _cmd_fixtures(args)
         with open(args.model) as fh:

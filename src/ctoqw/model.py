@@ -313,7 +313,12 @@ class WalkModel:
         return doc
 
     def canonical_hash(self) -> str:
-        """sha256 of the model's JSON without ``meta``, computed once per model."""
+        """sha256 of the model's content, computed once per model: its ids
+        as JSON text, then the shape and little-endian bytes of the jump
+        ends, of each dimension's vertex positions, ``H`` and ``G`` stacks
+        (dimensions increasing), and of each jump shape's indices and
+        matrices (shapes increasing).  ``meta`` and the order in which a
+        build grouped the jumps do not count; no float is formatted."""
         return self.derived("canonical_hash", _canonical_hash)
 
 
@@ -357,10 +362,25 @@ def _decays(groups: dict, src_rows: np.ndarray, jumps) -> dict[int, np.ndarray]:
 
 
 def _canonical_hash(model: WalkModel) -> str:
-    doc = model.to_json_dict()
-    doc.pop("meta", None)
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    h = hashlib.sha256(b"ctoqw model v2\0")
+    h.update(json.dumps(model._ids).encode() + b"\0")  # id 0 and id "0" differ
+
+    def put(a: np.ndarray, dtype: str):  # the shape, then the entries, little-endian
+        a = np.ascontiguousarray(a, dtype=dtype)  # no copy on a little-endian host
+        h.update(np.array(a.shape, dtype="<i8"))
+        h.update(a)
+
+    put(model.ends, "<i8")
+    for d in sorted(model.stacks):
+        s = model.stacks[d]
+        put(s.pos, "<i8")
+        put(s.ham, "<c16")
+        put(s.eff, "<c16")
+    # one stack per jump shape, whose order depends on how the model was built
+    for ks, stack in sorted(model.jump_stacks, key=lambda j: j[1].shape[1:]):
+        put(ks, "<i8")
+        put(stack, "<c16")
+    return h.hexdigest()
 
 
 def _rate_constant(model: WalkModel) -> float:

@@ -95,6 +95,13 @@ class BlockGenerator:
         return out
 
 
+def _coordinates(b: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``Re(w[:, None] * (b @ u))`` for a stack ``b``, the product taken as
+    one 2-D GEMM over the stacked rows (about half the time of the batched
+    product on small blocks, with the same entries)."""
+    return (w[:, None] * (b.reshape(-1, b.shape[-1]) @ u).reshape(b.shape)).real
+
+
 def build_block_generator(model: WalkModel) -> BlockGenerator:
     """``drift_matrix(G)`` in the diagonal block of each vertex and
     ``sandwich_matrix(R)`` in the ``(dst, src)`` block of each jump, each
@@ -107,13 +114,13 @@ def build_block_generator(model: WalkModel) -> BlockGenerator:
     for d, s in model.stacks.items():
         u, w = _hermitian_basis(d)
         slots[d] = starts[s.pos, None] + np.arange(d * d)
-        blocks = (w[:, None] * (linalg.drift_matrix(s.eff) @ u)).real
+        blocks = _coordinates(linalg.drift_matrix(s.eff), u, w)
         r, c, v = linalg.block_entries(starts[s.pos], starts[s.pos], blocks)
         mat[r, c] += v
     for ks, jumps in model.jump_stacks:
         src, dst = model.ends[ks].T
         u, w = _hermitian_basis(jumps.shape[2])[0], _hermitian_basis(jumps.shape[1])[1]
-        blocks = (w[:, None] * (linalg.sandwich_matrix(jumps) @ u)).real
+        blocks = _coordinates(linalg.sandwich_matrix(jumps), u, w)
         r, c, v = linalg.block_entries(starts[dst], starts[src], blocks)
         mat[r, c] += v
     return BlockGenerator(model, mat, slots)

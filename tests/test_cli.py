@@ -146,25 +146,26 @@ def test_evolve_that_overflows_exits_3_and_writes_nothing(tmp_path, capsys, name
 
 
 # sha256 of the --out state and the --report law of `evolve --report` (21
-# points), taken when the evolution moved to real Hermitian coordinates: name ->
-# (window, start, t, state digest, law digest).  The floats depend on the numpy
-# and BLAS build.
+# points), taken when the evolution moved to real Hermitian coordinates and
+# again, with the same floats, when `model_hash` (in both headers) became a hash
+# of the model's bytes: name -> (window, start, t, state digest, law digest).
+# The floats depend on the numpy and BLAS build.
 GOLDEN_EVOLVE = {
     "two-site-exchange": (None, "0:e1", 1.5,
-        "b37be7ec6cec16ba216603f5cfc26767da89171e29e193d60d93328378950778",
-        "bf78613bba195900496aa8cf971372c11e8f57d5ff85c40733e9851d44acd2f3"),
+        "8c64c3082594690c4c54e4ecb52b965d7676d58ad77015c08178803394b7b2a5",
+        "5fbacd1aa096b32085f0800f35b6ebb2270965babbce4b2703d9554517e12a5f"),
     "coherent-pair": (None, "1:e1", 2.0,
-        "232f578462f1e3d080893dfe84da237c467af2cce2bad582f77dd2eae455d901",
-        "a15c914d10418356f77e463f25e46e05109ada038482570292bf387ab2244a3f"),
+        "9fa1f6946a6fc32b5a50fce820b5446b2ad1e042c7ed2e9cbfcea6b138f0282d",
+        "17e04c730d73c70916b3e1c1a7701f5a67fd131f4106b6a4b492297eb187b6cd"),
     "biased-line": (8, "0:e1", 5.0,
-        "ebe22299c8442bd656e005adc5a1da324c8113459d4825d43d989177233abad7",
-        "8176906fde206f00e63075c65a0172d70a2904f8c8f2a059816e48c9221105ac"),
+        "907e95758ae8e0c0e88332ca29fe05c1e139095adcf2511e24e542799fcd0af4",
+        "5d75111e7fd8ceaa8668db6c909002bb6cc5451537366ad82e8d8b814decdd76"),
     "spin-biased-line": (8, "1:e2", 5.0,
-        "071793acc0a80204aadb266898bd10ff073a3d6b121294ebf13a5af92e2c47c9",
-        "42666742bbbf082e6d8e0bbedbd6b8c4338f620785504dc9edb198044bb3c8ec"),
+        "4854875703cb4c4aff8958f5708d7a9aba5e2e50f33904c56e54c7849eccca5b",
+        "d061415d681900cd5b302673dd87c5cfd6d92f3614ae4e82583091e48d4caa3a"),
     "qudit-ring": (None, "0:e1", 4.0,  # strategies.qudit_ring(101, sites=8)
-        "f382f6ccaec7aeb71b33d22a02270977d38f6a0160ca95b1ae296b0289908fdd",
-        "8893aa46cecaad322a7d4b0d0bcdc7a0c3d47813369afdf7f902e7358d51cfaa"),
+        "b78201574bd1e8ba1ffb0ae3bd7e500a6abe475d53eec0d1759a96766f23bbc8",
+        "c02089539038769887af4a33abb60f36edb3a570265d5abd3a4d2a46ea58c440"),
 }
 
 
@@ -688,6 +689,40 @@ def test_grid_points_below_one_is_a_precondition_error(tmp_path, two_site_file, 
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("PreconditionError")
     assert not out.exists() and not csv.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+@pytest.mark.parametrize("where", ["global", "subcommand"])
+@pytest.mark.parametrize("command", [["validate"], ["evolve", "--state", "0:e1", "--t", 1.0]])
+def test_tol_must_be_positive_and_finite(tmp_path, two_site_file, capsys, value, where, command):
+    doc = json.loads(two_site_file.read_text())
+    for jump in doc["jumps"]:  # jumps scaled by 3: the zero-sum check fails
+        jump["matrix"] = (3 * np.array(jump["matrix"])).tolist()
+    scaled, out = tmp_path / "scaled.json", tmp_path / "o.json"
+    scaled.write_text(json.dumps(doc))
+    assert run(tmp_path, "validate", "--model", scaled, "--out", out) == 2
+    out.unlink()
+    tol = ["--tol", value]
+    argv = [*command, "--model", scaled, "--out", out]
+    capsys.readouterr()
+    code = run(tmp_path, *(tol + argv if where == "global" else argv + tol))
+    err = capsys.readouterr().err
+    assert code == 4 and not out.exists()
+    assert err == f"PreconditionError: --tol must be positive and finite, got {float(value)!r}\n"
+
+
+def test_classify_eps_must_lie_in_the_unit_interval(tmp_path, capsys):
+    path, out = tmp_path / "m.json", tmp_path / "c.json"
+    assert run(tmp_path, "fixtures", "--name", "biased-line", "--window", 8, "--out", path) == 0
+    for eps in ["2", "1", "0", "-1", "nan"]:  # --eps 2 called this transient walk recurrent
+        capsys.readouterr()
+        code = run(tmp_path, "classify", "--model", path, "--eps", eps, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 4 and not out.exists()
+        assert err == (f"PreconditionError: eps_spec must lie strictly between 0 and 1, "
+                       f"got {float(eps)!r}\n")
+    assert run(tmp_path, "classify", "--model", path, "--eps", 0.5, "--out", out) == 0
+    assert json.loads(out.read_text())["report"]["case"] == "TransientUniform"
 
 
 def test_linalg_error_is_a_convergence_exit(tmp_path, two_site_file, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from ctoqw import fixtures
 from ctoqw.errors import ModelError
 from ctoqw.model import (
     STRUCT_TOL,
+    VertexSpace,
     WalkModel,
     build_lattice,
     build_walk,
@@ -409,37 +410,38 @@ def test_integral_float_vertex_dim_is_read_as_an_integer():
 
 # -- the stacked build against the per-matrix oracle ---------------------------
 
-# sha256 of canonical_hash() and of the `fixtures --out` bytes, taken from the
-# per-matrix build: any float that moves in the stacked build changes one
+# canonical_hash() and the sha256 of the `fixtures --out` bytes (which hold the
+# hash in meta.generator), taken from the per-matrix build and re-taken, with the
+# same floats, for the byte hash: any float that moves in a build changes both
 GOLDEN_FIXTURES = {
     ("biased-line", None): (
-        "618d720440c2cae2b2745ae11182f764845facedcf25e071ac328c88216a3ed9",
-        "2c59366fe476bbae2aaec829b5b9d97c5ff52deb101248add6b9cc4dcad3bfc4",
+        "13d15d788c75acfe1a53c66e6eb7c22a64602b7d78c69112a9569dede580bb49",
+        "4afa82e88a178a76b7f2d91bd9b5eb81509f591dbb6aae90e705b80b54130fc4",
     ),
     ("biased-line", 8): (
-        "5725ac5b112e95ceea5b0da1325a0b3ad4882fc3c92087ebad6d5b6cf294f8ee",
-        "ce751db03bd2ff3ef46f31013adf54409ac54d85260a15e2c80c18819adcda9e",
+        "382df413556aacbd6727b1afe5aa866ad9eaba6363ffd187c927ec75b9c9783e",
+        "3df2c9ce5b1fc7ed5552f710848bcf6afa1b7069a111b0255d1d38d3fda2b862",
     ),
     ("coherent-pair", None): (
-        "c229ba97be69b8f9e607624c20c864c5dd3828f93711dd610aac5b1f94fe6cac",
-        "8ee5a346c8bc9c1f2924b27e4be51fd2215109cd9b7494e41887187b188e23bb",
+        "b21490e91ff564af3a70c3036fa94ba004b0eb4f906be51144c192ff1f689ceb",
+        "63e7d1dca2dac6bdd0bbfa0832698cd5ca6427d4a70cc3fb1d163ae56f983a07",
     ),
     ("spin-biased-line", None): (
-        "3fcda484e3fe5971431185fb75f891035325deacaffb0f499e94bf1056672985",
-        "b3630ae34dcff255833edeed293a6df720bdd76eba6df1e037f3cfdc2db115cf",
+        "0fb2aa3df05f30b9b19d9d096c54451f8e257bcc534b8e6ec88dfffc3c0bf029",
+        "1501106459789cb9b8f29b2c9858b1a7b3bbfb27d8f13d1f3cf9a128a444af03",
     ),
     ("spin-biased-line", 8): (
-        "87b1e06c29cc3ecee59bdd3fe8404df373f0cd0e00a6a4906019a0d7f0b6d245",
-        "22df2a65284956ad2b02b9b3a5863bd5a4c65dbc62c338d9f7f9c80eb2ab3e7c",
+        "7d752aa687569f934ffdd32c0e9cb1f832f293b791c823f092a6798e50375d41",
+        "7bab2f72f420c5249053cd13bbf03095433c96f4cb19737685f18c96a21902fc",
     ),
     ("two-site-exchange", None): (
-        "e7978446e4a6892712c18c2e923cb5f387eda0a2c5788cc53d55931b22146018",
-        "159124495a979e1b155a0e1446d92283e755f8f316b6ec7a0d2e1c51b1882b47",
+        "fffaf814c7bf907ddaa694517559b979b81a18749e5f4dfc494a9b2398915618",
+        "42e4eddd6befda70dd9a8f94d4c5a2f55bf10d1585a42f2b45fbe7de838612f3",
     ),
 }
 GOLDEN_RANDOM = {
-    7: "f73633812c63bfe2e1133efa36299e8bd7126480008e97b78059a39fc2886702",
-    2024: "0a4e221cc152e1458271f12907dfa73804af1d8ba4eda8c96840658a70501f12",
+    7: "8e480d59065b7e2a12e4d9bd40bebf2b8f9fca35fbcf5f89eb82e4176bfef9c7",
+    2024: "33bbefa6ccc7b3af150e43d276dd2e119369ff53de94134151ff044d4bcd7bee",
 }
 
 
@@ -566,6 +568,86 @@ def test_stacked_build_equals_per_matrix_oracle(seed):
     if rng.random() < 0.5:  # a file that gives G alone
         doc["hamiltonians"] = {}
     _assert_equals_per_matrix_oracle(model_from_json(doc), *_decoded_per_matrix(doc))
+
+
+def _oracle_model(vertices, jumps, hams, effs, meta=None) -> WalkModel:
+    """The model of :func:`build_walk_per_matrix`, its jumps grouped by shape
+    in order of first appearance."""
+    o = build_walk_per_matrix(vertices, jumps, hams, effs)
+    spaces = [VertexSpace(vid, d) for vid, d in vertices]
+    return model_from_parts(spaces, o["ham"], o["eff"], o["defect"], o["jumps"], meta=meta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_hash_is_one_across_builds(seed):
+    rng = np.random.default_rng(seed)
+    vertices, jumps, hams, effs = _random_inputs(rng)  # mixed dims, jumps shuffled
+    m = build_walk(vertices, jumps, hams, effs)
+    oracle = _oracle_model(vertices, jumps, hams, effs, meta={"name": "oracle"})
+    assert oracle.canonical_hash() == m.canonical_hash()
+    # a model file: its stacked decode, the decode of that model's own file, and
+    # its matrices decoded one by one.  (A file holds G, so a model built from H
+    # alone can come back with H an ulp away, recovered from G.)
+    doc = json.loads(json.dumps(m.to_json_dict()))
+    loaded = model_from_json(doc)
+    again = model_from_json(json.loads(json.dumps(loaded.to_json_dict())))
+    per_matrix = _oracle_model(*_decoded_per_matrix(doc))
+    assert again.canonical_hash() == per_matrix.canonical_hash() == loaded.canonical_hash()
+
+
+def _ulp(parts: list, k: int, rng) -> list:
+    """``parts`` with one entry of matrix ``k`` moved up by one ulp, in its
+    real or its imaginary part."""
+    m = np.array(parts[k], dtype=complex)
+    at = (*(int(rng.integers(n)) for n in m.shape), int(rng.integers(2)))
+    floats = m.view(float).reshape(*m.shape, 2)
+    floats[at] = np.nextafter(floats[at], np.inf)
+    return [m if q == k else p for q, p in enumerate(parts)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hash_sees_every_entry_id_and_jump_order(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    base = random_model(rng, max_dim=3)
+    spaces = list(base.vertices)
+    parts = [[base.hamiltonian(v) for v in base.ids], [base.effective(v) for v in base.ids],
+             [base.escape_defect(v) for v in base.ids]]
+    jumps = {(base.position(a), base.position(b)): r for a, b, r in base.jumps()}
+    h = model_from_parts(spaces, *parts, jumps).canonical_hash()
+    assert h == base.canonical_hash()
+    # only meta changes: the same hash
+    assert model_from_parts(spaces, *parts, jumps, meta={"name": "x"}).canonical_hash() == h
+    # one ulp of one H or one G entry
+    for which in (0, 1):
+        moved = list(parts)
+        moved[which] = _ulp(parts[which], int(rng.integers(len(spaces))), rng)
+        assert model_from_parts(spaces, *moved, jumps).canonical_hash() != h
+    # one ulp of one jump entry
+    keys = list(jumps)
+    k = int(rng.integers(len(keys)))
+    moved_jumps = dict(zip(keys, _ulp(list(jumps.values()), k, rng)))
+    assert model_from_parts(spaces, *parts, moved_jumps).canonical_hash() != h
+    # two jumps swap places in jump order
+    a, b = sorted(rng.choice(len(keys), 2, replace=False).tolist())
+    keys[a], keys[b] = keys[b], keys[a]
+    swapped = {e: jumps[e] for e in keys}
+    assert model_from_parts(spaces, *parts, swapped).canonical_hash() != h
+    # an int id becomes its string
+    spaces[0] = VertexSpace(str(spaces[0].id), spaces[0].dim)
+    assert model_from_parts(spaces, *parts, jumps).canonical_hash() != h
+    # the hash formats no matrix
+    monkeypatch.setattr(WalkModel, "to_json_dict", None)
+    monkeypatch.setattr("ctoqw.model.matrix_to_json", None)
+    assert model_from_parts(list(base.vertices), *parts, jumps).canonical_hash() == h
+
+
+def test_hash_sees_jump_ends():
+    # the same H, G and jump stacks, the ring run the other way round
+    one, vertices = [[1.0]], [(0, 1), (1, 1), (2, 1)]
+    forward = build_walk(vertices, [(0, 1, one), (1, 2, one), (2, 0, one)])
+    backward = build_walk(vertices, [(0, 2, one), (2, 1, one), (1, 0, one)])
+    assert forward.canonical_hash() != backward.canonical_hash()
 
 
 def test_accessors_return_read_only_views():
