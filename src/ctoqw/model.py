@@ -317,8 +317,9 @@ class WalkModel:
         as JSON text, then the shape and little-endian bytes of the jump
         ends, of each dimension's vertex positions, ``H`` and ``G`` stacks
         (dimensions increasing), and of each jump shape's indices and
-        matrices (shapes increasing).  ``meta`` and the order in which a
-        build grouped the jumps do not count; no float is formatted."""
+        matrices (shapes increasing), each zero as ``+0.0``.  ``meta``, the
+        sign of a zero and the order in which a build grouped the jumps do
+        not count; no float is formatted."""
         return self.derived("canonical_hash", _canonical_hash)
 
 
@@ -366,6 +367,8 @@ def _canonical_hash(model: WalkModel) -> str:
     h.update(json.dumps(model._ids).encode() + b"\0")  # id 0 and id "0" differ
 
     def put(a: np.ndarray, dtype: str):  # the shape, then the entries, little-endian
+        if dtype == "<c16":
+            a = a + 0.0  # -0.0 as +0.0: a model loaded from its file may not keep it
         a = np.ascontiguousarray(a, dtype=dtype)  # no copy on a little-endian host
         h.update(np.array(a.shape, dtype="<i8"))
         h.update(a)

@@ -16,6 +16,7 @@ leaves the retained vertex set and never returns.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import numbers
@@ -28,22 +29,22 @@ import numpy as np
 
 from . import linalg
 from .errors import ConvergenceError, ModelError, PreconditionError
-from .model import SitedState, VertexId, WalkModel
+from .model import SitedState, VertexId, WalkModel, build_walk
 
 _INV_TOL = 1e-12  # the tolerance linalg.COND_LIMIT is chosen for
 _PLATEAU = 1e-14
 
 
 class _Tables:
-    """The sampling rule of every vertex as tables indexed by vertex position.
+    """The sampling rule of every vertex as tables indexed by vertex position,
+    read off the model's stacks once per model.
 
-    Vertex ``k`` has the dwell generator ``gens[k]``, the stored jumps
-    ``edges[k]`` as ``(destination position, R)`` in jump order and the
-    escape intensity operator ``escapes[k]``.  ``rate[k]`` is the event
-    rate of a vertex whose survival is ``exp(-rate t)``: every
-    one-dimensional vertex and uniform decay ``G + G^dag = -c I`` (rate 0
-    where ``c`` is not positive).  It is NaN where the survival is inverted
-    numerically, by the tables of ``blocks[d]``, one per dimension ``d > 1``.
+    Vertex ``k`` has ``deg[k]`` stored jumps, to the positions ``dst[k]`` in
+    jump order.  ``rate[k]`` is the event rate of a vertex whose survival is
+    ``exp(-rate t)``: every one-dimensional vertex and uniform decay
+    ``G + G^dag = -c I`` (rate 0 where ``c`` is not positive).  It is NaN
+    where the survival is inverted numerically, by the tables of
+    ``blocks[d]``, one per dimension ``d > 1``.
 
     The scalar tables (``running``, ``esc``, ``total``, ``posts``) are read
     by the event loop of :func:`_sample` one walker at a time; the waits and
@@ -53,35 +54,55 @@ class _Tables:
     ``a = rho``.
     """
 
-    def __init__(self, ids, gens, edges, escapes):
-        n = len(gens)
-        self.ids = list(ids)
-        self.dim = [g.shape[0] for g in gens]
-        self.deg = [len(out) for out in edges]
-        self.dst = [[b for b, _ in out] for out in edges]
+    def __init__(self, model: WalkModel):
+        n, (src, dst) = len(model.vertices), model.ends.T
+        self.ids = model.ids
+        self.dim = [v.dim for v in model.vertices]
+        deg = np.bincount(src, minlength=n)
+        # jump j is slot[j] of the jumps from its source, in jump order
+        by_src, slot = np.argsort(src, kind="stable"), np.empty_like(src)
+        slot[by_src] = np.arange(src.size) - (np.cumsum(deg) - deg)[src[by_src]]
+        width = max(int(deg.max(initial=0)), 1)
+        dsts = np.zeros((n, width), dtype=np.intp)
+        dsts[src, slot] = dst
+        self.deg = deg.tolist()
+        self.dst = [row[:m] for row, m in zip(dsts.tolist(), self.deg)]
         self.rate = [math.nan] * n
         # one-dimensional vertices: the weights do not depend on the state,
         # and their total is the exponential event rate
         self.running: list = [None] * n
         self.esc: list = [None] * n
-        self.total: list = [None] * n  # the total weight _pick draws against
+        # the total weight a jump is drawn against, running[-1] + esc; the rate
+        # adds sum(weights), which Python 3.12 and later round otherwise
+        self.total: list = [None] * n
         self.posts: list = [None] * n
-        for k in range(n):
-            if self.dim[k] == 1:
-                weights = [float((r.conj().T @ r)[0, 0].real) for _, r in edges[k]]
-                self.running[k] = list(itertools.accumulate(weights))
-                self.esc[k] = max(float(escapes[k][0, 0].real), 0.0)
-                self.total[k] = _total(self.running[k], self.esc[k])
-                self.rate[k] = sum(weights) + self.esc[k]
-                self.posts[k] = [_normalised(r @ r.conj().T) for _, r in edges[k]]
-                for post in self.posts[k]:
+        if 1 in model.stacks:
+            # per jump out of a scalar vertex, (R^dag R)[0, 0] and the
+            # read-only post-jump state R R^dag / Tr, one stacked product per
+            # jump shape; slot j of vertex k has the state posts[post_at[k, j]]
+            weight, post_at, posts = np.zeros((n, width)), np.zeros((n, width), dtype=np.intp), []
+            for ks, r in model.jump_stacks:
+                if r.shape[-1] == 1:
+                    at = src[ks], slot[ks]
+                    weight[at] = (_dagger(r) @ r)[:, 0, 0].real
+                    post_at[at] = np.arange(len(posts), len(posts) + len(ks))
+                    post = _normalised(r @ _dagger(r))
                     post.flags.writeable = False  # shared by every jump along the edge
-        self.blocks = {
-            d: _Block(self, d, [k for k in range(n) if self.dim[k] == d], gens)
-            for d in sorted(set(self.dim) - {1})
-        }
+                    posts.extend(post)
+            scalar = model.stacks[1]
+            esc = scalar.defect[:, 0, 0].real
+            esc = np.where(0.0 > esc, 0.0, esc)  # max(esc, 0.0) as Python takes it
+            rows, post_at = weight.tolist(), post_at.tolist()
+            for k, e in zip(scalar.pos.tolist(), esc.tolist()):
+                weights = rows[k][:self.deg[k]]
+                self.running[k] = list(itertools.accumulate(weights))
+                self.esc[k] = e
+                self.total[k] = (self.running[k][-1] if weights else 0.0) + e
+                self.rate[k] = sum(weights) + e
+                self.posts[k] = list(map(posts.__getitem__, post_at[k][:self.deg[k]]))
+        self.blocks = {d: _Block(self, model.stacks[d]) for d in sorted(model.stacks) if d > 1}
         for blk in self.blocks.values():  # the jump maps need every block's P
-            blk.link(self, edges, escapes)
+            blk.link(self, model, src, dst, slot)
         self.eigen = [d > 1 and not self.blocks[d].plain[k] for k, d in enumerate(self.dim)]
 
     def enter(self, k: int, rho: np.ndarray) -> np.ndarray:
@@ -116,25 +137,6 @@ def _exponential_wait(rate: float, u: float) -> float | None:
     return -math.log(u) / rate if rate > _PLATEAU else None
 
 
-def _total(running, esc: float) -> float:
-    """The total weight of the stored jumps' running weights and the escape."""
-    return (running[-1] if running else 0.0) + esc
-
-
-def _pick(running, esc: float, total: float, u: float) -> int:
-    """Slot of the first stored jump whose running weight reaches ``u`` times
-    the total weight ``_total(running, esc)``; -1 for the escape, -2 when
-    every weight vanishes."""
-    if total <= _PLATEAU:
-        return -2
-    slot = bisect.bisect_left(running, u * total)
-    if slot < len(running):
-        return slot
-    if esc > _PLATEAU:
-        return -1
-    return len(running) - 1  # rounding guard without an escape channel: the last edge
-
-
 class _Block:
     """Tables of the vertices of one dimension ``d > 1``, indexed by vertex
     position (the rows of the other vertices are unused), and the batched
@@ -151,20 +153,22 @@ class _Block:
     at the limit: inside ``_INV_TOL``.
     """
 
-    def __init__(self, tab: _Tables, d: int, members, gens):
-        n = len(gens)
-        self.members = members
-        stack, self.gplus = (np.zeros((n, d, d), dtype=complex) for _ in range(2))
-        for k in members:
-            stack[k] = gens[k]
-            self.gplus[k] = gens[k] + gens[k].conj().T
-        gplus = self.gplus[members]
-        for k, g in zip(members, gplus):
-            c = -float(np.trace(g).real) / d
-            # Uniform decay; so is any |G + G^dag|_2 < _PLATEAU when d < 100, since
-            # -c is the mean eigenvalue: |G + G^dag + c I|_F <= sqrt(d) |G + G^dag|_2.
-            if np.linalg.norm(g + c * np.eye(d)) <= 1e-13 * (1.0 + abs(c)):
-                tab.rate[k] = max(c, 0.0)  # uniform decay: s(t) = exp(-c t)
+    def __init__(self, tab: _Tables, s):
+        """The tables of the vertices of the model's stacks ``s`` of one
+        dimension."""
+        n, d = len(tab.dim), s.eff.shape[-1]
+        self.gplus = np.zeros((n, d, d), dtype=complex)
+        self.gplus[s.pos] = gplus = s.eff + _dagger(s.eff)
+        # Uniform decay; so is any |G + G^dag|_2 < _PLATEAU when d < 100, since
+        # -c is the mean eigenvalue: |G + G^dag + c I|_F <= sqrt(d) |G + G^dag|_2.
+        # The Frobenius norm is taken as np.linalg.norm takes it of one matrix,
+        # as the dot products of the real and of the imaginary parts.
+        c = -_trace(gplus) / d
+        flat = (gplus + c[:, None, None] * np.eye(d)).reshape(len(c), 1, d * d)
+        square = flat.real @ flat.real.swapaxes(1, 2) + flat.imag @ flat.imag.swapaxes(1, 2)
+        uniform = np.sqrt(square[:, 0, 0]) <= 1e-13 * (1.0 + np.abs(c))
+        for k, rate in zip(s.pos[uniform].tolist(), c[uniform].tolist()):
+            tab.rate[k] = max(rate, 0.0)  # uniform decay: s(t) = exp(-c t)
         self.deg = np.array(tab.deg)
         # the rate of each exponential wait, NaN where no event comes or
         # where the survival is inverted (``inverted``)
@@ -185,30 +189,37 @@ class _Block:
         lam = np.linalg.eigvalsh(gplus)
         margin = 4 * d * d * np.finfo(float).eps * np.abs(lam).max(axis=1)
         self.c_lo, self.c_hi = np.zeros(n), np.zeros(n)
-        self.c_lo[members], self.c_hi[members] = -lam[:, -1] - margin, margin - lam[:, 0]
+        self.c_lo[s.pos], self.c_hi[s.pos] = -lam[:, -1] - margin, margin - lam[:, 0]
         # ``steep`` holds where c_lo / sqrt(d) >= 2 _PLATEAU: there an event
         # always comes, and the plateau test of the doubling search could not
         # fire either, since |(G + G^dag) eta|_F >= c_lo |eta|_F >= c_lo / sqrt(d)
         # (Cauchy-Schwarz on the diagonal).  Below that (dark states, decay
         # slower than _PLATEAU) the search and its plateau test remain.
         self.steep = np.zeros(n, dtype=bool)
-        self.steep[members] = self.c_lo[members] / math.sqrt(d) >= 2 * _PLATEAU
-        self.prop = prop = linalg.Propagator(stack)
-        self.diag, self.lam, self.any_dense = prop.diag, prop.lam, not prop.diag.all()
+        self.steep[s.pos] = self.c_lo[s.pos] / math.sqrt(d) >= 2 * _PLATEAU
+        # the flows of the members' generators; vertex k is row[k] of prop,
+        # and the other rows read lam = 0, P = I, as a zero generator's do
+        self.prop = prop = linalg.Propagator(s.eff)
+        self.row = np.zeros(n, dtype=np.intp)
+        self.row[s.pos] = np.arange(len(s.pos))
+        self.diag, self.lam = np.ones(n, dtype=bool), np.zeros((n, d), dtype=complex)
+        self.diag[s.pos], self.lam[s.pos], self.any_dense = prop.diag, prop.lam, not prop.diag.all()
         eye = np.eye(d, dtype=complex)
-        self.p = np.where(prop.diag[:, None, None], prop.p, eye)
-        self.pinv = np.where(prop.diag[:, None, None], prop.pinv, eye)
+        self.p, self.pinv = (np.repeat(eye[None], n, axis=0) for _ in range(2))
+        self.p[s.pos] = np.where(prop.diag[:, None, None], prop.p, eye)
+        self.pinv[s.pos] = np.where(prop.diag[:, None, None], prop.pinv, eye)
         self.plain = (self.p == eye).all(axis=(1, 2))  # P = I: a = rho
         ph = self.p.conj().swapaxes(1, 2)
         self.ovt = (ph @ self.p).swapaxes(1, 2)
         # the initial hazard Tr(-(G + G^dag) rho) is -sum(a * hazard)
         self.hazard = (ph @ self.gplus @ self.p).swapaxes(1, 2)
         # ds/dt of the expansion: the coefficients times lam (+) conj(lam)
-        self.mu = (prop.lam[:, :, None] + prop.lam.conj()[:, None, :]).reshape(n, d * d)
+        self.mu = (self.lam[:, :, None] + self.lam.conj()[:, None, :]).reshape(n, d * d)
 
-    def link(self, tab: _Tables, edges, escapes):
+    def link(self, tab: _Tables, model: WalkModel, src, dst, slot):
         """The jump tables, in eigen-coordinates, once every block has its
-        ``P``.
+        ``P``; jump ``j`` of the model goes from ``src[j]`` to ``dst[j]`` and
+        is slot ``slot[j]`` of its source.
 
         Row k of ``intensity`` holds the transposed intensities
         ``(P^dag R^dag R P)^T`` of the jump slots of vertex k, then that of
@@ -221,17 +232,18 @@ class _Block:
         destination and its dimension; two zero columns past the slots
         answer the slots -2 and -1 (no destination: dimension 0).
         """
-        n, d = len(edges), self.p.shape[-1]
-        width = max([len(e) for e in edges] + [1])
-        rs: dict[int, np.ndarray] = {}
+        n, d = len(tab.dim), self.p.shape[-1]
+        width = max(tab.deg + [1])
+        s = model.stacks[d]
         esc = np.zeros((n, d, d), dtype=complex)
+        esc[s.pos] = s.defect
+        rs: dict[int, np.ndarray] = {}
         self.dst, self.out_dim = (np.zeros((n, width + 2), dtype=np.intp) for _ in range(2))
-        for k in self.members:
-            for j, (x, r) in enumerate(edges[k]):
-                dd = r.shape[0]
-                rs.setdefault(dd, np.zeros((n, width, dd, d), dtype=complex))[k, j] = r
-                self.dst[k, j], self.out_dim[k, j] = x, dd
-            esc[k] = escapes[k]
+        for ks, r in model.jump_stacks:
+            if r.shape[-1] == d:
+                dd, at = r.shape[1], (src[ks], slot[ks])
+                rs.setdefault(dd, np.zeros((n, width, dd, d), dtype=complex))[at] = r
+                self.dst[at], self.out_dim[at] = dst[ks], dd
         p = self.p[:, None]
         intensity = np.zeros((n, width + 1, d, d), dtype=complex)
         intensity[:, width] = (self.p.conj().swapaxes(1, 2) @ esc @ self.p).swapaxes(1, 2)
@@ -318,7 +330,7 @@ class _Block:
 
     def dense(self, k: np.ndarray, rho: np.ndarray, t: np.ndarray) -> np.ndarray:
         """``e^{tG} rho e^{tG^dag}`` by the dense exponential."""
-        e = self.prop.at(k, t)
+        e = self.prop.at(self.row[k], t)
         return e @ rho @ e.conj().swapaxes(1, 2)
 
     def flow(self, k: np.ndarray, a: np.ndarray, dt: np.ndarray) -> np.ndarray:
@@ -334,14 +346,15 @@ class _Block:
         vanishes, and the post-jump states (:meth:`posts`).  The slot counts
         the running weights below ``u`` times the total, over the running
         weights padded past the vertex's jumps with their last value: that
-        count is ``_pick``'s ``bisect_left`` on the same floats.
+        count is the ``bisect_left`` of the scalar event loop of
+        :func:`_sample` on the same floats.
         """
         running, esc = self.weights(k, a)
         total = running[:, -1] + esc
         slot = (running < (u * total)[:, None]).sum(axis=1)
         deg = self.deg[k]
         over = slot >= deg
-        if over.any():  # the escape, or the rounding guard of _pick: the last edge
+        if over.any():  # the escape, or the rounding guard: the last edge
             slot[over] = np.where(esc[over] > _PLATEAU, -1, deg[over] - 1)
         slot[total <= _PLATEAU] = -2
         return slot, self.posts(k, slot, a)
@@ -457,24 +470,36 @@ def _trace_in(a: np.ndarray, ovt: np.ndarray) -> np.ndarray:
     return (a * ovt).reshape(len(a), -1).sum(axis=1).real
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """The adjoint of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def _normalised(m: np.ndarray) -> np.ndarray:
     return m / _trace(m)[..., None, None]
 
 
 def _tables(model: WalkModel) -> _Tables:
     """The sampling tables of a model, built once per model."""
-    return model.derived("sampling_tables", lambda m: _Tables(
-        m.ids,
-        [m.effective(v) for v in m.ids],
-        [[(m.position(b), r) for b, r in m.out_edges(v)] for v in m.ids],
-        [linalg.herm(m.escape_defect(v)) for v in m.ids],
-    ))
+    return model.derived("sampling_tables", _Tables)
 
 
-def _bare_tables(g: np.ndarray) -> _Tables:
-    """Tables of a lone generator: all of its decay counts as escape."""
+def _bare_tables(g) -> _Tables:
+    """Tables of a lone generator, as a one-vertex model without jumps: all
+    of its decay counts as escape.  ``ModelError`` for a generator that is
+    not square or holds a NaN or infinite entry."""
     g = np.atleast_2d(np.asarray(g, dtype=complex))
-    return _Tables([None], [g], [[]], [linalg.herm(-(g + g.conj().T))])
+    return _lone_tables(g.shape, g.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _lone_tables(shape: tuple, entries: bytes) -> _Tables:
+    """:func:`_bare_tables` of the generator with these complex entries,
+    built once per generator: a caller that samples many waits at one vertex
+    passes the same generator each time, and the model build costs an order
+    of magnitude more than the wait."""
+    g = np.frombuffer(entries, dtype=complex).reshape(shape)
+    return _Tables(build_walk([(0, shape[0])], [], effective={0: g}))
 
 
 def sample_jump_time(g: np.ndarray, rho: np.ndarray, u: float) -> float | None:
@@ -699,8 +724,9 @@ def _sample(tab: _Tables, k0: int, rho0: np.ndarray, horizon: float, seed: int, 
     add_walker, add_time, add_pos = ev.walker.append, ev.time.append, ev.pos.append
     add_rho = ev.rho.append if keep_rho else None
     dim, rate, running, esc, total = tab.dim, tab.rate, tab.running, tab.esc, tab.total
-    dst, posts, eigen, log, max_jumps = tab.dst, tab.posts, tab.eigen, math.log, _MAX_JUMPS
+    deg, dst, posts, eigen = tab.deg, tab.dst, tab.posts, tab.eigen
     bufs, ats, refill, size = draws.bufs, draws.at, draws.refill, _DRAWS
+    bisect_left, log, plateau, max_jumps = bisect.bisect_left, math.log, _PLATEAU, _MAX_JUMPS
     convert: list[int] = []  # the kept states that are eigen-coordinates
     fresh: list[int] = []  # the walkers that arrived at an eigen vertex by a scalar jump
 
@@ -718,24 +744,31 @@ def _sample(tab: _Tables, k0: int, rho0: np.ndarray, horizon: float, seed: int, 
                     at += 1
                     if u > 0.0:
                         break
-                if rate[k] <= _PLATEAU:
+                r = rate[k]
+                if r <= plateau:
                     absorbed[i] = True
                     break
                 # math.log, not np.log, as in _exponential_wait
-                now_next = now + -log(u) / rate[k]
+                now_next = now + -log(u) / r
                 if now_next >= horizon:
                     break
                 if at == size:
                     refill(i)
                     at = 0
-                slot = _pick(running[k], esc[k], total[k], buf[at])
+                # the first stored jump whose running weight reaches u times
+                # the total; past the last, the escape, else (rounding) the last
+                weights, whole = running[k], total[k]
+                u = buf[at] * whole
                 at += 1
-                if slot < 0:
-                    if slot == -1:
-                        escaped[i] = now_next
-                    else:
-                        absorbed[i] = True
+                if whole <= plateau:  # every weight vanishes
+                    absorbed[i] = True
                     break
+                slot = bisect_left(weights, u)
+                if slot == deg[k]:
+                    if esc[k] > plateau:
+                        escaped[i] = now_next
+                        break
+                    slot -= 1
                 k, now, state = dst[k][slot], now_next, posts[k][slot]
                 add_walker(i)
                 add_time(now)
@@ -844,9 +877,7 @@ def survival_function(model: WalkModel, vertex: VertexId, rho):
     as a callable of t."""
     tab = _bare_tables(model.effective(vertex))
     rho = _normalised(np.atleast_2d(np.asarray(rho, dtype=complex)))
-    rate = tab.rate[0]
-
-    a = tab.enter(0, rho)
+    rate, a = tab.rate[0], tab.enter(0, rho)
 
     def survival(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float)).ravel()

@@ -690,6 +690,137 @@ def positive(draws) -> float:
     return u
 
 
+def total_weight(running, esc: float) -> float:
+    """The total weight of the stored jumps' running weights and the escape."""
+    return (running[-1] if running else 0.0) + esc
+
+
+def pick(running, esc: float, total: float, u: float) -> int:
+    """Slot of the first stored jump whose running weight reaches ``u`` times
+    the total weight ``total_weight(running, esc)``; -1 for the escape, -2
+    when every weight vanishes."""
+    if total <= trajectory._PLATEAU:
+        return -2
+    slot = bisect.bisect_left(running, u * total)
+    if slot < len(running):
+        return slot
+    if esc > trajectory._PLATEAU:
+        return -1
+    return len(running) - 1  # rounding guard without an escape channel: the last edge
+
+
+def sampling_tables_per_vertex(model: WalkModel) -> trajectory._Tables:
+    """The sampler's tables built vertex by vertex and edge by edge from the
+    model's accessors: a 1x1 or dxd product per edge for the scalar weights
+    and post-jump states, and a Python loop over the vertices and edges of
+    each block for its rows."""
+    ids = model.ids
+    gens = [model.effective(v) for v in ids]
+    edges = [[(model.position(b), r) for b, r in model.out_edges(v)] for v in ids]
+    escapes = [linalg.herm(model.escape_defect(v)) for v in ids]
+    tab = object.__new__(trajectory._Tables)
+    n = len(gens)
+    tab.ids = list(ids)
+    tab.dim = [g.shape[0] for g in gens]
+    tab.deg = [len(out) for out in edges]
+    tab.dst = [[b for b, _ in out] for out in edges]
+    tab.rate = [math.nan] * n
+    tab.running, tab.esc, tab.total, tab.posts = ([None] * n for _ in range(4))
+    for k in range(n):
+        if tab.dim[k] == 1:
+            weights = [float((r.conj().T @ r)[0, 0].real) for _, r in edges[k]]
+            tab.running[k] = list(accumulate(weights))
+            tab.esc[k] = max(float(escapes[k][0, 0].real), 0.0)
+            tab.total[k] = total_weight(tab.running[k], tab.esc[k])
+            tab.rate[k] = sum(weights) + tab.esc[k]
+            tab.posts[k] = [trajectory._normalised(r @ r.conj().T) for _, r in edges[k]]
+            for post in tab.posts[k]:
+                post.flags.writeable = False
+    tab.blocks = {d: _block_per_vertex(tab, d, [k for k in range(n) if tab.dim[k] == d], gens)
+                  for d in sorted(set(tab.dim) - {1})}
+    for blk in tab.blocks.values():
+        _link_per_edge(blk, tab, [k for k in range(n) if tab.dim[k] == blk.p.shape[-1]],
+                       edges, escapes)
+    tab.eigen = [d > 1 and not tab.blocks[d].plain[k] for k, d in enumerate(tab.dim)]
+    return tab
+
+
+def _block_per_vertex(tab, d: int, members, gens) -> trajectory._Block:
+    """The rows of one block, vertex by vertex."""
+    blk = object.__new__(trajectory._Block)
+    n = len(gens)
+    blk.gplus = np.zeros((n, d, d), dtype=complex)
+    for k in members:
+        blk.gplus[k] = gens[k] + gens[k].conj().T
+    gplus = blk.gplus[members]
+    for k, g in zip(members, gplus):
+        c = -float(np.trace(g).real) / d
+        if np.linalg.norm(g + c * np.eye(d)) <= 1e-13 * (1.0 + abs(c)):
+            tab.rate[k] = max(c, 0.0)
+    blk.deg = np.array(tab.deg)
+    rate = np.array(tab.rate)
+    blk.exp_rate = np.where(rate > trajectory._PLATEAU, rate, math.nan)
+    blk.inverted = np.isnan(rate)
+    lam = np.linalg.eigvalsh(gplus)
+    margin = 4 * d * d * np.finfo(float).eps * np.abs(lam).max(axis=1)
+    blk.c_lo, blk.c_hi = np.zeros(n), np.zeros(n)
+    blk.c_lo[members], blk.c_hi[members] = -lam[:, -1] - margin, margin - lam[:, 0]
+    blk.steep = np.zeros(n, dtype=bool)
+    blk.steep[members] = blk.c_lo[members] / math.sqrt(d) >= 2 * trajectory._PLATEAU
+    # the members' flows, and those of a zero generator elsewhere; the
+    # propagator holds the generators as the model's read-only stack
+    stack = np.array([gens[k] for k in members])
+    stack.flags.writeable = False
+    blk.prop = prop = linalg.Propagator(stack)
+    blk.row = np.zeros(n, dtype=np.intp)
+    blk.any_dense = not prop.diag.all()
+    zero = linalg.Propagator(np.zeros((1, d, d), dtype=complex))
+    blk.diag, blk.lam = np.repeat(zero.diag, n), np.repeat(zero.lam, n, axis=0)
+    eye = np.eye(d, dtype=complex)
+    blk.p, blk.pinv = np.repeat(zero.p, n, axis=0), np.repeat(zero.pinv, n, axis=0)
+    for j, k in enumerate(members):
+        blk.row[k], blk.diag[k], blk.lam[k] = j, prop.diag[j], prop.lam[j]
+        if prop.diag[j]:
+            blk.p[k], blk.pinv[k] = prop.p[j], prop.pinv[j]
+        else:
+            blk.p[k], blk.pinv[k] = eye, eye
+    blk.plain = (blk.p == eye).all(axis=(1, 2))
+    ph = blk.p.conj().swapaxes(1, 2)
+    blk.ovt = (ph @ blk.p).swapaxes(1, 2)
+    blk.hazard = (ph @ blk.gplus @ blk.p).swapaxes(1, 2)
+    blk.mu = (blk.lam[:, :, None] + blk.lam.conj()[:, None, :]).reshape(n, d * d)
+    return blk
+
+
+def _link_per_edge(blk, tab, members, edges, escapes) -> None:
+    """The jump rows of one block, edge by edge."""
+    n, d = len(edges), blk.p.shape[-1]
+    width = max([len(e) for e in edges] + [1])
+    rs: dict[int, np.ndarray] = {}
+    esc = np.zeros((n, d, d), dtype=complex)
+    blk.dst, blk.out_dim = (np.zeros((n, width + 2), dtype=np.intp) for _ in range(2))
+    for k in members:
+        for j, (x, r) in enumerate(edges[k]):
+            dd = r.shape[0]
+            rs.setdefault(dd, np.zeros((n, width, dd, d), dtype=complex))[k, j] = r
+            blk.dst[k, j], blk.out_dim[k, j] = x, dd
+        esc[k] = escapes[k]
+    p = blk.p[:, None]
+    intensity = np.zeros((n, width + 1, d, d), dtype=complex)
+    intensity[:, width] = (blk.p.conj().swapaxes(1, 2) @ esc @ blk.p).swapaxes(1, 2)
+    blk.ms, blk.ovt_out = {}, {}
+    for dd, r in rs.items():
+        rp = r @ p
+        intensity[:, :width] += (rp.conj().swapaxes(2, 3) @ rp).swapaxes(2, 3)
+        if dd == 1:
+            blk.ms[dd] = rp
+        else:
+            blk.ms[dd] = tab.blocks[dd].pinv[blk.dst[:, :width]] @ rp
+            blk.ovt_out[dd] = tab.blocks[dd].ovt
+    blk.intensity = np.stack([intensity.real, -intensity.imag], axis=-1).reshape(
+        n, width + 1, 2 * d * d)
+
+
 def sample_per_walker(tab, k0, rho0, init, horizon, draws, stop_at=-1, keep_rho=True):
     """The sampler's walk loop one walker at a time: through its
     one-dimensional vertices by the scalar tables, and at a matrix vertex
@@ -728,7 +859,7 @@ def sample_per_walker(tab, k0, rho0, init, horizon, draws, stop_at=-1, keep_rho=
                     break
                 running, esc = tab.running[k], tab.esc[k]
                 u = next(draws[i])
-                slot = trajectory._pick(running, esc, trajectory._total(running, esc), u)
+                slot = pick(running, esc, total_weight(running, esc), u)
                 if slot == -2:
                     absorbed[i] = True
                     break

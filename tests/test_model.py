@@ -423,8 +423,8 @@ GOLDEN_FIXTURES = {
         "3df2c9ce5b1fc7ed5552f710848bcf6afa1b7069a111b0255d1d38d3fda2b862",
     ),
     ("coherent-pair", None): (
-        "b21490e91ff564af3a70c3036fa94ba004b0eb4f906be51144c192ff1f689ceb",
-        "63e7d1dca2dac6bdd0bbfa0832698cd5ca6427d4a70cc3fb1d163ae56f983a07",
+        "a26b3f6067a2d8ad1a23c5f5feb58ca2c298d29c301fe2a6d39425acccee4da2",
+        "96cf11abd7ceef594c81cadcb3af18d6c2df6140a723c29703663e0c2ed53e14",
     ),
     ("spin-biased-line", None): (
         "0fb2aa3df05f30b9b19d9d096c54451f8e257bcc534b8e6ec88dfffc3c0bf029",
@@ -435,8 +435,8 @@ GOLDEN_FIXTURES = {
         "7bab2f72f420c5249053cd13bbf03095433c96f4cb19737685f18c96a21902fc",
     ),
     ("two-site-exchange", None): (
-        "fffaf814c7bf907ddaa694517559b979b81a18749e5f4dfc494a9b2398915618",
-        "42e4eddd6befda70dd9a8f94d4c5a2f55bf10d1585a42f2b45fbe7de838612f3",
+        "2a0363fbff7bdaef21f2d74e20c9d7e54d5aefd784101c896e6e1fe92e248516",
+        "65a4bc150cc659c794e853d279c115a9ca511886d8cc6b91a2f0fb1eb395a13a",
     ),
 }
 GOLDEN_RANDOM = {
@@ -640,6 +640,27 @@ def test_hash_sees_every_entry_id_and_jump_order(seed, monkeypatch):
     monkeypatch.setattr(WalkModel, "to_json_dict", None)
     monkeypatch.setattr("ctoqw.model.matrix_to_json", None)
     assert model_from_parts(list(base.vertices), *parts, jumps).canonical_hash() == h
+
+
+@pytest.mark.parametrize("name, window", sorted(GOLDEN_FIXTURES, key=str))
+def test_a_fixture_hashes_as_its_own_file_does(tmp_path, name, window):
+    """Built, and loaded from its ``fixtures --out`` file: two-site-exchange
+    and coherent-pair hold -0.0 entries as built, +0.0 as loaded."""
+    built = fixtures.get_fixture(name, window)
+    loaded = model_from_json(json.loads(json.dumps(built.to_json_dict())))
+    assert loaded.canonical_hash() == built.canonical_hash()
+
+
+def test_hash_ignores_the_sign_of_zero_and_sees_one_ulp():
+    vertices = [(0, 1), (1, 2)]
+
+    def model(x):
+        jumps = [(0, 1, [[1.0], [x]]), (1, 0, [[x, 0.5]])]
+        return build_walk(vertices, jumps, hamiltonians={1: [[x, 0.3], [0.3, 1.0]]})
+
+    h = model(0.0).canonical_hash()
+    assert model(-0.0).canonical_hash() == h
+    assert model(np.nextafter(0.0, 1.0)).canonical_hash() != h
 
 
 def test_hash_sees_jump_ends():

@@ -13,10 +13,10 @@ from numpy.testing import assert_allclose
 
 from ctoqw import fixtures, linalg, semigroup, trajectory
 from ctoqw.errors import ConvergenceError, ModelError, PreconditionError
-from ctoqw.model import (SitedState, WalkModel, build_lattice, build_walk, classical_embed,
-                         matrix_to_json, sited_block_state)
-from oracles import (check_record, reference_walk, rk4_dwell, sample_per_walker,
-                     trajectory_rng, uniforms)
+from ctoqw.model import (SitedState, VertexSpace, WalkModel, build_lattice, build_walk,
+                         classical_embed, matrix_to_json, model_from_json, sited_block_state)
+from oracles import (check_record, model_from_parts, pick, reference_walk, rk4_dwell,
+                     sample_per_walker, sampling_tables_per_vertex, trajectory_rng, uniforms)
 from strategies import leaky_variant, random_density, random_hermitian, random_model
 
 
@@ -121,7 +121,7 @@ def _scalar_jump(m, vid, u):
     """The destination and post-jump state that the sampler's scalar loop
     picks at the one-dimensional vertex ``vid`` for the draw ``u``."""
     tab, k = trajectory._tables(m), m.position(vid)
-    slot = trajectory._pick(tab.running[k], tab.esc[k], tab.total[k], u)
+    slot = pick(tab.running[k], tab.esc[k], tab.total[k], u)
     return tab.ids[tab.dst[k][slot]], tab.posts[k][slot]
 
 
@@ -337,14 +337,12 @@ def test_seed_or_stream_of_2_64_or_more_is_a_precondition_error(two_site, seed, 
 
 def _scalar_tables(edges, escapes):
     """Tables of one-dimensional vertices ``0..n-1``: ``edges[k]`` lists
-    ``(destination, weight)`` and ``escapes[k]`` is the escape weight."""
+    ``(destination, weight)`` and ``escapes[k]`` is the escape weight, the
+    defect left by the dwell generator ``-(sum of weights + escape) / 2``."""
     n = len(escapes)
-    return trajectory._Tables(
-        range(n),
-        [np.zeros((1, 1), dtype=complex)] * n,
-        [[(b, np.array([[math.sqrt(w)]], dtype=complex)) for b, w in out] for out in edges],
-        [np.array([[e]], dtype=complex) for e in escapes],
-    )
+    jumps = [(a, b, [[math.sqrt(w)]]) for a, out in enumerate(edges) for b, w in out]
+    effective = {k: [[-0.5 * (sum(w for _, w in edges[k]) + escapes[k])]] for k in range(n)}
+    return trajectory._Tables(build_walk([(k, 1) for k in range(n)], jumps, effective=effective))
 
 
 _LAST = 1.0 - 2.0**-53  # the largest double below one
@@ -841,7 +839,8 @@ def test_steep_mask_keeps_every_inverted_time_on_random_generators(monkeypatch, 
     """Every walker at a steep vertex gets a certified time, with no plateau test."""
     rng = np.random.default_rng(seed)
     gens = [_dissipative(rng, d) for _ in range(6)]
-    tab = trajectory._Tables(range(6), gens, [[]] * 6, [-(g + g.conj().T) for g in gens])
+    m = build_walk([(k, d) for k in range(6)], [], effective=dict(enumerate(gens)))
+    tab = trajectory._Tables(m)
     blk = tab.blocks[d]
     assert blk.steep.all() and all(math.isnan(r) for r in tab.rate)
     k = rng.integers(0, 6, 300)
@@ -921,18 +920,22 @@ def test_steep_mask_leaves_the_plateau_test_to_dark_states():
 
 def _jump_tables(rng, d):
     """Vertices 0-3 of dimension ``d`` with 1 to 4 jumps, in turn, into the
-    vertices 4-7 of dimensions 1 to 4, and random escape operators."""
+    vertices 4-7 of dimensions 1 to 4, and random escape operators: the
+    defects of their dwell generators.  The tables, each vertex's jumps as
+    ``(destination, R)`` and the escape operators."""
     dests = [1, 2, 3, 4]
     edges = [[(4 + (s + j) % 4, rng.standard_normal((dests[(s + j) % 4], d))
                + 1j * rng.standard_normal((dests[(s + j) % 4], d))) for j in range(s + 1)]
              for s in range(4)]
-    escapes = []
-    for _ in range(4):
+    gens = {}
+    for s in range(4):
         b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        escapes.append(b @ b.conj().T)
-    gens = [_dissipative(rng, d) for _ in range(4)] + [-np.eye(dd, dtype=complex) for dd in dests]
-    escapes += [np.zeros((dd, dd), dtype=complex) for dd in dests]
-    return trajectory._Tables(range(8), gens, edges + [[]] * 4, escapes), edges, escapes
+        decay = sum(r.conj().T @ r for _, r in edges[s])
+        gens[s] = -1j * random_hermitian(rng, d) - 0.5 * (decay + b @ b.conj().T)
+    gens.update({4 + j: -np.eye(dd) for j, dd in enumerate(dests)})
+    m = build_walk([(k, d) for k in range(4)] + [(4 + j, dd) for j, dd in enumerate(dests)],
+                   [(s, x, r) for s in range(4) for x, r in edges[s]], effective=gens)
+    return trajectory._Tables(m), edges, [m.escape_defect(k) for k in range(8)]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -972,6 +975,76 @@ def test_posts_are_the_normalised_products_of_the_chosen_jump(seed, d):
         want = trajectory._normalised(r @ eta[j] @ r.conj().T)
         assert np.abs(rho - want).max() <= bound
     assert (slot >= 0).any() and (slot < 0).any()
+
+
+def _same_bits(got, want, where="tables"):
+    """``got`` equals ``want`` bit for bit, NaN where NaN: lists, dicts and
+    the fields of tables, blocks and propagators entry by entry, arrays by
+    dtype, shape, values and whether they are writeable."""
+    if isinstance(want, (trajectory._Tables, trajectory._Block, linalg.Propagator)):
+        assert type(got) is type(want) and set(vars(got)) == set(vars(want)), where
+        for name, value in vars(want).items():
+            _same_bits(getattr(got, name), value, f"{where}.{name}")
+    elif isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key, value in want.items():
+            _same_bits(got[key], value, f"{where}[{key!r}]")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for j, (a, b) in enumerate(zip(got, want)):
+            _same_bits(a, b, f"{where}[{j}]")
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), where
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert np.array_equal(got, want, equal_nan=want.dtype.kind in "fc"), where
+        assert got.flags.writeable == want.flags.writeable, where
+    elif isinstance(want, float):
+        assert type(got) is float and (got == want or math.isnan(got) and math.isnan(want)), where
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+def _tables_match_the_oracle(m):
+    _same_bits(trajectory._Tables(m), sampling_tables_per_vertex(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.integers(0, 10_000), hst.booleans())
+def test_tables_match_the_per_vertex_oracle_on_random_models(seed, leaky):
+    """Mixed dimensions, in random order, with and without escape defects."""
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, max_dim=3)
+    _tables_match_the_oracle(leaky_variant(rng, m) if leaky else m)
+
+
+@pytest.mark.parametrize("name, window", [
+    ("two-site-exchange", None), ("coherent-pair", None), ("biased-line", 8),
+    ("biased-line", 40), ("spin-biased-line", 8), ("spin-biased-line", 40)])
+def test_tables_match_the_per_vertex_oracle_on_the_fixtures(name, window):
+    m = fixtures.get_fixture(name, window)
+    _tables_match_the_oracle(m)
+    _tables_match_the_oracle(model_from_json(m.to_json_dict()))  # G as a file holds it
+
+
+def test_tables_match_the_per_vertex_oracle_on_the_ring_and_the_jordan_vertex():
+    _tables_match_the_oracle(qutrit_ring(101, 6))
+    m = jordan_vertex_model()
+    _tables_match_the_oracle(m)
+    assert not trajectory._Tables(m).blocks[2].prop.diag[0]  # the dense exponential
+
+
+@pytest.mark.parametrize("g", [[[math.nan]], [[math.inf]], [[-math.inf]],
+                               [[-1.0, math.nan], [0.0, -1.0]], [[-1.0, 0.0], [math.inf, -1.0]]])
+def test_a_non_finite_generator_is_a_model_error(g):
+    g = np.array(g, dtype=complex)
+    d = len(g)
+    rho = np.eye(d) / d
+    with pytest.raises(ModelError, match="NaN or infinite"):
+        trajectory.sample_jump_time(g, rho, 0.5)
+    zero = np.zeros((d, d), dtype=complex)
+    m = model_from_parts([VertexSpace(0, d)], [zero], [g], [zero], {})
+    with pytest.raises(ModelError, match="NaN or infinite"):
+        trajectory.survival_function(m, 0, rho)
 
 
 def _escaping_qubit_line():
